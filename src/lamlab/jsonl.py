@@ -13,6 +13,8 @@ import os
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .errors import ValidationFailure
+
 
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
@@ -26,9 +28,12 @@ def read_jsonl(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad JSON line: {exc}") from exc
+                raise ValidationFailure(f"{path}:{line_no}: bad JSON line: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValidationFailure(f"{path}:{line_no}: line is not a JSON object")
+            records.append(record)
     return records
 
 

@@ -106,13 +106,23 @@ def _extract_content(resp) -> str:
 
 @dataclass
 class MemoizingOracle:
-    """Exact-request memoization wrapper around another provider."""
+    """Exact-request memoization wrapper around another provider.
+
+    Single flight per cache key: concurrent calls with one key send one
+    request to the inner provider, and the others wait for its response. A
+    failed request caches nothing, so the next caller of that key retries.
+    """
 
     inner: object
     _cache: dict = field(default_factory=dict)
+    _key_locks: dict = field(default_factory=dict, repr=False)
+    _guard: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def complete(self, request: OracleRequest) -> OracleResponse:
         key = request.cache_key()
-        if key not in self._cache:
-            self._cache[key] = self.inner.complete(request)
-        return self._cache[key]
+        with self._guard:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            if key not in self._cache:
+                self._cache[key] = self.inner.complete(request)
+            return self._cache[key]

@@ -16,7 +16,6 @@ from .model import (
     action_distribution,
     build_plan_vocab,
     generate_plan,
-    plan_scores,
     select_action,
     softmax,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "action_distribution",
     "build_plan_vocab",
     "generate_plan",
-    "plan_scores",
     "select_action",
     "softmax",
     "AgentState",

@@ -9,9 +9,9 @@ functions of the pair and lie in [0, 1].
 from __future__ import annotations
 
 from ..env_sim import REGISTRY, needs_selection
-from ..textutil import token_overlap
+from ..textutil import set_overlap, token_set
 from .candidates import CandidateAction
-from .state import AgentState
+from .state import FORMAT_KEYWORDS, AgentState
 
 __all__ = [
     "BASE_FEATURES",
@@ -67,8 +67,6 @@ FUNC_TRIGGERS: dict[str, tuple[str, ...]] = {
     "toggle_bold": ("bold",),
 }
 
-FORMAT_KEYWORDS = ("highlight", "bold", "color", "size", "font", "comment")
-
 _FUNC_BLOCK = tuple(f"func::{name}" for name in REGISTRY) + ("func::<finish>",)
 _CTYPE_BLOCK = (
     "ctype::Button",
@@ -86,6 +84,10 @@ _CTYPE_BLOCK = (
 
 FEATURE_NAMES: tuple[str, ...] = BASE_FEATURES + _FUNC_BLOCK + _CTYPE_BLOCK
 
+# Position of each function / control type within its one-hot block.
+_FUNC_INDEX = {name.removeprefix("func::"): i for i, name in enumerate(_FUNC_BLOCK)}
+_CTYPE_INDEX = {name.removeprefix("ctype::"): i for i, name in enumerate(_CTYPE_BLOCK)}
+
 STATUS_FEATURES = (
     "bias",
     "progress",
@@ -96,14 +98,20 @@ STATUS_FEATURES = (
 )
 
 
-def _affinity(function: str, text: str) -> float:
-    low = text.lower()
+def _affinity(function: str, low: str) -> float:
+    """1.0 if a trigger keyword of ``function`` occurs in the lowercased ``low``."""
     return 1.0 if any(trigger in low for trigger in FUNC_TRIGGERS.get(function, ())) else 0.0
 
 
+def _one_hot(index: int | None, size: int) -> list[float]:
+    row = [0.0] * size
+    if index is not None:
+        row[index] = 1.0
+    return row
+
+
 def featurize(state: AgentState, candidate: CandidateAction) -> list[float]:
-    current_step = state.previous_plan[0] if state.previous_plan else ""
-    selection = state.selection_active()
+    selection = state.selection_active
     last = state.last_action()
 
     repeat = 0.0
@@ -118,7 +126,12 @@ def featurize(state: AgentState, candidate: CandidateAction) -> list[float]:
     needs_sel = (not candidate.is_finish) and needs_selection(
         candidate.function, candidate.control_text
     )
-    task_has_format = any(k in state.task.lower() for k in FORMAT_KEYWORDS)
+
+    overlap_task = overlap_plan = 0.0
+    if candidate.control:
+        words = token_set(candidate.control_text)
+        overlap_task = set_overlap(words, state.task_tokens)
+        overlap_plan = set_overlap(words, state.step_tokens)
 
     position_prior = 0.0
     if candidate.control is not None:
@@ -127,16 +140,16 @@ def featurize(state: AgentState, candidate: CandidateAction) -> list[float]:
             position_prior = 1.0 / (1.0 + float(label))
 
     values = [
-        token_overlap(candidate.control_text, state.task) if candidate.control else 0.0,
-        token_overlap(candidate.control_text, current_step) if candidate.control else 0.0,
-        0.0 if candidate.is_finish else _affinity(candidate.function, state.task),
-        0.0 if candidate.is_finish else _affinity(candidate.function, current_step),
+        overlap_task,
+        overlap_plan,
+        0.0 if candidate.is_finish else _affinity(candidate.function, state.task_lower),
+        0.0 if candidate.is_finish else _affinity(candidate.function, state.step_lower),
         repeat,
         min((state.step_id - 1) / 20.0, 1.0),
         1.0 if needs_sel and selection else 0.0,
         1.0 if needs_sel and not selection else 0.0,
         1.0
-        if candidate.function == "select_text" and not selection and task_has_format
+        if candidate.function == "select_text" and not selection and state.is_format_task
         else 0.0,
         position_prior,
         1.0 if candidate.args else 0.0,
@@ -144,19 +157,18 @@ def featurize(state: AgentState, candidate: CandidateAction) -> list[float]:
         1.0 if candidate.is_finish and not state.previous_plan else 0.0,
     ]
     func_name = "<finish>" if candidate.is_finish else candidate.function
-    values.extend(1.0 if name == f"func::{func_name}" else 0.0 for name in _FUNC_BLOCK)
+    values.extend(_one_hot(_FUNC_INDEX.get(func_name), len(_FUNC_BLOCK)))
     ctype = candidate.control_type or "<none>"
-    values.extend(1.0 if name == f"ctype::{ctype}" else 0.0 for name in _CTYPE_BLOCK)
+    values.extend(_one_hot(_CTYPE_INDEX.get(ctype), len(_CTYPE_BLOCK)))
     return values
 
 
 def status_features(state: AgentState) -> list[float]:
-    task_has_format = any(k in state.task.lower() for k in FORMAT_KEYWORDS)
     return [
         1.0,
         min((state.step_id - 1) / 20.0, 1.0),
         1.0 if state.step_id == 1 else 0.0,
         min(len(state.previous_plan) / 20.0, 1.0),
         1.0 if len(state.previous_plan) == 1 else 0.0,
-        1.0 if task_has_format else 0.0,
+        1.0 if state.is_format_task else 0.0,
     ]

@@ -18,6 +18,8 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 from pathlib import Path
 
 from ..errors import CheckpointError
@@ -34,13 +36,17 @@ __all__ = [
     "softmax",
     "action_distribution",
     "select_action",
-    "plan_scores",
+    "PlanWeights",
+    "plan_overlaps",
     "generate_plan",
     "build_plan_vocab",
 ]
 
 END_TOKEN = "<END>"
 MAX_PLAN_STEPS = 20
+
+ACT_NAMES = tuple(f"act::{name}" for name in FEATURE_NAMES)
+STATUS_NAMES = tuple(f"status::{name}" for name in STATUS_FEATURES)
 
 
 def softmax(scores: list[float]) -> tuple[list[float], list[float]]:
@@ -73,6 +79,16 @@ class ModelParams:
 
     def get(self, name: str) -> float:
         return self.weights.get(name, 0.0)
+
+    # Dense weight vectors aligned with FEATURE_NAMES / STATUS_FEATURES, read
+    # once per instance: parameters are never changed in place.
+    @cached_property
+    def act_weights(self) -> tuple[float, ...]:
+        return tuple(self.weights.get(name, 0.0) for name in ACT_NAMES)
+
+    @cached_property
+    def status_weights(self) -> tuple[float, ...]:
+        return tuple(self.weights.get(name, 0.0) for name in STATUS_NAMES)
 
     def replaced(self, updates: dict[str, float]) -> "ModelParams":
         merged = dict(self.weights)
@@ -150,11 +166,6 @@ class ActionDistribution:
         return self.probs[index]
 
 
-def _candidate_score(state: AgentState, candidate: CandidateAction, params: ModelParams) -> float:
-    vector = featurize(state, candidate)
-    return sum(params.get(f"act::{name}") * x for name, x in zip(FEATURE_NAMES, vector))
-
-
 def action_distribution(
     state: AgentState,
     params: ModelParams,
@@ -162,12 +173,10 @@ def action_distribution(
 ) -> ActionDistribution:
     if candidates is None:
         candidates = enumerate_candidates(state)
-    scores = [_candidate_score(state, c, params) for c in candidates]
+    weights = params.act_weights
+    scores = [sum(map(mul, weights, featurize(state, c))) for c in candidates]
     probs, log_probs = softmax(scores)
-    logit = sum(
-        params.get(f"status::{name}") * x
-        for name, x in zip(STATUS_FEATURES, status_features(state))
-    )
+    logit = sum(map(mul, params.status_weights, status_features(state)))
     finish_prob = 1.0 / (1.0 + math.exp(-logit))
     return ActionDistribution(
         candidates=tuple(candidates),
@@ -236,24 +245,45 @@ def build_plan_vocab(plans: list[list[str]]) -> tuple[str, ...]:
     return tuple(steps) + (END_TOKEN,)
 
 
-def plan_scores(
-    task: str,
-    params: ModelParams,
-    position: int,
-    used: set[str],
-    vocab: tuple[str, ...] | None = None,
-) -> list[float]:
-    vocab = vocab if vocab is not None else params.plan_vocab
-    scores = []
-    for v in vocab:
-        score = params.get(f"plan::bias::{v}")
-        score += params.get(f"plan::pos::{position}::{v}")
-        if v != END_TOKEN:
-            score += params.get("plan::overlap") * token_overlap(v, task)
-            if v in used:
-                score += params.get("plan::used")
-        scores.append(score)
-    return scores
+def plan_overlaps(task: str, vocab: tuple[str, ...]) -> tuple[float, ...]:
+    """Token overlap of every vocabulary entry with the task (0.0 for the end
+    token, whose score has no overlap term)."""
+    return tuple(0.0 if v == END_TOKEN else token_overlap(v, task) for v in vocab)
+
+
+class PlanWeights:
+    """The plan head's weights over one vocabulary, read from the parameters
+    once; the weights of a position are read when it is first scored."""
+
+    def __init__(self, params: ModelParams, vocab: tuple[str, ...]):
+        self.params = params
+        self.vocab = vocab
+        self.bias_names = [f"plan::bias::{v}" for v in vocab]
+        self.bias = [params.get(name) for name in self.bias_names]
+        self.overlap_weight = params.get("plan::overlap")
+        self.used_weight = params.get("plan::used")
+        self._positions: dict[int, tuple[list[str], list[float]]] = {}
+
+    def position(self, position: int) -> tuple[list[str], list[float]]:
+        """Names and values of the ``plan::pos::<position>::*`` weights."""
+        entry = self._positions.get(position)
+        if entry is None:
+            names = [f"plan::pos::{position}::{v}" for v in self.vocab]
+            entry = self._positions[position] = (names, [self.params.get(n) for n in names])
+        return entry
+
+    def scores(self, position: int, overlaps: tuple[float, ...], used: set[str]) -> list[float]:
+        _, pos = self.position(position)
+        scores = []
+        for v, bias, pos_weight, overlap in zip(self.vocab, self.bias, pos, overlaps):
+            score = bias
+            score += pos_weight
+            if v != END_TOKEN:
+                score += self.overlap_weight * overlap
+                if v in used:
+                    score += self.used_weight
+            scores.append(score)
+        return scores
 
 
 def generate_plan(task: str, params: ModelParams, max_steps: int = MAX_PLAN_STEPS) -> list[str]:
@@ -261,10 +291,12 @@ def generate_plan(task: str, params: ModelParams, max_steps: int = MAX_PLAN_STEP
     every generated plan has at least one step."""
     if not params.plan_vocab:
         return []
+    weights = PlanWeights(params, params.plan_vocab)
+    overlaps = plan_overlaps(task, params.plan_vocab)
     plan: list[str] = []
     used: set[str] = set()
     for position in range(1, max_steps + 1):
-        scores = plan_scores(task, params, position, used)
+        scores = weights.scores(position, overlaps, used)
         best, best_score = None, None
         for v, score in zip(params.plan_vocab, scores):
             if v == END_TOKEN and position == 1:

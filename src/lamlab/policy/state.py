@@ -8,19 +8,26 @@ the same schema by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..env_sim import ActionCall
+from ..textutil import token_set
 
-__all__ = ["AgentState"]
+__all__ = ["AgentState", "FORMAT_KEYWORDS"]
+
+# A task naming any of these asks for formatting, which acts on a selection.
+FORMAT_KEYWORDS = ("highlight", "bold", "color", "size", "font", "comment")
 
 
 @dataclass(frozen=True)
 class AgentState:
+    """One observed state. The cached properties are the per-state values
+    that every candidate's features read; each is computed once per state."""
+
     task: str
     step_id: int
     controls: tuple[dict, ...]
     canvas_digest: str = ""
-    thoughts: str = ""
     previous_actions: tuple[tuple[ActionCall, dict], ...] = ()
     previous_plan: tuple[str, ...] = ()
 
@@ -28,9 +35,32 @@ class AgentState:
         if self.step_id < 1:
             raise ValueError("step_id starts at 1")
 
-    def observations(self) -> dict:
-        return {"controls": list(self.controls), "canvas_digest": self.canvas_digest}
+    @cached_property
+    def current_step(self) -> str:
+        """The plan step being worked on: the head of the previous plan."""
+        return self.previous_plan[0] if self.previous_plan else ""
 
+    @cached_property
+    def task_lower(self) -> str:
+        return self.task.lower()
+
+    @cached_property
+    def step_lower(self) -> str:
+        return self.current_step.lower()
+
+    @cached_property
+    def task_tokens(self) -> frozenset[str]:
+        return token_set(self.task)
+
+    @cached_property
+    def step_tokens(self) -> frozenset[str]:
+        return token_set(self.current_step)
+
+    @cached_property
+    def is_format_task(self) -> bool:
+        return any(k in self.task_lower for k in FORMAT_KEYWORDS)
+
+    @cached_property
     def selection_active(self) -> bool:
         """Whether a prior select_text succeeded (and still holds)."""
         for action, result in reversed(self.previous_actions):

@@ -64,13 +64,20 @@ def normalize_line(text: str) -> str:
     return " ".join(stripped.split())
 
 
-def token_overlap(a: str, b: str) -> float:
-    """|tokens(a) ∩ tokens(b)| / |tokens(a)|, 0.0 when a has no tokens."""
-    ta = set(tokens(a))
+def token_set(text: str) -> frozenset[str]:
+    return frozenset(tokens(text))
+
+
+def set_overlap(ta: frozenset[str], tb: frozenset[str]) -> float:
+    """|ta ∩ tb| / |ta|, 0.0 when ta is empty."""
     if not ta:
         return 0.0
-    tb = set(tokens(b))
     return len(ta & tb) / len(ta)
+
+
+def token_overlap(a: str, b: str) -> float:
+    """|tokens(a) ∩ tokens(b)| / |tokens(a)|, 0.0 when a has no tokens."""
+    return set_overlap(token_set(a), token_set(b))
 
 
 def first_quoted(text: str) -> str | None:

@@ -5,6 +5,9 @@ from .configs import BoostConfig, PhaseConfigs, PpoConfig, RmConfig, SftConfig
 from .losses import (
     imitation_loss,
     learning_rate_at,
+    prepare_imitation,
+    prepare_plans,
+    prepare_status,
     sft_plan_loss,
     status_loss,
     train_params,
@@ -43,6 +46,9 @@ __all__ = [
     "SftConfig",
     "imitation_loss",
     "learning_rate_at",
+    "prepare_imitation",
+    "prepare_plans",
+    "prepare_status",
     "sft_plan_loss",
     "status_loss",
     "train_params",

@@ -14,7 +14,6 @@ class SftConfig:
     warmup_steps: int = 2
     batch_size: int = 16
     epochs: int = 3
-    loss_on_target_only: bool = True
     # Weighting of the double sum over trajectories and steps: per-trajectory
     # mean of per-step means (default) or one global mean over steps.
     step_mean: bool = False
@@ -31,10 +30,6 @@ class RmConfig:
     optimizer: str = "adamw"  # "adamw" | "gd"
     epochs: int = 2
     batch_size: int = 16
-    # Low-rank-adaptation fields: recorded in manifests, inert for the linear head.
-    lora_rank: int = 8
-    lora_alpha: int = 32
-    lora_dropout: float = 0.1
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -44,11 +39,8 @@ class RmConfig:
 @dataclass(frozen=True)
 class PpoConfig:
     learning_rate: float = 1.4e-5
-    sample_length: int = 256
-    batch_size: int = 8
     minibatch_size: int = 1
     ppo_epochs: int = 4
-    grad_accumulation: int = 1
     kl_target: float = 0.1
     kl_coef_init: float = 0.2
     clip_epsilon: float = 0.2

@@ -4,20 +4,41 @@ All heads are linear in their named weights, so cross-entropy gradients have
 the closed form sum((p - y) * x) and match finite differences to numerical
 precision. Gradients come back as name -> value dicts over the weights the
 loss touches.
+
+Each loss is split in two. Preparation does the weight-independent work once
+per corpus: ``prepare_imitation`` enumerates the candidates of every step,
+matches the expert action and stores each candidate's features as a sparse
+row of (feature index, value) pairs; ``prepare_status`` stores the status
+features and label of every step; ``prepare_plans`` stores the target
+indices of every plan and the token overlap of each vocabulary entry with the
+task. The loss functions are the kernels: each call reads the weights once
+and scores the prepared rows. They also accept raw items (state/action
+pairs, state/status pairs, records with ``task`` and ``plan``) and prepare
+those on the spot, so one call on raw items and one on prepared items give
+identical results. A training phase prepares its corpus once and hands the
+prepared items to every epoch's batches.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from ..errors import EmptyCorpus, ValidationFailure
 from ..env_sim import ActionCall
 from ..policy import AgentState, enumerate_candidates, featurize, match_expert, status_features
-from ..policy.features import FEATURE_NAMES, STATUS_FEATURES
-from ..policy.model import END_TOKEN, ModelParams, plan_scores, softmax
-from ..textutil import token_overlap
+from ..policy.model import (
+    ACT_NAMES,
+    END_TOKEN,
+    STATUS_NAMES,
+    ModelParams,
+    PlanWeights,
+    plan_overlaps,
+    softmax,
+)
 from .configs import SftConfig
 
 __all__ = [
@@ -25,65 +46,151 @@ __all__ = [
     "imitation_loss",
     "status_loss",
     "ImitationStep",
+    "ActionRows",
+    "StatusRow",
+    "PlanRows",
+    "prepare_imitation",
+    "prepare_status",
+    "prepare_plans",
     "train_params",
     "learning_rate_at",
 ]
 
 ImitationStep = tuple[AgentState, ActionCall]
+# Non-zero entries of one feature vector: (feature indices, values), in
+# feature order.
+SparseRow = tuple[tuple[int, ...], tuple[float, ...]]
 
-# Plans in records.
+
+@dataclass(frozen=True)
+class ActionRows:
+    """One imitation step, prepared: the sparse feature row of every
+    candidate and the index of the expert's candidate."""
+
+    expert: int
+    rows: tuple[SparseRow, ...]
 
 
-def _plan_targets(plan: Sequence[str]) -> list[str]:
-    return list(plan) + [END_TOKEN]
+@dataclass(frozen=True)
+class StatusRow:
+    """One status step, prepared: its status features and its label
+    (1.0 for FINISH)."""
 
+    features: tuple[float, ...]
+    target: float
+
+
+@dataclass(frozen=True)
+class PlanRows:
+    """One task-plan record, prepared against a vocabulary: the vocabulary
+    indices of its targets (the plan steps, then the end token) and the
+    token overlap of every vocabulary entry with the task."""
+
+    vocab: tuple[str, ...]
+    targets: tuple[int, ...]
+    overlaps: tuple[float, ...]
+
+
+# --- preparation ------------------------------------------------------------------
+
+def _sparse(vector: Sequence[float]) -> SparseRow:
+    nonzero = [(j, x) for j, x in enumerate(vector) if x != 0.0]
+    return tuple(j for j, _ in nonzero), tuple(x for _, x in nonzero)
+
+
+def _action_rows(step: ActionRows | ImitationStep) -> ActionRows:
+    if isinstance(step, ActionRows):
+        return step
+    state, expert = step
+    candidates = enumerate_candidates(state)
+    expert_idx = match_expert(candidates, expert)
+    return ActionRows(expert_idx, tuple(_sparse(featurize(state, c)) for c in candidates))
+
+
+def prepare_imitation(
+    trajectories: Sequence[Sequence[ImitationStep]],
+) -> list[list[ActionRows]]:
+    """Candidate rows of every step, grouped as the trajectories are; one
+    ``featurize`` call per (state, candidate) pair."""
+    return [[_action_rows(step) for step in trajectory] for trajectory in trajectories]
+
+
+def _status_row(step: StatusRow | tuple[AgentState, str]) -> StatusRow:
+    if isinstance(step, StatusRow):
+        return step
+    state, status = step
+    return StatusRow(tuple(status_features(state)), 1.0 if status == "FINISH" else 0.0)
+
+
+def prepare_status(steps: Sequence[tuple[AgentState, str]]) -> list[StatusRow]:
+    return [_status_row(step) for step in steps]
+
+
+def _plan_rows(record, vocab: tuple[str, ...], index: dict[str, int]) -> PlanRows:
+    if isinstance(record, PlanRows):
+        if record.vocab != vocab:
+            raise ValidationFailure("plan record was prepared for another vocabulary")
+        return record
+    targets = []
+    for target in (*record.plan, END_TOKEN):
+        if target not in index:
+            raise ValidationFailure(f"plan step {target!r} is not in the vocabulary")
+        targets.append(index[target])
+    return PlanRows(vocab, tuple(targets), plan_overlaps(record.task, vocab))
+
+
+def prepare_plans(records: Sequence, vocab: tuple[str, ...]) -> list[PlanRows]:
+    """Targets and task overlaps of every record (``task`` and ``plan``
+    attributes) against the vocabulary."""
+    index = {v: i for i, v in enumerate(vocab)}
+    return [_plan_rows(record, vocab, index) for record in records]
+
+
+# --- kernels ------------------------------------------------------------------------
 
 def sft_plan_loss(
     params: ModelParams, batch: Sequence, step_mean: bool = True
 ) -> tuple[float, dict[str, float]]:
     """Mean cross-entropy over plan-step targets (including the end token).
 
-    Batch items carry ``task`` and ``plan`` attributes. With step_mean
-    (default) every target counts equally; otherwise records are weighted
-    equally regardless of plan length.
+    Batch items are :class:`PlanRows` or carry ``task`` and ``plan``
+    attributes. With step_mean (default) every target counts equally;
+    otherwise records are weighted equally regardless of plan length.
     """
     if not batch:
         raise EmptyCorpus("sft_plan_loss needs a non-empty batch")
     vocab = params.plan_vocab
     if not vocab:
         raise ValidationFailure("model has no plan vocabulary")
-    index = {v: i for i, v in enumerate(vocab)}
+    rows = prepare_plans(batch, vocab)
+    weights = PlanWeights(params, vocab)
 
     total_loss = 0.0
     grads: dict[str, float] = {}
     contributions: list[tuple[float, float, dict[str, float]]] = []
 
-    for record in batch:
-        targets = _plan_targets(record.plan)
+    for row in rows:
         record_loss = 0.0
         record_grads: dict[str, float] = {}
         used: set[str] = set()
-        for position, target in enumerate(targets, 1):
-            if target not in index:
-                raise ValidationFailure(f"plan step {target!r} is not in the vocabulary")
-            scores = plan_scores(record.task, params, position, used, vocab)
-            probs, log_probs = softmax(scores)
-            record_loss += -log_probs[index[target]]
+        for position, t in enumerate(row.targets, 1):
+            pos_names, _ = weights.position(position)
+            probs, log_probs = softmax(weights.scores(position, row.overlaps, used))
+            record_loss += -log_probs[t]
+            target = vocab[t]
             for i, v in enumerate(vocab):
                 coef = probs[i] - (1.0 if v == target else 0.0)
                 if coef == 0.0:
                     continue
-                _accumulate(record_grads, f"plan::bias::{v}", coef)
-                _accumulate(record_grads, f"plan::pos::{position}::{v}", coef)
+                _accumulate(record_grads, weights.bias_names[i], coef)
+                _accumulate(record_grads, pos_names[i], coef)
                 if v != END_TOKEN:
-                    _accumulate(
-                        record_grads, "plan::overlap", coef * token_overlap(v, record.task)
-                    )
+                    _accumulate(record_grads, "plan::overlap", coef * row.overlaps[i])
                     if v in used:
                         _accumulate(record_grads, "plan::used", coef)
             if target != END_TOKEN:
                 used.add(target)
-        contributions.append((record_loss, float(len(targets)), record_grads))
+        contributions.append((record_loss, float(len(row.targets)), record_grads))
 
     if step_mean:
         total_targets = sum(n for _, n, _ in contributions)
@@ -102,7 +209,7 @@ def sft_plan_loss(
 
 def imitation_loss(
     params: ModelParams,
-    trajectories: Sequence[Sequence[ImitationStep]],
+    trajectories: Sequence[Sequence[ActionRows | ImitationStep]],
     step_mean: bool = False,
 ) -> tuple[float, dict[str, float]]:
     """Cross-entropy between the action distribution and the expert action,
@@ -112,55 +219,47 @@ def imitation_loss(
         raise EmptyCorpus("imitation_loss needs at least one step")
     total_steps = sum(len(t) for t in trajectories)
     n_traj = len(trajectories)
+    w = params.act_weights
 
     loss = 0.0
-    grads: dict[str, float] = {}
+    grads: dict[int, float] = {}
     for trajectory in trajectories:
         if not trajectory:
             continue
         weight = 1.0 / total_steps if step_mean else 1.0 / (n_traj * len(trajectory))
-        for state, expert in trajectory:
-            candidates = enumerate_candidates(state)
-            expert_idx = match_expert(candidates, expert)
-            vectors = [featurize(state, c) for c in candidates]
-            scores = [
-                sum(params.get(f"act::{n}") * x for n, x in zip(FEATURE_NAMES, vec))
-                for vec in vectors
-            ]
+        for step in map(_action_rows, trajectory):
+            scores = [sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in step.rows]
             probs, log_probs = softmax(scores)
-            loss += -log_probs[expert_idx] * weight
-            for i, vec in enumerate(vectors):
-                coef = (probs[i] - (1.0 if i == expert_idx else 0.0)) * weight
+            loss += -log_probs[step.expert] * weight
+            for i, (idx, xs) in enumerate(step.rows):
+                coef = (probs[i] - (1.0 if i == step.expert else 0.0)) * weight
                 if coef == 0.0:
                     continue
-                for name, x in zip(FEATURE_NAMES, vec):
-                    if x != 0.0:
-                        _accumulate(grads, f"act::{name}", coef * x)
-    return loss, grads
+                for j, x in zip(idx, xs):
+                    grads[j] = grads.get(j, 0.0) + coef * x
+    return loss, {ACT_NAMES[j]: g for j, g in grads.items()}
 
 
 def status_loss(
-    params: ModelParams, steps: Sequence[tuple[AgentState, str]]
+    params: ModelParams, steps: Sequence[StatusRow | tuple[AgentState, str]]
 ) -> tuple[float, dict[str, float]]:
     """Binary cross-entropy of the status head against CONTINUE/FINISH labels."""
     if not steps:
         raise EmptyCorpus("status_loss needs at least one step")
+    w = params.status_weights
     loss = 0.0
     grads: dict[str, float] = {}
     n = len(steps)
-    for state, status in steps:
-        features = status_features(state)
-        logit = sum(
-            params.get(f"status::{name}") * x for name, x in zip(STATUS_FEATURES, features)
-        )
-        target = 1.0 if status == "FINISH" else 0.0
+    for row in map(_status_row, steps):
+        logit = sum(map(mul, w, row.features))
+        target = row.target
         prob = 1.0 / (1.0 + math.exp(-logit))
         eps = 1e-12
         loss += -(target * math.log(prob + eps) + (1 - target) * math.log(1 - prob + eps)) / n
         coef = (prob - target) / n
-        for name, x in zip(STATUS_FEATURES, features):
+        for name, x in zip(STATUS_NAMES, row.features):
             if x != 0.0:
-                _accumulate(grads, f"status::{name}", coef * x)
+                _accumulate(grads, name, coef * x)
     return loss, grads
 
 

@@ -24,7 +24,15 @@ from ..oracle import Provider
 from ..policy import AgentState, ModelParams, build_plan_vocab
 from .boost import FailedTask, self_boost
 from .configs import PhaseConfigs
-from .losses import imitation_loss, sft_plan_loss, status_loss, train_params
+from .losses import (
+    imitation_loss,
+    prepare_imitation,
+    prepare_plans,
+    prepare_status,
+    sft_plan_loss,
+    status_loss,
+    train_params,
+)
 from .ppo import compute_advantage, ppo_update
 from .reward import RewardedStep, RewardModelParams, train_reward_model
 
@@ -177,7 +185,7 @@ def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = ModelParams.zeros(plan_vocab=vocab)
     params = train_params(
         params,
-        records,
+        prepare_plans(records, params.plan_vocab),
         lambda p, batch: sft_plan_loss(p, batch, step_mean=True),
         configs.sft,
         seed=seed,
@@ -217,14 +225,14 @@ def _imitation_phase(
     step_mean = configs.imitation.step_mean
     params = train_params(
         params,
-        trajectories,
+        prepare_imitation(trajectories),
         lambda p, batch: imitation_loss(p, batch, step_mean=step_mean),
         configs.imitation,
         seed=seed,
     )
     params = train_params(
         params,
-        statuses,
+        prepare_status(statuses),
         lambda p, batch: status_loss(p, batch),
         configs.imitation,
         seed=seed + 1,

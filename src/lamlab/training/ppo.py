@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from ..errors import DegenerateRatio, EmptyCorpus
 from ..policy import AgentState, enumerate_candidates, featurize, match_expert
 from ..policy.features import FEATURE_NAMES
-from ..policy.model import ModelParams, softmax
+from ..policy.model import ACT_NAMES, ModelParams, softmax
 from ..env_sim import ActionCall
 from .configs import PpoConfig
 
@@ -108,7 +109,7 @@ def _prepare_steps(
 
 
 def _score(params: ModelParams, vector: Sequence[float]) -> float:
-    return sum(params.get(f"act::{n}") * x for n, x in zip(FEATURE_NAMES, vector))
+    return sum(map(mul, params.act_weights, vector))
 
 
 def _step_terms(params: ModelParams, step: _PreparedStep, epsilon: float):
@@ -198,7 +199,7 @@ def ppo_update(
             lr = config.learning_rate
             new_weights = {}
             for j, g in grads.items():
-                name = f"act::{FEATURE_NAMES[j]}"
+                name = ACT_NAMES[j]
                 new_weights[name] = params.get(name) - lr * g
             params = params.replaced(new_weights)
             updates += 1

@@ -158,3 +158,18 @@ def test_config_file_with_cli_override(tmp_path):
         (tmp_path / "cli_wins" / "runs" / "report" / "manifest.json").read_text()
     )
     assert manifest["seed"] == 5
+
+
+@pytest.mark.parametrize(
+    "line, reason", [("{not json", "bad JSON line"), ("[1, 2]", "line is not a JSON object")]
+)
+def test_corrupt_input_line_is_a_validation_failure(tmp_path, capsys, line, reason):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"task_id": "a"}\n' + line + "\n", encoding="utf-8")
+    code = main(["--workspace", str(tmp_path / "ws"), "dataflow", "run",
+                 "--stage", "all", "--input", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValidationFailure: ")
+    assert f"raw_records.jsonl:2: {reason}" in err

@@ -277,3 +277,48 @@ def test_memoization_reuses_exact_requests():
     memo.complete(request)
     memo.complete(request)
     assert calls["n"] == 1
+
+
+def test_memoization_is_single_flight_under_threads():
+    import sys
+    import threading
+    import time
+
+    from lamlab.oracle import OracleResponse
+
+    lock = threading.Lock()
+    calls: dict[str, int] = {}
+
+    class SlowProvider:
+        def complete(self, request):
+            key = request.cache_key()
+            with lock:
+                calls[key] = calls.get(key, 0) + 1
+            time.sleep(0.002)
+            return OracleResponse(raw_text=key, parsed={})
+
+    memo = MemoizingOracle(SlowProvider())
+    requests = [OracleRequest("judge", {"n": str(i)}) for i in range(5)]
+    answers: list[tuple[str, str]] = []
+
+    def worker(offset):
+        for i in range(20):
+            request = requests[(offset + i) % len(requests)]
+            response = memo.complete(request)
+            with lock:
+                answers.append((request.cache_key(), response.raw_text))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == 12 * 20
+    assert all(key == text for key, text in answers)
+    assert calls == {r.cache_key(): 1 for r in requests}
