@@ -158,6 +158,11 @@ def validate_training_record(obj: object) -> list[str]:
             problems.append(f"record missing {key}")
     if problems:
         return problems
+    if not isinstance(obj["trajectory_id"], str):
+        problems.append("trajectory_id must be a string")
+    step_no = obj["step_no"]
+    if not isinstance(step_no, int) or isinstance(step_no, bool) or step_no < 1:
+        problems.append(f"step_no must be a positive integer, got {step_no!r}")
     problems.extend(validate_record_input(obj["input"]))
     problems.extend(validate_record_output(obj["output"]))
     return problems

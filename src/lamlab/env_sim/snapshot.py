@@ -2,16 +2,23 @@
 
 A snapshot is an immutable (control tree, canvas, step index) value. The
 rendered view is a deterministic textual screenshot surrogate computed purely
-from the tree and the canvas.
+from the tree and the canvas. Because a snapshot never changes, the values
+derived from it (its digest, its flattened control list and its rendered
+view) are computed at most once, on first use, and kept on the instance.
 
 Templates live as one directory per template id containing ``description.txt``,
 ``canvas.xml`` (canonical canvas markup), and ``controls.json`` (control
 manifest). A bundle of templates covering paragraph, table, figure, shape,
-chart, and comment content ships inside the package.
+chart, and comment content ships inside the package. Templates are immutable
+too: ``get_template`` reads the three files on every call but parses each
+distinct content once (the parse cache is keyed by the template id and the
+content of the files, so a rewritten bundle is parsed afresh), and a template
+hands out one shared labelled initial snapshot.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -63,8 +70,12 @@ class EnvSnapshot:
 
     def rendered_view(self) -> str:
         """Deterministic textual screenshot surrogate."""
+        return self._rendered_view
+
+    @functools.cached_property
+    def _rendered_view(self) -> str:
         lines = ["=== window ==="]
-        for item in flatten_controls(self.controls):
+        for item in self._controls:
             lines.append(
                 f"[{item['label']}] {item['control_type']} {item['control_text']!r}"
             )
@@ -113,12 +124,24 @@ class EnvSnapshot:
         )
 
     def digest(self) -> str:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         return sha256_text(self.serialize())[:16]
+
+    @functools.cached_property
+    def _controls(self) -> tuple[dict, ...]:
+        return tuple(flatten_controls(self.controls))
 
 
 def list_controls(snapshot: EnvSnapshot) -> list[dict]:
-    """Enabled controls in depth-first order, labels starting at "1"."""
-    return flatten_controls(snapshot.controls)
+    """Enabled controls in depth-first order, labels starting at "1".
+
+    The list is new on every call; the control dicts in it are the
+    snapshot's own, flattened once, and must not be mutated.
+    """
+    return list(snapshot._controls)
 
 
 @dataclass(frozen=True)
@@ -133,6 +156,11 @@ class AppTemplate:
             raise ValueError("template description must be non-empty")
 
     def fresh_snapshot(self) -> EnvSnapshot:
+        """The labelled initial snapshot; the same object on every call."""
+        return self._fresh
+
+    @functools.cached_property
+    def _fresh(self) -> EnvSnapshot:
         return EnvSnapshot(
             controls=assign_labels(self.initial_controls),
             canvas=self.initial_canvas,
@@ -140,10 +168,15 @@ class AppTemplate:
         )
 
 
+@functools.cache
+def _package_bundle() -> Path:
+    return Path(str(resources.files("lamlab") / "env_sim" / "templates"))
+
+
 def _bundle_root(bundle_dir: str | Path | None) -> Path:
     if bundle_dir is not None:
         return Path(bundle_dir)
-    return Path(str(resources.files("lamlab") / "env_sim" / "templates"))
+    return _package_bundle()
 
 
 def list_templates(bundle_dir: str | Path | None = None) -> list[str]:
@@ -158,15 +191,26 @@ def get_template(template_id: str, bundle_dir: str | Path | None = None) -> AppT
     desc_file = root / "description.txt"
     if not desc_file.is_file():
         raise UnknownTemplate(f"no template named {template_id!r}")
-    description = desc_file.read_text(encoding="utf-8").strip()
-    canvas = parse_canvas((root / "canvas.xml").read_text(encoding="utf-8"))
-    manifest = json.loads((root / "controls.json").read_text(encoding="utf-8"))
-    controls = control_tree_from_dict(manifest)
+    return _parse_template(
+        template_id,
+        desc_file.read_bytes(),
+        (root / "canvas.xml").read_bytes(),
+        (root / "controls.json").read_bytes(),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_template(
+    template_id: str, description: bytes, canvas_xml: bytes, controls_json: bytes
+) -> AppTemplate:
+    """One template from the content of its files; keyed by that content, so
+    equal files share one immutable template and a changed file is parsed
+    anew."""
     return AppTemplate(
         template_id=template_id,
-        description=description,
-        initial_canvas=canvas,
-        initial_controls=controls,
+        description=description.decode("utf-8").strip(),
+        initial_canvas=parse_canvas(canvas_xml.decode("utf-8")),
+        initial_controls=control_tree_from_dict(json.loads(controls_json.decode("utf-8"))),
     )
 
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ValidationFailure
 
@@ -20,7 +20,12 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(
+    path: str | Path, validate: Callable[[dict], list[str]] | None = None
+) -> list[dict]:
+    """The JSON objects of ``path``, one per non-blank line. A line that is
+    not a JSON object, or whose object ``validate`` finds problems in,
+    raises ValidationFailure located at ``path:line``."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -33,6 +38,9 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 raise ValidationFailure(f"{path}:{line_no}: bad JSON line: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValidationFailure(f"{path}:{line_no}: line is not a JSON object")
+            problems = validate(record) if validate is not None else ()
+            if problems:
+                raise ValidationFailure(f"{path}:{line_no}: {'; '.join(problems)}")
             records.append(record)
     return records
 

@@ -31,6 +31,7 @@ from .ppo import (
 from .reward import (
     RewardedStep,
     RewardModelParams,
+    prepare_rewarded,
     rm_features,
     rm_mse_loss,
     train_reward_model,
@@ -66,6 +67,7 @@ __all__ = [
     "surrogate_value",
     "RewardedStep",
     "RewardModelParams",
+    "prepare_rewarded",
     "rm_features",
     "rm_mse_loss",
     "train_reward_model",

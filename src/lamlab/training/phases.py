@@ -15,7 +15,7 @@ import os
 from pathlib import Path
 from typing import Sequence
 
-from ..dataflow import judge_trajectory, postprocess
+from ..dataflow import judge_trajectory, postprocess, validate_training_record
 from ..dataflow.records import TaskPlanRecord, TrainingRecord, Trajectory
 from ..errors import EmptyCorpus, MissingPredecessor
 from ..env_sim import ActionCall
@@ -85,7 +85,8 @@ def records_to_imitation(
     records: Sequence[dict],
 ) -> tuple[list[list[tuple[AgentState, ActionCall]]], list[tuple[AgentState, str]]]:
     """Group training records by trajectory into (state, expert action) steps,
-    plus flat (state, status) pairs for the status head."""
+    plus flat (state, status) pairs for the status head. The records must pass
+    ``validate_training_record``; the phases check them as they read them."""
     grouped: dict[str, list[dict]] = {}
     for rec in records:
         grouped.setdefault(rec["trajectory_id"], []).append(rec)
@@ -260,7 +261,7 @@ def _phase2(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     source = workspace / "corpus" / "training.jsonl"
     if not source.is_file():
         raise EmptyCorpus(f"no training records at {source}")
-    records = read_jsonl(source)
+    records = read_jsonl(source, validate_training_record)
     if not records:
         raise EmptyCorpus("training record corpus is empty")
     return _imitation_phase(
@@ -277,7 +278,7 @@ def _phase3(
 ) -> Path:
     params = load_checkpoint(workspace, 2)
     source = workspace / "corpus" / "training.jsonl"
-    expert_records = read_jsonl(source) if source.is_file() else []
+    expert_records = read_jsonl(source, validate_training_record) if source.is_file() else []
     if not expert_records:
         raise EmptyCorpus("phase 3 needs the expert training records")
 
@@ -332,7 +333,7 @@ def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     boost_file = corpus / "boost_training.jsonl"
     boost_success_states: list[tuple[AgentState, ActionCall]] = []
     if boost_file.is_file():
-        boost_trajs, _ = records_to_imitation(read_jsonl(boost_file))
+        boost_trajs, _ = records_to_imitation(read_jsonl(boost_file, validate_training_record))
         for steps in boost_trajs:
             boost_success_states.extend(steps)
 

@@ -2,6 +2,9 @@
 
 Trained with mean squared error against +1/-1 trajectory outcome labels; at
 inference the raw score is squashed through a sigmoid into [0, 1].
+``train_reward_model`` computes each step's feature vector once
+(``prepare_rewarded``) and scores those rows on every batch of every epoch;
+``rm_mse_loss`` takes prepared rows or raw steps alike.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +24,15 @@ from ..policy import AgentState, CandidateAction, featurize
 from ..policy.features import FEATURE_NAMES
 from .configs import RmConfig
 
-__all__ = ["RewardedStep", "RewardModelParams", "rm_features", "rm_mse_loss", "train_reward_model"]
+__all__ = [
+    "RewardedStep",
+    "RewardRow",
+    "RewardModelParams",
+    "prepare_rewarded",
+    "rm_features",
+    "rm_mse_loss",
+    "train_reward_model",
+]
 
 RM_FEATURE_NAMES = ("bias",) + FEATURE_NAMES
 
@@ -59,6 +71,25 @@ def _candidate_of_action(state: AgentState, action: ActionCall) -> CandidateActi
 
 def rm_features(state: AgentState, action: ActionCall) -> list[float]:
     return [1.0] + featurize(state, _candidate_of_action(state, action))
+
+
+@dataclass(frozen=True)
+class RewardRow:
+    """One rewarded step, prepared: its features in ``RM_FEATURE_NAMES``
+    order and its label."""
+
+    features: tuple[float, ...]
+    reward: int
+
+
+def _reward_row(step: RewardRow | RewardedStep) -> RewardRow:
+    if isinstance(step, RewardRow):
+        return step
+    return RewardRow(tuple(rm_features(step.state, step.action)), step.reward)
+
+
+def prepare_rewarded(steps: Sequence[RewardedStep]) -> list[RewardRow]:
+    return [_reward_row(step) for step in steps]
 
 
 @dataclass(frozen=True)
@@ -109,21 +140,20 @@ class RewardModelParams:
 
 
 def rm_mse_loss(
-    params: RewardModelParams, steps: Sequence[RewardedStep]
+    params: RewardModelParams, steps: Sequence[RewardRow | RewardedStep]
 ) -> tuple[float, dict[str, float]]:
     """MSE between the raw output and the +1/-1 labels, with its gradient."""
     if not steps:
         raise EmptyCorpus("rm_mse_loss needs at least one step")
     n = len(steps)
+    w = [params.weights.get(name, 0.0) for name in RM_FEATURE_NAMES]
     loss = 0.0
     grads: dict[str, float] = {}
-    for step in steps:
-        vector = rm_features(step.state, step.action)
-        raw = sum(params.weights.get(nme, 0.0) * x for nme, x in zip(RM_FEATURE_NAMES, vector))
-        err = raw - step.reward
+    for row in map(_reward_row, steps):
+        err = sum(map(mul, w, row.features)) - row.reward
         loss += err * err / n
         coef = 2.0 * err / n
-        for name, x in zip(RM_FEATURE_NAMES, vector):
+        for name, x in zip(RM_FEATURE_NAMES, row.features):
             if x != 0.0:
                 grads[name] = grads.get(name, 0.0) + coef * x
     return loss, grads
@@ -138,6 +168,7 @@ def train_reward_model(
     """Minibatch MSE minimization; returns the new params and final train MSE."""
     if not steps:
         raise EmptyCorpus("no rewarded steps to train on")
+    rows = prepare_rewarded(steps)
     rng = random.Random(seed)
     order = list(range(len(steps)))
     batches_per_epoch = max(1, math.ceil(len(steps) / config.batch_size))
@@ -150,7 +181,7 @@ def train_reward_model(
     for _ in range(config.epochs):
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
-            batch = [steps[i] for i in order[start : start + config.batch_size]]
+            batch = [rows[i] for i in order[start : start + config.batch_size]]
             _, grads = rm_mse_loss(params, batch)
             t += 1
             lr = config.learning_rate
@@ -173,5 +204,5 @@ def train_reward_model(
             else:
                 raise ValidationFailure(f"unknown optimizer {config.optimizer!r}")
             params = params.replaced(updates)
-    final_mse, _ = rm_mse_loss(params, steps)
+    final_mse, _ = rm_mse_loss(params, rows)
     return params, final_mse

@@ -1,6 +1,7 @@
 """Command-line interface: stages, phases, agent runs, evals, exit codes."""
 
 import json
+import shutil
 
 import pytest
 
@@ -173,3 +174,29 @@ def test_corrupt_input_line_is_a_validation_failure(tmp_path, capsys, line, reas
     assert err.count("\n") == 1
     assert err.startswith("ValidationFailure: ")
     assert f"raw_records.jsonl:2: {reason}" in err
+
+
+@pytest.mark.parametrize(
+    "drift, reason",
+    [
+        (lambda rec: rec["output"].pop("status"), "output keys must be exactly"),
+        (lambda rec: rec.pop("step_no"), "record missing step_no"),
+        (lambda rec: rec.update(step_no="2"), "step_no must be a positive integer"),
+    ],
+    ids=["status_missing", "step_no_missing", "step_no_string"],
+)
+def test_schema_drifted_training_record_is_a_validation_failure(
+    pipeline_ws, tmp_path, capsys, drift, reason
+):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    training = ws / "corpus" / "training.jsonl"
+    records = read_jsonl(training)
+    drift(records[2])
+    write_jsonl(training, records)
+    code = main(["--workspace", str(ws), "train", "--phase", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValidationFailure: ")
+    assert f"training.jsonl:3: {reason}" in err

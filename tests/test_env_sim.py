@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lamlab.env_sim import (
     ActionCall,
+    AppTemplate,
     CanvasState,
     ControlNode,
     EnvSnapshot,
@@ -15,16 +16,29 @@ from lamlab.env_sim import (
     apply_action,
     assign_labels,
     diff_canvas,
+    flatten_controls,
+    get_template,
     list_controls,
     list_templates,
     load_template,
     resolve_control,
+    serialize_canvas,
+    write_template_bundle,
 )
 from lamlab.errors import AmbiguousControl, UnknownControl, UnknownTemplate
+from lamlab.jsonl import sha256_text
 
 
 def snap(controls: ControlNode, blocks=()) -> EnvSnapshot:
     return EnvSnapshot(controls=assign_labels(controls), canvas=CanvasState(blocks=tuple(blocks)))
+
+
+def assert_views_recomputed(s: EnvSnapshot) -> None:
+    """The memoized views of ``s`` equal the same views computed from scratch."""
+    assert s.digest() == sha256_text(s.serialize())[:16]
+    assert list_controls(s) == flatten_controls(s.controls)
+    twin = EnvSnapshot(controls=s.controls, canvas=s.canvas, step_index=s.step_index)
+    assert s.rendered_view() == twin.rendered_view()
 
 
 def simple_tree(**kwargs) -> ControlNode:
@@ -303,32 +317,48 @@ _ARGS = st.fixed_dictionaries(
 )
 
 
-@given(
+_ACTIONS = st.builds(
+    lambda function, args, label, text: ActionCall(
+        function=function, control_label=label, control_text=text, args=args
+    ),
     function=_FUNCTIONS,
     args=_ARGS,
     label=st.sampled_from(["", "1", "2", "8", "99"]),
     text=st.sampled_from(["", "Bold", "Styles", "Nope", "Vertical Scroll Bar"]),
 )
+
+
+@given(
+    template_id=st.sampled_from(list_templates()),
+    actions=st.lists(_ACTIONS, min_size=1, max_size=6),
+)
 @settings(max_examples=250, deadline=None)
-def test_error_totality(function, args, label, text):
-    """Every action yields either a successor snapshot or exactly one typed
-    error with the input snapshot unchanged; never both, never neither."""
-    s = load_template("plain_text")
-    s2, result = apply_action(
-        s, ActionCall(function=function, control_label=label, control_text=text, args=args)
-    )
-    if result.ok:
-        assert result.error is None
-        assert s2.step_index == s.step_index + 1
-    else:
-        assert result.error in (
-            "UnknownFunction",
-            "UnknownControl",
-            "AmbiguousControl",
-            "BadArgs",
-            "DisabledControl",
-        )
-        assert s2 is s
+def test_error_totality(template_id, actions):
+    """Along any action sequence on any template, every action yields either
+    a successor snapshot or exactly one typed error with the input snapshot
+    returned as it was; never both, never neither. The memoized views of
+    every snapshot along the way equal a from-scratch computation."""
+    s = load_template(template_id)
+    assert_views_recomputed(s)
+    for action in actions:
+        before = s.serialize()
+        s2, result = apply_action(s, action)
+        if result.ok:
+            assert result.error is None
+            assert s2 is not s
+            assert s2.step_index == s.step_index + 1
+        else:
+            assert result.error in (
+                "UnknownFunction",
+                "UnknownControl",
+                "AmbiguousControl",
+                "BadArgs",
+                "DisabledControl",
+            )
+            assert s2 is s
+        assert s.serialize() == before
+        assert_views_recomputed(s2)
+        s = s2
 
 
 def test_diff_soundness_over_action_transitions():
@@ -372,3 +402,102 @@ def test_template_bundle_matches_builders(tmp_path):
             generated = (tmp_path / template.template_id / name).read_text(encoding="utf-8")
             shipped = (shipped_root / template.template_id / name).read_text(encoding="utf-8")
             assert generated == shipped, f"{template.template_id}/{name} drifted"
+
+
+# --- memoized views and the template parse cache ---------------------------
+
+
+def test_views_match_recomputation_on_every_template():
+    for template_id in list_templates():
+        s = load_template(template_id)
+        assert_views_recomputed(s)
+        assert_views_recomputed(s)
+        assert s.rendered_view() == get_template(template_id).fresh_snapshot().rendered_view()
+
+
+def test_views_match_recomputation_along_suite_agent_runs():
+    from lamlab.agent import ScriptedPolicy, run_task
+    from lamlab.fixtures import load_suite
+
+    runs = 0
+    for task in load_suite():
+        if not task["expert"]:
+            continue
+        policy = ScriptedPolicy(tuple(ActionCall.from_call_dict(a) for a in task["expert"]))
+        record = run_task(policy, task["template_id"], task["task"])
+        s = load_template(task["template_id"])
+        for step in record.trajectory.steps:
+            assert step.pre_digest == sha256_text(s.serialize())[:16]
+            assert list(step.controls) == flatten_controls(s.controls)
+            s, result = apply_action(s, step.action)
+            assert result == step.result
+            assert step.post_digest == sha256_text(s.serialize())[:16]
+            assert_views_recomputed(s)
+        twin = EnvSnapshot(controls=s.controls, canvas=s.canvas, step_index=s.step_index)
+        assert record.trajectory.final_rendered == twin.rendered_view()
+        runs += 1
+    assert runs >= 30
+
+
+def test_list_controls_returns_a_new_list_each_call():
+    s = load_template("plain_text")
+    listed = list_controls(s)
+    listed.pop()
+    listed.append({"label": "x", "control_text": "x", "control_type": "Button"})
+    listed.reverse()
+    assert list_controls(s) == flatten_controls(s.controls)
+    assert list_controls(s) is not list_controls(s)
+
+
+def _write_bundle(root, template_id: str, description: str) -> None:
+    template = get_template(template_id)
+    write_template_bundle(
+        [
+            AppTemplate(
+                template_id=template_id,
+                description=description,
+                initial_canvas=template.initial_canvas,
+                initial_controls=template.initial_controls,
+            )
+        ],
+        root,
+    )
+
+
+def test_rewritten_bundle_is_parsed_again(tmp_path):
+    _write_bundle(tmp_path, "plain_text", "A plain text document.")
+    first = load_template("plain_text", tmp_path)
+    assert first.canvas == load_template("plain_text").canvas
+    changed = CanvasState(blocks=(Paragraph(runs=(Run(text="rewritten"),)),))
+    (tmp_path / "plain_text" / "canvas.xml").write_text(
+        serialize_canvas(changed), encoding="utf-8"
+    )
+    second = load_template("plain_text", tmp_path)
+    assert second.canvas == changed
+    assert second.digest() != first.digest()
+    assert_views_recomputed(second)
+    assert "rewritten" in second.rendered_view()
+
+
+def test_run_task_parses_a_template_once(tmp_path, monkeypatch):
+    from lamlab.agent import ScriptedPolicy, run_task
+    from lamlab.env_sim import snapshot as snapshot_module
+
+    # Content no other test writes, so the parse cache cannot hold it yet.
+    _write_bundle(tmp_path, "plain_text", f"A plain text document in {tmp_path.name}.")
+    parses = []
+    original = snapshot_module.parse_canvas
+
+    def counting_parse(text):
+        parses.append(text)
+        return original(text)
+
+    monkeypatch.setattr(snapshot_module, "parse_canvas", counting_parse)
+    action = ActionCall(function="select_text", args={"text": "Test For Fun"})
+    records = [
+        run_task(ScriptedPolicy((action,)), "plain_text", "Select it.", bundle_dir=tmp_path)
+        for _ in range(5)
+    ]
+    assert len(parses) == 1
+    assert all(r.trajectory.steps[0].result.ok for r in records)
+    assert load_template("plain_text", tmp_path) is load_template("plain_text", tmp_path)

@@ -37,17 +37,25 @@ from lamlab.policy.model import END_TOKEN
 from lamlab.textutil import token_overlap
 from lamlab.training import (
     PhaseConfigs,
+    RewardedStep,
+    RewardModelParams,
+    RmConfig,
     SftConfig,
     imitation_loss,
     prepare_imitation,
     prepare_plans,
+    prepare_rewarded,
     prepare_status,
     records_to_imitation,
+    rm_features,
+    rm_mse_loss,
     run_phase,
     sft_plan_loss,
     status_loss,
+    train_reward_model,
 )
-from lamlab.training import losses
+from lamlab.training import losses, reward
+from lamlab.training.reward import RM_FEATURE_NAMES
 
 
 # --- reference loops ------------------------------------------------------------
@@ -167,6 +175,22 @@ def reference_status_loss(params, steps):
         for name, x in zip(STATUS_FEATURES, features):
             if x != 0.0:
                 _add(grads, f"status::{name}", coef * x)
+    return loss, grads
+
+
+def reference_rm_mse_loss(params, steps):
+    n = len(steps)
+    loss = 0.0
+    grads = {}
+    for step in steps:
+        vector = rm_features(step.state, step.action)
+        raw = sum(params.weights.get(nme, 0.0) * x for nme, x in zip(RM_FEATURE_NAMES, vector))
+        err = raw - step.reward
+        loss += err * err / n
+        coef = 2.0 * err / n
+        for name, x in zip(RM_FEATURE_NAMES, vector):
+            if x != 0.0:
+                _add(grads, name, coef * x)
     return loss, grads
 
 
@@ -331,6 +355,29 @@ def test_sft_plan_loss_equals_reference(plan_records, step_mean):
                 assert list(got[1].items()) == list(expected[1].items())
 
 
+def rewarded_suite_steps(suite_steps, seed=0):
+    trajectories, _ = suite_steps
+    rng = random.Random(seed)
+    return [
+        RewardedStep(state=state, action=action, reward=rng.choice((1, -1)))
+        for trajectory in trajectories
+        for state, action in trajectory
+    ]
+
+
+def test_rm_mse_loss_equals_reference(suite_steps):
+    steps = rewarded_suite_steps(suite_steps)
+    prepared = prepare_rewarded(steps)
+    for seed in range(3):
+        rng = random.Random(seed)
+        params = RewardModelParams({n: rng.uniform(-1.0, 1.0) for n in RM_FEATURE_NAMES})
+        for raw, rows in zip(batches(steps, 8) + [steps], batches(prepared, 8) + [prepared]):
+            expected = reference_rm_mse_loss(params, raw)
+            for got in (rm_mse_loss(params, rows), rm_mse_loss(params, raw)):
+                assert got[0] == expected[0]
+                assert list(got[1].items()) == list(expected[1].items())
+
+
 def test_prepared_plans_refuse_another_vocabulary(plan_records):
     vocab = build_plan_vocab([list(r.plan) for r in plan_records])
     prepared = prepare_plans(plan_records[:2], vocab)
@@ -382,3 +429,21 @@ def test_imitation_phase_featurizes_each_pair_once(tmp_path, monkeypatch):
     assert pairs > 0
     assert calls["n"] == pairs
     assert Path(ws / "checkpoints" / "lam2" / "weights.json").is_file()
+
+
+def test_reward_model_featurizes_each_step_once(suite_steps, monkeypatch):
+    steps = rewarded_suite_steps(suite_steps)
+    calls = {"n": 0}
+    original = reward.rm_features
+
+    def counting(state, action):
+        calls["n"] += 1
+        return original(state, action)
+
+    monkeypatch.setattr(reward, "rm_features", counting)
+    params, final_mse = train_reward_model(
+        RewardModelParams.zeros(), steps, RmConfig(learning_rate=0.01, epochs=3, batch_size=8)
+    )
+    assert calls["n"] == len(steps)
+    assert math.isfinite(final_mse)
+    assert any(params.weights.values())
