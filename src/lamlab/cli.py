@@ -22,11 +22,11 @@ from .dataflow import STAGES, PipelineConfig, run_stage, stage_files
 from .dataflow.records import EvolutionConfig
 from .errors import ConfigError, LamLabError
 from .fixtures import fixture_path
+from .harness import desk_phase_configs
 from .jsonl import read_jsonl, sha256_file, write_jsonl, write_text
 from .oracle import MemoizingOracle, MockOracle, RemoteOracle, RemoteOracleConfig
 from .policy import ModelParams
 from .training import PhaseConfigs, run_phase
-from .training.configs import BoostConfig, PpoConfig, RmConfig, SftConfig
 
 __all__ = ["RunConfig", "main", "app"]
 
@@ -99,23 +99,16 @@ class RunConfig:
         raise ConfigError(f"unknown clock {self.clock!r}")
 
     def phase_configs(self) -> PhaseConfigs:
-        t = self.training
-
-        def build(cls, key, **defaults):
-            merged = {**defaults, **t.get(key, {})}
+        """``harness.desk_phase_configs()`` with the values of the config file's
+        ``training.<phase>`` objects in place."""
+        desk = desk_phase_configs()
+        merged = {}
+        for key, values in self.training.items():
             try:
-                return cls(**merged)
-            except (TypeError, ValueError) as exc:
+                merged[key] = dataclasses.replace(getattr(desk, key), **values)
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad training.{key} config: {exc}") from exc
-
-        # Desk-scale step sizes; override via the config file for other regimes.
-        return PhaseConfigs(
-            sft=build(SftConfig, "sft", learning_rate=0.8, epochs=40),
-            imitation=build(SftConfig, "imitation", learning_rate=0.5, batch_size=8, epochs=60),
-            rm=build(RmConfig, "rm", learning_rate=0.05, epochs=10),
-            ppo=build(PpoConfig, "ppo"),
-            boost=build(BoostConfig, "boost"),
-        )
+        return dataclasses.replace(desk, **merged)
 
 
 def _digests(paths) -> dict:

@@ -21,8 +21,7 @@ from .fixtures import load_suite
 from .jsonl import write_jsonl
 from .oracle import MockOracle
 from .policy import ModelParams
-from .training import PhaseConfigs, PpoConfig, RmConfig, SftConfig, run_phase
-from .training.configs import BoostConfig
+from .training import PhaseConfigs, RmConfig, SftConfig, run_phase
 
 __all__ = [
     "SuiteTask",
@@ -68,13 +67,9 @@ def desk_phase_configs() -> PhaseConfigs:
     """Hyperparameters sized for the toy linear heads (the dataclass defaults
     mirror a large-model recipe whose step sizes barely move these weights)."""
     return PhaseConfigs(
-        sft=SftConfig(learning_rate=0.8, schedule="cosine", warmup_steps=2, batch_size=16, epochs=40),
-        imitation=SftConfig(
-            learning_rate=0.5, schedule="cosine", warmup_steps=2, batch_size=8, epochs=60
-        ),
-        rm=RmConfig(learning_rate=0.05, optimizer="adamw", epochs=10, batch_size=16),
-        ppo=PpoConfig(),
-        boost=BoostConfig(attempts_per_task=3),
+        sft=SftConfig(learning_rate=0.8, epochs=40),
+        imitation=SftConfig(learning_rate=0.5, batch_size=8, epochs=60),
+        rm=RmConfig(learning_rate=0.05, epochs=10),
     )
 
 

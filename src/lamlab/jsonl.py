@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .errors import ValidationFailure
 
@@ -45,8 +45,19 @@ def read_jsonl(
     return records
 
 
-def iter_jsonl(path: str | Path) -> Iterator[dict]:
-    yield from read_jsonl(path)
+def parse_problems(parse: Callable[[dict], Any]) -> Callable[[dict], list[str]]:
+    """A ``read_jsonl`` validator: why ``parse(row)`` cannot build a record."""
+
+    def validate(row: dict) -> list[str]:
+        try:
+            parse(row)
+        except KeyError as exc:
+            return [f"missing key {exc}"]
+        except (TypeError, ValueError, AttributeError) as exc:
+            return [str(exc)]
+        return []
+
+    return validate
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,6 +23,7 @@ from pathlib import Path
 
 from ..errors import CheckpointError
 from ..env_sim import ActionCall, STATUS_CONTINUE, STATUS_FINISH
+from ..jsonl import write_text
 from ..textutil import token_overlap
 from .candidates import CandidateAction, enumerate_candidates
 from .features import FEATURE_NAMES, STATUS_FEATURES, featurize, status_features
@@ -110,17 +110,13 @@ class ModelParams:
                 raise CheckpointError(f"unknown feature name {name!r}")
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "format_version": 1,
             "kind": "policy",
             "plan_vocab": list(self.plan_vocab),
             "weights": dict(sorted(self.weights.items())),
         }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelParams":
@@ -161,9 +157,6 @@ class ActionDistribution:
     probs: tuple[float, ...]
     log_probs: tuple[float, ...]
     finish_prob: float  # status head: P(FINISH) for a non-finish action
-
-    def prob_of(self, index: int) -> float:
-        return self.probs[index]
 
 
 def action_distribution(

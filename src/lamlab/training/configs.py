@@ -21,12 +21,14 @@ class SftConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.schedule not in ("cosine", "constant"):
+            raise ValueError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
 
 
 @dataclass(frozen=True)
 class RmConfig:
     learning_rate: float = 2e-5
-    schedule: str = "linear"
+    schedule: str = "linear"  # "linear" | "constant"
     optimizer: str = "adamw"  # "adamw" | "gd"
     epochs: int = 2
     batch_size: int = 16
@@ -34,6 +36,10 @@ class RmConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.schedule not in ("linear", "constant"):
+            raise ValueError(f"schedule must be 'linear' or 'constant', got {self.schedule!r}")
+        if self.optimizer not in ("adamw", "gd"):
+            raise ValueError(f"optimizer must be 'adamw' or 'gd', got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Differentiable objectives with exact analytic gradients.
+"""Differentiable objectives with exact analytic gradients, and the one
+minibatch loop (``train_params``) that trains every head.
 
 All heads are linear in their named weights, so cross-entropy gradients have
 the closed form sum((p - y) * x) and match finite differences to numerical
@@ -16,7 +17,7 @@ and scores the prepared rows. They also accept raw items (state/action
 pairs, state/status pairs, records with ``task`` and ``plan``) and prepare
 those on the spot, so one call on raw items and one on prepared items give
 identical results. A training phase prepares its corpus once and hands the
-prepared items to every epoch's batches.
+prepared items to every epoch's batches; PPO scores the same action rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from ..errors import EmptyCorpus, ValidationFailure
 from ..env_sim import ActionCall
@@ -41,6 +42,8 @@ from ..policy.model import (
 )
 from .configs import SftConfig
 
+# An optimizer step: (params, grads, step index, total steps) -> new params.
+Step = Callable[[Any, dict[str, float], int, int], Any]
 __all__ = [
     "sft_plan_loss",
     "imitation_loss",
@@ -53,6 +56,7 @@ __all__ = [
     "prepare_status",
     "prepare_plans",
     "train_params",
+    "sgd",
     "learning_rate_at",
 ]
 
@@ -148,6 +152,11 @@ def prepare_plans(records: Sequence, vocab: tuple[str, ...]) -> list[PlanRows]:
 
 # --- kernels ------------------------------------------------------------------------
 
+def _row_softmax(w: Sequence[float], rows: Sequence[SparseRow]) -> tuple[list[float], list[float]]:
+    """(probabilities, log-probabilities) of candidate rows under action weights ``w``."""
+    return softmax([sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in rows])
+
+
 def sft_plan_loss(
     params: ModelParams, batch: Sequence, step_mean: bool = True
 ) -> tuple[float, dict[str, float]]:
@@ -192,18 +201,12 @@ def sft_plan_loss(
                 used.add(target)
         contributions.append((record_loss, float(len(row.targets)), record_grads))
 
-    if step_mean:
-        total_targets = sum(n for _, n, _ in contributions)
-        for record_loss, _, record_grads in contributions:
-            total_loss += record_loss / total_targets
-            for name, g in record_grads.items():
-                _accumulate(grads, name, g / total_targets)
-    else:
-        n_records = len(contributions)
-        for record_loss, n_targets, record_grads in contributions:
-            total_loss += record_loss / (n_targets * n_records)
-            for name, g in record_grads.items():
-                _accumulate(grads, name, g / (n_targets * n_records))
+    total_targets = sum(n for _, n, _ in contributions)
+    for record_loss, n_targets, record_grads in contributions:
+        divisor = total_targets if step_mean else n_targets * len(contributions)
+        total_loss += record_loss / divisor
+        for name, g in record_grads.items():
+            _accumulate(grads, name, g / divisor)
     return total_loss, grads
 
 
@@ -228,8 +231,7 @@ def imitation_loss(
             continue
         weight = 1.0 / total_steps if step_mean else 1.0 / (n_traj * len(trajectory))
         for step in map(_action_rows, trajectory):
-            scores = [sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in step.rows]
-            probs, log_probs = softmax(scores)
+            probs, log_probs = _row_softmax(w, step.rows)
             loss += -log_probs[step.expert] * weight
             for i, (idx, xs) in enumerate(step.rows):
                 coef = (probs[i] - (1.0 if i == step.expert else 0.0)) * weight
@@ -267,7 +269,7 @@ def _accumulate(grads: dict[str, float], name: str, value: float) -> None:
     grads[name] = grads.get(name, 0.0) + value
 
 
-# --- generic full/mini-batch descent ------------------------------------------
+# --- the minibatch loop and its optimizer steps ------------------------------
 
 def learning_rate_at(step: int, total_steps: int, config: SftConfig) -> float:
     """Warmup then cosine decay (or constant after warmup)."""
@@ -280,29 +282,44 @@ def learning_rate_at(step: int, total_steps: int, config: SftConfig) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * min(t, 1.0)))
 
 
+def sgd(learning_rate: Callable[[int, int], float]) -> Step:
+    """Gradient descent with step size ``learning_rate(step, total_steps)``."""
+
+    def step(params, grads: dict[str, float], t: int, total_steps: int):
+        lr = learning_rate(t, total_steps)
+        return params.replaced(
+            {name: params.weights.get(name, 0.0) - lr * g for name, g in grads.items()}
+        )
+
+    return step
+
+
 def train_params(
-    params: ModelParams,
+    params,
     examples: Sequence,
     loss_fn,
-    config: SftConfig,
+    step: Step,
+    batch_size: int,
+    epochs: int,
     seed: int = 0,
-) -> ModelParams:
-    """Minibatch gradient descent on loss_fn(params, batch) -> (loss, grads)."""
+    end_epoch: Callable[[Any], None] | None = None,
+):
+    """Minibatch descent on loss_fn(params, batch) -> (loss, grads): each epoch
+    is one seeded shuffle cut into batches, each batch's gradient goes to
+    ``step``, and ``end_epoch(params)``, if given, runs after each epoch."""
     if not examples:
         raise EmptyCorpus("nothing to train on")
     rng = random.Random(seed)
     order = list(range(len(examples)))
-    batches_per_epoch = max(1, math.ceil(len(examples) / config.batch_size))
-    total_steps = batches_per_epoch * config.epochs
-    step = 0
-    for _ in range(config.epochs):
+    total_steps = math.ceil(len(examples) / batch_size) * epochs
+    t = 0
+    for _ in range(epochs):
         rng.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
-            batch = [examples[i] for i in order[start : start + config.batch_size]]
+        for start in range(0, len(order), batch_size):
+            batch = [examples[i] for i in order[start : start + batch_size]]
             _, grads = loss_fn(params, batch)
-            lr = learning_rate_at(step, total_steps, config)
-            params = params.replaced(
-                {name: params.get(name) - lr * g for name, g in grads.items()}
-            )
-            step += 1
+            params = step(params, grads, t, total_steps)
+            t += 1
+        if end_epoch is not None:
+            end_epoch(params)
     return params

@@ -10,26 +10,29 @@ format, size, config snapshot, seed, input digests).
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import os
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from ..dataflow import judge_trajectory, postprocess, validate_training_record
-from ..dataflow.records import TaskPlanRecord, TrainingRecord, Trajectory
-from ..errors import EmptyCorpus, MissingPredecessor
+from ..dataflow.records import EvaluationVerdict, TaskPlanRecord, TrainingRecord, Trajectory
+from ..errors import EmptyCorpus, MissingPredecessor, StepActionNotInCandidateSet
 from ..env_sim import ActionCall
-from ..jsonl import read_jsonl, sha256_file, write_jsonl
+from ..jsonl import parse_problems, read_jsonl, sha256_file, write_jsonl, write_text
 from ..oracle import Provider
-from ..policy import AgentState, ModelParams, build_plan_vocab
+from ..policy import AgentState, ModelParams, build_plan_vocab, enumerate_candidates, match_expert
 from .boost import FailedTask, self_boost
-from .configs import PhaseConfigs
+from .configs import PhaseConfigs, SftConfig
 from .losses import (
     imitation_loss,
+    learning_rate_at,
     prepare_imitation,
     prepare_plans,
     prepare_status,
     sft_plan_loss,
+    sgd,
     status_loss,
     train_params,
 )
@@ -58,10 +61,7 @@ def load_checkpoint(workspace: str | Path, phase: int) -> ModelParams:
 
 
 def _write_manifest(directory: Path, manifest: dict) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    tmp = directory / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, directory / "manifest.json")
+    write_text(directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _input_digests(paths: Sequence[Path]) -> dict[str, str]:
@@ -123,28 +123,41 @@ def trajectory_to_imitation(traj: Trajectory) -> list[tuple[AgentState, ActionCa
     return steps
 
 
+def _verdict(row: dict) -> tuple[str, str]:
+    """(trajectory id, task_complete) of one ``verdicts.jsonl`` row."""
+    verdict = EvaluationVerdict.from_dict(row)
+    if not isinstance(row["trajectory_id"], str):
+        raise TypeError("trajectory_id must be a string")
+    return row["trajectory_id"], verdict.task_complete
+
+
+def _judged_trajectories(corpus: Path) -> list[tuple[Trajectory, bool]]:
+    """Each executed trajectory with whether it succeeded (executed to success
+    and judged complete); a malformed row is a ValidationFailure at path:line."""
+    traj_file = corpus / "trajectories.jsonl"
+    if not traj_file.is_file():
+        raise EmptyCorpus(f"no trajectories at {traj_file}")
+    verdicts_file = corpus / "verdicts.jsonl"
+    rows = read_jsonl(verdicts_file, parse_problems(_verdict)) if verdicts_file.is_file() else []
+    verdict_by_tid = dict(map(_verdict, rows))
+    rows = read_jsonl(traj_file, parse_problems(Trajectory.from_dict))
+    return [
+        (traj, traj.final_status == "success" and verdict_by_tid.get(traj.trajectory_id) == "yes")
+        for traj in map(Trajectory.from_dict, rows)
+    ]
+
+
 def collect_failed_tasks(workspace: str | Path) -> list[FailedTask]:
     """Tasks whose trajectory failed execution or whose verdict was not yes."""
-    corpus = Path(workspace) / "corpus"
-    trajectories = [Trajectory.from_dict(o) for o in read_jsonl(corpus / "trajectories.jsonl")]
-    verdict_by_tid = {}
-    verdicts_file = corpus / "verdicts.jsonl"
-    if verdicts_file.is_file():
-        for row in read_jsonl(verdicts_file):
-            verdict_by_tid[row["trajectory_id"]] = row["task_complete"]
-    failed = []
-    for traj in trajectories:
-        verdict = verdict_by_tid.get(traj.trajectory_id)
-        if traj.final_status == "success" and verdict == "yes":
-            continue
-        failed.append(
-            FailedTask(
-                task_id=traj.origin.origin_task_id,
-                template_id=traj.origin.template_id,
-                task=traj.origin.instantiated_task,
-            )
+    return [
+        FailedTask(
+            task_id=traj.origin.origin_task_id,
+            template_id=traj.origin.template_id,
+            task=traj.origin.instantiated_task,
         )
-    return failed
+        for traj, success in _judged_trajectories(Path(workspace) / "corpus")
+        if not success
+    ]
 
 
 # --- phases ---------------------------------------------------------------
@@ -179,17 +192,18 @@ def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     source = _task_plan_file(workspace)
     if not source.is_file():
         raise EmptyCorpus(f"no task-plan corpus at {source}")
-    records = [TaskPlanRecord.from_dict(o) for o in read_jsonl(source)]
+    rows = read_jsonl(source, parse_problems(TaskPlanRecord.from_dict))
+    records = [TaskPlanRecord.from_dict(o) for o in rows]
     if not records:
         raise EmptyCorpus("task-plan corpus is empty")
     vocab = build_plan_vocab([list(r.plan) for r in records])
     params = ModelParams.zeros(plan_vocab=vocab)
-    params = train_params(
+    params = _descend(
         params,
         prepare_plans(records, params.plan_vocab),
         lambda p, batch: sft_plan_loss(p, batch, step_mean=True),
         configs.sft,
-        seed=seed,
+        seed,
     )
     out = checkpoint_dir(workspace, "lam1")
     params.save(out / "weights.json")
@@ -209,6 +223,12 @@ def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     return out
 
 
+def _descend(params: ModelParams, examples: Sequence, loss_fn, config: SftConfig, seed: int):
+    """Minibatch SGD with the warmup/cosine schedule of ``config``."""
+    step = sgd(partial(learning_rate_at, config=config))
+    return train_params(params, examples, loss_fn, step, config.batch_size, config.epochs, seed)
+
+
 def _imitation_phase(
     workspace: Path,
     params: ModelParams,
@@ -224,19 +244,19 @@ def _imitation_phase(
     if not trajectories:
         raise EmptyCorpus(f"{name}: no trajectories to imitate")
     step_mean = configs.imitation.step_mean
-    params = train_params(
+    params = _descend(
         params,
         prepare_imitation(trajectories),
         lambda p, batch: imitation_loss(p, batch, step_mean=step_mean),
         configs.imitation,
-        seed=seed,
+        seed,
     )
-    params = train_params(
+    params = _descend(
         params,
         prepare_status(statuses),
         lambda p, batch: status_loss(p, batch),
         configs.imitation,
-        seed=seed + 1,
+        seed + 1,
     )
     out = checkpoint_dir(workspace, name)
     params.save(out / "weights.json")
@@ -321,15 +341,7 @@ def _phase3(
 def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 3)
     corpus = workspace / "corpus"
-    traj_file = corpus / "trajectories.jsonl"
-    if not traj_file.is_file():
-        raise EmptyCorpus(f"no trajectories at {traj_file}")
-    trajectories = [Trajectory.from_dict(o) for o in read_jsonl(traj_file)]
-    verdict_by_tid = {}
-    verdicts_file = corpus / "verdicts.jsonl"
-    if verdicts_file.is_file():
-        for row in read_jsonl(verdicts_file):
-            verdict_by_tid[row["trajectory_id"]] = row["task_complete"]
+    inputs = _input_digests([corpus / "trajectories.jsonl", corpus / "verdicts.jsonl"])
     boost_file = corpus / "boost_training.jsonl"
     boost_success_states: list[tuple[AgentState, ActionCall]] = []
     if boost_file.is_file():
@@ -339,8 +351,7 @@ def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
 
     rewarded: list[RewardedStep] = []
     failure_steps: list[tuple[AgentState, ActionCall]] = []
-    for traj in trajectories:
-        success = traj.final_status == "success" and verdict_by_tid.get(traj.trajectory_id) == "yes"
+    for traj, success in _judged_trajectories(corpus):
         for state, action in trajectory_to_imitation(traj):
             if success:
                 rewarded.append(RewardedStep(state=state, action=action, reward=1))
@@ -368,15 +379,12 @@ def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
             "final_train_mse": final_mse,
             "config": configs.rm.__dict__,
             "seed": seed,
-            "inputs": _input_digests([traj_file, verdicts_file]),
+            "inputs": inputs,
         },
     )
 
     # PPO over the failure trajectories only; steps whose actions cannot be
     # materialized from their states carry no gradient and are dropped.
-    from ..policy import enumerate_candidates, match_expert
-    from ..errors import StepActionNotInCandidateSet
-
     usable: list[tuple[AgentState, ActionCall]] = []
     for state, action in failure_steps:
         try:
@@ -405,16 +413,8 @@ def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
             "data_size": len(usable),
             "config": configs.ppo.__dict__,
             "seed": seed,
-            "inputs": _input_digests([traj_file, verdicts_file]),
-            "ppo": None
-            if diagnostics is None
-            else {
-                "surrogate_before": diagnostics.surrogate_before,
-                "surrogate_after": diagnostics.surrogate_after,
-                "kl_final": diagnostics.kl_final,
-                "kl_coef_final": diagnostics.kl_coef_final,
-                "updates": diagnostics.updates,
-            },
+            "inputs": inputs,
+            "ppo": None if diagnostics is None else dataclasses.asdict(diagnostics),
         },
     )
     return out

@@ -3,28 +3,31 @@
 Works entirely from previously collected steps: no environment rollouts. The
 objective is the clipped probability-ratio surrogate minus an adaptive KL
 penalty whose coefficient doubles/halves as the measured KL strays from its
-target band.
+target band. Steps are prepared and scored as the imitation kernel's sparse
+action rows; ``ppo_loss`` is the objective as a ``(params, batch) -> (loss,
+grads)`` kernel, trained by ``losses.train_params`` with constant-rate SGD.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
 from ..errors import DegenerateRatio, EmptyCorpus
-from ..policy import AgentState, enumerate_candidates, featurize, match_expert
-from ..policy.features import FEATURE_NAMES
-from ..policy.model import ACT_NAMES, ModelParams, softmax
+from ..policy import AgentState
+from ..policy.model import ACT_NAMES, ModelParams
 from ..env_sim import ActionCall
 from .configs import PpoConfig
+from .losses import ActionRows, SparseRow, _action_rows, _row_softmax, sgd, train_params
 
 __all__ = [
     "scale_reward",
     "compute_advantage",
     "clipped_term",
+    "PpoRow",
+    "prepare_ppo",
+    "ppo_loss",
     "surrogate_value",
     "ppo_update",
     "PpoDiagnostics",
@@ -54,14 +57,15 @@ def clipped_term(ratio: float, advantage: float, epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class _PreparedStep:
-    state: AgentState
-    action_index: int
-    vectors: tuple[tuple[float, ...], ...]
-    old_log_prob: float
-    old_probs: tuple[float, ...]
-    old_expected: tuple[float, ...]  # E_old[x], fixed for the whole update
+class PpoRow:
+    """One PPO step, prepared: its candidate rows (the taken action is
+    ``action.expert``), its advantage and the old policy's probabilities."""
+
+    action: ActionRows
     advantage: float
+    old_probs: tuple[float, ...]
+    old_log_prob: float  # of the taken action
+    old_expected: dict[int, float]  # E_old[x] by feature index
 
 
 @dataclass
@@ -73,55 +77,81 @@ class PpoDiagnostics:
     updates: int
 
 
-def _prepare_steps(
+def _expected(probs: Sequence[float], rows: Sequence[SparseRow]) -> dict[int, float]:
+    """E[x] under ``probs``, by feature index, over every feature the rows use."""
+    expected: dict[int, float] = {}
+    for p, (idx, xs) in zip(probs, rows):
+        for j, x in zip(idx, xs):
+            expected[j] = expected.get(j, 0.0) + p * x
+    return expected
+
+
+def prepare_ppo(
     steps: Sequence[tuple[AgentState, ActionCall]],
     advantages: Sequence[float],
     old_params: ModelParams,
-) -> list[_PreparedStep]:
+) -> list[PpoRow]:
+    w_old = old_params.act_weights
     prepared = []
-    for (state, action), advantage in zip(steps, advantages):
-        candidates = enumerate_candidates(state)
-        idx = match_expert(candidates, action)
-        vectors = tuple(tuple(featurize(state, c)) for c in candidates)
-        old_scores = [_score(old_params, vec) for vec in vectors]
-        old_probs, old_log_probs = softmax(old_scores)
-        if old_probs[idx] < _MIN_OLD_PROB:
-            raise DegenerateRatio(
-                f"old policy assigns ~zero probability ({old_probs[idx]:.2e}) to a step action"
-            )
-        old_expected = [0.0] * len(FEATURE_NAMES)
-        for p_old, vec in zip(old_probs, vectors):
-            for j, x in enumerate(vec):
-                if x != 0.0:
-                    old_expected[j] += p_old * x
+    for step, advantage in zip(steps, advantages):
+        action = _action_rows(step)
+        old_probs, old_log_probs = _row_softmax(w_old, action.rows)
+        p_old = old_probs[action.expert]
+        if p_old < _MIN_OLD_PROB:
+            raise DegenerateRatio(f"old policy assigns ~zero probability ({p_old:.2e}) to a step action")
         prepared.append(
-            _PreparedStep(
-                state=state,
-                action_index=idx,
-                vectors=vectors,
-                old_log_prob=old_log_probs[idx],
-                old_probs=tuple(old_probs),
-                old_expected=tuple(old_expected),
+            PpoRow(
+                action=action,
                 advantage=advantage,
+                old_probs=tuple(old_probs),
+                old_log_prob=old_log_probs[action.expert],
+                old_expected=_expected(old_probs, action.rows),
             )
         )
     return prepared
 
 
-def _score(params: ModelParams, vector: Sequence[float]) -> float:
-    return sum(map(mul, params.act_weights, vector))
-
-
-def _step_terms(params: ModelParams, step: _PreparedStep, epsilon: float):
-    scores = [_score(params, vec) for vec in step.vectors]
-    probs, log_probs = softmax(scores)
-    ratio = math.exp(log_probs[step.action_index] - step.old_log_prob)
-    term = clipped_term(ratio, step.advantage, epsilon)
+def _step_terms(w: Sequence[float], row: PpoRow, epsilon: float):
+    """New probabilities, ratio, clipped surrogate term and KL(old || new)."""
+    probs, log_probs = _row_softmax(w, row.action.rows)
+    ratio = math.exp(log_probs[row.action.expert] - row.old_log_prob)
+    term = clipped_term(ratio, row.advantage, epsilon)
     kl = sum(
         p_old * (math.log(max(p_old, 1e-300)) - lp)
-        for p_old, lp in zip(step.old_probs, log_probs)
+        for p_old, lp in zip(row.old_probs, log_probs)
     )
-    return probs, log_probs, ratio, term, kl
+    return probs, ratio, term, kl
+
+
+def ppo_loss(
+    params: ModelParams, batch: Sequence[PpoRow], kl_coef: float, clip_epsilon: float
+) -> tuple[float, dict[str, float]]:
+    """Mean over the batch of -(clipped surrogate) + kl_coef * KL(old || new),
+    with its gradient over the action weights."""
+    if not batch:
+        raise EmptyCorpus("ppo_loss needs at least one step")
+    w = params.act_weights
+    n = len(batch)
+    loss = 0.0
+    grads: dict[int, float] = {}
+    for row in batch:
+        probs, ratio, term, kl = _step_terms(w, row, clip_epsilon)
+        loss += (-term + kl_coef * kl) / n
+        expected = _expected(probs, row.action.rows)
+        chosen = dict(zip(*row.action.rows[row.action.expert]))
+        clip_active = ratio * row.advantage > term
+        # d ratio / d theta = ratio * (x_chosen - E_new[x]) and
+        # d KL(old||new) / d theta = E_new[x] - E_old[x]; both are 0 elsewhere.
+        for j, e in expected.items():
+            dlogp = chosen.get(j, 0.0) - e
+            surr_grad = 0.0 if clip_active else ratio * row.advantage * dlogp
+            kl_grad = e - row.old_expected[j]
+            grads[j] = grads.get(j, 0.0) + (-surr_grad + kl_coef * kl_grad) / n
+    return loss, {ACT_NAMES[j]: g for j, g in grads.items()}
+
+
+def _mean_surrogate(params: ModelParams, rows: Sequence[PpoRow], epsilon: float) -> float:
+    return sum(_step_terms(params.act_weights, row, epsilon)[2] for row in rows) / len(rows)
 
 
 def surrogate_value(
@@ -132,14 +162,10 @@ def surrogate_value(
     config: PpoConfig = PpoConfig(),
 ) -> float:
     """Mean clipped surrogate of the given steps under params vs old_params."""
-    prepared = _prepare_steps(steps, advantages, old_params)
+    prepared = prepare_ppo(steps, advantages, old_params)
     if not prepared:
         raise EmptyCorpus("no steps to evaluate")
-    total = 0.0
-    for step in prepared:
-        _, _, _, term, _ = _step_terms(params, step, config.clip_epsilon)
-        total += term
-    return total / len(prepared)
+    return _mean_surrogate(params, prepared, config.clip_epsilon)
 
 
 def ppo_update(
@@ -154,68 +180,37 @@ def ppo_update(
     ppo_epochs passes of seeded minibatches."""
     if len(steps) != len(advantages):
         raise ValueError("steps and advantages must align")
-    prepared = _prepare_steps(steps, advantages, old_params)
+    prepared = prepare_ppo(steps, advantages, old_params)
     if not prepared:
         raise EmptyCorpus("no steps to optimize")
     epsilon = config.clip_epsilon
     kl_coef = config.kl_coef_init
-    rng = random.Random(seed)
-
-    surrogate_before = sum(
-        _step_terms(params, s, epsilon)[3] for s in prepared
-    ) / len(prepared)
-
-    updates = 0
     kl_measured = 0.0
-    order = list(range(len(prepared)))
-    for _ in range(config.ppo_epochs):
-        rng.shuffle(order)
-        for start in range(0, len(order), config.minibatch_size):
-            batch = [prepared[i] for i in order[start : start + config.minibatch_size]]
-            grads: dict[int, float] = {}
+    surrogate_before = _mean_surrogate(params, prepared, epsilon)
 
-            def add(feature_idx: int, value: float) -> None:
-                grads[feature_idx] = grads.get(feature_idx, 0.0) + value
-
-            for step in batch:
-                probs, log_probs, ratio, _, _ = _step_terms(params, step, epsilon)
-                expected = [0.0] * len(FEATURE_NAMES)
-                for p, vec in zip(probs, step.vectors):
-                    for j, x in enumerate(vec):
-                        if x != 0.0:
-                            expected[j] += p * x
-                chosen = step.vectors[step.action_index]
-                # d ratio / d theta = ratio * (x_chosen - E_new[x])
-                unclipped = ratio * step.advantage
-                clipped = clipped_term(ratio, step.advantage, epsilon)
-                clip_active = unclipped > clipped
-                for j in range(len(FEATURE_NAMES)):
-                    dlogp = chosen[j] - expected[j]
-                    surr_grad = 0.0 if clip_active else ratio * step.advantage * dlogp
-                    # d KL(old||new) / d theta = E_new[x] - E_old[x]
-                    kl_grad = expected[j] - step.old_expected[j]
-                    # Ascend the surrogate, descend the KL penalty.
-                    add(j, (-surr_grad + kl_coef * kl_grad) / len(batch))
-            lr = config.learning_rate
-            new_weights = {}
-            for j, g in grads.items():
-                name = ACT_NAMES[j]
-                new_weights[name] = params.get(name) - lr * g
-            params = params.replaced(new_weights)
-            updates += 1
-        kl_measured = sum(_step_terms(params, s, epsilon)[4] for s in prepared) / len(prepared)
+    def adapt_kl_coef(params: ModelParams) -> None:
+        nonlocal kl_coef, kl_measured
+        kl = sum(_step_terms(params.act_weights, row, epsilon)[3] for row in prepared)
+        kl_measured = kl / len(prepared)
         if kl_measured > config.kl_target * 1.5:
             kl_coef *= 2.0
         elif kl_measured < config.kl_target / 1.5:
             kl_coef /= 2.0
 
-    surrogate_after = sum(
-        _step_terms(params, s, epsilon)[3] for s in prepared
-    ) / len(prepared)
+    params = train_params(
+        params,
+        prepared,
+        lambda p, batch: ppo_loss(p, batch, kl_coef, epsilon),
+        sgd(lambda t, total_steps: config.learning_rate),
+        config.minibatch_size,
+        config.ppo_epochs,
+        seed,
+        end_epoch=adapt_kl_coef,
+    )
     return params, PpoDiagnostics(
         surrogate_before=surrogate_before,
-        surrogate_after=surrogate_after,
+        surrogate_after=_mean_surrogate(params, prepared, epsilon),
         kl_final=kl_measured,
         kl_coef_final=kl_coef,
-        updates=updates,
+        updates=config.ppo_epochs * math.ceil(len(prepared) / config.minibatch_size),
     )

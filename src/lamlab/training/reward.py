@@ -3,26 +3,28 @@
 Trained with mean squared error against +1/-1 trajectory outcome labels; at
 inference the raw score is squashed through a sigmoid into [0, 1].
 ``train_reward_model`` computes each step's feature vector once
-(``prepare_rewarded``) and scores those rows on every batch of every epoch;
-``rm_mse_loss`` takes prepared rows or raw steps alike.
+(``prepare_rewarded``) and trains on those rows with ``losses.train_params``
+and AdamW or plain gradient descent; ``rm_mse_loss`` takes prepared rows or
+raw steps alike.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from ..errors import CheckpointError, EmptyCorpus, ValidationFailure
+from ..errors import EmptyCorpus, ValidationFailure
 from ..env_sim import ActionCall
+from ..jsonl import write_text
 from ..policy import AgentState, CandidateAction, featurize
 from ..policy.features import FEATURE_NAMES
 from .configs import RmConfig
+from .losses import Step, sgd, train_params
 
 __all__ = [
     "RewardedStep",
@@ -100,9 +102,16 @@ class RewardModelParams:
     def zeros(cls) -> "RewardModelParams":
         return cls(weights={name: 0.0 for name in RM_FEATURE_NAMES})
 
+    # Dense weights in RM_FEATURE_NAMES order, read once per instance.
+    @cached_property
+    def vector(self) -> tuple[float, ...]:
+        return tuple(self.weights.get(name, 0.0) for name in RM_FEATURE_NAMES)
+
+    def score(self, features: Sequence[float]) -> float:
+        return sum(map(mul, self.vector, features))
+
     def raw(self, state: AgentState, action: ActionCall) -> float:
-        vector = rm_features(state, action)
-        return sum(self.weights.get(n, 0.0) * x for n, x in zip(RM_FEATURE_NAMES, vector))
+        return self.score(rm_features(state, action))
 
     def normalized(self, state: AgentState, action: ActionCall) -> float:
         return 1.0 / (1.0 + math.exp(-self.raw(state, action)))
@@ -113,30 +122,12 @@ class RewardModelParams:
         return RewardModelParams(weights=merged)
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "format_version": 1,
             "kind": "reward",
             "weights": dict(sorted(self.weights.items())),
         }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RewardModelParams":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        if payload.get("kind") != "reward":
-            raise CheckpointError(f"checkpoint {path} is not a reward checkpoint")
-        weights = {k: float(v) for k, v in payload.get("weights", {}).items()}
-        for name in weights:
-            if name not in RM_FEATURE_NAMES:
-                raise CheckpointError(f"unknown feature name {name!r}")
-        return cls(weights=weights)
+        write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def rm_mse_loss(
@@ -146,17 +137,39 @@ def rm_mse_loss(
     if not steps:
         raise EmptyCorpus("rm_mse_loss needs at least one step")
     n = len(steps)
-    w = [params.weights.get(name, 0.0) for name in RM_FEATURE_NAMES]
     loss = 0.0
     grads: dict[str, float] = {}
     for row in map(_reward_row, steps):
-        err = sum(map(mul, w, row.features)) - row.reward
+        err = params.score(row.features) - row.reward
         loss += err * err / n
         coef = 2.0 * err / n
         for name, x in zip(RM_FEATURE_NAMES, row.features):
             if x != 0.0:
                 grads[name] = grads.get(name, 0.0) + coef * x
     return loss, grads
+
+
+def _adamw(learning_rate: Callable[[int, int], float]) -> Step:
+    """AdamW with bias correction; the moment estimates live in the step."""
+    beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
+    m: dict[str, float] = {}
+    v: dict[str, float] = {}
+
+    def step(params, grads: dict[str, float], t: int, total_steps: int):
+        lr = learning_rate(t, total_steps)
+        updates = {}
+        for name, g in grads.items():
+            m[name] = beta1 * m.get(name, 0.0) + (1 - beta1) * g
+            v[name] = beta2 * v.get(name, 0.0) + (1 - beta2) * g * g
+            m_hat = m[name] / (1 - beta1 ** (t + 1))
+            v_hat = v[name] / (1 - beta2 ** (t + 1))
+            current = params.weights.get(name, 0.0)
+            updates[name] = current - lr * (
+                m_hat / (math.sqrt(v_hat) + eps) + weight_decay * current
+            )
+        return params.replaced(updates)
+
+    return step
 
 
 def train_reward_model(
@@ -169,40 +182,13 @@ def train_reward_model(
     if not steps:
         raise EmptyCorpus("no rewarded steps to train on")
     rows = prepare_rewarded(steps)
-    rng = random.Random(seed)
-    order = list(range(len(steps)))
-    batches_per_epoch = max(1, math.ceil(len(steps) / config.batch_size))
-    total_steps = batches_per_epoch * config.epochs
-    # AdamW state
-    m: dict[str, float] = {}
-    v: dict[str, float] = {}
-    t = 0
-    beta1, beta2, adam_eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
-            batch = [rows[i] for i in order[start : start + config.batch_size]]
-            _, grads = rm_mse_loss(params, batch)
-            t += 1
-            lr = config.learning_rate
-            if config.schedule == "linear":
-                lr *= max(1.0 - (t - 1) / total_steps, 1.0 / total_steps)
-            updates = {}
-            if config.optimizer == "adamw":
-                for name, g in grads.items():
-                    m[name] = beta1 * m.get(name, 0.0) + (1 - beta1) * g
-                    v[name] = beta2 * v.get(name, 0.0) + (1 - beta2) * g * g
-                    m_hat = m[name] / (1 - beta1**t)
-                    v_hat = v[name] / (1 - beta2**t)
-                    current = params.weights.get(name, 0.0)
-                    updates[name] = current - lr * (
-                        m_hat / (math.sqrt(v_hat) + adam_eps) + weight_decay * current
-                    )
-            elif config.optimizer == "gd":
-                for name, g in grads.items():
-                    updates[name] = params.weights.get(name, 0.0) - lr * g
-            else:
-                raise ValidationFailure(f"unknown optimizer {config.optimizer!r}")
-            params = params.replaced(updates)
+
+    def learning_rate(t: int, total_steps: int) -> float:
+        if config.schedule == "linear":
+            return config.learning_rate * max(1.0 - t / total_steps, 1.0 / total_steps)
+        return config.learning_rate
+
+    step = _adamw(learning_rate) if config.optimizer == "adamw" else sgd(learning_rate)
+    params = train_params(params, rows, rm_mse_loss, step, config.batch_size, config.epochs, seed)
     final_mse, _ = rm_mse_loss(params, rows)
     return params, final_mse

@@ -200,3 +200,74 @@ def test_schema_drifted_training_record_is_a_validation_failure(
     assert err.count("\n") == 1
     assert err.startswith("ValidationFailure: ")
     assert f"training.jsonl:3: {reason}" in err
+
+
+@pytest.fixture(scope="module")
+def suite_corpus_ws(tmp_path_factory):
+    """The suite's corpus files, plus zero-weight lam2 and lam3 checkpoints."""
+    from lamlab.harness import build_suite_workspace
+    from lamlab.policy import ModelParams
+
+    ws = build_suite_workspace(tmp_path_factory.mktemp("suite_corpus") / "ws")
+    for name in ("lam2", "lam3"):
+        ModelParams.zeros().save(ws / "checkpoints" / name / "weights.json")
+    return ws
+
+
+@pytest.mark.parametrize(
+    "phase, file, key",
+    [
+        (4, "trajectories.jsonl", "final_status"),
+        (3, "trajectories.jsonl", "final_status"),
+        (4, "trajectories.jsonl", "origin"),
+        (4, "verdicts.jsonl", "task_complete"),
+        (4, "verdicts.jsonl", "trajectory_id"),
+        (1, "evolved.jsonl", "plan"),
+    ],
+)
+def test_schema_drifted_corpus_row_is_a_validation_failure(
+    suite_corpus_ws, tmp_path, capsys, phase, file, key
+):
+    ws = tmp_path / "ws"
+    shutil.copytree(suite_corpus_ws, ws)
+    path = ws / "corpus" / file
+    rows = read_jsonl(path)
+    del rows[1][key]
+    write_jsonl(path, rows)
+    code = main(["--workspace", str(ws), "train", "--phase", str(phase)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValidationFailure: ")
+    assert f"{file}:2: missing key '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "training",
+    [
+        {"sft": {"schedule": "cosin"}},
+        {"imitation": {"schedule": "linear"}},
+        {"rm": {"schedule": "cosine"}},
+        {"rm": {"optimizer": "sgd"}},
+        {"rm": {"lora_rank": 8}},
+        {"imitaton": {"epochs": 3}},
+    ],
+)
+def test_bad_training_config_exit_2(tmp_path, capsys, training):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"training": training}))
+    code = main(["--config", str(config), "--workspace", str(tmp_path), "train", "--phase", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_config_without_training_section_is_the_desk_configs(tmp_path):
+    from lamlab.cli import RunConfig
+    from lamlab.harness import desk_phase_configs
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 3}))
+    assert RunConfig.load(str(config), {}).phase_configs() == desk_phase_configs()
+    overridden = RunConfig(training={"rm": {"epochs": 3}}).phase_configs()
+    assert overridden.rm.epochs == 3
+    assert overridden.rm.learning_rate == desk_phase_configs().rm.learning_rate

@@ -21,7 +21,7 @@ from lamlab.policy import (
 )
 from lamlab.policy.features import BASE_FEATURES
 from lamlab.training import sft_plan_loss, train_params
-from lamlab.training.configs import SftConfig
+from lamlab.training.losses import sgd
 
 
 def make_state(
@@ -247,7 +247,9 @@ def test_plan_overfits_single_pair():
         params,
         [Rec()],
         lambda p, b: sft_plan_loss(p, b),
-        SftConfig(learning_rate=1.0, epochs=60, batch_size=4, schedule="constant", warmup_steps=0),
+        sgd(lambda t, total_steps: 1.0),
+        batch_size=4,
+        epochs=60,
     )
     assert generate_plan(Rec.task, params) == list(Rec.plan)
 

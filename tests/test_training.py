@@ -32,6 +32,8 @@ from lamlab.training import (
     surrogate_value,
     train_reward_model,
 )
+from lamlab.training import ppo
+from lamlab.training.ppo import ppo_loss, prepare_ppo
 from lamlab.training.reward import RM_FEATURE_NAMES
 
 
@@ -57,14 +59,15 @@ def random_params(rng, vocab=()):
     return params.replaced({name: rng.uniform(-0.5, 0.5) for name in params.weights})
 
 
-def finite_difference_check(loss_fn, params, grads, h=1e-5, tol=1e-4):
-    """Central finite differences against the analytic gradient."""
+def finite_difference_check(loss_fn, params, grads, h=1e-5, tol=1e-4, floor=1e-8):
+    """Central finite differences against the analytic gradient; errors are
+    relative to the larger of the two values, and at least to ``floor``."""
     checked = 0
     for name, g in grads.items():
         plus = loss_fn(params.replaced({name: params.get(name) + h}))
         minus = loss_fn(params.replaced({name: params.get(name) - h}))
         numeric = (plus - minus) / (2 * h)
-        denom = max(abs(g), abs(numeric), 1e-8)
+        denom = max(abs(g), abs(numeric), floor)
         assert abs(g - numeric) / denom < tol, f"{name}: analytic {g} vs numeric {numeric}"
         checked += 1
     assert checked > 0
@@ -397,6 +400,36 @@ def test_ppo_degenerate_ratio():
     old = ModelParams.zeros().replaced({"act::func::select_text": -60.0})
     with pytest.raises(DegenerateRatio):
         ppo_update(ModelParams.zeros(), old, [(state, expert)], [0.1], PpoConfig())
+
+
+def test_ppo_loss_gradient_matches_finite_differences():
+    """Central differences of -(clipped surrogate) + kl_coef * KL, with every
+    ratio at least 1e-3 away from the clip boundary 1 +- epsilon."""
+    epsilon, kl_coef = 0.2, 0.3
+    steps = ppo_steps() * 2
+    branches = set()
+    checked = 0
+    for trial in range(12):
+        rng = random.Random(trial)
+        old = random_params(rng)
+        params = old.replaced(
+            {n: v + rng.uniform(-0.4, 0.4) for n, v in old.weights.items() if n.startswith("act::")}
+        )
+        advantages = [rng.uniform(-0.6, 0.6) for _ in steps]
+        rows = prepare_ppo(steps, advantages, old)
+        terms = [ppo._step_terms(params.act_weights, row, epsilon) for row in rows]
+        if any(min(abs(r - 1 + epsilon), abs(r - 1 - epsilon)) < 1e-3 for _, r, _, _ in terms):
+            continue
+        branches.update(r * row.advantage > t for row, (_, r, t, _) in zip(rows, terms))
+        _, grads = ppo_loss(params, rows, kl_coef, epsilon)
+        # Features equal on every candidate have zero gradient; on this O(1)
+        # objective their central differences read ~1e-12 of rounding noise.
+        finite_difference_check(
+            lambda p: ppo_loss(p, rows, kl_coef, epsilon)[0], params, grads, floor=1e-6
+        )
+        checked += 1
+    assert checked >= 8
+    assert branches == {True, False}  # clipped and unclipped steps both checked
 
 
 def test_ppo_kl_coefficient_adapts_upward():
