@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Protocol
 
 from .dataflow.records import InstantiatedTask, Trajectory, TrajectoryStep
@@ -183,10 +182,9 @@ def run_task(
     task: str,
     config: AgentConfig = AgentConfig(),
     task_id: str = "run",
-    bundle_dir: str | Path | None = None,
     clock=time.perf_counter,
 ) -> RunRecord:
-    session = EnvSession(load_template(template_id, bundle_dir))
+    session = EnvSession(load_template(template_id))
     memory = Memory()
     steps: list[TrajectoryStep] = []
     step_times: list[float] = []

@@ -7,8 +7,6 @@ success trajectory with the initial-to-final canvas diff attached.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..env_sim import (
     apply_action,
     control_tree_dict,
@@ -22,10 +20,8 @@ from .records import InstantiatedTask, Trajectory, TrajectoryStep
 __all__ = ["execute_trajectory"]
 
 
-def execute_trajectory(
-    inst: InstantiatedTask, bundle_dir: str | Path | None = None
-) -> Trajectory:
-    snapshot = load_template(inst.template_id, bundle_dir)
+def execute_trajectory(inst: InstantiatedTask) -> Trajectory:
+    snapshot = load_template(inst.template_id)
     initial = snapshot
     steps: list[TrajectoryStep] = []
     final_status = "success"

@@ -56,7 +56,6 @@ def stage_files(workspace: str | Path) -> dict[str, Path]:
 class PipelineConfig:
     workers: int = 6
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    bundle_dir: str | None = None
 
 
 @dataclass
@@ -96,7 +95,7 @@ def run_stage(
     if stage == "instantiate":
         source = files["evolve"] if files["evolve"].exists() else files["normalize"]
         records = [TaskPlanRecord.from_dict(o) for o in read_jsonl(source)]
-        templates = [get_template(tid, config.bundle_dir) for tid in list_templates(config.bundle_dir)]
+        templates = [get_template(tid) for tid in list_templates()]
         results, skipped = _map_skipping(
             lambda r: instantiate(r, templates, oracle), records, config.workers
         )
@@ -107,9 +106,7 @@ def run_stage(
 
     if stage == "execute":
         tasks = [InstantiatedTask.from_dict(o) for o in read_jsonl(files["instantiate"])]
-        trajectories = _parallel_map(
-            lambda t: execute_trajectory(t, config.bundle_dir), tasks, config.workers
-        )
+        trajectories = _parallel_map(execute_trajectory, tasks, config.workers)
         trajectories.sort(key=lambda t: t.trajectory_id)
         write_jsonl(files["execute"], (t.to_dict() for t in trajectories))
         return StageReport(stage, read=len(tasks), written=len(trajectories))

@@ -1,7 +1,7 @@
 """Deterministic simulated document application.
 
 Provides the control tree, the canvas document model, a closed action
-registry with execution semantics, state diffing, and a bundled template set.
+registry with execution semantics, state diffing, and a built-in template set.
 """
 
 from .actions import (
@@ -49,7 +49,6 @@ from .snapshot import (
     list_controls,
     list_templates,
     load_template,
-    write_template_bundle,
 )
 
 
@@ -101,5 +100,4 @@ __all__ = [
     "list_controls",
     "list_templates",
     "load_template",
-    "write_template_bundle",
 ]

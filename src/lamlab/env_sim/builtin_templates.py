@@ -1,8 +1,8 @@
-"""Definitions of the bundled document templates.
+"""The built-in document templates, the only definition of them.
 
-The on-disk bundle under ``env_sim/templates/`` is generated from these
-builders (see ``write_template_bundle``); a test pins the generated files to
-the builders so the shipped bundle can never drift.
+Every template shares one window control tree (``_ribbon``) and differs in
+its description and initial canvas. ``snapshot.get_template`` builds them once
+per process; a test pins the initial digest of each.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Environment snapshots, the bundled template set, and sessions.
+"""Environment snapshots, the built-in template set, and sessions.
 
 A snapshot is an immutable (control tree, canvas, step index) value. The
 rendered view is a deterministic textual screenshot surrogate computed purely
@@ -6,26 +6,19 @@ from the tree and the canvas. Because a snapshot never changes, the values
 derived from it (its digest, its flattened control list and its rendered
 view) are computed at most once, on first use, and kept on the instance.
 
-Templates live as one directory per template id containing ``description.txt``,
-``canvas.xml`` (canonical canvas markup), and ``controls.json`` (control
-manifest). A bundle of templates covering paragraph, table, figure, shape,
-chart, and comment content ships inside the package. Templates are immutable
-too: ``get_template`` reads the three files on every call but parses each
-distinct content once (the parse cache is keyed by the template id and the
-content of the files, so a rewritten bundle is parsed afresh), and a template
-hands out one shared labelled initial snapshot.
+The templates (paragraph, table, figure, shape, chart and comment documents)
+are built in code by ``builtin_templates``. They are built once per process,
+on first use, into one dict keyed by template id; ``get_template`` is a lookup
+in it, and a template hands out one shared labelled initial snapshot.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 
 from ..errors import UnknownTemplate
-from ..jsonl import canonical_dumps, sha256_text, write_text
+from ..jsonl import canonical_dumps, sha256_text
 from .actions import ActionCall, ExecutionResult, apply_action
 from .canvas import (
     CanvasState,
@@ -36,16 +29,9 @@ from .canvas import (
     Shape,
     Table,
     paragraph_text,
-    parse_canvas,
     serialize_canvas,
 )
-from .controls import (
-    ControlNode,
-    assign_labels,
-    control_tree_dict,
-    control_tree_from_dict,
-    flatten_controls,
-)
+from .controls import ControlNode, assign_labels, control_tree_dict, flatten_controls
 
 __all__ = [
     "EnvSnapshot",
@@ -55,7 +41,6 @@ __all__ = [
     "load_template",
     "get_template",
     "list_templates",
-    "write_template_bundle",
 ]
 
 
@@ -169,96 +154,39 @@ class AppTemplate:
 
 
 @functools.cache
-def _package_bundle() -> Path:
-    return Path(str(resources.files("lamlab") / "env_sim" / "templates"))
+def _templates() -> dict[str, AppTemplate]:
+    """Every built-in template by id, built on first use (imported here
+    because ``builtin_templates`` builds on ``AppTemplate``)."""
+    from .builtin_templates import builtin_templates
+
+    return {t.template_id: t for t in builtin_templates()}
 
 
-def _bundle_root(bundle_dir: str | Path | None) -> Path:
-    if bundle_dir is not None:
-        return Path(bundle_dir)
-    return _package_bundle()
+def list_templates() -> list[str]:
+    return sorted(_templates())
 
 
-def list_templates(bundle_dir: str | Path | None = None) -> list[str]:
-    root = _bundle_root(bundle_dir)
-    if not root.is_dir():
-        return []
-    return sorted(p.name for p in root.iterdir() if (p / "description.txt").is_file())
+def get_template(template_id: str) -> AppTemplate:
+    try:
+        return _templates()[template_id]
+    except KeyError:
+        raise UnknownTemplate(f"no template named {template_id!r}") from None
 
 
-def get_template(template_id: str, bundle_dir: str | Path | None = None) -> AppTemplate:
-    root = _bundle_root(bundle_dir) / template_id
-    desc_file = root / "description.txt"
-    if not desc_file.is_file():
-        raise UnknownTemplate(f"no template named {template_id!r}")
-    return _parse_template(
-        template_id,
-        desc_file.read_bytes(),
-        (root / "canvas.xml").read_bytes(),
-        (root / "controls.json").read_bytes(),
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _parse_template(
-    template_id: str, description: bytes, canvas_xml: bytes, controls_json: bytes
-) -> AppTemplate:
-    """One template from the content of its files; keyed by that content, so
-    equal files share one immutable template and a changed file is parsed
-    anew."""
-    return AppTemplate(
-        template_id=template_id,
-        description=description.decode("utf-8").strip(),
-        initial_canvas=parse_canvas(canvas_xml.decode("utf-8")),
-        initial_controls=control_tree_from_dict(json.loads(controls_json.decode("utf-8"))),
-    )
-
-
-def load_template(template_id: str, bundle_dir: str | Path | None = None) -> EnvSnapshot:
-    return get_template(template_id, bundle_dir).fresh_snapshot()
-
-
-def write_template_bundle(templates: list[AppTemplate], out_dir: str | Path) -> None:
-    """Materialize templates into the on-disk bundle layout."""
-    out = Path(out_dir)
-    for tpl in templates:
-        root = out / tpl.template_id
-        root.mkdir(parents=True, exist_ok=True)
-        write_text(root / "description.txt", tpl.description + "\n")
-        write_text(root / "canvas.xml", serialize_canvas(tpl.initial_canvas))
-        labeled = assign_labels(tpl.initial_controls)
-        write_text(
-            root / "controls.json",
-            json.dumps(control_tree_dict(labeled), indent=2, sort_keys=True) + "\n",
-        )
+def load_template(template_id: str) -> EnvSnapshot:
+    return get_template(template_id).fresh_snapshot()
 
 
 class EnvSession:
-    """A single-owner sequence of snapshots for one task attempt."""
+    """The initial and the current snapshot of one task attempt; each
+    successful action advances the current one."""
 
     def __init__(self, snapshot: EnvSnapshot):
-        self._history: list[EnvSnapshot] = [snapshot]
-        self._results: list[ExecutionResult] = []
-
-    @property
-    def current(self) -> EnvSnapshot:
-        return self._history[-1]
-
-    @property
-    def initial(self) -> EnvSnapshot:
-        return self._history[0]
-
-    @property
-    def history(self) -> list[EnvSnapshot]:
-        return list(self._history)
-
-    @property
-    def results(self) -> list[ExecutionResult]:
-        return list(self._results)
+        self.initial = snapshot
+        self.current = snapshot
 
     def apply(self, action: ActionCall) -> ExecutionResult:
         snapshot, result = apply_action(self.current, action)
         if result.ok:
-            self._history.append(snapshot)
-        self._results.append(result)
+            self.current = snapshot
         return result

@@ -18,7 +18,7 @@ class ConfigError(LamLabError):
 # --- simulated environment ------------------------------------------------
 
 class UnknownTemplate(LamLabError):
-    """Requested template id is not in the bundle."""
+    """Requested template id is not a built-in template."""
 
 
 class UnknownControl(LamLabError):

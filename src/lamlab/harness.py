@@ -67,7 +67,7 @@ def desk_phase_configs() -> PhaseConfigs:
     """Hyperparameters sized for the toy linear heads (the dataclass defaults
     mirror a large-model recipe whose step sizes barely move these weights)."""
     return PhaseConfigs(
-        sft=SftConfig(learning_rate=0.8, epochs=40),
+        sft=SftConfig(learning_rate=0.8, epochs=40, step_mean=True),
         imitation=SftConfig(learning_rate=0.5, batch_size=8, epochs=60),
         rm=RmConfig(learning_rate=0.05, epochs=10),
     )

@@ -8,7 +8,6 @@ the data pipeline produces, so they merge straight into the training corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .. import agent as agent_mod
@@ -32,7 +31,6 @@ def self_boost(
     failed_tasks: Sequence[FailedTask],
     judge: Callable[[Trajectory], EvaluationVerdict],
     config: BoostConfig = BoostConfig(),
-    bundle_dir: str | Path | None = None,
 ) -> list[Trajectory]:
     """New judge-verified success trajectories; possibly empty."""
     successes: list[Trajectory] = []
@@ -46,7 +44,6 @@ def self_boost(
                 task.task,
                 config=agent_mod.AgentConfig(max_steps=config.max_steps, mode="sample", seed=seed),
                 task_id=task.task_id,
-                bundle_dir=bundle_dir,
             )
             if record.trajectory.final_status != "success":
                 continue

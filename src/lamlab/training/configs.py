@@ -14,8 +14,9 @@ class SftConfig:
     warmup_steps: int = 2
     batch_size: int = 16
     epochs: int = 3
-    # Weighting of the double sum over trajectories and steps: per-trajectory
-    # mean of per-step means (default) or one global mean over steps.
+    # Weighting of the double sum over trajectories and steps (imitation) or
+    # over task-plan records and plan targets (phase 1 SFT): the mean of
+    # per-item means (default) or one global mean over all steps or targets.
     step_mean: bool = False
 
     def __post_init__(self) -> None:

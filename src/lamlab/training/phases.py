@@ -168,7 +168,6 @@ def run_phase(
     oracle: Provider,
     configs: PhaseConfigs = PhaseConfigs(),
     seed: int = 0,
-    bundle_dir: str | Path | None = None,
 ) -> Path:
     workspace = Path(workspace)
     if phase == 1:
@@ -176,7 +175,7 @@ def run_phase(
     if phase == 2:
         return _phase2(workspace, configs, seed)
     if phase == 3:
-        return _phase3(workspace, oracle, configs, seed, bundle_dir)
+        return _phase3(workspace, oracle, configs, seed)
     if phase == 4:
         return _phase4(workspace, configs, seed)
     raise ValueError(f"unknown phase {phase!r}")
@@ -201,7 +200,7 @@ def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = _descend(
         params,
         prepare_plans(records, params.plan_vocab),
-        lambda p, batch: sft_plan_loss(p, batch, step_mean=True),
+        lambda p, batch: sft_plan_loss(p, batch, step_mean=configs.sft.step_mean),
         configs.sft,
         seed,
     )
@@ -289,13 +288,7 @@ def _phase2(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     )
 
 
-def _phase3(
-    workspace: Path,
-    oracle: Provider,
-    configs: PhaseConfigs,
-    seed: int,
-    bundle_dir: str | Path | None,
-) -> Path:
+def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 2)
     source = workspace / "corpus" / "training.jsonl"
     expert_records = read_jsonl(source, validate_training_record) if source.is_file() else []
@@ -308,7 +301,6 @@ def _phase3(
         failed,
         judge=lambda traj: judge_trajectory(traj, oracle),
         config=configs.boost,
-        bundle_dir=bundle_dir,
     )
     boost_records: list[TrainingRecord] = []
     for traj in new_trajectories:

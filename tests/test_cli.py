@@ -80,6 +80,20 @@ def test_agent_run_writes_trajectory_and_timing(pipeline_ws):
     assert timing["total_time"] == 0.0
 
 
+def test_agent_run_unknown_template_exits_1(tmp_path, capsys):
+    from lamlab.policy import ModelParams
+
+    weights = tmp_path / "weights.json"
+    ModelParams.zeros().save(weights)
+    code = main(["--workspace", str(tmp_path / "ws"), "agent", "run", "--task", "Do it.",
+                 "--template", "no_such_template", "--policy", str(weights)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("UnknownTemplate: ")
+    assert "'no_such_template'" in err
+
+
 def test_eval_plan_command(pipeline_ws, tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     write_jsonl(

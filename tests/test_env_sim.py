@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from lamlab.env_sim import (
     ActionCall,
-    AppTemplate,
     CanvasState,
     ControlNode,
     EnvSnapshot,
@@ -22,8 +21,6 @@ from lamlab.env_sim import (
     list_templates,
     load_template,
     resolve_control,
-    serialize_canvas,
-    write_template_bundle,
 )
 from lamlab.errors import AmbiguousControl, UnknownControl, UnknownTemplate
 from lamlab.jsonl import sha256_text
@@ -389,22 +386,26 @@ def test_rendered_view_pure_function_of_state():
     assert s2.rendered_view() != a.rendered_view()
 
 
-def test_template_bundle_matches_builders(tmp_path):
-    """The shipped bundle files must be exactly what the builders generate."""
-    from lamlab.env_sim import write_template_bundle
-    from lamlab.env_sim.builtin_templates import builtin_templates
-    from importlib import resources
-
-    write_template_bundle(builtin_templates(), tmp_path)
-    shipped_root = resources.files("lamlab") / "env_sim" / "templates"
-    for template in builtin_templates():
-        for name in ("description.txt", "canvas.xml", "controls.json"):
-            generated = (tmp_path / template.template_id / name).read_text(encoding="utf-8")
-            shipped = (shipped_root / template.template_id / name).read_text(encoding="utf-8")
-            assert generated == shipped, f"{template.template_id}/{name} drifted"
+# The initial digest of every template, in id order. A change to a template
+# builder shows here, and would change every corpus and checkpoint built on it.
+TEMPLATE_DIGESTS = {
+    "chart_doc": "d622a0ff6fef0d9b",
+    "comments_doc": "b1db9df5a979e464",
+    "figure_doc": "9cef4006e06a4470",
+    "plain_text": "0219de6def4ec7f5",
+    "rect_shape": "867d5c0f71a548f5",
+    "report_doc": "ea6b546163c2ea1d",
+    "table_doc": "4a4203ca0e9557c6",
+}
 
 
-# --- memoized views and the template parse cache ---------------------------
+def test_templates_are_pinned():
+    assert list_templates() == list(TEMPLATE_DIGESTS)
+    for template_id, digest in TEMPLATE_DIGESTS.items():
+        assert load_template(template_id).digest() == digest
+
+
+# --- memoized views and the shared templates ---------------------------------
 
 
 def test_views_match_recomputation_on_every_template():
@@ -449,55 +450,26 @@ def test_list_controls_returns_a_new_list_each_call():
     assert list_controls(s) is not list_controls(s)
 
 
-def _write_bundle(root, template_id: str, description: str) -> None:
-    template = get_template(template_id)
-    write_template_bundle(
-        [
-            AppTemplate(
-                template_id=template_id,
-                description=description,
-                initial_canvas=template.initial_canvas,
-                initial_controls=template.initial_controls,
-            )
-        ],
-        root,
-    )
+def test_run_task_never_parses_a_template(monkeypatch):
+    import sys
 
-
-def test_rewritten_bundle_is_parsed_again(tmp_path):
-    _write_bundle(tmp_path, "plain_text", "A plain text document.")
-    first = load_template("plain_text", tmp_path)
-    assert first.canvas == load_template("plain_text").canvas
-    changed = CanvasState(blocks=(Paragraph(runs=(Run(text="rewritten"),)),))
-    (tmp_path / "plain_text" / "canvas.xml").write_text(
-        serialize_canvas(changed), encoding="utf-8"
-    )
-    second = load_template("plain_text", tmp_path)
-    assert second.canvas == changed
-    assert second.digest() != first.digest()
-    assert_views_recomputed(second)
-    assert "rewritten" in second.rendered_view()
-
-
-def test_run_task_parses_a_template_once(tmp_path, monkeypatch):
     from lamlab.agent import ScriptedPolicy, run_task
-    from lamlab.env_sim import snapshot as snapshot_module
+    from lamlab.env_sim import canvas as canvas_module
 
-    # Content no other test writes, so the parse cache cannot hold it yet.
-    _write_bundle(tmp_path, "plain_text", f"A plain text document in {tmp_path.name}.")
     parses = []
-    original = snapshot_module.parse_canvas
+    original = canvas_module.parse_canvas
 
     def counting_parse(text):
         parses.append(text)
         return original(text)
 
-    monkeypatch.setattr(snapshot_module, "parse_canvas", counting_parse)
+    for module in list(sys.modules.values()):
+        if getattr(module, "parse_canvas", None) is original:
+            monkeypatch.setattr(module, "parse_canvas", counting_parse)
     action = ActionCall(function="select_text", args={"text": "Test For Fun"})
     records = [
-        run_task(ScriptedPolicy((action,)), "plain_text", "Select it.", bundle_dir=tmp_path)
-        for _ in range(5)
+        run_task(ScriptedPolicy((action,)), "plain_text", "Select it.") for _ in range(5)
     ]
-    assert len(parses) == 1
+    assert parses == []
     assert all(r.trajectory.steps[0].result.ok for r in records)
-    assert load_template("plain_text", tmp_path) is load_template("plain_text", tmp_path)
+    assert load_template("plain_text") is load_template("plain_text")

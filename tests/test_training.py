@@ -533,3 +533,22 @@ def test_phase_manifests_record_corpus_sizes(tmp_path):
     manifest2 = json.loads((ws / "checkpoints" / "lam2" / "manifest.json").read_text())
     records = read_jsonl(ws / "corpus" / "training.jsonl")
     assert manifest2["data_size"] == len({r["trajectory_id"] for r in records})
+
+
+def test_phase1_follows_sft_step_mean(tmp_path):
+    import dataclasses
+    import json
+
+    from lamlab.harness import build_suite_workspace, desk_phase_configs
+    from lamlab.training import run_phase
+
+    ws = build_suite_workspace(tmp_path / "ws")
+    desk = desk_phase_configs()
+    weights = {}
+    for step_mean in (True, False):
+        sft = dataclasses.replace(desk.sft, epochs=2, step_mean=step_mean)
+        out = run_phase(1, ws, MockOracle(), dataclasses.replace(desk, sft=sft), seed=0)
+        weights[step_mean] = (out / "weights.json").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["step_mean"] is step_mean
+    assert weights[True] != weights[False]
