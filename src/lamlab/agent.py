@@ -58,7 +58,6 @@ class Memory:
 class AgentConfig:
     max_steps: int = 20
     mode: str = "argmax"  # "argmax" | "sample"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:

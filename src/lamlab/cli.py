@@ -133,8 +133,12 @@ def _cmd_dataflow(args, config: RunConfig) -> int:
     files = stage_files(workspace)
     raw = files["raw"]
     if args.input:
+        try:
+            data = Path(args.input).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read input {args.input}: {exc.strerror}") from exc
         raw.parent.mkdir(parents=True, exist_ok=True)
-        raw.write_bytes(Path(args.input).read_bytes())
+        raw.write_bytes(data)
     elif not raw.is_file():
         raw.parent.mkdir(parents=True, exist_ok=True)
         raw.write_bytes(Path(fixture_path("raw_records.jsonl")).read_bytes())
@@ -179,7 +183,7 @@ def _cmd_agent(args, config: RunConfig) -> int:
         policy,
         args.template,
         args.task,
-        config=AgentConfig(max_steps=int(agent_cfg.get("max_steps", 20)), mode=mode, seed=config.seed),
+        config=AgentConfig(max_steps=int(agent_cfg.get("max_steps", 20)), mode=mode),
         task_id=args.task_id,
         clock=config.make_clock(),
     )
@@ -205,8 +209,9 @@ def _cmd_agent(args, config: RunConfig) -> int:
     return 0
 
 
-def _load_run_records(path: str) -> list[RunRecord]:
-    return [RunRecord.from_dict(obj) for obj in read_jsonl(path)]
+def _task_steps(parse_step):
+    """Parser of an eval row ``{"task_id", "steps"}`` into (task id, steps)."""
+    return lambda row: (row["task_id"], [parse_step(s) for s in row["steps"]])
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
@@ -214,27 +219,21 @@ def _cmd_eval(args, config: RunConfig) -> int:
     reports_dir = workspace / "reports"
     name = args.name
     if args.kind == "plan":
-        pairs = [
-            (row.get("task", row.get("task_id", "")), row["pred"], row["truth"])
-            for row in read_jsonl(args.pairs)
-        ]
+        pairs = read_jsonl(
+            args.pairs,
+            lambda row: (row.get("task", row.get("task_id", "")), row["pred"], row["truth"]),
+        )
         result = evaluation.eval_plans(pairs)
         text, csv_text = evaluation.report_plans({name: result})
         inputs = [args.pairs]
     elif args.kind == "actions":
-        preds = {
-            row["task_id"]: [evaluation.PredictedStep.from_dict(s) for s in row["steps"]]
-            for row in read_jsonl(args.pred)
-        }
-        truths = {
-            row["task_id"]: [evaluation.GroundTruthStep.from_dict(s) for s in row["steps"]]
-            for row in read_jsonl(args.truth)
-        }
+        preds = dict(read_jsonl(args.pred, _task_steps(evaluation.PredictedStep.from_dict)))
+        truths = dict(read_jsonl(args.truth, _task_steps(evaluation.GroundTruthStep.from_dict)))
         result = evaluation.eval_actions(preds, truths)
         text, csv_text = evaluation.report_actions({name: result})
         inputs = [args.pred, args.truth]
     else:
-        runs = _load_run_records(args.runs)
+        runs = read_jsonl(args.runs, RunRecord.from_dict)
         result = evaluation.eval_online(runs)
         text, csv_text = evaluation.report_online({name: result})
         inputs = [args.runs]

@@ -25,11 +25,11 @@ from .judge import judge_trajectory
 from .normalize import normalize_sources
 from .postprocess import postprocess
 from .records import (
-    EvaluationVerdict,
     EvolutionConfig,
     InstantiatedTask,
     TaskPlanRecord,
     Trajectory,
+    verdict_row,
 )
 
 __all__ = ["STAGES", "PipelineConfig", "StageReport", "run_stage", "run_all", "stage_files"]
@@ -87,14 +87,14 @@ def run_stage(
         return StageReport(stage, read=len(raw), written=len(records))
 
     if stage == "evolve":
-        records = [TaskPlanRecord.from_dict(o) for o in read_jsonl(files["normalize"])]
+        records = read_jsonl(files["normalize"], TaskPlanRecord.from_dict)
         out = evolve_corpus(records, oracle, config.evolution)
         write_jsonl(files["evolve"], (r.to_dict() for r in out))
         return StageReport(stage, read=len(records), written=len(out))
 
     if stage == "instantiate":
         source = files["evolve"] if files["evolve"].exists() else files["normalize"]
-        records = [TaskPlanRecord.from_dict(o) for o in read_jsonl(source)]
+        records = read_jsonl(source, TaskPlanRecord.from_dict)
         templates = [get_template(tid) for tid in list_templates()]
         results, skipped = _map_skipping(
             lambda r: instantiate(r, templates, oracle), records, config.workers
@@ -105,14 +105,14 @@ def run_stage(
         return StageReport(stage, read=len(records), written=len(results), skipped=skipped)
 
     if stage == "execute":
-        tasks = [InstantiatedTask.from_dict(o) for o in read_jsonl(files["instantiate"])]
+        tasks = read_jsonl(files["instantiate"], InstantiatedTask.from_dict)
         trajectories = _parallel_map(execute_trajectory, tasks, config.workers)
         trajectories.sort(key=lambda t: t.trajectory_id)
         write_jsonl(files["execute"], (t.to_dict() for t in trajectories))
         return StageReport(stage, read=len(tasks), written=len(trajectories))
 
     if stage == "judge":
-        trajectories = [Trajectory.from_dict(o) for o in read_jsonl(files["execute"])]
+        trajectories = read_jsonl(files["execute"], Trajectory.from_dict)
         successes = [t for t in trajectories if t.final_status == "success"]
         verdicts, skipped = _map_skipping(
             lambda t: (t.trajectory_id, t.origin.origin_task_id, judge_trajectory(t, oracle)),
@@ -132,23 +132,19 @@ def run_stage(
 
     if stage == "postprocess":
         trajectories = {
-            t.trajectory_id: t
-            for t in (Trajectory.from_dict(o) for o in read_jsonl(files["execute"]))
+            t.trajectory_id: t for t in read_jsonl(files["execute"], Trajectory.from_dict)
         }
+        verdicts = read_jsonl(files["judge"], verdict_row)
         records = []
-        read = 0
-        for row in read_jsonl(files["judge"]):
-            read += 1
-            if row["task_complete"] != "yes":
+        for tid, verdict in verdicts:
+            if verdict.task_complete != "yes":
                 continue
-            traj = trajectories.get(row["trajectory_id"])
-            if traj is None:
-                raise ValidationFailure(f"verdict references unknown {row['trajectory_id']}")
-            verdict = EvaluationVerdict.from_dict(row)
-            records.extend(postprocess(traj, verdict))
+            if tid not in trajectories:
+                raise ValidationFailure(f"verdict references unknown {tid}")
+            records.extend(postprocess(trajectories[tid], verdict))
         records.sort(key=lambda r: (r.trajectory_id, r.step_no))
         write_jsonl(files["postprocess"], (r.to_dict() for r in records))
-        return StageReport(stage, read=read, written=len(records))
+        return StageReport(stage, read=len(verdicts), written=len(records))
 
     raise ValueError(f"unknown stage {stage!r}")
 

@@ -21,6 +21,7 @@ __all__ = [
     "TrajectoryStep",
     "Trajectory",
     "EvaluationVerdict",
+    "verdict_row",
     "TrainingRecord",
 ]
 
@@ -222,6 +223,14 @@ class EvaluationVerdict:
             complete_judgement=obj["complete_judgement"],
             quality_judgement=obj["quality_judgement"],
         )
+
+
+def verdict_row(obj: Mapping) -> tuple[str, EvaluationVerdict]:
+    """(trajectory id, verdict) of one ``verdicts.jsonl`` row."""
+    verdict = EvaluationVerdict.from_dict(obj)
+    if not isinstance(obj["trajectory_id"], str):
+        raise TypeError("trajectory_id must be a string")
+    return obj["trajectory_id"], verdict
 
 
 @dataclass(frozen=True)

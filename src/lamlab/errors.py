@@ -74,7 +74,7 @@ class MissingPredecessor(LamLabError):
 
 
 class EmptyCorpus(LamLabError):
-    """A training phase was given no records to train on."""
+    """A line-record file is missing, or a phase has no records to train on."""
 
 
 class CheckpointError(LamLabError):

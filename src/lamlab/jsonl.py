@@ -3,6 +3,14 @@
 Every file the pipeline writes goes through :func:`canonical_dumps` so that
 equal in-memory records always serialize to identical bytes (sorted keys,
 compact separators, UTF-8, one record per line).
+
+Every line-record file is read through :func:`read_jsonl`, which parses each
+non-blank line once: ``read_jsonl(path, parse)`` returns ``parse(row)`` for
+each JSON object ``row``, or the objects themselves without ``parse``. A file
+that cannot be opened raises :class:`EmptyCorpus` naming the path. A line that
+is not JSON, is not an object, or that ``parse`` rejects with ``KeyError``,
+``TypeError``, ``ValueError`` or ``AttributeError`` raises
+:class:`ValidationFailure` located at ``path:line``.
 """
 
 from __future__ import annotations
@@ -13,21 +21,21 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .errors import ValidationFailure
+from .errors import EmptyCorpus, ValidationFailure
 
 
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def read_jsonl(
-    path: str | Path, validate: Callable[[dict], list[str]] | None = None
-) -> list[dict]:
-    """The JSON objects of ``path``, one per non-blank line. A line that is
-    not a JSON object, or whose object ``validate`` finds problems in,
-    raises ValidationFailure located at ``path:line``."""
+def read_jsonl(path: str | Path, parse: Callable[[dict], Any] | None = None) -> list:
+    """``parse`` of each JSON object in ``path``, one per non-blank line."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise EmptyCorpus(f"cannot read {path}: {exc.strerror}") from exc
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -38,26 +46,15 @@ def read_jsonl(
                 raise ValidationFailure(f"{path}:{line_no}: bad JSON line: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValidationFailure(f"{path}:{line_no}: line is not a JSON object")
-            problems = validate(record) if validate is not None else ()
-            if problems:
-                raise ValidationFailure(f"{path}:{line_no}: {'; '.join(problems)}")
+            if parse is not None:
+                try:
+                    record = parse(record)
+                except KeyError as exc:
+                    raise ValidationFailure(f"{path}:{line_no}: missing key {exc}") from exc
+                except (TypeError, ValueError, AttributeError) as exc:
+                    raise ValidationFailure(f"{path}:{line_no}: {exc}") from exc
             records.append(record)
     return records
-
-
-def parse_problems(parse: Callable[[dict], Any]) -> Callable[[dict], list[str]]:
-    """A ``read_jsonl`` validator: why ``parse(row)`` cannot build a record."""
-
-    def validate(row: dict) -> list[str]:
-        try:
-            parse(row)
-        except KeyError as exc:
-            return [f"missing key {exc}"]
-        except (TypeError, ValueError, AttributeError) as exc:
-            return [str(exc)]
-        return []
-
-    return validate
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:

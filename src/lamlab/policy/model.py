@@ -124,11 +124,20 @@ class ModelParams:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        if payload.get("kind") != "policy":
+        if not isinstance(payload, dict) or payload.get("kind") != "policy":
             raise CheckpointError(f"checkpoint {path} is not a policy checkpoint")
+        weights = payload.get("weights", {})
+        if not isinstance(weights, dict):
+            raise CheckpointError(f"checkpoint {path}: weights must be an object")
+        for name, value in weights.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CheckpointError(f"checkpoint {path}: weight {name!r} is not a number")
+        plan_vocab = payload.get("plan_vocab", [])
+        if not isinstance(plan_vocab, list) or not all(isinstance(v, str) for v in plan_vocab):
+            raise CheckpointError(f"checkpoint {path}: plan_vocab must be a list of strings")
         params = cls(
-            weights={k: float(v) for k, v in payload.get("weights", {}).items()},
-            plan_vocab=tuple(payload.get("plan_vocab", ())),
+            weights={k: float(v) for k, v in weights.items()},
+            plan_vocab=tuple(plan_vocab),
         )
         params.validate()
         return params

@@ -42,7 +42,7 @@ def self_boost(
                 policy,
                 task.template_id,
                 task.task,
-                config=agent_mod.AgentConfig(max_steps=config.max_steps, mode="sample", seed=seed),
+                config=agent_mod.AgentConfig(max_steps=config.max_steps, mode="sample"),
                 task_id=task.task_id,
             )
             if record.trajectory.final_status != "success":

@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Sequence
 
 from ..dataflow import judge_trajectory, postprocess, validate_training_record
-from ..dataflow.records import EvaluationVerdict, TaskPlanRecord, TrainingRecord, Trajectory
+from ..dataflow.records import TaskPlanRecord, TrainingRecord, Trajectory, verdict_row
 from ..errors import EmptyCorpus, MissingPredecessor, StepActionNotInCandidateSet
 from ..env_sim import ActionCall
-from ..jsonl import parse_problems, read_jsonl, sha256_file, write_jsonl, write_text
+from ..jsonl import read_jsonl, sha256_file, write_jsonl, write_text
 from ..oracle import Provider
 from ..policy import AgentState, ModelParams, build_plan_vocab, enumerate_candidates, match_expert
 from .boost import FailedTask, self_boost
@@ -123,27 +123,24 @@ def trajectory_to_imitation(traj: Trajectory) -> list[tuple[AgentState, ActionCa
     return steps
 
 
-def _verdict(row: dict) -> tuple[str, str]:
-    """(trajectory id, task_complete) of one ``verdicts.jsonl`` row."""
-    verdict = EvaluationVerdict.from_dict(row)
-    if not isinstance(row["trajectory_id"], str):
-        raise TypeError("trajectory_id must be a string")
-    return row["trajectory_id"], verdict.task_complete
+def _training_row(row: dict) -> dict:
+    """One ``training.jsonl`` row, checked by ``validate_training_record``."""
+    problems = validate_training_record(row)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return row
 
 
 def _judged_trajectories(corpus: Path) -> list[tuple[Trajectory, bool]]:
     """Each executed trajectory with whether it succeeded (executed to success
     and judged complete); a malformed row is a ValidationFailure at path:line."""
-    traj_file = corpus / "trajectories.jsonl"
-    if not traj_file.is_file():
-        raise EmptyCorpus(f"no trajectories at {traj_file}")
+    trajectories = read_jsonl(corpus / "trajectories.jsonl", Trajectory.from_dict)
     verdicts_file = corpus / "verdicts.jsonl"
-    rows = read_jsonl(verdicts_file, parse_problems(_verdict)) if verdicts_file.is_file() else []
-    verdict_by_tid = dict(map(_verdict, rows))
-    rows = read_jsonl(traj_file, parse_problems(Trajectory.from_dict))
+    verdicts = read_jsonl(verdicts_file, verdict_row) if verdicts_file.is_file() else []
+    complete = {tid: verdict.task_complete for tid, verdict in verdicts}
     return [
-        (traj, traj.final_status == "success" and verdict_by_tid.get(traj.trajectory_id) == "yes")
-        for traj in map(Trajectory.from_dict, rows)
+        (traj, traj.final_status == "success" and complete.get(traj.trajectory_id) == "yes")
+        for traj in trajectories
     ]
 
 
@@ -189,10 +186,7 @@ def _task_plan_file(workspace: Path) -> Path:
 
 def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     source = _task_plan_file(workspace)
-    if not source.is_file():
-        raise EmptyCorpus(f"no task-plan corpus at {source}")
-    rows = read_jsonl(source, parse_problems(TaskPlanRecord.from_dict))
-    records = [TaskPlanRecord.from_dict(o) for o in rows]
+    records = read_jsonl(source, TaskPlanRecord.from_dict)
     if not records:
         raise EmptyCorpus("task-plan corpus is empty")
     vocab = build_plan_vocab([list(r.plan) for r in records])
@@ -278,9 +272,7 @@ def _imitation_phase(
 def _phase2(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 1)
     source = workspace / "corpus" / "training.jsonl"
-    if not source.is_file():
-        raise EmptyCorpus(f"no training records at {source}")
-    records = read_jsonl(source, validate_training_record)
+    records = read_jsonl(source, _training_row)
     if not records:
         raise EmptyCorpus("training record corpus is empty")
     return _imitation_phase(
@@ -291,7 +283,7 @@ def _phase2(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
 def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 2)
     source = workspace / "corpus" / "training.jsonl"
-    expert_records = read_jsonl(source, validate_training_record) if source.is_file() else []
+    expert_records = read_jsonl(source, _training_row)
     if not expert_records:
         raise EmptyCorpus("phase 3 needs the expert training records")
 
@@ -337,7 +329,7 @@ def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     boost_file = corpus / "boost_training.jsonl"
     boost_success_states: list[tuple[AgentState, ActionCall]] = []
     if boost_file.is_file():
-        boost_trajs, _ = records_to_imitation(read_jsonl(boost_file, validate_training_record))
+        boost_trajs, _ = records_to_imitation(read_jsonl(boost_file, _training_row))
         for steps in boost_trajs:
             boost_success_states.extend(steps)
 

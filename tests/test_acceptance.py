@@ -5,6 +5,7 @@ progress and timing lines.
 """
 
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -317,20 +318,29 @@ def test_criterion_3_gradient_checks():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_4_phase_progression(tmp_path):
+@pytest.fixture(scope="module")
+def suite_phases(tmp_path_factory):
+    """The suite workspace after phases 1-4 (desk configs, seed 0), the
+    checkpoint parameters per phase, and the seconds the build and run took."""
     started = time.perf_counter()
-    ws = tmp_path / "suite_ws"
+    ws = tmp_path_factory.mktemp("suite") / "suite_ws"
     build_suite_workspace(ws)
+    checkpoints = run_suite_phases(ws, desk_phase_configs(), seed=0)
+    return ws, checkpoints, time.perf_counter() - started
+
+
+def test_criterion_4_phase_progression(suite_phases):
+    started = time.perf_counter()
+    _, checkpoints, train_s = suite_phases
     suite = load_suite_tasks()
     assert len(suite) == 50
     assert sum(1 for t in suite if t.expert is not None) == 35
 
-    checkpoints = run_suite_phases(ws, desk_phase_configs(), seed=0)
     tsr = {phase: suite_tsr(params, suite) for phase, params in checkpoints.items()}
     assert tsr[2] >= tsr[1] + 0.20, f"LAM2 {tsr[2]:.3f} vs LAM1 {tsr[1]:.3f}"
     assert tsr[3] >= tsr[2], f"LAM3 {tsr[3]:.3f} vs LAM2 {tsr[2]:.3f}"
     assert tsr[4] >= tsr[3] - 0.01, f"LAM4 {tsr[4]:.3f} vs LAM3 {tsr[3]:.3f}"
-    elapsed = time.perf_counter() - started
+    elapsed = train_s + time.perf_counter() - started
     assert elapsed < 600.0
     report(
         4,
@@ -338,6 +348,34 @@ def test_criterion_4_phase_progression(tmp_path):
         + " -> ".join(f"LAM{p}={tsr[p]:.2f}" for p in (1, 2, 3, 4))
         + f" ({elapsed:.1f}s)",
     )
+
+
+# sha256 prefixes of each checkpoint's (weights.json, manifest.json), measured
+# with CPython 3.11.
+_PINNED_CHECKPOINTS = {
+    "lam1": ("cea9742e", "4641ebbf"),
+    "lam2": ("0c91515f", "32caa1f6"),
+    "lam3": ("f91ea71e", "0188a1a1"),
+    "lam4": ("f91ea71e", "dd58454b"),
+    "rm": ("aa185b2e", "35504dfe"),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="from CPython 3.12 on, sum() of floats uses compensated summation, "
+    "which changes the trained weights' bytes",
+)
+def test_suite_checkpoints_are_pinned(suite_phases):
+    ws = suite_phases[0]
+    digests = {
+        name: tuple(
+            sha256_file(ws / "checkpoints" / name / file)[:8]
+            for file in ("weights.json", "manifest.json")
+        )
+        for name in _PINNED_CHECKPOINTS
+    }
+    assert digests == _PINNED_CHECKPOINTS
 
 
 # --------------------------------------------------------------------------

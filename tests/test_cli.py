@@ -237,18 +237,25 @@ def suite_corpus_ws(tmp_path_factory):
         (4, "verdicts.jsonl", "task_complete"),
         (4, "verdicts.jsonl", "trajectory_id"),
         (1, "evolved.jsonl", "plan"),
+        ("execute", "instantiated.jsonl", "template_id"),
+        ("postprocess", "verdicts.jsonl", "task_complete"),
     ],
 )
 def test_schema_drifted_corpus_row_is_a_validation_failure(
     suite_corpus_ws, tmp_path, capsys, phase, file, key
 ):
+    """``phase`` is a training phase, or the name of a dataflow stage."""
     ws = tmp_path / "ws"
     shutil.copytree(suite_corpus_ws, ws)
     path = ws / "corpus" / file
     rows = read_jsonl(path)
     del rows[1][key]
     write_jsonl(path, rows)
-    code = main(["--workspace", str(ws), "train", "--phase", str(phase)])
+    if isinstance(phase, int):
+        command = ["train", "--phase", str(phase)]
+    else:
+        command = ["dataflow", "run", "--stage", phase]
+    code = main(["--workspace", str(ws), *command])
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -285,3 +292,111 @@ def test_config_without_training_section_is_the_desk_configs(tmp_path):
     overridden = RunConfig(training={"rm": {"epochs": 3}}).phase_configs()
     assert overridden.rm.epochs == 3
     assert overridden.rm.learning_rate == desk_phase_configs().rm.learning_rate
+
+
+@pytest.mark.parametrize(
+    "stage, file",
+    [
+        ("evolve", "taskplan.jsonl"),
+        ("instantiate", "taskplan.jsonl"),
+        ("execute", "instantiated.jsonl"),
+        ("judge", "trajectories.jsonl"),
+        ("postprocess", "trajectories.jsonl"),
+    ],
+)
+def test_stage_without_its_input_is_an_empty_corpus(tmp_path, capsys, stage, file):
+    code = main(["--workspace", str(tmp_path / "ws"), "dataflow", "run", "--stage", stage])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("EmptyCorpus: ")
+    assert file in err
+
+
+def test_dataflow_missing_input_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    code = main(["--workspace", str(tmp_path / "ws"), "dataflow", "run",
+                 "--stage", "normalize", "--input", str(missing)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: ")
+    assert str(missing) in err
+
+
+def _eval_row(name: str) -> dict:
+    if name == "pairs":
+        return {"task": "t", "pred": ["go home"], "truth": ["Go home."]}
+    if name == "pred":
+        return {"task_id": "a", "steps": [{"function": "select_text", "status": "FINISH"}]}
+    if name == "truth":
+        return {"task_id": "a", "steps": [{"operation": "select_text", "status": "FINISH"}]}
+    from lamlab.agent import ScriptedPolicy, run_task
+
+    return run_task(ScriptedPolicy(actions=()), "plain_text", "Do it.", clock=lambda: 0.0).to_dict()
+
+
+_EVAL_FILES = {"plan": ("pairs",), "actions": ("pred", "truth"), "online": ("runs",)}
+
+
+@pytest.mark.parametrize(
+    "kind, file, key",
+    [
+        ("plan", "pairs", None),
+        ("plan", "pairs", "truth"),
+        ("actions", "pred", None),
+        ("actions", "pred", "steps"),
+        ("actions", "truth", None),
+        ("actions", "truth", "task_id"),
+        ("online", "runs", None),
+        ("online", "runs", "outcome"),
+    ],
+)
+def test_bad_eval_input_exits_1(tmp_path, capsys, kind, file, key):
+    """A missing input file is an EmptyCorpus; a row without a key the
+    command needs is a ValidationFailure at its line."""
+    argv = ["--workspace", str(tmp_path / "ws"), "eval", kind]
+    for name in _EVAL_FILES[kind]:
+        path = tmp_path / f"{name}.jsonl"
+        row = _eval_row(name)
+        if name != file:
+            write_jsonl(path, [row, row])
+        elif key is not None:
+            write_jsonl(path, [row, {k: v for k, v in row.items() if k != key}])
+        argv += [f"--{name}", str(path)]
+    code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if key is None:
+        assert err.startswith("EmptyCorpus: ")
+        assert f"{file}.jsonl" in err
+    else:
+        assert err.startswith("ValidationFailure: ")
+        assert f"{file}.jsonl:2: missing key '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: ["policy"],
+        lambda payload: {**payload, "weights": [1.0]},
+        lambda payload: {**payload, "weights": {**payload["weights"], "plan::used": "x"}},
+        lambda payload: {**payload, "weights": {**payload["weights"], "plan::used": None}},
+        lambda payload: {**payload, "plan_vocab": 5},
+        lambda payload: {**payload, "plan_vocab": [payload["plan_vocab"]]},
+    ],
+    ids=["payload_list", "weights_list", "weight_string", "weight_null",
+         "plan_vocab_int", "plan_vocab_nested"],
+)
+def test_corrupt_checkpoint_is_a_checkpoint_error(pipeline_ws, tmp_path, capsys, corrupt):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    weights = ws / "checkpoints" / "lam1" / "weights.json"
+    weights.write_text(json.dumps(corrupt(json.loads(weights.read_text()))))
+    code = main(["--workspace", str(ws), "train", "--phase", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("CheckpointError: ")
+    assert str(weights) in err
