@@ -11,17 +11,14 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
-from .dataflow.records import InstantiatedTask, Trajectory, TrajectoryStep
+from .dataflow.records import InstantiatedTask, Trajectory, record_step, record_trajectory
 from .env_sim import (
     ActionCall,
     EnvSession,
     ExecutionResult,
     STATUS_FINISH,
-    control_tree_dict,
-    diff_canvas,
     list_controls,
     load_template,
-    serialize_canvas,
 )
 from .policy import AgentState, ModelParams, generate_plan, select_action
 
@@ -185,7 +182,7 @@ def run_task(
 ) -> RunRecord:
     session = EnvSession(load_template(template_id))
     memory = Memory()
-    steps: list[TrajectoryStep] = []
+    steps = []
     step_times: list[float] = []
     outcome = "max_steps_exceeded"
     consecutive_errors = 0
@@ -195,16 +192,7 @@ def run_task(
         started = clock()
         action, result, memory = step(policy, session, task, memory, step_id)
         step_times.append(max(clock() - started, 0.0))
-        steps.append(
-            TrajectoryStep(
-                step_no=step_id,
-                action=action,
-                result=result,
-                controls=tuple(list_controls(pre)),
-                pre_digest=pre.digest(),
-                post_digest=session.current.digest(),
-            )
-        )
+        steps.append(record_step(step_id, action, result, pre, session.current))
         if action.status == STATUS_FINISH:
             outcome = "finished"
             break
@@ -213,7 +201,6 @@ def run_task(
             outcome = "error"
             break
 
-    initial, final = session.initial, session.current
     all_ok = all(s.result.ok for s in steps)
     if outcome == "finished" and all_ok:
         final_status = "success"
@@ -223,23 +210,14 @@ def run_task(
         # Ran out of budget, or recovered from mid-run errors: not a clean
         # success, and not an error-terminated trace either.
         final_status = "discarded"
-    trajectory = Trajectory(
-        trajectory_id=f"run_{task_id}",
-        origin=InstantiatedTask(
-            origin_task_id=task_id,
-            instantiated_task=task,
-            template_id=template_id,
-            actions=tuple(s.action for s in steps),
-        ),
-        steps=tuple(steps),
-        final_status=final_status,
-        canvas_diff=tuple(diff_canvas(initial.canvas, final.canvas)),
-        initial_canvas=serialize_canvas(initial.canvas),
-        final_canvas=serialize_canvas(final.canvas),
-        init_control_state=control_tree_dict(initial.controls),
-        final_control_state=control_tree_dict(final.controls),
-        init_rendered=initial.rendered_view(),
-        final_rendered=final.rendered_view(),
+    origin = InstantiatedTask(
+        origin_task_id=task_id,
+        instantiated_task=task,
+        template_id=template_id,
+        actions=tuple(s.action for s in steps),
+    )
+    trajectory = record_trajectory(
+        f"run_{task_id}", origin, steps, final_status, session.initial, session.current
     )
     return RunRecord(
         task=task,

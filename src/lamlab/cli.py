@@ -214,15 +214,22 @@ def _task_steps(parse_step):
     return lambda row: (row["task_id"], [parse_step(s) for s in row["steps"]])
 
 
+def _plan_row(row: dict) -> tuple:
+    """(task, pred, truth) of an ``eval plan`` row; both plans are lists of
+    strings."""
+    for key in ("pred", "truth"):
+        plan = row[key]
+        if not isinstance(plan, list) or not all(isinstance(s, str) for s in plan):
+            raise TypeError(f"{key} must be a list of strings")
+    return row.get("task", row.get("task_id", "")), row["pred"], row["truth"]
+
+
 def _cmd_eval(args, config: RunConfig) -> int:
     workspace = Path(config.workspace)
     reports_dir = workspace / "reports"
     name = args.name
     if args.kind == "plan":
-        pairs = read_jsonl(
-            args.pairs,
-            lambda row: (row.get("task", row.get("task_id", "")), row["pred"], row["truth"]),
-        )
+        pairs = read_jsonl(args.pairs, _plan_row)
         result = evaluation.eval_plans(pairs)
         text, csv_text = evaluation.report_plans({name: result})
         inputs = [args.pairs]

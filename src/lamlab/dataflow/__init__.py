@@ -9,6 +9,7 @@ from .pipeline import STAGES, PipelineConfig, StageReport, run_all, run_stage, s
 from .postprocess import (
     make_thought,
     postprocess,
+    record_inputs,
     validate_record_input,
     validate_record_output,
     validate_training_record,
@@ -45,6 +46,7 @@ __all__ = [
     "stage_files",
     "make_thought",
     "postprocess",
+    "record_inputs",
     "validate_record_input",
     "validate_record_output",
     "validate_training_record",

@@ -1,10 +1,9 @@
 """Post-processing: verdict-approved trajectories become step-wise training
 records, one record per executed step.
 
-Record k's input is everything the agent could see before acting (controls,
-request, history of steps 1..k-1, the plan emitted at step k-1); its output
-is the action taken plus the remaining plan. The last record carries status
-FINISH and an empty plan.
+Record k's input comes from :func:`record_inputs`; its output is the action
+taken plus the remaining plan. The last record carries status FINISH and an
+empty plan.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from .records import EvaluationVerdict, TrainingRecord, Trajectory
 
 __all__ = [
     "postprocess",
+    "record_inputs",
     "make_thought",
     "validate_record_input",
     "validate_record_output",
@@ -26,24 +26,39 @@ def make_thought(step_desc: str, function: str, control_text: str) -> str:
     return f"The next step is to {step_desc}. I will call {function} on {target}."
 
 
+def record_inputs(traj: Trajectory) -> list[dict]:
+    """The ``input`` of each step's training record.
+
+    Record k's input is everything the agent could see before acting: the
+    step's controls, the request, the history of steps 1..k-1 and the plan
+    emitted at step k-1. It is the serialized form of the agent's state, so
+    ``AgentState.from_record_input`` reads it back.
+    """
+    step_descs = [s.action.step for s in traj.steps]
+    history = [
+        {"action": s.action.to_call_dict(), "result": s.result.to_dict()} for s in traj.steps
+    ]
+    return [
+        {
+            "available_controls": [dict(c) for c in step.controls],
+            "user_request": traj.origin.instantiated_task,
+            "step_history": history[: k - 1],
+            # The plan emitted at step k-1 covers the then-remaining steps
+            # k..T; at k=1 nothing was emitted yet.
+            "previous_plan": [] if k == 1 else step_descs[k - 1 :],
+        }
+        for k, step in enumerate(traj.steps, 1)
+    ]
+
+
 def postprocess(traj: Trajectory, verdict: EvaluationVerdict) -> list[TrainingRecord]:
     if verdict.task_complete != "yes":
         raise ValueError("only verdict-yes trajectories are post-processed")
     records = []
     total = len(traj.steps)
     step_descs = [s.action.step for s in traj.steps]
-    for k, step in enumerate(traj.steps, 1):
+    for k, (step, record_input) in enumerate(zip(traj.steps, record_inputs(traj)), 1):
         is_last = k == total
-        history = [
-            {
-                "action": traj.steps[j].action.to_call_dict(),
-                "result": traj.steps[j].result.to_dict(),
-            }
-            for j in range(k - 1)
-        ]
-        # The plan emitted at step k-1 covers the then-remaining steps k..T;
-        # at k=1 nothing was emitted yet.
-        previous_plan = [] if k == 1 else step_descs[k - 1 :]
         action = step.action
         control_label, control_text = _executed_target(traj, k)
         records.append(
@@ -52,12 +67,7 @@ def postprocess(traj: Trajectory, verdict: EvaluationVerdict) -> list[TrainingRe
                 origin_task_id=traj.origin.origin_task_id,
                 trajectory_id=traj.trajectory_id,
                 step_no=k,
-                input={
-                    "available_controls": [dict(c) for c in step.controls],
-                    "user_request": traj.origin.instantiated_task,
-                    "step_history": history,
-                    "previous_plan": previous_plan,
-                },
+                input=record_input,
                 output={
                     "thought": make_thought(action.step, action.function, control_text),
                     "control_label": control_label,

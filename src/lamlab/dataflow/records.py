@@ -1,5 +1,8 @@
 """Record types flowing through the data pipeline, with line-record codecs.
 
+:func:`record_step` and :func:`record_trajectory` record every executed run,
+in the pipeline's execute stage and in the agent loop alike.
+
 Field names on the wire match the structured samples the models consume:
 task records use ``task_id``/``task``/``plan``; training records use
 ``thought``/``control_label``/``control_name``/``function``/``args``/
@@ -9,9 +12,18 @@ task records use ``task_id``/``task``/``plan``; training records use
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from ..env_sim import ActionCall, CanvasDiffEntry, ExecutionResult
+from ..env_sim import (
+    ActionCall,
+    CanvasDiffEntry,
+    EnvSnapshot,
+    ExecutionResult,
+    control_tree_dict,
+    diff_canvas,
+    list_controls,
+    serialize_canvas,
+)
 
 __all__ = [
     "SOURCES",
@@ -20,6 +32,8 @@ __all__ = [
     "InstantiatedTask",
     "TrajectoryStep",
     "Trajectory",
+    "record_step",
+    "record_trajectory",
     "EvaluationVerdict",
     "verdict_row",
     "TrainingRecord",
@@ -192,6 +206,46 @@ class Trajectory:
             init_rendered=obj["init_rendered"],
             final_rendered=obj["final_rendered"],
         )
+
+
+def record_step(
+    step_no: int, action: ActionCall, result: ExecutionResult, pre: EnvSnapshot, post: EnvSnapshot
+) -> TrajectoryStep:
+    """One executed step: the enabled controls before the action and the
+    pre/post snapshot digests."""
+    return TrajectoryStep(
+        step_no=step_no,
+        action=action,
+        result=result,
+        controls=tuple(list_controls(pre)),
+        pre_digest=pre.digest(),
+        post_digest=post.digest(),
+    )
+
+
+def record_trajectory(
+    trajectory_id: str,
+    origin: InstantiatedTask,
+    steps: Sequence[TrajectoryStep],
+    final_status: str,
+    initial: EnvSnapshot,
+    final: EnvSnapshot,
+) -> Trajectory:
+    """An executed run with the initial-to-final canvas diff, both canvases,
+    both control trees and both rendered views attached."""
+    return Trajectory(
+        trajectory_id=trajectory_id,
+        origin=origin,
+        steps=tuple(steps),
+        final_status=final_status,
+        canvas_diff=tuple(diff_canvas(initial.canvas, final.canvas)),
+        initial_canvas=serialize_canvas(initial.canvas),
+        final_canvas=serialize_canvas(final.canvas),
+        init_control_state=control_tree_dict(initial.controls),
+        final_control_state=control_tree_dict(final.controls),
+        init_rendered=initial.rendered_view(),
+        final_rendered=final.rendered_view(),
+    )
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .agent import RunRecord
 from .errors import MissingGroundTruth, OracleFailure
 from .goals import goal_satisfied
+from .jsonl import write_text
 from .oracle import OracleRequest, Provider
 from .textutil import normalize_line
 
@@ -140,27 +142,37 @@ def match_plan_steps(
     return pairs
 
 
+def _plan_eval(
+    oracle: Provider, what: str, question: str, pred: Sequence[str], truth: Sequence[str]
+) -> dict:
+    """The parsed plan-comparison verdict on ``pred`` (answer 1) against
+    ``truth`` (answer 2); ``what`` names the caller in the OracleFailure."""
+    request = OracleRequest(
+        template_id="plan_eval",
+        substitutions={
+            "question": question,
+            "answer1": "\n".join(f"{i}. {s}" for i, s in enumerate(pred, 1)),
+            "answer2": "\n".join(f"{i}. {s}" for i, s in enumerate(truth, 1)),
+        },
+    )
+    try:
+        response = oracle.complete(request)
+    except Exception as exc:
+        raise OracleFailure(f"{what} oracle failed: {exc}") from exc
+    if response.parsed is None:
+        raise OracleFailure(f"{what} response unparseable: {response.parse_error}")
+    return response.parsed
+
+
 def oracle_matcher(oracle: Provider, question: str = "") -> Matcher:
     """Matcher that delegates similarity to the plan-comparison oracle."""
 
     def match(pred: Sequence[str], truth: Sequence[str]) -> list[tuple[str, str]]:
-        request = OracleRequest(
-            template_id="plan_eval",
-            substitutions={
-                "question": question or "Complete the task with these steps.",
-                "answer1": "\n".join(f"{i}. {s}" for i, s in enumerate(pred, 1)),
-                "answer2": "\n".join(f"{i}. {s}" for i, s in enumerate(truth, 1)),
-            },
+        parsed = _plan_eval(
+            oracle, "plan matcher", question or "Complete the task with these steps.", pred, truth
         )
-        try:
-            response = oracle.complete(request)
-        except Exception as exc:
-            raise OracleFailure(f"plan matcher oracle failed: {exc}") from exc
-        if response.parsed is None:
-            raise OracleFailure(f"plan matcher response unparseable: {response.parse_error}")
-        raw_pairs = response.parsed["Subtask3"].get("Similar action items", [])
         pairs = []
-        for item in raw_pairs:
+        for item in parsed["Subtask3"].get("Similar action items", []):
             left, sep, right = str(item).partition(" / ")
             pairs.append((left, right if sep else ""))
         return pairs
@@ -173,21 +185,8 @@ def oracle_plan_judge(oracle: Provider) -> Callable[[str, Sequence[str], Sequenc
     as solved when the first answer is judged able to solve the question."""
 
     def judge(task: str, pred: Sequence[str], truth: Sequence[str]) -> bool:
-        request = OracleRequest(
-            template_id="plan_eval",
-            substitutions={
-                "question": task,
-                "answer1": "\n".join(f"{i}. {s}" for i, s in enumerate(pred, 1)),
-                "answer2": "\n".join(f"{i}. {s}" for i, s in enumerate(truth, 1)),
-            },
-        )
-        try:
-            response = oracle.complete(request)
-        except Exception as exc:
-            raise OracleFailure(f"plan judge oracle failed: {exc}") from exc
-        if response.parsed is None:
-            raise OracleFailure(f"plan judge response unparseable: {response.parse_error}")
-        return str(response.parsed.get("Subtask1", "")).lower() == "yes"
+        parsed = _plan_eval(oracle, "plan judge", task, pred, truth)
+        return str(parsed.get("Subtask1", "")).lower() == "yes"
 
     return judge
 
@@ -368,10 +367,6 @@ def report_online(results: Mapping[str, OnlineEvalResult]) -> tuple[str, str]:
 
 def write_reports(out_dir, sections: list[tuple[str, str]]) -> tuple[str, str]:
     """Concatenate (text, csv) sections and write report.txt / report.csv."""
-    from pathlib import Path
-
-    from .jsonl import write_text
-
     out = Path(out_dir)
     text = "\n".join(t for t, _ in sections)
     csv_text = "\n".join(c for _, c in sections)

@@ -6,16 +6,11 @@ from importlib import resources
 
 from ..jsonl import read_jsonl
 
-__all__ = ["fixture_path", "load_raw_corpus", "load_suite"]
+__all__ = ["fixture_path", "load_suite"]
 
 
 def fixture_path(name: str) -> str:
     return str(resources.files("lamlab") / "fixtures" / name)
-
-
-def load_raw_corpus() -> list[dict]:
-    """The 20-record raw task-plan corpus used by pipeline tests and demos."""
-    return read_jsonl(fixture_path("raw_records.jsonl"))
 
 
 def load_suite() -> list[dict]:

@@ -8,9 +8,10 @@ Every line-record file is read through :func:`read_jsonl`, which parses each
 non-blank line once: ``read_jsonl(path, parse)`` returns ``parse(row)`` for
 each JSON object ``row``, or the objects themselves without ``parse``. A file
 that cannot be opened raises :class:`EmptyCorpus` naming the path. A line that
-is not JSON, is not an object, or that ``parse`` rejects with ``KeyError``,
-``TypeError``, ``ValueError`` or ``AttributeError`` raises
-:class:`ValidationFailure` located at ``path:line``.
+is not UTF-8, is not JSON, is not an object, or that ``parse`` rejects with
+``KeyError``, ``TypeError``, ``ValueError`` or ``AttributeError`` raises
+:class:`ValidationFailure` located at ``path:line``. The file is read in
+binary mode and decoded line by line, so a decoding error names its own line.
 """
 
 from __future__ import annotations
@@ -31,13 +32,16 @@ def canonical_dumps(obj: Any) -> str:
 def read_jsonl(path: str | Path, parse: Callable[[dict], Any] | None = None) -> list:
     """``parse`` of each JSON object in ``path``, one per non-blank line."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise EmptyCorpus(f"cannot read {path}: {exc.strerror}") from exc
     records = []
     with fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValidationFailure(f"{path}:{line_no}: line is not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:

@@ -18,7 +18,6 @@ from .phases import (
     load_checkpoint,
     records_to_imitation,
     run_phase,
-    trajectory_to_imitation,
 )
 from .ppo import (
     PpoDiagnostics,
@@ -58,7 +57,6 @@ __all__ = [
     "load_checkpoint",
     "records_to_imitation",
     "run_phase",
-    "trajectory_to_imitation",
     "PpoDiagnostics",
     "clipped_term",
     "compute_advantage",

@@ -1,8 +1,9 @@
 """Self-boosting exploration: retry failed tasks with the current policy.
 
 Each failed task gets a bounded number of sampled attempts through the agent
-loop; only judge-verified successes come back, in the same trajectory schema
-the data pipeline produces, so they merge straight into the training corpus.
+loop. The first attempt that executes to success and that the judge accepts
+comes back with its verdict, in the same trajectory schema the data pipeline
+produces, so phase 3 post-processes it straight into training records.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ def self_boost(
     failed_tasks: Sequence[FailedTask],
     judge: Callable[[Trajectory], EvaluationVerdict],
     config: BoostConfig = BoostConfig(),
-) -> list[Trajectory]:
-    """New judge-verified success trajectories; possibly empty."""
-    successes: list[Trajectory] = []
+) -> list[tuple[Trajectory, EvaluationVerdict]]:
+    """New success trajectories, each with its judge-yes verdict; possibly
+    empty."""
+    successes: list[tuple[Trajectory, EvaluationVerdict]] = []
     for task in sorted(failed_tasks, key=lambda t: t.task_id):
         for attempt in range(config.attempts_per_task):
             seed = stable_hash(task.task_id, attempt, config.base_seed)
@@ -52,6 +54,6 @@ def self_boost(
             )
             verdict = judge(trajectory)
             if verdict.task_complete == "yes":
-                successes.append(trajectory)
+                successes.append((trajectory, verdict))
                 break
     return successes

@@ -16,8 +16,8 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from ..dataflow import judge_trajectory, postprocess, validate_training_record
-from ..dataflow.records import TaskPlanRecord, TrainingRecord, Trajectory, verdict_row
+from ..dataflow import judge_trajectory, postprocess, record_inputs, validate_training_record
+from ..dataflow.records import TaskPlanRecord, Trajectory, verdict_row
 from ..errors import EmptyCorpus, MissingPredecessor, StepActionNotInCandidateSet
 from ..env_sim import ActionCall
 from ..jsonl import read_jsonl, sha256_file, write_jsonl, write_text
@@ -44,7 +44,6 @@ __all__ = [
     "checkpoint_dir",
     "load_checkpoint",
     "records_to_imitation",
-    "trajectory_to_imitation",
     "collect_failed_tasks",
 ]
 
@@ -102,25 +101,6 @@ def records_to_imitation(
             statuses.append((state, row["output"]["status"]))
         trajectories.append(steps)
     return trajectories, statuses
-
-
-def trajectory_to_imitation(traj: Trajectory) -> list[tuple[AgentState, ActionCall]]:
-    """States as the agent saw them along an executed trajectory."""
-    step_descs = [s.action.step for s in traj.steps]
-    steps = []
-    for k, step in enumerate(traj.steps, 1):
-        history = tuple(
-            (traj.steps[j].action, traj.steps[j].result.to_dict()) for j in range(k - 1)
-        )
-        state = AgentState(
-            task=traj.origin.instantiated_task,
-            step_id=k,
-            controls=tuple(step.controls),
-            previous_actions=history,
-            previous_plan=() if k == 1 else tuple(step_descs[k - 1 :]),
-        )
-        steps.append((state, step.action))
-    return steps
 
 
 def _training_row(row: dict) -> dict:
@@ -288,20 +268,13 @@ def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int)
         raise EmptyCorpus("phase 3 needs the expert training records")
 
     failed = collect_failed_tasks(workspace)
-    new_trajectories = self_boost(
+    boosted = self_boost(
         params,
         failed,
         judge=lambda traj: judge_trajectory(traj, oracle),
         config=configs.boost,
     )
-    boost_records: list[TrainingRecord] = []
-    for traj in new_trajectories:
-        # Boost already kept judge-yes runs only; a remote judge may still
-        # flip on the re-ask, so drop rather than crash on disagreement.
-        verdict = judge_trajectory(traj, oracle)
-        if verdict.task_complete != "yes":
-            continue
-        boost_records.extend(postprocess(traj, verdict))
+    boost_records = [r for traj, verdict in boosted for r in postprocess(traj, verdict)]
     merged = expert_records + [r.to_dict() for r in boost_records]
     boost_file = workspace / "corpus" / "boost_training.jsonl"
     write_jsonl(boost_file, (r.to_dict() for r in boost_records))
@@ -316,7 +289,7 @@ def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int)
         [source, boost_file],
         extra_manifest={
             "expert_trajectories": len({r["trajectory_id"] for r in expert_records}),
-            "boost_trajectories": len(new_trajectories),
+            "boost_trajectories": len(boosted),
             "failed_tasks_attempted": len(failed),
         },
     )
@@ -336,7 +309,8 @@ def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     rewarded: list[RewardedStep] = []
     failure_steps: list[tuple[AgentState, ActionCall]] = []
     for traj, success in _judged_trajectories(corpus):
-        for state, action in trajectory_to_imitation(traj):
+        for step, record_input in zip(traj.steps, record_inputs(traj)):
+            state, action = AgentState.from_record_input(record_input), step.action
             if success:
                 rewarded.append(RewardedStep(state=state, action=action, reward=1))
             else:

@@ -176,11 +176,16 @@ def test_config_file_with_cli_override(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line, reason", [("{not json", "bad JSON line"), ("[1, 2]", "line is not a JSON object")]
+    "line, reason",
+    [
+        (b"{not json", "bad JSON line"),
+        (b"[1, 2]", "line is not a JSON object"),
+        (b"\xff\xfe", "line is not UTF-8"),
+    ],
 )
 def test_corrupt_input_line_is_a_validation_failure(tmp_path, capsys, line, reason):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"task_id": "a"}\n' + line + "\n", encoding="utf-8")
+    bad.write_bytes(b'{"task_id": "a"}\n' + line + b"\n")
     code = main(["--workspace", str(tmp_path / "ws"), "dataflow", "run",
                  "--stage", "all", "--input", str(bad)])
     assert code == 1
@@ -374,6 +379,25 @@ def test_bad_eval_input_exits_1(tmp_path, capsys, kind, file, key):
     else:
         assert err.startswith("ValidationFailure: ")
         assert f"{file}.jsonl:2: missing key '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "row, key",
+    [
+        ({"task": "t", "pred": ["go home"], "truth": 5}, "truth"),
+        ({"task": "t", "pred": "go home", "truth": "go hxme"}, "pred"),
+    ],
+    ids=["truth_int", "plans_strings"],
+)
+def test_eval_plan_row_without_string_lists_exits_1(tmp_path, capsys, row, key):
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, [_eval_row("pairs"), row])
+    code = main(["--workspace", str(tmp_path / "ws"), "eval", "plan", "--pairs", str(pairs)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValidationFailure: ")
+    assert f"{pairs}:2: {key} must be a list of strings" in err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lamlab.errors import MissingGroundTruth
+from lamlab.errors import MissingGroundTruth, OracleFailure
 from lamlab.evaluation import (
     GroundTruthStep,
     PredictedStep,
@@ -14,12 +14,13 @@ from lamlab.evaluation import (
     eval_plans,
     match_plan_steps,
     oracle_matcher,
+    oracle_plan_judge,
     render_table,
     report_actions,
     report_online,
     report_plans,
 )
-from lamlab.oracle import MockOracle
+from lamlab.oracle import MockOracle, OracleResponse
 from lamlab.textutil import normalize_line
 
 
@@ -125,14 +126,41 @@ def test_oracle_matcher_pairs_through_prompt():
 
 
 def test_oracle_plan_judge_drives_tsr():
-    from lamlab.evaluation import oracle_plan_judge
-
     judge = oracle_plan_judge(MockOracle())
     plan = ["Open the file.", "Save it."]
     result = eval_plans(
         [("t_good", plan, plan), ("t_bad", ["Different."], plan)], judge=judge
     )
     assert result.tsr == pytest.approx(0.5)
+
+
+class RaisingOracle:
+    def complete(self, request):
+        raise RuntimeError("connection reset")
+
+
+class UnparseableOracle:
+    def complete(self, request):
+        return OracleResponse(raw_text="not json", parsed=None, parse_error="no JSON object")
+
+
+@pytest.mark.parametrize(
+    "oracle, reason",
+    [(RaisingOracle(), "oracle failed: connection reset"),
+     (UnparseableOracle(), "response unparseable: no JSON object")],
+    ids=["raising", "unparseable"],
+)
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda oracle: oracle_matcher(oracle)(["a"], ["a"]), "plan matcher"),
+        (lambda oracle: oracle_plan_judge(oracle)("t", ["a"], ["a"]), "plan judge"),
+    ],
+    ids=["matcher", "judge"],
+)
+def test_plan_eval_oracle_failures_are_oracle_failures(oracle, reason, call, what):
+    with pytest.raises(OracleFailure, match=f"^{what} {reason}$"):
+        call(oracle)
 
 
 # --- eval_actions ------------------------------------------------------------------

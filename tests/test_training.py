@@ -474,8 +474,9 @@ def test_self_boost_finds_success_for_solvable_task():
     out = self_boost(
         trained_highlight_params(), tasks, judge=lambda t: judge_trajectory(t, oracle)
     )
-    assert len(out) == 1
-    assert out[0].final_status == "success"
+    [(trajectory, verdict)] = out
+    assert trajectory.final_status == "success"
+    assert verdict.task_complete == "yes"
 
 
 def test_self_boost_returns_empty_when_never_judged_yes():
@@ -493,10 +494,80 @@ def test_self_boost_returns_empty_when_never_judged_yes():
     assert out == []
 
 
-def test_self_boost_merged_corpus_arithmetic():
-    expert_count = 7
-    new = 2
-    assert expert_count + new == 9  # merged corpus size is the plain sum
+class JudgeCountingOracle(MockOracle):
+    def __init__(self):
+        self.judge_calls = 0
+
+    def complete(self, request):
+        self.judge_calls += request.template_id == "judge"
+        return super().complete(request)
+
+
+@pytest.fixture(scope="module")
+def suite_ws(tmp_path_factory):
+    from lamlab.harness import build_suite_workspace
+
+    return build_suite_workspace(tmp_path_factory.mktemp("suite") / "ws")
+
+
+def test_phase3_trains_on_boost_successes_judged_once(suite_ws, monkeypatch):
+    """Phase 3 post-processes the (trajectory, verdict) pairs self_boost
+    returns and asks the judge about nothing else."""
+    import json
+
+    from lamlab.harness import desk_phase_configs
+    from lamlab.jsonl import read_jsonl
+    from lamlab.training import phases, run_phase
+
+    boosted = []
+
+    def recording_self_boost(*args, **kwargs):
+        result = self_boost(*args, **kwargs)
+        boosted.extend(result)
+        return result
+
+    monkeypatch.setattr(phases, "self_boost", recording_self_boost)
+    oracle = JudgeCountingOracle()
+    configs = desk_phase_configs()
+    for phase in (1, 2):
+        run_phase(phase, suite_ws, oracle, configs, seed=0)
+    assert oracle.judge_calls == 0
+    out = run_phase(3, suite_ws, oracle, configs, seed=0)
+    assert oracle.judge_calls == 23
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["expert_trajectories"], manifest["boost_trajectories"]) == (35, 11)
+    assert manifest["data_size"] == 46
+    assert len(boosted) == 11
+    assert all(t.trajectory_id.startswith("boost_") for t, _ in boosted)
+    assert all(v.task_complete == "yes" for _, v in boosted)
+    rows = read_jsonl(suite_ws / "corpus" / "boost_training.jsonl")
+    assert [(r["trajectory_id"], r["step_no"]) for r in rows] == [
+        (t.trajectory_id, k) for t, _ in boosted for k in range(1, len(t.steps) + 1)
+    ]
+
+
+def test_record_inputs_give_the_states_phase_2_reads(suite_ws):
+    from lamlab.dataflow import Trajectory, record_inputs
+    from lamlab.dataflow.records import verdict_row
+    from lamlab.jsonl import read_jsonl
+    from lamlab.training import records_to_imitation
+
+    corpus = suite_ws / "corpus"
+    complete = dict(read_jsonl(corpus / "verdicts.jsonl", verdict_row))
+    successes = sorted(
+        (
+            t
+            for t in read_jsonl(corpus / "trajectories.jsonl", Trajectory.from_dict)
+            if t.final_status == "success" and complete[t.trajectory_id].task_complete == "yes"
+        ),
+        key=lambda t: t.trajectory_id,
+    )
+    assert len(successes) == 35
+    trajectories, _ = records_to_imitation(read_jsonl(corpus / "training.jsonl"))
+    assert [[state for state, _ in steps] for steps in trajectories] == [
+        [AgentState.from_record_input(x) for x in record_inputs(t)] for t in successes
+    ]
 
 
 # --- run_phase -----------------------------------------------------------------------
