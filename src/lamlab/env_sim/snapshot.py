@@ -3,8 +3,11 @@
 A snapshot is an immutable (control tree, canvas, step index) value. The
 rendered view is a deterministic textual screenshot surrogate computed purely
 from the tree and the canvas. Because a snapshot never changes, the values
-derived from it (its digest, its flattened control list and its rendered
-view) are computed at most once, on first use, and kept on the instance.
+derived from it (its digest and its rendered view) are computed at most once,
+on first use, and kept on the instance. The values derived from the control
+tree alone (its flattened control list and its JSON encoding) are computed at
+most once per tree and shared by every snapshot that holds it: an action that
+leaves the tree as it was, as most do, hands them to its successor.
 
 The templates (paragraph, table, figure, shape, chart and comment documents)
 are built in code by ``builtin_templates``. They are built once per process,
@@ -44,6 +47,22 @@ __all__ = [
 ]
 
 
+class _ControlTree:
+    """The flattened control list and the canonical JSON encoding of one
+    control tree, each computed on first use."""
+
+    def __init__(self, root: ControlNode):
+        self.root = root
+
+    @functools.cached_property
+    def controls(self) -> tuple[dict, ...]:
+        return tuple(flatten_controls(self.root))
+
+    @functools.cached_property
+    def encoded(self) -> str:
+        return canonical_dumps(control_tree_dict(self.root))
+
+
 @dataclass(frozen=True)
 class EnvSnapshot:
     controls: ControlNode
@@ -51,7 +70,11 @@ class EnvSnapshot:
     step_index: int = 0
 
     def advance(self, canvas: CanvasState, controls: ControlNode) -> "EnvSnapshot":
-        return EnvSnapshot(controls=controls, canvas=canvas, step_index=self.step_index + 1)
+        successor = EnvSnapshot(controls=controls, canvas=canvas, step_index=self.step_index + 1)
+        if controls is self.controls:
+            # Same tree: the successor shares its flattened list and encoding.
+            successor.__dict__["_tree"] = self._tree
+        return successor
 
     def rendered_view(self) -> str:
         """Deterministic textual screenshot surrogate."""
@@ -60,7 +83,7 @@ class EnvSnapshot:
     @functools.cached_property
     def _rendered_view(self) -> str:
         lines = ["=== window ==="]
-        for item in self._controls:
+        for item in self._tree.controls:
             lines.append(
                 f"[{item['label']}] {item['control_type']} {item['control_text']!r}"
             )
@@ -100,12 +123,12 @@ class EnvSnapshot:
         return "\n".join(lines) + "\n"
 
     def serialize(self) -> str:
-        return canonical_dumps(
-            {
-                "canvas": serialize_canvas(self.canvas),
-                "controls": control_tree_dict(self.controls),
-                "step_index": self.step_index,
-            }
+        """``canonical_dumps`` of the canvas, control tree and step index,
+        with the tree's encoding reused."""
+        canvas = canonical_dumps(serialize_canvas(self.canvas))
+        return (
+            f'{{"canvas":{canvas},"controls":{self._tree.encoded},'
+            f'"step_index":{self.step_index}}}'
         )
 
     def digest(self) -> str:
@@ -116,17 +139,18 @@ class EnvSnapshot:
         return sha256_text(self.serialize())[:16]
 
     @functools.cached_property
-    def _controls(self) -> tuple[dict, ...]:
-        return tuple(flatten_controls(self.controls))
+    def _tree(self) -> _ControlTree:
+        return _ControlTree(self.controls)
 
 
 def list_controls(snapshot: EnvSnapshot) -> list[dict]:
     """Enabled controls in depth-first order, labels starting at "1".
 
-    The list is new on every call; the control dicts in it are the
-    snapshot's own, flattened once, and must not be mutated.
+    The list is new on every call; the control dicts in it are flattened
+    once per control tree, shared by every snapshot holding that tree, and
+    must not be mutated.
     """
-    return list(snapshot._controls)
+    return list(snapshot._tree.controls)
 
 
 @dataclass(frozen=True)

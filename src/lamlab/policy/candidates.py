@@ -4,6 +4,11 @@ A candidate is (control from the observed list) x (applicable registry
 function) x (an args template extracted deterministically from the task
 text), plus one pure-FINISH pseudo-candidate. Functions whose arguments
 cannot be derived from the task contribute no candidate.
+
+The args template depends only on the task and the function, so it is
+extracted and sorted once per registry function per state and shared by every
+candidate of that function. A candidate's control is the state's own control
+dict, shared read-only, not a copy.
 """
 
 from __future__ import annotations
@@ -91,31 +96,32 @@ def extract_args(task: str, function: str) -> dict | None:
     raise ValueError(f"unknown function {function!r}")
 
 
+_FINISH = CandidateAction(function="", control=None, args=(), is_finish=True)
+
+
 def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
     """All materializable actions at this state, in deterministic order:
     targeted functions over the control list, then target-free functions,
     then the FINISH pseudo-candidate."""
-    candidates: list[CandidateAction] = []
-    for control in state.controls:
-        for name, spec in REGISTRY.items():
-            if not spec.requires_control:
-                continue
-            if spec.control_types and control["control_type"] not in spec.control_types:
-                continue
-            args = extract_args(state.task, name)
-            if args is None:
-                continue
-            candidates.append(
-                CandidateAction(function=name, control=dict(control), args=tuple(sorted(args.items())))
-            )
+    targeted: list[tuple[str, tuple[str, ...], tuple]] = []
+    free: list[CandidateAction] = []
     for name, spec in REGISTRY.items():
-        if spec.requires_control:
-            continue
         args = extract_args(state.task, name)
         if args is None:
             continue
-        candidates.append(CandidateAction(function=name, control=None, args=tuple(sorted(args.items()))))
-    candidates.append(CandidateAction(function="", control=None, args=(), is_finish=True))
+        args = tuple(sorted(args.items()))
+        if spec.requires_control:
+            targeted.append((name, spec.control_types, args))
+        else:
+            free.append(CandidateAction(function=name, control=None, args=args))
+    candidates = [
+        CandidateAction(function=name, control=control, args=args)
+        for control in state.controls
+        for name, control_types, args in targeted
+        if not control_types or control["control_type"] in control_types
+    ]
+    candidates.extend(free)
+    candidates.append(_FINISH)
     return candidates
 
 

@@ -4,14 +4,22 @@ Every (state, candidate) pair maps to a fixed-length vector aligned with
 FEATURE_NAMES: a block of hand-designed signals followed by one-hot blocks
 for the function and the target control type. All features are deterministic
 functions of the pair and lie in [0, 1].
+
+``featurize`` is called once per pair, but it recomputes only what depends on
+the pair. The function-task and function-plan affinities and the progress
+value are computed once per state (``AgentState`` cached properties), the
+token set of a control text once per distinct text, and the one-hot blocks
+are tuples built once at import.
 """
 
 from __future__ import annotations
 
+import functools
+
 from ..env_sim import REGISTRY, needs_selection
 from ..textutil import set_overlap, token_set
 from .candidates import CandidateAction
-from .state import FORMAT_KEYWORDS, AgentState
+from .state import FORMAT_KEYWORDS, FUNC_TRIGGERS, AgentState
 
 __all__ = [
     "BASE_FEATURES",
@@ -52,21 +60,6 @@ BASE_FEATURES = (
     "finish_plan_done",
 )
 
-FUNC_TRIGGERS: dict[str, tuple[str, ...]] = {
-    "click_input": (),
-    "set_edit_text": ("enter", "edit"),
-    "type_keys": ("type", "write", "append"),
-    "select_text": ("highlight", "bold", "color", "size", "font", "comment"),
-    "select_option": ("option", "style", "dropdown"),
-    "scroll": ("scroll",),
-    "toggle_highlight": ("highlight",),
-    "set_font_size": ("font size", "size"),
-    "set_font_color": ("color",),
-    "insert_page_border": ("border",),
-    "insert_table": ("table",),
-    "toggle_bold": ("bold",),
-}
-
 _FUNC_BLOCK = tuple(f"func::{name}" for name in REGISTRY) + ("func::<finish>",)
 _CTYPE_BLOCK = (
     "ctype::Button",
@@ -84,9 +77,21 @@ _CTYPE_BLOCK = (
 
 FEATURE_NAMES: tuple[str, ...] = BASE_FEATURES + _FUNC_BLOCK + _CTYPE_BLOCK
 
-# Position of each function / control type within its one-hot block.
-_FUNC_INDEX = {name.removeprefix("func::"): i for i, name in enumerate(_FUNC_BLOCK)}
-_CTYPE_INDEX = {name.removeprefix("ctype::"): i for i, name in enumerate(_CTYPE_BLOCK)}
+
+def _one_hot_rows(block: tuple[str, ...], prefix: str) -> dict[str, tuple[float, ...]]:
+    """The one-hot row of every entry of ``block``, keyed by its name without
+    ``prefix``."""
+    return {
+        name.removeprefix(prefix): tuple(1.0 if j == i else 0.0 for j in range(len(block)))
+        for i, name in enumerate(block)
+    }
+
+
+# One-hot rows of each function / control type; an unknown one is all zeros.
+_FUNC_ROWS = _one_hot_rows(_FUNC_BLOCK, "func::")
+_CTYPE_ROWS = _one_hot_rows(_CTYPE_BLOCK, "ctype::")
+_NO_FUNC = (0.0,) * len(_FUNC_BLOCK)
+_NO_CTYPE = (0.0,) * len(_CTYPE_BLOCK)
 
 STATUS_FEATURES = (
     "bias",
@@ -98,38 +103,34 @@ STATUS_FEATURES = (
 )
 
 
-def _affinity(function: str, low: str) -> float:
-    """1.0 if a trigger keyword of ``function`` occurs in the lowercased ``low``."""
-    return 1.0 if any(trigger in low for trigger in FUNC_TRIGGERS.get(function, ())) else 0.0
-
-
-def _one_hot(index: int | None, size: int) -> list[float]:
-    row = [0.0] * size
-    if index is not None:
-        row[index] = 1.0
-    return row
+@functools.lru_cache(maxsize=4096)
+def _text_tokens(text: str) -> frozenset[str]:
+    """Token set of a control text. Control texts come from the templates'
+    small vocabulary, so the bounded cache tokenizes each one once."""
+    return token_set(text)
 
 
 def featurize(state: AgentState, candidate: CandidateAction) -> list[float]:
+    function = candidate.function
+    text = candidate.control_text
+    is_finish = candidate.is_finish
     selection = state.selection_active
     last = state.last_action()
 
     repeat = 0.0
-    if last is not None and not candidate.is_finish:
+    if last is not None and not is_finish:
         if (
-            last.function == candidate.function
-            and last.control_text == candidate.control_text
+            last.function == function
+            and last.control_text == text
             and dict(last.args) == candidate.args_dict()
         ):
             repeat = 1.0
 
-    needs_sel = (not candidate.is_finish) and needs_selection(
-        candidate.function, candidate.control_text
-    )
+    needs_sel = (not is_finish) and needs_selection(function, text)
 
     overlap_task = overlap_plan = 0.0
     if candidate.control:
-        words = token_set(candidate.control_text)
+        words = _text_tokens(text)
         overlap_task = set_overlap(words, state.task_tokens)
         overlap_plan = set_overlap(words, state.step_tokens)
 
@@ -142,31 +143,27 @@ def featurize(state: AgentState, candidate: CandidateAction) -> list[float]:
     values = [
         overlap_task,
         overlap_plan,
-        0.0 if candidate.is_finish else _affinity(candidate.function, state.task_lower),
-        0.0 if candidate.is_finish else _affinity(candidate.function, state.step_lower),
+        0.0 if is_finish else state.task_affinity.get(function, 0.0),
+        0.0 if is_finish else state.step_affinity.get(function, 0.0),
         repeat,
-        min((state.step_id - 1) / 20.0, 1.0),
+        state.progress,
         1.0 if needs_sel and selection else 0.0,
         1.0 if needs_sel and not selection else 0.0,
-        1.0
-        if candidate.function == "select_text" and not selection and state.is_format_task
-        else 0.0,
+        1.0 if function == "select_text" and not selection and state.is_format_task else 0.0,
         position_prior,
         1.0 if candidate.args else 0.0,
-        1.0 if candidate.is_finish else 0.0,
-        1.0 if candidate.is_finish and not state.previous_plan else 0.0,
+        1.0 if is_finish else 0.0,
+        1.0 if is_finish and not state.previous_plan else 0.0,
     ]
-    func_name = "<finish>" if candidate.is_finish else candidate.function
-    values.extend(_one_hot(_FUNC_INDEX.get(func_name), len(_FUNC_BLOCK)))
-    ctype = candidate.control_type or "<none>"
-    values.extend(_one_hot(_CTYPE_INDEX.get(ctype), len(_CTYPE_BLOCK)))
+    values += _FUNC_ROWS.get("<finish>" if is_finish else function, _NO_FUNC)
+    values += _CTYPE_ROWS.get(candidate.control_type or "<none>", _NO_CTYPE)
     return values
 
 
 def status_features(state: AgentState) -> list[float]:
     return [
         1.0,
-        min((state.step_id - 1) / 20.0, 1.0),
+        state.progress,
         1.0 if state.step_id == 1 else 0.0,
         min(len(state.previous_plan) / 20.0, 1.0),
         1.0 if len(state.previous_plan) == 1 else 0.0,

@@ -197,10 +197,10 @@ def select_action(
 ) -> ActionCall:
     dist = action_distribution(state, params)
     if mode == "argmax":
-        best = max(
-            range(len(dist.candidates)),
-            key=lambda i: (dist.scores[i], _neg_sort_key(dist.candidates[i])),
-        )
+        # The highest score wins; a tie goes to the lowest sort key.
+        top = max(dist.scores)
+        tied = [i for i, score in enumerate(dist.scores) if score == top]
+        best = min(tied, key=lambda i: dist.candidates[i].sort_key())
         finish = dist.finish_prob > 0.5
     elif mode == "sample":
         rng = random.Random(seed)
@@ -219,25 +219,6 @@ def select_action(
     if candidate.is_finish:
         return candidate.to_action_call()
     return candidate.to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
-
-
-class _NegKey:
-    """Inverts comparison so max() breaks score ties by the *lowest* sort key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple):
-        self.key = key
-
-    def __lt__(self, other: "_NegKey") -> bool:
-        return self.key > other.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _NegKey) and self.key == other.key
-
-
-def _neg_sort_key(candidate: CandidateAction) -> _NegKey:
-    return _NegKey(candidate.sort_key())
 
 
 # --- plan head ----------------------------------------------------------------

@@ -13,10 +13,36 @@ from functools import cached_property
 from ..env_sim import ActionCall
 from ..textutil import token_set
 
-__all__ = ["AgentState", "FORMAT_KEYWORDS"]
+__all__ = ["AgentState", "FORMAT_KEYWORDS", "FUNC_TRIGGERS"]
 
 # A task naming any of these asks for formatting, which acts on a selection.
 FORMAT_KEYWORDS = ("highlight", "bold", "color", "size", "font", "comment")
+
+# A task or plan step naming any of a function's trigger keywords has an
+# affinity for that function.
+FUNC_TRIGGERS: dict[str, tuple[str, ...]] = {
+    "click_input": (),
+    "set_edit_text": ("enter", "edit"),
+    "type_keys": ("type", "write", "append"),
+    "select_text": ("highlight", "bold", "color", "size", "font", "comment"),
+    "select_option": ("option", "style", "dropdown"),
+    "scroll": ("scroll",),
+    "toggle_highlight": ("highlight",),
+    "set_font_size": ("font size", "size"),
+    "set_font_color": ("color",),
+    "insert_page_border": ("border",),
+    "insert_table": ("table",),
+    "toggle_bold": ("bold",),
+}
+
+
+def _affinities(low: str) -> dict[str, float]:
+    """1.0 for each function with a trigger keyword in the lowercased ``low``,
+    0.0 for the others."""
+    return {
+        function: 1.0 if any(trigger in low for trigger in triggers) else 0.0
+        for function, triggers in FUNC_TRIGGERS.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -45,16 +71,28 @@ class AgentState:
         return self.task.lower()
 
     @cached_property
-    def step_lower(self) -> str:
-        return self.current_step.lower()
-
-    @cached_property
     def task_tokens(self) -> frozenset[str]:
         return token_set(self.task)
 
     @cached_property
     def step_tokens(self) -> frozenset[str]:
         return token_set(self.current_step)
+
+    @cached_property
+    def task_affinity(self) -> dict[str, float]:
+        """Per registry function: 1.0 if a trigger keyword is in the task."""
+        return _affinities(self.task_lower)
+
+    @cached_property
+    def step_affinity(self) -> dict[str, float]:
+        """Per registry function: 1.0 if a trigger keyword is in the current
+        plan step."""
+        return _affinities(self.current_step.lower())
+
+    @cached_property
+    def progress(self) -> float:
+        """(step_id - 1) / 20, capped at 1."""
+        return min((self.step_id - 1) / 20.0, 1.0)
 
     @cached_property
     def is_format_task(self) -> bool:

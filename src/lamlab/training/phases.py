@@ -298,8 +298,10 @@ def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int)
 def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 3)
     corpus = workspace / "corpus"
-    inputs = _input_digests([corpus / "trajectories.jsonl", corpus / "verdicts.jsonl"])
     boost_file = corpus / "boost_training.jsonl"
+    inputs = _input_digests(
+        [corpus / "trajectories.jsonl", corpus / "verdicts.jsonl", boost_file]
+    )
     boost_success_states: list[tuple[AgentState, ActionCall]] = []
     if boost_file.is_file():
         boost_trajs, _ = records_to_imitation(read_jsonl(boost_file, _training_row))

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 progress and timing lines.
 """
 
+import json
 import random
 import sys
 import time
@@ -356,8 +357,8 @@ _PINNED_CHECKPOINTS = {
     "lam1": ("cea9742e", "4641ebbf"),
     "lam2": ("0c91515f", "32caa1f6"),
     "lam3": ("f91ea71e", "0188a1a1"),
-    "lam4": ("f91ea71e", "dd58454b"),
-    "rm": ("aa185b2e", "35504dfe"),
+    "lam4": ("f91ea71e", "2d37c63a"),
+    "rm": ("aa185b2e", "65c5148d"),
 }
 
 
@@ -376,6 +377,17 @@ def test_suite_checkpoints_are_pinned(suite_phases):
         for name in _PINNED_CHECKPOINTS
     }
     assert digests == _PINNED_CHECKPOINTS
+
+
+def test_phase4_manifests_list_every_corpus_file_read(suite_phases):
+    ws = suite_phases[0]
+    corpus = ws / "corpus"
+    for name in ("rm", "lam4"):
+        manifest = json.loads((ws / "checkpoints" / name / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            f: sha256_file(corpus / f)
+            for f in ("boost_training.jsonl", "trajectories.jsonl", "verdicts.jsonl")
+        }
 
 
 # --------------------------------------------------------------------------

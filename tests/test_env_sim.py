@@ -1,6 +1,7 @@
 """Simulated application: templates, control listing/resolution, execution."""
 
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from lamlab.env_sim import (
     Run,
     apply_action,
     assign_labels,
+    control_tree_dict,
     diff_canvas,
     flatten_controls,
     get_template,
@@ -21,9 +23,10 @@ from lamlab.env_sim import (
     list_templates,
     load_template,
     resolve_control,
+    serialize_canvas,
 )
 from lamlab.errors import AmbiguousControl, UnknownControl, UnknownTemplate
-from lamlab.jsonl import sha256_text
+from lamlab.jsonl import canonical_dumps, sha256_text
 
 
 def snap(controls: ControlNode, blocks=()) -> EnvSnapshot:
@@ -406,6 +409,54 @@ def test_templates_are_pinned():
 
 
 # --- memoized views and the shared templates ---------------------------------
+
+
+def canonical_serialization(s: EnvSnapshot) -> str:
+    return canonical_dumps(
+        {
+            "canvas": serialize_canvas(s.canvas),
+            "controls": control_tree_dict(s.controls),
+            "step_index": s.step_index,
+        }
+    )
+
+
+@given(template_id=st.sampled_from(list_templates()), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_serialize_equals_canonical_dumps_along_action_sequences(template_id, data):
+    """Along any action sequence on any template, ``serialize`` is byte-equal
+    to ``canonical_dumps`` of the snapshot's parts, and a successor that kept
+    its predecessor's control tree shares its control dicts."""
+    s = load_template(template_id)
+    assert s.serialize() == canonical_serialization(s)
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        labels = [c["label"] for c in list_controls(s)]
+        action = ActionCall(
+            function=data.draw(_FUNCTIONS, label="function"),
+            control_label=data.draw(st.sampled_from(labels + [""]), label="label"),
+            args=data.draw(_ARGS, label="args"),
+        )
+        s2, result = apply_action(s, action)
+        assert s2.serialize() == canonical_serialization(s2)
+        if result.ok and s2.controls is s.controls:
+            assert all(map(operator.is_, list_controls(s2), list_controls(s)))
+        assert list_controls(s2) == flatten_controls(s2.controls)
+        s = s2
+
+
+def test_kept_control_tree_is_flattened_and_encoded_once():
+    s = load_template("plain_text")
+    selected, result = apply_action(s, ActionCall(function="select_text", args={"text": "Test For Fun"}))
+    assert result.ok and selected.controls is s.controls
+    assert all(map(operator.is_, list_controls(selected), list_controls(s)))
+    assert selected.serialize() == canonical_serialization(selected)
+
+    tab = next(c for c in list_controls(s) if c["control_type"] == "TabItem" and c["label"] != "1")
+    clicked, result = apply_action(s, ActionCall(function="click_input", control_label=tab["label"]))
+    assert result.ok and clicked.controls is not s.controls
+    assert list_controls(clicked) == flatten_controls(clicked.controls)
+    assert not any(map(operator.is_, list_controls(clicked), list_controls(s)))
+    assert clicked.serialize() == canonical_serialization(clicked)
 
 
 def test_views_match_recomputation_on_every_template():

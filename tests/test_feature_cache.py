@@ -14,7 +14,7 @@ import pytest
 
 from lamlab import harness
 from lamlab.dataflow.records import TaskPlanRecord
-from lamlab.env_sim import needs_selection
+from lamlab.env_sim import STATUS_CONTINUE, STATUS_FINISH, needs_selection
 from lamlab.errors import ValidationFailure
 from lamlab.jsonl import read_jsonl
 from lamlab.oracle import MockOracle
@@ -29,6 +29,7 @@ from lamlab.policy import (
     featurize,
     generate_plan,
     match_expert,
+    select_action,
     softmax,
     status_features,
 )
@@ -110,6 +111,39 @@ def reference_featurize(state, candidate):
     ctype = candidate.control_type or "<none>"
     values.extend(1.0 if name == f"ctype::{ctype}" else 0.0 for name in _CTYPE_BLOCK)
     return values
+
+
+class _NegKey:
+    """Inverts comparison so max() breaks score ties by the *lowest* sort key."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple):
+        self.key = key
+
+    def __lt__(self, other: "_NegKey") -> bool:
+        return self.key > other.key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _NegKey) and self.key == other.key
+
+
+def _neg_sort_key(candidate):
+    return _NegKey(candidate.sort_key())
+
+
+def reference_select_action(state, params):
+    """Argmax action selection that builds a sort key for every candidate."""
+    dist = action_distribution(state, params)
+    best = max(
+        range(len(dist.candidates)),
+        key=lambda i: (dist.scores[i], _neg_sort_key(dist.candidates[i])),
+    )
+    finish = dist.finish_prob > 0.5
+    candidate = dist.candidates[best]
+    if candidate.is_finish:
+        return candidate.to_action_call()
+    return candidate.to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
 
 
 def _add(grads, name, value):
@@ -402,6 +436,37 @@ def test_inference_scores_equal_reference(suite_steps, plan_records):
             assert generate_plan(record.task, params) == reference_generate_plan(
                 record.task, params
             )
+
+
+def coarse_params(seed):
+    """Every action and status weight drawn from {-1, 0, 1}, so that many
+    candidates tie at the top score and the tie-break decides among them."""
+    rng = random.Random(seed)
+    params = ModelParams.zeros()
+    return params.replaced({name: rng.choice((-1.0, 0.0, 1.0)) for name in params.weights})
+
+
+@pytest.mark.parametrize(
+    "make_params",
+    [
+        ModelParams.zeros,
+        lambda: nonzero_params(0),
+        lambda: nonzero_params(1),
+        lambda: nonzero_params(2),
+        lambda: coarse_params(0),
+        lambda: coarse_params(1),
+    ],
+    ids=["zeros", "nonzero0", "nonzero1", "nonzero2", "coarse0", "coarse1"],
+)
+def test_argmax_select_action_equals_reference(suite_steps, make_params):
+    trajectories, _ = suite_steps
+    params = make_params()
+    states = 0
+    for trajectory in trajectories:
+        for state, _ in trajectory:
+            assert select_action(state, params) == reference_select_action(state, params)
+            states += 1
+    assert states >= 50
 
 
 # --- featurize once per phase -----------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from lamlab.env_sim import ActionCall, list_controls, load_template
+from lamlab.env_sim import REGISTRY, ActionCall, list_controls, load_template
 from lamlab.errors import CheckpointError, StepActionNotInCandidateSet
 from lamlab.policy import (
     AgentState,
@@ -19,6 +20,7 @@ from lamlab.policy import (
     match_expert,
     select_action,
 )
+from lamlab.policy import candidates as candidates_module
 from lamlab.policy.features import BASE_FEATURES
 from lamlab.training import sft_plan_loss, train_params
 from lamlab.training.losses import sgd
@@ -231,6 +233,23 @@ def test_match_expert_absent_action_raises():
                        args={"button": "left", "double": False})
     with pytest.raises(StepActionNotInCandidateSet):
         match_expert(candidates, ghost)
+
+
+@pytest.mark.parametrize("copies", [0, 1, 3])
+def test_enumerate_candidates_extracts_args_once_per_function(monkeypatch, copies):
+    calls = []
+    original = candidates_module.extract_args
+
+    def counting(task, function):
+        calls.append(function)
+        return original(task, function)
+
+    monkeypatch.setattr(candidates_module, "extract_args", counting)
+    base = make_state(task='Make "Test For Fun" bold and set its font size to 14.')
+    state = replace(base, controls=base.controls * copies)
+    found = enumerate_candidates(state)
+    assert len(calls) <= len(REGISTRY)
+    assert len(found) > copies * len(base.controls)
 
 
 # --- plan head ----------------------------------------------------------------
