@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -40,6 +41,16 @@ _CONFIG_KEYS = {
     "training",
     "agent",
 }
+_AGENT_KEYS = {"max_steps", "mode"}
+_AGENT_MODES = ("argmax", "sample")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclasses.dataclass
@@ -52,6 +63,31 @@ class RunConfig:
     evolution: dict = dataclasses.field(default_factory=dict)
     training: dict = dataclasses.field(default_factory=dict)
     agent: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Every value is checked before any work starts: a bad one is a
+        ``ConfigError``. ``training`` is checked by ``phase_configs``."""
+        if not isinstance(self.workspace, str):
+            raise ConfigError(f"workspace must be a string, got {self.workspace!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        for name in ("oracle", "evolution", "training", "agent"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be an object")
+        timeout = self.oracle.get("timeout_s", 30.0)
+        if not _is_number(timeout) or timeout <= 0:
+            raise ConfigError(f"oracle.timeout_s must be a positive number, got {timeout!r}")
+        self.evolution_config()
+        unknown = set(self.agent) - _AGENT_KEYS
+        if unknown:
+            raise ConfigError(f"unknown agent config keys {sorted(unknown)}")
+        max_steps = self.agent.get("max_steps", 20)
+        if not _is_int(max_steps) or max_steps < 1:
+            raise ConfigError(f"agent.max_steps must be a positive integer, got {max_steps!r}")
+        if self.agent.get("mode", "argmax") not in _AGENT_MODES:
+            raise ConfigError(f"agent.mode must be one of {list(_AGENT_MODES)}")
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
@@ -90,6 +126,20 @@ class RunConfig:
                 raise ConfigError(f"remote oracle config missing {exc}") from exc
             return MemoizingOracle(remote)
         raise ConfigError(f"unknown oracle provider {provider!r}")
+
+    def evolution_config(self) -> EvolutionConfig:
+        """The ``evolution`` object as an ``EvolutionConfig``: each value a
+        non-negative number, an integer where the default is one."""
+        defaults = {f.name: f.default for f in dataclasses.fields(EvolutionConfig)}
+        for name, value in self.evolution.items():
+            integral = isinstance(defaults.get(name), int)
+            if not (_is_int(value) if integral else _is_number(value)) or value < 0:
+                kind = "integer" if integral else "number"
+                raise ConfigError(f"evolution.{name} must be a non-negative {kind}, got {value!r}")
+        try:
+            return EvolutionConfig(**self.evolution)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad evolution config: {exc}") from exc
 
     def make_clock(self):
         if self.clock == "zero":
@@ -145,7 +195,7 @@ def _cmd_dataflow(args, config: RunConfig) -> int:
     oracle = config.make_oracle()
     pipeline_config = PipelineConfig(
         workers=config.workers,
-        evolution=EvolutionConfig(**config.evolution) if config.evolution else EvolutionConfig(),
+        evolution=config.evolution_config(),
     )
     stages = list(STAGES) if args.stage == "all" else [args.stage]
     for stage in stages:
@@ -183,7 +233,7 @@ def _cmd_agent(args, config: RunConfig) -> int:
         policy,
         args.template,
         args.task,
-        config=AgentConfig(max_steps=int(agent_cfg.get("max_steps", 20)), mode=mode),
+        config=AgentConfig(max_steps=agent_cfg.get("max_steps", 20), mode=mode),
         task_id=args.task_id,
         clock=config.make_clock(),
     )

@@ -16,9 +16,7 @@ from ..env_sim import (
     REGISTRY,
     ActionCall,
     AppTemplate,
-    control_tree_dict,
     registry_help,
-    serialize_canvas,
 )
 from ..oracle import OracleRequest, Provider
 from ..textutil import content_tokens
@@ -104,8 +102,8 @@ def instantiate(
             "examples": EXAMPLE_CALLS,
             "given_task": record.task,
             "reference_steps": json.dumps(list(record.plan), ensure_ascii=False),
-            "doc_canvas_state": serialize_canvas(snapshot.canvas),
-            "doc_control_state": json.dumps(control_tree_dict(snapshot.controls), sort_keys=True),
+            "doc_canvas_state": snapshot.canvas_xml,
+            "doc_control_state": json.dumps(snapshot.control_state, sort_keys=True),
         },
     )
     try:

@@ -1,7 +1,10 @@
 """Record types flowing through the data pipeline, with line-record codecs.
 
 :func:`record_step` and :func:`record_trajectory` record every executed run,
-in the pipeline's execute stage and in the agent loop alike.
+in the pipeline's execute stage and in the agent loop alike. They read the
+digests, canvas encodings, control trees and rendered views the snapshots
+have already computed; a trajectory's control-state dicts are the snapshots'
+own, shared read-only.
 
 Field names on the wire match the structured samples the models consume:
 task records use ``task_id``/``task``/``plan``; training records use
@@ -19,10 +22,8 @@ from ..env_sim import (
     CanvasDiffEntry,
     EnvSnapshot,
     ExecutionResult,
-    control_tree_dict,
     diff_canvas,
     list_controls,
-    serialize_canvas,
 )
 
 __all__ = [
@@ -239,10 +240,10 @@ def record_trajectory(
         steps=tuple(steps),
         final_status=final_status,
         canvas_diff=tuple(diff_canvas(initial.canvas, final.canvas)),
-        initial_canvas=serialize_canvas(initial.canvas),
-        final_canvas=serialize_canvas(final.canvas),
-        init_control_state=control_tree_dict(initial.controls),
-        final_control_state=control_tree_dict(final.controls),
+        initial_canvas=initial.canvas_xml,
+        final_canvas=final.canvas_xml,
+        init_control_state=initial.control_state,
+        final_control_state=final.control_state,
         init_rendered=initial.rendered_view(),
         final_rendered=final.rendered_view(),
     )

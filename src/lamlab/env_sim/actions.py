@@ -210,6 +210,7 @@ REGISTRY: dict[str, FunctionSpec] = {
         ),
     )
 }
+_REGISTRY_ORDER = {name: i for i, name in enumerate(REGISTRY)}
 
 # Controls whose click semantics edit the selection, so they need one.
 _SELECTION_BUTTONS = ("Text Highlight Color", "Bold", "Font Color")
@@ -229,8 +230,8 @@ def needs_selection(function: str, control_text: str = "") -> bool:
 
 
 def registry_order(function: str) -> int:
-    names = list(REGISTRY)
-    return names.index(function) if function in REGISTRY else len(names)
+    """Position of the function in REGISTRY; an unknown one sorts last."""
+    return _REGISTRY_ORDER.get(function, len(_REGISTRY_ORDER))
 
 
 def registry_help() -> str:

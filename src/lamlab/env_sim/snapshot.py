@@ -3,11 +3,14 @@
 A snapshot is an immutable (control tree, canvas, step index) value. The
 rendered view is a deterministic textual screenshot surrogate computed purely
 from the tree and the canvas. Because a snapshot never changes, the values
-derived from it (its digest and its rendered view) are computed at most once,
-on first use, and kept on the instance. The values derived from the control
-tree alone (its flattened control list and its JSON encoding) are computed at
-most once per tree and shared by every snapshot that holds it: an action that
-leaves the tree as it was, as most do, hands them to its successor.
+derived from it (its canvas encoding, digest and rendered view) are computed
+at most once, on first use, and kept on the instance. The values derived from
+the control tree alone (its flattened control list, its tree dict and the
+JSON encoding of that dict) are computed at most once per tree and shared by
+every snapshot that holds it: an action that leaves the tree as it was, as
+most do, hands them to its successor, and one that leaves the canvas as it
+was hands on the canvas encoding. Recorded trajectories and prompts read
+these values, so the dicts are shared read-only.
 
 The templates (paragraph, table, figure, shape, chart and comment documents)
 are built in code by ``builtin_templates``. They are built once per process,
@@ -48,8 +51,8 @@ __all__ = [
 
 
 class _ControlTree:
-    """The flattened control list and the canonical JSON encoding of one
-    control tree, each computed on first use."""
+    """The flattened control list, the tree dict and the canonical JSON
+    encoding of one control tree, each computed on first use."""
 
     def __init__(self, root: ControlNode):
         self.root = root
@@ -59,8 +62,12 @@ class _ControlTree:
         return tuple(flatten_controls(self.root))
 
     @functools.cached_property
+    def as_dict(self) -> dict:
+        return control_tree_dict(self.root)
+
+    @functools.cached_property
     def encoded(self) -> str:
-        return canonical_dumps(control_tree_dict(self.root))
+        return canonical_dumps(self.as_dict)
 
 
 @dataclass(frozen=True)
@@ -72,9 +79,21 @@ class EnvSnapshot:
     def advance(self, canvas: CanvasState, controls: ControlNode) -> "EnvSnapshot":
         successor = EnvSnapshot(controls=controls, canvas=canvas, step_index=self.step_index + 1)
         if controls is self.controls:
-            # Same tree: the successor shares its flattened list and encoding.
+            # Same tree: the successor shares its flattened list and encodings.
             successor.__dict__["_tree"] = self._tree
+        if canvas is self.canvas and "canvas_xml" in self.__dict__:
+            successor.__dict__["canvas_xml"] = self.canvas_xml
         return successor
+
+    @functools.cached_property
+    def canvas_xml(self) -> str:
+        """``serialize_canvas`` of the canvas."""
+        return serialize_canvas(self.canvas)
+
+    @property
+    def control_state(self) -> dict:
+        """``control_tree_dict`` of the control tree, shared read-only."""
+        return self._tree.as_dict
 
     def rendered_view(self) -> str:
         """Deterministic textual screenshot surrogate."""
@@ -124,8 +143,8 @@ class EnvSnapshot:
 
     def serialize(self) -> str:
         """``canonical_dumps`` of the canvas, control tree and step index,
-        with the tree's encoding reused."""
-        canvas = canonical_dumps(serialize_canvas(self.canvas))
+        with the canvas and tree encodings reused."""
+        canvas = canonical_dumps(self.canvas_xml)
         return (
             f'{{"canvas":{canvas},"controls":{self._tree.encoded},'
             f'"step_index":{self.step_index}}}'

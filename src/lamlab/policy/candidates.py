@@ -5,14 +5,16 @@ function) x (an args template extracted deterministically from the task
 text), plus one pure-FINISH pseudo-candidate. Functions whose arguments
 cannot be derived from the task contribute no candidate.
 
-The args template depends only on the task and the function, so it is
-extracted and sorted once per registry function per state and shared by every
+The args template depends only on the task and the function, so the
+templates of all registry functions are extracted and sorted once per task
+text (a bounded cache: a run's states share one task) and shared by every
 candidate of that function. A candidate's control is the state's own control
 dict, shared read-only, not a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -99,14 +101,15 @@ def extract_args(task: str, function: str) -> dict | None:
 _FINISH = CandidateAction(function="", control=None, args=(), is_finish=True)
 
 
-def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
-    """All materializable actions at this state, in deterministic order:
-    targeted functions over the control list, then target-free functions,
-    then the FINISH pseudo-candidate."""
-    targeted: list[tuple[str, tuple[str, ...], tuple]] = []
-    free: list[CandidateAction] = []
+@functools.lru_cache(maxsize=1024)
+def _task_templates(task: str) -> tuple[tuple, tuple[CandidateAction, ...]]:
+    """The args templates of the task, in registry order: (function, control
+    types, sorted args) of every targeted function, and the candidate of
+    every target-free function."""
+    targeted = []
+    free = []
     for name, spec in REGISTRY.items():
-        args = extract_args(state.task, name)
+        args = extract_args(task, name)
         if args is None:
             continue
         args = tuple(sorted(args.items()))
@@ -114,6 +117,14 @@ def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
             targeted.append((name, spec.control_types, args))
         else:
             free.append(CandidateAction(function=name, control=None, args=args))
+    return tuple(targeted), tuple(free)
+
+
+def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
+    """All materializable actions at this state, in deterministic order:
+    targeted functions over the control list, then target-free functions,
+    then the FINISH pseudo-candidate."""
+    targeted, free = _task_templates(state.task)
     candidates = [
         CandidateAction(function=name, control=control, args=args)
         for control in state.controls

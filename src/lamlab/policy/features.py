@@ -1,31 +1,33 @@
 """Feature extraction for candidate scoring.
 
-Every (state, candidate) pair maps to a fixed-length vector aligned with
-FEATURE_NAMES: a block of hand-designed signals followed by one-hot blocks
-for the function and the target control type. All features are deterministic
-functions of the pair and lie in [0, 1].
+Every (state, candidate) pair has one feature per entry of FEATURE_NAMES: a
+block of hand-designed signals followed by one-hot blocks for the function
+and the target control type. All features are deterministic functions of the
+pair and lie in [0, 1]. A pair sets only about four of them, so ``featurize``
+returns its sparse row: the indices of the non-zero features, strictly
+increasing, and their values. Inference, imitation and PPO score these rows
+as they come (``model.score_rows``); ``densify`` turns one into the full
+vector for the reward model.
 
 ``featurize`` is called once per pair, but it recomputes only what depends on
-the pair. The function-task and function-plan affinities and the progress
-value are computed once per state (``AgentState`` cached properties), the
-token set of a control text once per distinct text, and the one-hot blocks
-are tuples built once at import.
+the pair. The function-task and function-plan affinities, the progress value
+and each control's overlaps, position prior and type index are computed once
+per state (``AgentState`` cached properties).
 """
 
 from __future__ import annotations
 
-import functools
-
 from ..env_sim import REGISTRY, needs_selection
-from ..textutil import set_overlap, token_set
 from .candidates import CandidateAction
-from .state import FORMAT_KEYWORDS, FUNC_TRIGGERS, AgentState
+from .state import CONTROL_TYPES, FORMAT_KEYWORDS, FUNC_TRIGGERS, AgentState
 
 __all__ = [
     "BASE_FEATURES",
     "FEATURE_NAMES",
     "STATUS_FEATURES",
     "FORMAT_KEYWORDS",
+    "SparseRow",
+    "densify",
     "featurize",
     "status_features",
 ]
@@ -61,37 +63,20 @@ BASE_FEATURES = (
 )
 
 _FUNC_BLOCK = tuple(f"func::{name}" for name in REGISTRY) + ("func::<finish>",)
-_CTYPE_BLOCK = (
-    "ctype::Button",
-    "ctype::Edit",
-    "ctype::TabItem",
-    "ctype::ListItem",
-    "ctype::MenuItem",
-    "ctype::ScrollBar",
-    "ctype::TreeItem",
-    "ctype::Document",
-    "ctype::Hyperlink",
-    "ctype::ComboBox",
-    "ctype::<none>",
-)
+_CTYPE_BLOCK = tuple(f"ctype::{name}" for name in CONTROL_TYPES)
 
 FEATURE_NAMES: tuple[str, ...] = BASE_FEATURES + _FUNC_BLOCK + _CTYPE_BLOCK
 
+# The non-zero features of one pair: (feature indices, values), indices
+# strictly increasing.
+SparseRow = tuple[tuple[int, ...], tuple[float, ...]]
 
-def _one_hot_rows(block: tuple[str, ...], prefix: str) -> dict[str, tuple[float, ...]]:
-    """The one-hot row of every entry of ``block``, keyed by its name without
-    ``prefix``."""
-    return {
-        name.removeprefix(prefix): tuple(1.0 if j == i else 0.0 for j in range(len(block)))
-        for i, name in enumerate(block)
-    }
-
-
-# One-hot rows of each function / control type; an unknown one is all zeros.
-_FUNC_ROWS = _one_hot_rows(_FUNC_BLOCK, "func::")
-_CTYPE_ROWS = _one_hot_rows(_CTYPE_BLOCK, "ctype::")
-_NO_FUNC = (0.0,) * len(_FUNC_BLOCK)
-_NO_CTYPE = (0.0,) * len(_CTYPE_BLOCK)
+# Feature index of every function's one-hot; an unknown function has none.
+_FUNC_INDEX = {
+    name.removeprefix("func::"): len(BASE_FEATURES) + i for i, name in enumerate(_FUNC_BLOCK)
+}
+_CTYPE_START = len(BASE_FEATURES) + len(_FUNC_BLOCK)
+_NO_CONTROL = CONTROL_TYPES.index("<none>")
 
 STATUS_FEATURES = (
     "bias",
@@ -103,61 +88,86 @@ STATUS_FEATURES = (
 )
 
 
-@functools.lru_cache(maxsize=4096)
-def _text_tokens(text: str) -> frozenset[str]:
-    """Token set of a control text. Control texts come from the templates'
-    small vocabulary, so the bounded cache tokenizes each one once."""
-    return token_set(text)
-
-
-def featurize(state: AgentState, candidate: CandidateAction) -> list[float]:
+def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
+    """The sparse row of one pair. The literal indices are the positions of
+    the features in BASE_FEATURES; features are appended in that order."""
+    idx: list[int] = []
+    xs: list[float] = []
     function = candidate.function
-    text = candidate.control_text
     is_finish = candidate.is_finish
+    control = candidate.control
+    if control:
+        text = control["control_text"]
+        key = (control["label"], text, control["control_type"])
+        values = state.control_values.get(key) or state.values_of(control)
+        overlap_task, overlap_plan, position_prior, ctype = values
+        if overlap_task:
+            idx.append(0)
+            xs.append(overlap_task)
+        if overlap_plan:
+            idx.append(1)
+            xs.append(overlap_plan)
+    else:
+        text = ""
+        position_prior = 0.0
+        ctype = _NO_CONTROL
+    if not is_finish:
+        affinity = state.task_affinity.get(function)
+        if affinity:
+            idx.append(2)
+            xs.append(affinity)
+        affinity = state.step_affinity.get(function)
+        if affinity:
+            idx.append(3)
+            xs.append(affinity)
+        if state.previous_actions:
+            last = state.previous_actions[-1][0]
+            if (
+                last.function == function
+                and last.control_text == text
+                and dict(last.args) == candidate.args_dict()
+            ):
+                idx.append(4)
+                xs.append(1.0)
+    progress = state.progress
+    if progress:
+        idx.append(5)
+        xs.append(progress)
     selection = state.selection_active
-    last = state.last_action()
+    if not is_finish and needs_selection(function, text):
+        idx.append(6 if selection else 7)
+        xs.append(1.0)
+    if function == "select_text" and not selection and state.is_format_task:
+        idx.append(8)
+        xs.append(1.0)
+    if position_prior:
+        idx.append(9)
+        xs.append(position_prior)
+    if candidate.args:
+        idx.append(10)
+        xs.append(1.0)
+    if is_finish:
+        idx.append(11)
+        xs.append(1.0)
+        if not state.previous_plan:
+            idx.append(12)
+            xs.append(1.0)
+    j = _FUNC_INDEX.get("<finish>" if is_finish else function)
+    if j is not None:
+        idx.append(j)
+        xs.append(1.0)
+    if ctype is not None:
+        idx.append(_CTYPE_START + ctype)
+        xs.append(1.0)
+    return tuple(idx), tuple(xs)
 
-    repeat = 0.0
-    if last is not None and not is_finish:
-        if (
-            last.function == function
-            and last.control_text == text
-            and dict(last.args) == candidate.args_dict()
-        ):
-            repeat = 1.0
 
-    needs_sel = (not is_finish) and needs_selection(function, text)
-
-    overlap_task = overlap_plan = 0.0
-    if candidate.control:
-        words = _text_tokens(text)
-        overlap_task = set_overlap(words, state.task_tokens)
-        overlap_plan = set_overlap(words, state.step_tokens)
-
-    position_prior = 0.0
-    if candidate.control is not None:
-        label = candidate.control_label
-        if label.isdigit():
-            position_prior = 1.0 / (1.0 + float(label))
-
-    values = [
-        overlap_task,
-        overlap_plan,
-        0.0 if is_finish else state.task_affinity.get(function, 0.0),
-        0.0 if is_finish else state.step_affinity.get(function, 0.0),
-        repeat,
-        state.progress,
-        1.0 if needs_sel and selection else 0.0,
-        1.0 if needs_sel and not selection else 0.0,
-        1.0 if function == "select_text" and not selection and state.is_format_task else 0.0,
-        position_prior,
-        1.0 if candidate.args else 0.0,
-        1.0 if is_finish else 0.0,
-        1.0 if is_finish and not state.previous_plan else 0.0,
-    ]
-    values += _FUNC_ROWS.get("<finish>" if is_finish else function, _NO_FUNC)
-    values += _CTYPE_ROWS.get(candidate.control_type or "<none>", _NO_CTYPE)
-    return values
+def densify(row: SparseRow) -> list[float]:
+    """The full FEATURE_NAMES-wide vector of a sparse row."""
+    vector = [0.0] * len(FEATURE_NAMES)
+    for j, x in zip(*row):
+        vector[j] = x
+    return vector
 
 
 def status_features(state: AgentState) -> list[float]:

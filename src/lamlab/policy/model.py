@@ -6,9 +6,11 @@ Three heads over named weights:
   * plan head (``plan::*``): autoregressive scoring over a plan-step
     vocabulary with an end token.
 
-Parameters are immutable values during inference; training constructs new
-ones. Checkpoints are JSON weight tables keyed by feature name; loading a
-checkpoint with unknown names is an error.
+The action head scores sparse feature rows with ``score_rows``, the one
+kernel that inference, imitation and PPO share. Parameters are immutable
+values during inference; training constructs new ones. Checkpoints are JSON
+weight tables keyed by feature name; loading a checkpoint with unknown names
+is an error.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from ..errors import CheckpointError
 from ..env_sim import ActionCall, STATUS_CONTINUE, STATUS_FINISH
 from ..jsonl import write_text
 from ..textutil import token_overlap
 from .candidates import CandidateAction, enumerate_candidates
-from .features import FEATURE_NAMES, STATUS_FEATURES, featurize, status_features
+from .features import FEATURE_NAMES, STATUS_FEATURES, SparseRow, featurize, status_features
 from .state import AgentState
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "ModelParams",
     "ActionDistribution",
     "softmax",
+    "score_rows",
     "action_distribution",
     "select_action",
     "PlanWeights",
@@ -58,6 +62,13 @@ def softmax(scores: list[float]) -> tuple[list[float], list[float]]:
     probs = [e / total for e in exps]
     log_probs = [(s - m) - log_total for s in scores]
     return probs, log_probs
+
+
+def score_rows(w: Sequence[float], rows: Iterable[SparseRow]) -> list[float]:
+    """The score of every sparse row under the dense weights ``w``. A feature
+    a row skips would add w * 0.0 = +-0.0, which never changes a float sum
+    started at +0.0, so the scores equal the dense dot products exactly."""
+    return [sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in rows]
 
 
 @dataclass(frozen=True)
@@ -175,8 +186,7 @@ def action_distribution(
 ) -> ActionDistribution:
     if candidates is None:
         candidates = enumerate_candidates(state)
-    weights = params.act_weights
-    scores = [sum(map(mul, weights, featurize(state, c))) for c in candidates]
+    scores = score_rows(params.act_weights, [featurize(state, c) for c in candidates])
     probs, log_probs = softmax(scores)
     logit = sum(map(mul, params.status_weights, status_features(state)))
     finish_prob = 1.0 / (1.0 + math.exp(-logit))

@@ -7,13 +7,16 @@ the same schema by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from ..env_sim import ActionCall
 from ..textutil import token_set
 
-__all__ = ["AgentState", "FORMAT_KEYWORDS", "FUNC_TRIGGERS"]
+__all__ = ["AgentState", "CONTROL_TYPES", "FORMAT_KEYWORDS", "FUNC_TRIGGERS"]
 
 # A task naming any of these asks for formatting, which acts on a selection.
 FORMAT_KEYWORDS = ("highlight", "bold", "color", "size", "font", "comment")
@@ -36,13 +39,70 @@ FUNC_TRIGGERS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _affinities(low: str) -> dict[str, float]:
+# Control types with a one-hot feature each, then the pseudo-type of a
+# candidate without a control (or of a control with an empty type). Any other
+# type has no one-hot feature.
+CONTROL_TYPES = (
+    "Button",
+    "Edit",
+    "TabItem",
+    "ListItem",
+    "MenuItem",
+    "ScrollBar",
+    "TreeItem",
+    "Document",
+    "Hyperlink",
+    "ComboBox",
+    "<none>",
+)
+_CONTROL_TYPE_INDEX = {name: i for i, name in enumerate(CONTROL_TYPES)}
+
+# (task overlap, plan-step overlap, position prior, CONTROL_TYPES index or
+# None) of one control at one state.
+ControlValues = tuple[float, float, float, int | None]
+
+
+@functools.lru_cache(maxsize=4096)
+def _text_tokens(text: str) -> frozenset[str]:
+    """Token set of a control text, task or plan step. A run's states share
+    one task and a few plan steps, and control texts come from the
+    templates' small vocabulary, so the bounded cache tokenizes each text
+    once."""
+    return token_set(text)
+
+
+@functools.lru_cache(maxsize=1024)
+def _affinities(low: str) -> Mapping[str, float]:
     """1.0 for each function with a trigger keyword in the lowercased ``low``,
-    0.0 for the others."""
-    return {
+    0.0 for the others; cached per text, so the mapping is read-only."""
+    return MappingProxyType({
         function: 1.0 if any(trigger in low for trigger in triggers) else 0.0
         for function, triggers in FUNC_TRIGGERS.items()
-    }
+    })
+
+
+def _control_values(
+    state: AgentState, controls: tuple[dict, ...]
+) -> dict[tuple[str, str, str], ControlValues]:
+    """Per control, keyed by its (label, text, type), on which alone they
+    depend: the token overlap of its text with the task and with the current
+    plan step, the position prior 1 / (1 + label) of a numeric label (else 0)
+    and the index of its type in CONTROL_TYPES (None if it has none). An
+    overlap is ``set_overlap``, with the common disjoint case first."""
+    task, step = state.task_tokens, state.step_tokens
+    values = {}
+    for control in controls:
+        label = control["label"]
+        text = control["control_text"]
+        ctype = control["control_type"]
+        words = _text_tokens(text)
+        values[label, text, ctype] = (
+            0.0 if words.isdisjoint(task) else len(words & task) / len(words),
+            0.0 if words.isdisjoint(step) else len(words & step) / len(words),
+            1.0 / (1.0 + float(label)) if label.isdigit() else 0.0,
+            _CONTROL_TYPE_INDEX.get(ctype or "<none>"),
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -72,19 +132,19 @@ class AgentState:
 
     @cached_property
     def task_tokens(self) -> frozenset[str]:
-        return token_set(self.task)
+        return _text_tokens(self.task)
 
     @cached_property
     def step_tokens(self) -> frozenset[str]:
-        return token_set(self.current_step)
+        return _text_tokens(self.current_step)
 
     @cached_property
-    def task_affinity(self) -> dict[str, float]:
+    def task_affinity(self) -> Mapping[str, float]:
         """Per registry function: 1.0 if a trigger keyword is in the task."""
         return _affinities(self.task_lower)
 
     @cached_property
-    def step_affinity(self) -> dict[str, float]:
+    def step_affinity(self) -> Mapping[str, float]:
         """Per registry function: 1.0 if a trigger keyword is in the current
         plan step."""
         return _affinities(self.current_step.lower())
@@ -105,6 +165,16 @@ class AgentState:
             if action.function == "select_text" and result.get("ok"):
                 return True
         return False
+
+    @cached_property
+    def control_values(self) -> dict[tuple[str, str, str], ControlValues]:
+        """The values of every observed control (see ``_control_values``)."""
+        return _control_values(self, self.controls)
+
+    def values_of(self, control: dict) -> ControlValues:
+        """The values of a control that need not be an observed one."""
+        (values,) = _control_values(self, (control,)).values()
+        return values
 
     def last_action(self) -> ActionCall | None:
         return self.previous_actions[-1][0] if self.previous_actions else None

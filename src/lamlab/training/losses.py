@@ -8,16 +8,16 @@ loss touches.
 
 Each loss is split in two. Preparation does the weight-independent work once
 per corpus: ``prepare_imitation`` enumerates the candidates of every step,
-matches the expert action and stores each candidate's features as a sparse
-row of (feature index, value) pairs; ``prepare_status`` stores the status
-features and label of every step; ``prepare_plans`` stores the target
-indices of every plan and the token overlap of each vocabulary entry with the
-task. The loss functions are the kernels: each call reads the weights once
+matches the expert action and stores each candidate's sparse feature row as
+``featurize`` returns it; ``prepare_status`` stores the status features and
+label of every step; ``prepare_plans`` stores the target indices of every
+plan and the token overlap of each vocabulary entry with the task. The loss functions are the kernels: each call reads the weights once
 and scores the prepared rows. They also accept raw items (state/action
 pairs, state/status pairs, records with ``task`` and ``plan``) and prepare
 those on the spot, so one call on raw items and one on prepared items give
 identical results. A training phase prepares its corpus once and hands the
-prepared items to every epoch's batches; PPO scores the same action rows.
+prepared items to every epoch's batches. Imitation and PPO score the action
+rows with ``model.score_rows``, the kernel inference uses.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Any, Callable, Sequence
 from ..errors import EmptyCorpus, ValidationFailure
 from ..env_sim import ActionCall
 from ..policy import AgentState, enumerate_candidates, featurize, match_expert, status_features
+from ..policy.features import SparseRow
 from ..policy.model import (
     ACT_NAMES,
     END_TOKEN,
@@ -38,6 +39,7 @@ from ..policy.model import (
     ModelParams,
     PlanWeights,
     plan_overlaps,
+    score_rows,
     softmax,
 )
 from .configs import SftConfig
@@ -61,9 +63,6 @@ __all__ = [
 ]
 
 ImitationStep = tuple[AgentState, ActionCall]
-# Non-zero entries of one feature vector: (feature indices, values), in
-# feature order.
-SparseRow = tuple[tuple[int, ...], tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -97,18 +96,13 @@ class PlanRows:
 
 # --- preparation ------------------------------------------------------------------
 
-def _sparse(vector: Sequence[float]) -> SparseRow:
-    nonzero = [(j, x) for j, x in enumerate(vector) if x != 0.0]
-    return tuple(j for j, _ in nonzero), tuple(x for _, x in nonzero)
-
-
 def _action_rows(step: ActionRows | ImitationStep) -> ActionRows:
     if isinstance(step, ActionRows):
         return step
     state, expert = step
     candidates = enumerate_candidates(state)
     expert_idx = match_expert(candidates, expert)
-    return ActionRows(expert_idx, tuple(_sparse(featurize(state, c)) for c in candidates))
+    return ActionRows(expert_idx, tuple(featurize(state, c) for c in candidates))
 
 
 def prepare_imitation(
@@ -154,7 +148,7 @@ def prepare_plans(records: Sequence, vocab: tuple[str, ...]) -> list[PlanRows]:
 
 def _row_softmax(w: Sequence[float], rows: Sequence[SparseRow]) -> tuple[list[float], list[float]]:
     """(probabilities, log-probabilities) of candidate rows under action weights ``w``."""
-    return softmax([sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in rows])
+    return softmax(score_rows(w, rows))
 
 
 def sft_plan_loss(

@@ -16,10 +16,11 @@ from typing import Sequence
 
 from ..errors import DegenerateRatio, EmptyCorpus
 from ..policy import AgentState
+from ..policy.features import SparseRow
 from ..policy.model import ACT_NAMES, ModelParams
 from ..env_sim import ActionCall
 from .configs import PpoConfig
-from .losses import ActionRows, SparseRow, _action_rows, _row_softmax, sgd, train_params
+from .losses import ActionRows, _action_rows, _row_softmax, sgd, train_params
 
 __all__ = [
     "scale_reward",

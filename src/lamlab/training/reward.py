@@ -2,10 +2,10 @@
 
 Trained with mean squared error against +1/-1 trajectory outcome labels; at
 inference the raw score is squashed through a sigmoid into [0, 1].
-``train_reward_model`` computes each step's feature vector once
-(``prepare_rewarded``) and trains on those rows with ``losses.train_params``
-and AdamW or plain gradient descent; ``rm_mse_loss`` takes prepared rows or
-raw steps alike.
+``train_reward_model`` computes each step's dense feature vector (a bias,
+then the densified row of ``featurize``) once (``prepare_rewarded``) and
+trains on those rows with ``losses.train_params`` and AdamW or plain gradient
+descent; ``rm_mse_loss`` takes prepared rows or raw steps alike.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..errors import EmptyCorpus, ValidationFailure
 from ..env_sim import ActionCall
 from ..jsonl import write_text
 from ..policy import AgentState, CandidateAction, featurize
-from ..policy.features import FEATURE_NAMES
+from ..policy.features import FEATURE_NAMES, densify
 from .configs import RmConfig
 from .losses import Step, sgd, train_params
 
@@ -72,7 +72,7 @@ def _candidate_of_action(state: AgentState, action: ActionCall) -> CandidateActi
 
 
 def rm_features(state: AgentState, action: ActionCall) -> list[float]:
-    return [1.0] + featurize(state, _candidate_of_action(state, action))
+    return [1.0] + densify(featurize(state, _candidate_of_action(state, action)))
 
 
 @dataclass(frozen=True)

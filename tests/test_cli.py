@@ -287,6 +287,42 @@ def test_bad_training_config_exit_2(tmp_path, capsys, training):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+_AGENT_RUN = ["agent", "run", "--task", "Bold the text.", "--template", "plain_text"]
+_NORMALIZE = ["dataflow", "run", "--stage", "normalize"]
+
+
+@pytest.mark.parametrize(
+    "values, command",
+    [
+        ({"agent": {"max_steps": 0}}, _AGENT_RUN),
+        ({"agent": {"max_steps": "many"}}, _AGENT_RUN),
+        ({"agent": {"mode": "bogus"}}, _AGENT_RUN),
+        ({"agent": {"max_step": 5}}, _AGENT_RUN),
+        ({"evolution": {"bogus": 1}}, ["dataflow", "run", "--stage", "all"]),
+        ({"evolution": {"max_retries": 1.5}}, ["dataflow", "run", "--stage", "all"]),
+        ({"workers": "x"}, _NORMALIZE),
+        ({"workers": 0}, _NORMALIZE),
+        (
+            {"oracle": {"provider": "remote", "endpoint": "http://localhost:9",
+                        "model": "m", "timeout_s": "abc"}},
+            _NORMALIZE,
+        ),
+        ({"seed": "abc"}, ["train", "--phase", "2"]),
+        ({"seed": True}, ["train", "--phase", "2"]),
+    ],
+    ids=["max_steps_0", "max_steps_many", "mode_bogus", "agent_key", "evolution_key",
+         "max_retries_float", "workers_x", "workers_0", "timeout_abc", "seed_abc", "seed_bool"],
+)
+def test_bad_config_value_exit_2(tmp_path, capsys, values, command):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(values))
+    code = main(["--config", str(config), "--workspace", str(tmp_path / "ws"), *command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
 def test_config_without_training_section_is_the_desk_configs(tmp_path):
     from lamlab.cli import RunConfig
     from lamlab.harness import desk_phase_configs

@@ -1,24 +1,51 @@
-"""Prepared training rows and dense weight vectors against the per-call loops.
+"""Sparse feature rows, prepared training rows and the per-state caches
+against the per-call loops.
 
 The reference functions below are the straightforward loops: featurize every
-(state, candidate) pair on every call and look every weight up by name. The
-prepared kernels and the inference path must give exactly equal losses,
-gradients and scores on the suite's training records.
+(state, candidate) pair into a dense vector on every call and look every
+weight up by name. The sparse rows, the prepared kernels and the inference
+path must give exactly equal features, losses, gradients and scores on the
+suite's training records and on drawn states; the per-task and per-snapshot
+caches must do their work once and leave shared values unchanged.
 """
 
+import copy
+import json
 import math
 import random
+import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamlab import harness
-from lamlab.dataflow.records import TaskPlanRecord
-from lamlab.env_sim import STATUS_CONTINUE, STATUS_FINISH, needs_selection
+from lamlab.agent import AgentConfig, ModelPolicy, run_task
+from lamlab.dataflow.records import InstantiatedTask, TaskPlanRecord, record_step, record_trajectory
+from lamlab.env_sim import canvas as canvas_module
+from lamlab.env_sim import controls as controls_module
+from lamlab.env_sim import (
+    REGISTRY,
+    STATUS_CONTINUE,
+    STATUS_FINISH,
+    ActionCall,
+    EnvSession,
+    EnvSnapshot,
+    control_tree_dict,
+    get_template,
+    list_controls,
+    list_templates,
+    load_template,
+    needs_selection,
+    serialize_canvas,
+)
 from lamlab.errors import ValidationFailure
 from lamlab.jsonl import read_jsonl
 from lamlab.oracle import MockOracle
 from lamlab.policy import (
+    AgentState,
+    CandidateAction,
     FEATURE_NAMES,
     FORMAT_KEYWORDS,
     STATUS_FEATURES,
@@ -33,7 +60,8 @@ from lamlab.policy import (
     softmax,
     status_features,
 )
-from lamlab.policy.features import _CTYPE_BLOCK, _FUNC_BLOCK, FUNC_TRIGGERS
+from lamlab.policy import candidates as candidates_module
+from lamlab.policy.features import _CTYPE_BLOCK, _FUNC_BLOCK, FUNC_TRIGGERS, densify
 from lamlab.policy.model import END_TOKEN
 from lamlab.textutil import token_overlap
 from lamlab.training import (
@@ -152,7 +180,10 @@ def _add(grads, name, value):
 
 def reference_scores(state, params, candidates):
     return [
-        sum(params.get(f"act::{n}") * x for n, x in zip(FEATURE_NAMES, featurize(state, c)))
+        sum(
+            params.get(f"act::{n}") * x
+            for n, x in zip(FEATURE_NAMES, densify(featurize(state, c)))
+        )
         for c in candidates
     ]
 
@@ -175,7 +206,7 @@ def reference_imitation_loss(params, trajectories, step_mean=False):
         for state, expert in trajectory:
             candidates = enumerate_candidates(state)
             expert_idx = match_expert(candidates, expert)
-            vectors = [featurize(state, c) for c in candidates]
+            vectors = [densify(featurize(state, c)) for c in candidates]
             scores = [
                 sum(params.get(f"act::{n}") * x for n, x in zip(FEATURE_NAMES, vec))
                 for vec in vectors
@@ -341,7 +372,9 @@ def test_featurize_matches_reference_on_suite_states(suite_steps):
     for trajectory in trajectories:
         for state, _ in trajectory:
             for candidate in enumerate_candidates(state):
-                assert featurize(state, candidate) == reference_featurize(state, candidate)
+                assert densify(featurize(state, candidate)) == reference_featurize(
+                    state, candidate
+                )
                 pairs += 1
     assert pairs > 1000
 
@@ -512,3 +545,207 @@ def test_reward_model_featurizes_each_step_once(suite_steps, monkeypatch):
     assert calls["n"] == len(steps)
     assert math.isfinite(final_mse)
     assert any(params.weights.values())
+
+
+# --- sparse rows -------------------------------------------------------------------------
+
+
+def assert_row_is_reference(state, candidate):
+    """The row's indices increase strictly, its values are non-zero and it
+    densifies to the reference vector."""
+    idx, xs = featurize(state, candidate)
+    assert len(idx) == len(xs)
+    assert all(a < b for a, b in zip(idx, idx[1:]))
+    assert all(0 <= j < len(FEATURE_NAMES) for j in idx)
+    assert all(x != 0.0 for x in xs)
+    assert densify((idx, xs)) == reference_featurize(state, candidate)
+
+
+def test_rows_are_sparse_and_match_reference_on_suite_states(suite_steps):
+    trajectories, _ = suite_steps
+    rows = 0
+    for trajectory in trajectories:
+        for state, _ in trajectory:
+            for candidate in enumerate_candidates(state):
+                assert_row_is_reference(state, candidate)
+                rows += 1
+    assert rows > 1000
+
+
+_WORDS = ("highlight", "bold", "font", "size", "color", "table", "border", "type", "enter",
+          "scroll", "option", "style", "the", "text", "Save", "Home", "Insert", "red", "12")
+_CONTROL_TYPES = ("Button", "Edit", "MenuItem", "ComboBox", "Pane", "")
+
+
+@st.composite
+def drawn_states(draw):
+    """A template's controls, perhaps with extra hand-made ones (duplicate,
+    non-numeric or empty labels, unknown or empty types), a task and plan
+    from trigger-rich words, and a history that may repeat a candidate."""
+    words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+    controls = list(list_controls(load_template(draw(st.sampled_from(list_templates())))))
+    extra = st.fixed_dictionaries({
+        "label": st.sampled_from(("1", "2", "40", "x", "")),
+        "control_text": words,
+        "control_type": st.sampled_from(_CONTROL_TYPES),
+    })
+    controls += draw(st.lists(extra, max_size=3))
+    task = draw(words)
+    if draw(st.booleans()):
+        task += ' "' + draw(words) + '"'
+    state = AgentState(
+        task=task,
+        step_id=draw(st.integers(1, 30)),
+        controls=tuple(controls),
+        previous_plan=tuple(draw(st.lists(words, max_size=3))),
+    )
+    history = []
+    for _ in range(draw(st.integers(0, 3))):
+        candidates = enumerate_candidates(state)
+        chosen = candidates[draw(st.integers(0, len(candidates) - 1))]
+        history.append((chosen.to_action_call(), {"ok": draw(st.booleans())}))
+    return AgentState(
+        task=state.task,
+        step_id=state.step_id,
+        controls=state.controls,
+        previous_actions=tuple(history),
+        previous_plan=state.previous_plan,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_states())
+def test_rows_are_sparse_and_match_reference_on_drawn_states(state):
+    for candidate in enumerate_candidates(state):
+        assert_row_is_reference(state, candidate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_states(), st.data())
+def test_rows_match_reference_on_drawn_candidates(state, data):
+    """Candidates that enumeration never makes: unknown functions, a FINISH
+    with a control or args, a control that is not an observed one."""
+    foreign = {"label": "7", "control_text": "Font Color", "control_type": "Button"}
+    candidate = CandidateAction(
+        function=data.draw(st.sampled_from(("", "frobnicate", "select_text", *REGISTRY))),
+        control=data.draw(st.sampled_from((None, foreign, *state.controls))),
+        args=data.draw(st.sampled_from(((), (("text", "bold"),)))),
+        is_finish=data.draw(st.booleans()),
+    )
+    assert_row_is_reference(state, candidate)
+
+
+@pytest.mark.parametrize(
+    "make_params",
+    [ModelParams.zeros, lambda: nonzero_params(0), lambda: coarse_params(0)],
+    ids=["zeros", "random", "coarse"],
+)
+def test_scores_equal_dense_reference_dot_product(suite_steps, make_params):
+    trajectories, _ = suite_steps
+    params = make_params()
+    for trajectory in trajectories:
+        for state, _ in trajectory:
+            candidates = enumerate_candidates(state)
+            dense = [
+                sum(map(mul, params.act_weights, reference_featurize(state, c)))
+                for c in candidates
+            ]
+            assert list(action_distribution(state, params, candidates).scores) == dense
+
+
+def test_equal_labels_keep_their_own_control_values():
+    task = 'Make the "Bold" text bold'
+    state = AgentState(
+        task=task,
+        step_id=2,
+        controls=(
+            {"label": "1", "control_text": "Bold", "control_type": "Button"},
+            {"label": "1", "control_text": "Font Size", "control_type": "ComboBox"},
+        ),
+        previous_plan=("Choose the font size.",),
+    )
+    clicks = [c for c in enumerate_candidates(state) if c.function == "click_input"]
+    assert [c.control_text for c in clicks] == ["Bold", "Font Size"]
+    rows = [densify(featurize(state, c)) for c in clicks]
+    for candidate, row in zip(clicks, rows):
+        assert_row_is_reference(state, candidate)
+    overlaps = [FEATURE_NAMES.index("overlap_task"), FEATURE_NAMES.index("overlap_plan")]
+    assert [rows[0][j] for j in overlaps] == [1.0, 0.0]
+    assert [rows[1][j] for j in overlaps] == [0.0, 1.0]
+    assert rows[0][FEATURE_NAMES.index("ctype::Button")] == 1.0
+    assert rows[1][FEATURE_NAMES.index("ctype::ComboBox")] == 1.0
+
+
+# --- work done once per task and per snapshot ------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Counts the calls of a function through every lamlab module that binds
+    it; returns the list the calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("lamlab") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_run_extracts_args_once_per_registry_function(monkeypatch):
+    candidates_module._task_templates.cache_clear()
+    calls = _count_calls(monkeypatch, candidates_module, "extract_args")
+    task = 'Highlight the text "extract args probe" in yellow in the document.'
+    record = run_task(
+        ModelPolicy(params=ModelParams.zeros()), "plain_text", task, AgentConfig(max_steps=4)
+    )
+    assert len(record.trajectory.steps) > 1
+    assert 0 < len(calls) <= len(REGISTRY)
+    assert {args[0] for args in calls} == {task}
+
+
+def test_record_trajectory_reuses_the_snapshot_encodings(monkeypatch):
+    session = EnvSession(load_template("plain_text"))
+    actions = (
+        ActionCall(function="select_text", args={"text": "Test For Fun"}),
+        ActionCall(control_text="Bold", function="click_input", args={"button": "left"}),
+        ActionCall(function="toggle_bold", args={}),
+    )
+    steps = []
+    for step_no, action in enumerate(actions, 1):
+        pre = session.current
+        result = session.apply(action)
+        steps.append(record_step(step_no, action, result, pre, session.current))
+    assert all(step.result.ok for step in steps)
+    origin = InstantiatedTask("o", "Bold the text.", "plain_text", actions)
+
+    canvas_calls = _count_calls(monkeypatch, canvas_module, "serialize_canvas")
+    tree_calls = _count_calls(monkeypatch, controls_module, "control_tree_dict")
+    trajectory = record_trajectory("t", origin, steps, "success", session.initial, session.current)
+    assert canvas_calls == [] and tree_calls == []
+    monkeypatch.undo()
+    assert trajectory.initial_canvas == serialize_canvas(session.initial.canvas)
+    assert trajectory.final_canvas == serialize_canvas(session.current.canvas)
+    assert trajectory.initial_canvas != trajectory.final_canvas
+    assert trajectory.init_control_state == control_tree_dict(session.initial.controls)
+    assert trajectory.final_control_state == control_tree_dict(session.current.controls)
+
+
+def test_runs_leave_the_template_snapshot_unchanged():
+    template = get_template("plain_text")
+    fresh = template.fresh_snapshot()
+    digest = fresh.digest()
+    tree = copy.deepcopy(control_tree_dict(fresh.controls))
+    params = coarse_params(1)
+    for task in ('Highlight the text "Test For Fun" in yellow.', "Insert a 2 x 3 table."):
+        record = run_task(ModelPolicy(params=params), "plain_text", task, AgentConfig(max_steps=3))
+        assert record.trajectory.init_control_state == tree
+        json.dumps(record.trajectory.to_dict(), sort_keys=True)
+    again = get_template("plain_text").fresh_snapshot()
+    assert again is fresh
+    assert again.digest() == digest
+    assert again.control_state == tree
+    assert EnvSnapshot(again.controls, again.canvas, again.step_index).digest() == digest

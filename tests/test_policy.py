@@ -21,7 +21,7 @@ from lamlab.policy import (
     select_action,
 )
 from lamlab.policy import candidates as candidates_module
-from lamlab.policy.features import BASE_FEATURES
+from lamlab.policy.features import BASE_FEATURES, densify
 from lamlab.training import sft_plan_loss, train_params
 from lamlab.training.losses import sgd
 
@@ -44,7 +44,7 @@ def make_state(
 
 
 def feature(state, candidate, name):
-    return featurize(state, candidate)[FEATURE_NAMES.index(name)]
+    return densify(featurize(state, candidate))[FEATURE_NAMES.index(name)]
 
 
 # --- featurize ---------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_feature_vector_length_and_floor():
     candidates = enumerate_candidates(state)
     assert len(BASE_FEATURES) >= 8
     for candidate in candidates:
-        vec = featurize(state, candidate)
+        vec = densify(featurize(state, candidate))
         assert len(vec) == len(FEATURE_NAMES)
 
 

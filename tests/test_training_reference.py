@@ -19,7 +19,7 @@ import pytest
 from lamlab.env_sim import ActionCall
 from lamlab.errors import DegenerateRatio, EmptyCorpus, ValidationFailure
 from lamlab.policy import AgentState, ModelParams, enumerate_candidates, featurize, match_expert
-from lamlab.policy.features import FEATURE_NAMES
+from lamlab.policy.features import FEATURE_NAMES, densify
 from lamlab.policy.model import ACT_NAMES, softmax
 from lamlab.training import (
     PpoConfig,
@@ -61,7 +61,7 @@ def _prepare_steps(
     for (state, action), advantage in zip(steps, advantages):
         candidates = enumerate_candidates(state)
         idx = match_expert(candidates, action)
-        vectors = tuple(tuple(featurize(state, c)) for c in candidates)
+        vectors = tuple(tuple(densify(featurize(state, c))) for c in candidates)
         old_scores = [_score(old_params, vec) for vec in vectors]
         old_probs, old_log_probs = softmax(old_scores)
         if old_probs[idx] < _MIN_OLD_PROB:
