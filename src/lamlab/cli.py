@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import evaluation
 from .agent import AgentConfig, ModelPolicy, RunRecord, run_task
-from .dataflow import STAGES, PipelineConfig, run_stage, stage_files
+from .dataflow import STAGES, PipelineConfig, run_all, run_stage, stage_files
 from .dataflow.records import EvolutionConfig
 from .errors import ConfigError, LamLabError
 from .fixtures import fixture_path
@@ -41,6 +41,7 @@ _CONFIG_KEYS = {
     "training",
     "agent",
 }
+_ORACLE_KEYS = {"provider", "endpoint", "model", "auth_env", "timeout_s"}
 _AGENT_KEYS = {"max_steps", "mode"}
 _AGENT_MODES = ("argmax", "sample")
 
@@ -76,6 +77,9 @@ class RunConfig:
         for name in ("oracle", "evolution", "training", "agent"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be an object")
+        unknown = set(self.oracle) - _ORACLE_KEYS
+        if unknown:
+            raise ConfigError(f"unknown oracle config keys {sorted(unknown)}")
         timeout = self.oracle.get("timeout_s", 30.0)
         if not _is_number(timeout) or timeout <= 0:
             raise ConfigError(f"oracle.timeout_s must be a positive number, got {timeout!r}")
@@ -197,9 +201,11 @@ def _cmd_dataflow(args, config: RunConfig) -> int:
         workers=config.workers,
         evolution=config.evolution_config(),
     )
-    stages = list(STAGES) if args.stage == "all" else [args.stage]
-    for stage in stages:
-        report = run_stage(stage, workspace, oracle, pipeline_config)
+    if args.stage == "all":
+        reports = run_all(workspace, oracle, pipeline_config)
+    else:
+        reports = [run_stage(args.stage, workspace, oracle, pipeline_config)]
+    for report in reports:
         print(
             f"{report.stage}: read {report.read}, wrote {report.written}, "
             f"skipped {len(report.skipped)}"
@@ -332,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--workspace", help="workspace directory")
     parser.add_argument("--seed", type=int, help="global seed")
-    parser.add_argument("--workers", type=int, help="worker pool size")
+    parser.add_argument(
+        "--workers", type=int, help="oracle requests in flight in the instantiate and judge stages"
+    )
     parser.add_argument("--clock", choices=["real", "zero"], help="timing source")
     sub = parser.add_subparsers(dest="command", required=True)
 

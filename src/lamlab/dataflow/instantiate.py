@@ -76,7 +76,8 @@ def parse_actions_plan(actions_plan: object) -> list[ActionCall]:
             raise ParseFailure(f"action call missing keys {sorted(missing)}")
         if not isinstance(item["args"], Mapping):
             raise ParseFailure("action call args must be an object")
-        action = ActionCall.from_call_dict(item)
+        # Only the call keys: a status is not part of an instantiated action.
+        action = ActionCall.from_call_dict({key: item[key] for key in _CALL_KEYS})
         spec = REGISTRY.get(action.function)
         if spec is None:
             raise ParseFailure(f"action call names unregistered function {action.function!r}")

@@ -1,8 +1,13 @@
 """Stage orchestration over line-record files.
 
-Each stage reads the previous stage's file from ``corpus/`` inside the
-workspace and writes its own. Per-task stages fan out over a worker pool and
-merge deterministically (sorted by id); records that fail a per-record
+Each stage writes its output to its own file in ``corpus/`` inside the
+workspace and reads its input from the previous stage's file, or, within one
+``run_all``, from the records that stage produced earlier in the same run, so
+a run decodes only ``raw_records.jsonl``. The two stages that prompt the
+oracle once per record, instantiate and judge, keep up to ``workers`` oracle
+requests in flight, so a remote provider's latency overlaps; every other
+stage is plain Python under the interpreter lock and runs serially. Outputs
+are merged deterministically (sorted by id); records that fail a per-record
 validation are skipped with a diagnostic, never aborting the stage.
 """
 
@@ -54,6 +59,7 @@ def stage_files(workspace: str | Path) -> dict[str, Path]:
 
 @dataclass
 class PipelineConfig:
+    # Oracle requests in flight in the instantiate and judge stages.
     workers: int = 6
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
 
@@ -66,53 +72,65 @@ class StageReport:
     skipped: list[str] = field(default_factory=list)
 
 
-def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_stage(
     stage: str,
     workspace: str | Path,
     oracle: Provider,
     config: PipelineConfig = PipelineConfig(),
+    produced: dict[str, list] | None = None,
 ) -> StageReport:
+    """Run one stage and write its file.
+
+    ``produced`` maps a stage to the records it wrote earlier in the same
+    run, as its file's reader would return them. The stage takes its input
+    from there when present, else from the file; every stage but the last
+    adds its own output.
+    """
     files = stage_files(workspace)
+    produced = {} if produced is None else produced
+
+    def read(source: str, parse: Callable | None = None) -> list:
+        if source in produced:
+            return produced[source]
+        return read_jsonl(files[source], parse)
+
     if stage == "normalize":
-        raw = read_jsonl(files["raw"])
+        raw = read("raw")
         records = normalize_sources(raw)
+        produced[stage] = records
         write_jsonl(files["normalize"], (r.to_dict() for r in records))
         return StageReport(stage, read=len(raw), written=len(records))
 
     if stage == "evolve":
-        records = read_jsonl(files["normalize"], TaskPlanRecord.from_dict)
+        records = read("normalize", TaskPlanRecord.from_dict)
         out = evolve_corpus(records, oracle, config.evolution)
+        produced[stage] = out
         write_jsonl(files["evolve"], (r.to_dict() for r in out))
         return StageReport(stage, read=len(records), written=len(out))
 
     if stage == "instantiate":
-        source = files["evolve"] if files["evolve"].exists() else files["normalize"]
-        records = read_jsonl(source, TaskPlanRecord.from_dict)
+        source = "evolve" if "evolve" in produced or files["evolve"].exists() else "normalize"
+        records = read(source, TaskPlanRecord.from_dict)
         templates = [get_template(tid) for tid in list_templates()]
         results, skipped = _map_skipping(
             lambda r: instantiate(r, templates, oracle), records, config.workers
         )
         results.sort(key=lambda t: t.origin_task_id)
+        produced[stage] = results
         write_jsonl(files["instantiate"], (t.to_dict() for t in results))
         _report_skips("instantiate", skipped)
         return StageReport(stage, read=len(records), written=len(results), skipped=skipped)
 
     if stage == "execute":
-        tasks = read_jsonl(files["instantiate"], InstantiatedTask.from_dict)
-        trajectories = _parallel_map(execute_trajectory, tasks, config.workers)
+        tasks = read("instantiate", InstantiatedTask.from_dict)
+        trajectories = [execute_trajectory(t) for t in tasks]
         trajectories.sort(key=lambda t: t.trajectory_id)
+        produced[stage] = trajectories
         write_jsonl(files["execute"], (t.to_dict() for t in trajectories))
         return StageReport(stage, read=len(tasks), written=len(trajectories))
 
     if stage == "judge":
-        trajectories = read_jsonl(files["execute"], Trajectory.from_dict)
+        trajectories = read("execute", Trajectory.from_dict)
         successes = [t for t in trajectories if t.final_status == "success"]
         verdicts, skipped = _map_skipping(
             lambda t: (t.trajectory_id, t.origin.origin_task_id, judge_trajectory(t, oracle)),
@@ -120,6 +138,7 @@ def run_stage(
             config.workers,
         )
         verdicts.sort(key=lambda v: v[0])
+        produced[stage] = [(tid, verdict) for tid, _, verdict in verdicts]
         write_jsonl(
             files["judge"],
             (
@@ -131,10 +150,8 @@ def run_stage(
         return StageReport(stage, read=len(trajectories), written=len(verdicts), skipped=skipped)
 
     if stage == "postprocess":
-        trajectories = {
-            t.trajectory_id: t for t in read_jsonl(files["execute"], Trajectory.from_dict)
-        }
-        verdicts = read_jsonl(files["judge"], verdict_row)
+        trajectories = {t.trajectory_id: t for t in read("execute", Trajectory.from_dict)}
+        verdicts = read("judge", verdict_row)
         records = []
         for tid, verdict in verdicts:
             if verdict.task_complete != "yes":
@@ -150,13 +167,20 @@ def run_stage(
 
 
 def _map_skipping(fn: Callable, items: Sequence, workers: int) -> tuple[list, list[str]]:
+    """``fn`` of each item, up to ``workers`` calls at a time, in item order;
+    an item whose call raises a ``LamLabError`` is skipped with its reason."""
+
     def safe(item):
         try:
             return fn(item), None
         except LamLabError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    outcomes = _parallel_map(safe, items, workers)
+    if workers <= 1 or len(items) <= 1:
+        outcomes = [safe(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(safe, items))
     results = [r for r, err in outcomes if err is None]
     skipped = [err for _, err in outcomes if err is not None]
     return results, skipped
@@ -170,4 +194,7 @@ def _report_skips(stage: str, skipped: list[str]) -> None:
 def run_all(
     workspace: str | Path, oracle: Provider, config: PipelineConfig = PipelineConfig()
 ) -> list[StageReport]:
-    return [run_stage(stage, workspace, oracle, config) for stage in STAGES]
+    """Every stage in order; each hands its records to the later stages that
+    read them, so only the raw records are read from disk."""
+    produced: dict[str, list] = {}
+    return [run_stage(stage, workspace, oracle, config, produced) for stage in STAGES]

@@ -27,10 +27,10 @@ from typing import Iterable, Sequence
 from ..errors import CheckpointError
 from ..env_sim import ActionCall, STATUS_CONTINUE, STATUS_FINISH
 from ..jsonl import write_text
-from ..textutil import token_overlap
+from ..textutil import set_overlap, token_set
 from .candidates import CandidateAction, enumerate_candidates
 from .features import FEATURE_NAMES, STATUS_FEATURES, SparseRow, featurize, status_features
-from .state import AgentState
+from .state import AgentState, _text_tokens
 
 __all__ = [
     "END_TOKEN",
@@ -240,8 +240,13 @@ def build_plan_vocab(plans: list[list[str]]) -> tuple[str, ...]:
 
 def plan_overlaps(task: str, vocab: tuple[str, ...]) -> tuple[float, ...]:
     """Token overlap of every vocabulary entry with the task (0.0 for the end
-    token, whose score has no overlap term)."""
-    return tuple(0.0 if v == END_TOKEN else token_overlap(v, task) for v in vocab)
+    token, whose score has no overlap term). The task is tokenized once per
+    call; the entries' token sets come from the bounded cache that the agent
+    state's texts share."""
+    task_tokens = token_set(task)
+    return tuple(
+        0.0 if v == END_TOKEN else set_overlap(_text_tokens(v), task_tokens) for v in vocab
+    )
 
 
 class PlanWeights:

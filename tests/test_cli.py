@@ -307,11 +307,13 @@ _NORMALIZE = ["dataflow", "run", "--stage", "normalize"]
                         "model": "m", "timeout_s": "abc"}},
             _NORMALIZE,
         ),
+        ({"oracle": {"provider": "mock", "timeot_s": 5}}, ["report"]),
         ({"seed": "abc"}, ["train", "--phase", "2"]),
         ({"seed": True}, ["train", "--phase", "2"]),
     ],
     ids=["max_steps_0", "max_steps_many", "mode_bogus", "agent_key", "evolution_key",
-         "max_retries_float", "workers_x", "workers_0", "timeout_abc", "seed_abc", "seed_bool"],
+         "max_retries_float", "workers_x", "workers_0", "timeout_abc", "oracle_key", "seed_abc",
+         "seed_bool"],
 )
 def test_bad_config_value_exit_2(tmp_path, capsys, values, command):
     config = tmp_path / "cfg.json"

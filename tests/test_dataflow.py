@@ -235,6 +235,21 @@ def test_parse_actions_plan_newline_format():
     assert actions[1].control_label == "101"
 
 
+def test_parsed_action_status_is_not_read_from_the_call():
+    """An instantiated action's status is not on the wire, so one that the
+    oracle adds must not survive in memory either."""
+    call = {"step": "bold it", "controlLabel": "", "controlText": "Bold",
+            "function": "click_input", "args": {}, "status": "FINISH"}
+    task = InstantiatedTask(
+        origin_task_id="t1",
+        instantiated_task="Bold it.",
+        template_id="plain_text",
+        actions=tuple(parse_actions_plan(json.dumps(call))),
+    )
+    assert task.actions[0].status == "CONTINUE"
+    assert InstantiatedTask.from_dict(task.to_dict()) == task
+
+
 @pytest.mark.parametrize(
     "bad",
     [

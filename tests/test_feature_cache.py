@@ -62,7 +62,7 @@ from lamlab.policy import (
 )
 from lamlab.policy import candidates as candidates_module
 from lamlab.policy.features import _CTYPE_BLOCK, _FUNC_BLOCK, FUNC_TRIGGERS, densify
-from lamlab.policy.model import END_TOKEN
+from lamlab.policy.model import END_TOKEN, plan_overlaps
 from lamlab.textutil import token_overlap
 from lamlab.training import (
     PhaseConfigs,
@@ -272,6 +272,10 @@ def reference_plan_scores(task, params, position, used, vocab):
     return scores
 
 
+def reference_plan_overlaps(task, vocab):
+    return tuple(0.0 if v == END_TOKEN else token_overlap(v, task) for v in vocab)
+
+
 def reference_sft_plan_loss(params, batch, step_mean=True):
     vocab = params.plan_vocab
     index = {v: i for i, v in enumerate(vocab)}
@@ -469,6 +473,13 @@ def test_inference_scores_equal_reference(suite_steps, plan_records):
             assert generate_plan(record.task, params) == reference_generate_plan(
                 record.task, params
             )
+
+
+def test_plan_overlaps_equal_reference_on_suite_tasks(plan_records):
+    vocab = build_plan_vocab([list(r.plan) for r in plan_records])
+    tasks = [t.task for t in harness.load_suite_tasks()] + [r.task for r in plan_records]
+    for task in tasks:
+        assert plan_overlaps(task, vocab) == reference_plan_overlaps(task, vocab)
 
 
 def coarse_params(seed):

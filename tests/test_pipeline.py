@@ -1,11 +1,22 @@
-"""Stage orchestration: file plumbing, worker determinism, provenance."""
+"""Stage orchestration: file plumbing, in-memory handoff, oracle
+concurrency, worker determinism, provenance."""
 
 import shutil
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from lamlab.dataflow import PipelineConfig, run_all, run_stage, stage_files
+from lamlab.cli import main
+from lamlab.dataflow import STAGES, PipelineConfig, run_all, run_stage, stage_files
+from lamlab.dataflow import pipeline
+from lamlab.dataflow.records import (
+    InstantiatedTask,
+    TaskPlanRecord,
+    Trajectory,
+    verdict_row,
+)
 from lamlab.fixtures import fixture_path
 from lamlab.jsonl import read_jsonl, sha256_file, write_jsonl
 from lamlab.oracle import MockOracle
@@ -116,3 +127,114 @@ def test_stage_outputs_sorted_by_id(pipeline_ws):
     ):
         ids = [row[key] for row in read_jsonl(files[stage])]
         assert ids == sorted(ids), stage
+
+
+def corpus_bytes(ws: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted((ws / "corpus").glob("*.jsonl"))}
+
+
+def test_run_all_reads_only_the_raw_records(tmp_path, monkeypatch):
+    ws = seed_workspace(tmp_path / "ws")
+    paths = []
+
+    def recording_read_jsonl(path, parse=None):
+        paths.append(Path(path).name)
+        return read_jsonl(path, parse)
+
+    monkeypatch.setattr(pipeline, "read_jsonl", recording_read_jsonl)
+    run_all(ws, MockOracle(), PipelineConfig())
+    assert paths == ["raw_records.jsonl"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_all_equals_stages_run_from_files(tmp_path, workers):
+    config = PipelineConfig(workers=workers)
+    handed = seed_workspace(tmp_path / "handed")
+    from_files = seed_workspace(tmp_path / "from_files")
+    reports = run_all(handed, MockOracle(), config)
+    file_reports = [run_stage(stage, from_files, MockOracle(), config) for stage in STAGES]
+    assert reports == file_reports
+    assert corpus_bytes(handed) == corpus_bytes(from_files)
+
+
+_PARSERS = {
+    "normalize": TaskPlanRecord.from_dict,
+    "evolve": TaskPlanRecord.from_dict,
+    "instantiate": InstantiatedTask.from_dict,
+    "execute": Trajectory.from_dict,
+    "judge": verdict_row,
+}
+
+
+def test_handed_off_records_are_what_their_files_read_back(tmp_path):
+    ws = seed_workspace(tmp_path / "ws")
+    produced = {}
+    for stage in STAGES:
+        run_stage(stage, ws, MockOracle(), PipelineConfig(), produced)
+    files = stage_files(ws)
+    for stage, parse in _PARSERS.items():
+        assert produced[stage], stage
+        assert produced[stage] == read_jsonl(files[stage], parse), stage
+
+
+def test_dataflow_all_command_is_run_all(tmp_path, capsys):
+    cli_ws = tmp_path / "cli"
+    assert main(["--workspace", str(cli_ws), "dataflow", "run", "--stage", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reports = run_all(seed_workspace(tmp_path / "api"), MockOracle(), PipelineConfig())
+    assert lines == [
+        f"{r.stage}: read {r.read}, wrote {r.written}, skipped {len(r.skipped)}"
+        for r in reports
+    ]
+    assert [line.split(":")[0] for line in lines] == list(STAGES)
+    assert corpus_bytes(cli_ws) == corpus_bytes(tmp_path / "api")
+
+
+class SlowOracle:
+    """``MockOracle`` answers after a fixed short sleep; records, per prompt
+    template, the most calls that were in flight at once."""
+
+    def __init__(self, delay_s: float = 0.005):
+        self.inner = MockOracle()
+        self.delay_s = delay_s
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight: dict[str, int] = {}
+
+    def complete(self, request):
+        template = request.template_id
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight[template] = max(
+                self.max_in_flight.get(template, 0), self.in_flight
+            )
+        try:
+            time.sleep(self.delay_s)
+            return self.inner.complete(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_oracle_stages_overlap_oracle_calls_and_execute_runs_inline(tmp_path, monkeypatch):
+    threads = set()
+    execute_trajectory = pipeline.execute_trajectory
+
+    def recording_execute(task):
+        threads.add(threading.get_ident())
+        return execute_trajectory(task)
+
+    monkeypatch.setattr(pipeline, "execute_trajectory", recording_execute)
+    corpora = {}
+    for workers in (4, 1):
+        oracle = SlowOracle()
+        ws = seed_workspace(tmp_path / f"w{workers}")
+        run_all(ws, oracle, PipelineConfig(workers=workers))
+        corpora[workers] = corpus_bytes(ws)
+        if workers == 1:
+            assert oracle.max_in_flight == {"evolve": 1, "instantiate": 1, "judge": 1}
+        else:
+            assert oracle.max_in_flight["instantiate"] > 1
+            assert oracle.max_in_flight["judge"] > 1
+    assert corpora[4] == corpora[1]
+    assert threads == {threading.get_ident()}
