@@ -5,9 +5,9 @@ block of hand-designed signals followed by one-hot blocks for the function
 and the target control type. All features are deterministic functions of the
 pair and lie in [0, 1]. A pair sets only about four of them, so ``featurize``
 returns its sparse row: the indices of the non-zero features, strictly
-increasing, and their values. Inference, imitation and PPO score these rows
-as they come (``model.score_rows``); ``densify`` turns one into the full
-vector for the reward model.
+increasing, and their values; ``status_features`` returns the status
+head's row the same way. Every head but the plan head scores such rows with
+``model.score_rows``.
 
 ``featurize`` is called once per pair, but it recomputes only what depends on
 the pair. The function-task and function-plan affinities, the progress value
@@ -27,7 +27,6 @@ __all__ = [
     "STATUS_FEATURES",
     "FORMAT_KEYWORDS",
     "SparseRow",
-    "densify",
     "featurize",
     "status_features",
 ]
@@ -162,20 +161,16 @@ def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
     return tuple(idx), tuple(xs)
 
 
-def densify(row: SparseRow) -> list[float]:
-    """The full FEATURE_NAMES-wide vector of a sparse row."""
-    vector = [0.0] * len(FEATURE_NAMES)
-    for j, x in zip(*row):
-        vector[j] = x
-    return vector
-
-
-def status_features(state: AgentState) -> list[float]:
-    return [
+def status_features(state: AgentState) -> SparseRow:
+    """The sparse row of the status head's features, in STATUS_FEATURES order."""
+    plan = len(state.previous_plan)
+    dense = (
         1.0,
         state.progress,
         1.0 if state.step_id == 1 else 0.0,
-        min(len(state.previous_plan) / 20.0, 1.0),
-        1.0 if len(state.previous_plan) == 1 else 0.0,
+        min(plan / 20.0, 1.0),
+        1.0 if plan == 1 else 0.0,
         1.0 if state.is_format_task else 0.0,
-    ]
+    )
+    idx = tuple(j for j, x in enumerate(dense) if x)
+    return idx, tuple(dense[j] for j in idx)

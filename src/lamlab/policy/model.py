@@ -6,11 +6,11 @@ Three heads over named weights:
   * plan head (``plan::*``): autoregressive scoring over a plan-step
     vocabulary with an end token.
 
-The action head scores sparse feature rows with ``score_rows``, the one
-kernel that inference, imitation and PPO share. Parameters are immutable
-values during inference; training constructs new ones. Checkpoints are JSON
-weight tables keyed by feature name; loading a checkpoint with unknown names
-is an error.
+The action and status heads and the reward model score sparse feature rows
+with ``score_rows`` and add their gradients with ``scatter_row``, in inference
+and in training alike. Parameters are immutable values during inference;
+training constructs new ones. Checkpoints are JSON weight tables keyed by
+feature name; loading a checkpoint with unknown names is an error.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "ActionDistribution",
     "softmax",
     "score_rows",
+    "scatter_row",
     "action_distribution",
     "select_action",
     "PlanWeights",
@@ -69,6 +70,13 @@ def score_rows(w: Sequence[float], rows: Iterable[SparseRow]) -> list[float]:
     a row skips would add w * 0.0 = +-0.0, which never changes a float sum
     started at +0.0, so the scores equal the dense dot products exactly."""
     return [sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in rows]
+
+
+def scatter_row(grads: dict[int, float], coef: float, row: SparseRow) -> None:
+    """Adds ``coef * x`` to ``grads[j]`` for every feature ``j`` of the row:
+    the gradient of ``coef * score`` with respect to the weights it reads."""
+    for j, x in zip(*row):
+        grads[j] = grads.get(j, 0.0) + coef * x
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,7 @@ def action_distribution(
         candidates = enumerate_candidates(state)
     scores = score_rows(params.act_weights, [featurize(state, c) for c in candidates])
     probs, log_probs = softmax(scores)
-    logit = sum(map(mul, params.status_weights, status_features(state)))
+    (logit,) = score_rows(params.status_weights, [status_features(state)])
     finish_prob = 1.0 / (1.0 + math.exp(-logit))
     return ActionDistribution(
         candidates=tuple(candidates),

@@ -75,11 +75,6 @@ def set_overlap(ta: frozenset[str], tb: frozenset[str]) -> float:
     return len(ta & tb) / len(ta)
 
 
-def token_overlap(a: str, b: str) -> float:
-    """|tokens(a) ∩ tokens(b)| / |tokens(a)|, 0.0 when a has no tokens."""
-    return set_overlap(token_set(a), token_set(b))
-
-
 def first_quoted(text: str) -> str | None:
     """First double-quoted (then single-quoted) span in the text."""
     m = re.search(r'"([^"]+)"', text)

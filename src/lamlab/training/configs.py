@@ -1,16 +1,32 @@
-"""Training-phase configuration values."""
+"""Training-phase configuration values, checked on construction (``ValueError``)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["SftConfig", "RmConfig", "PpoConfig", "BoostConfig", "PhaseConfigs"]
 
 
+def _check_ints(config, minimum: int, *names: str) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_learning_rate(config) -> None:
+    value = config.learning_rate
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value < math.inf):
+        raise ValueError(f"learning_rate must be a finite positive number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SftConfig:
+    """Minibatch SGD with a linear warmup, then cosine decay."""
+
     learning_rate: float = 2e-5
-    schedule: str = "cosine"  # "cosine" | "constant"
     warmup_steps: int = 2
     batch_size: int = 16
     epochs: int = 3
@@ -20,27 +36,22 @@ class SftConfig:
     step_mean: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.schedule not in ("cosine", "constant"):
-            raise ValueError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
+        _check_learning_rate(self)
+        _check_ints(self, 1, "batch_size", "epochs")
+        _check_ints(self, 0, "warmup_steps")
 
 
 @dataclass(frozen=True)
 class RmConfig:
+    """AdamW with a linearly decaying step size."""
+
     learning_rate: float = 2e-5
-    schedule: str = "linear"  # "linear" | "constant"
-    optimizer: str = "adamw"  # "adamw" | "gd"
     epochs: int = 2
     batch_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.schedule not in ("linear", "constant"):
-            raise ValueError(f"schedule must be 'linear' or 'constant', got {self.schedule!r}")
-        if self.optimizer not in ("adamw", "gd"):
-            raise ValueError(f"optimizer must be 'adamw' or 'gd', got {self.optimizer!r}")
+        _check_learning_rate(self)
+        _check_ints(self, 1, "batch_size", "epochs")
 
 
 @dataclass(frozen=True)
@@ -51,14 +62,14 @@ class PpoConfig:
     kl_target: float = 0.1
     kl_coef_init: float = 0.2
     clip_epsilon: float = 0.2
-    reward_low: float = -0.5
+    # Normalized rewards are scaled onto [-reward_high, reward_high].
     reward_high: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_learning_rate(self)
+        _check_ints(self, 1, "minibatch_size", "ppo_epochs")
         if not 0 < self.clip_epsilon < 1:
             raise ValueError("clip_epsilon must lie in (0, 1)")
-        if self.reward_low != -self.reward_high:
-            raise ValueError("reward range must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,9 @@ class BoostConfig:
     attempts_per_task: int = 3
     max_steps: int = 20
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_ints(self, 1, "attempts_per_task", "max_steps")
 
 
 @dataclass(frozen=True)

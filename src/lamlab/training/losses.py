@@ -9,15 +9,16 @@ loss touches.
 Each loss is split in two. Preparation does the weight-independent work once
 per corpus: ``prepare_imitation`` enumerates the candidates of every step,
 matches the expert action and stores each candidate's sparse feature row as
-``featurize`` returns it; ``prepare_status`` stores the status features and
-label of every step; ``prepare_plans`` stores the target indices of every
-plan and the token overlap of each vocabulary entry with the task. The loss functions are the kernels: each call reads the weights once
-and scores the prepared rows. They also accept raw items (state/action
-pairs, state/status pairs, records with ``task`` and ``plan``) and prepare
-those on the spot, so one call on raw items and one on prepared items give
-identical results. A training phase prepares its corpus once and hands the
-prepared items to every epoch's batches. Imitation and PPO score the action
-rows with ``model.score_rows``, the kernel inference uses.
+``featurize`` returns it; ``prepare_status`` stores the sparse status row and
+label of every step; ``prepare_plans`` stores the target indices of every plan
+and the token overlap of each vocabulary entry with the task. The loss
+functions are the kernels: each call reads the weights once and scores the
+prepared rows with ``model.score_rows``, the kernel inference uses (the plan
+head keeps its own). They also accept raw items (state/action pairs,
+state/status pairs, records with ``task`` and ``plan``) and prepare those on
+the spot, so one call on raw items and one on prepared items give identical
+results. A training phase prepares its corpus once and hands the prepared
+items to every epoch's batches.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from operator import mul
 from typing import Any, Callable, Sequence
 
 from ..errors import EmptyCorpus, ValidationFailure
@@ -39,6 +39,7 @@ from ..policy.model import (
     ModelParams,
     PlanWeights,
     plan_overlaps,
+    scatter_row,
     score_rows,
     softmax,
 )
@@ -52,7 +53,7 @@ __all__ = [
     "status_loss",
     "ImitationStep",
     "ActionRows",
-    "StatusRow",
+    "LabelledRow",
     "PlanRows",
     "prepare_imitation",
     "prepare_status",
@@ -75,12 +76,13 @@ class ActionRows:
 
 
 @dataclass(frozen=True)
-class StatusRow:
-    """One status step, prepared: its status features and its label
-    (1.0 for FINISH)."""
+class LabelledRow:
+    """One step of a single-score head, prepared: its sparse feature row and
+    its label (the status head's 1.0 for FINISH and 0.0 for CONTINUE, the
+    reward model's +1/-1)."""
 
-    features: tuple[float, ...]
-    target: float
+    row: SparseRow
+    label: float
 
 
 @dataclass(frozen=True)
@@ -113,14 +115,14 @@ def prepare_imitation(
     return [[_action_rows(step) for step in trajectory] for trajectory in trajectories]
 
 
-def _status_row(step: StatusRow | tuple[AgentState, str]) -> StatusRow:
-    if isinstance(step, StatusRow):
+def _status_row(step: LabelledRow | tuple[AgentState, str]) -> LabelledRow:
+    if isinstance(step, LabelledRow):
         return step
     state, status = step
-    return StatusRow(tuple(status_features(state)), 1.0 if status == "FINISH" else 0.0)
+    return LabelledRow(status_features(state), 1.0 if status == "FINISH" else 0.0)
 
 
-def prepare_status(steps: Sequence[tuple[AgentState, str]]) -> list[StatusRow]:
+def prepare_status(steps: Sequence[tuple[AgentState, str]]) -> list[LabelledRow]:
     return [_status_row(step) for step in steps]
 
 
@@ -227,36 +229,31 @@ def imitation_loss(
         for step in map(_action_rows, trajectory):
             probs, log_probs = _row_softmax(w, step.rows)
             loss += -log_probs[step.expert] * weight
-            for i, (idx, xs) in enumerate(step.rows):
+            for i, row in enumerate(step.rows):
                 coef = (probs[i] - (1.0 if i == step.expert else 0.0)) * weight
                 if coef == 0.0:
                     continue
-                for j, x in zip(idx, xs):
-                    grads[j] = grads.get(j, 0.0) + coef * x
+                scatter_row(grads, coef, row)
     return loss, {ACT_NAMES[j]: g for j, g in grads.items()}
 
 
 def status_loss(
-    params: ModelParams, steps: Sequence[StatusRow | tuple[AgentState, str]]
+    params: ModelParams, steps: Sequence[LabelledRow | tuple[AgentState, str]]
 ) -> tuple[float, dict[str, float]]:
     """Binary cross-entropy of the status head against CONTINUE/FINISH labels."""
     if not steps:
         raise EmptyCorpus("status_loss needs at least one step")
-    w = params.status_weights
+    rows = [_status_row(step) for step in steps]
     loss = 0.0
-    grads: dict[str, float] = {}
-    n = len(steps)
-    for row in map(_status_row, steps):
-        logit = sum(map(mul, w, row.features))
-        target = row.target
+    grads: dict[int, float] = {}
+    n = len(rows)
+    eps = 1e-12
+    for row, logit in zip(rows, score_rows(params.status_weights, [r.row for r in rows])):
+        target = row.label
         prob = 1.0 / (1.0 + math.exp(-logit))
-        eps = 1e-12
         loss += -(target * math.log(prob + eps) + (1 - target) * math.log(1 - prob + eps)) / n
-        coef = (prob - target) / n
-        for name, x in zip(STATUS_NAMES, row.features):
-            if x != 0.0:
-                _accumulate(grads, name, coef * x)
-    return loss, grads
+        scatter_row(grads, (prob - target) / n, row.row)
+    return loss, {STATUS_NAMES[j]: g for j, g in grads.items()}
 
 
 def _accumulate(grads: dict[str, float], name: str, value: float) -> None:
@@ -266,10 +263,10 @@ def _accumulate(grads: dict[str, float], name: str, value: float) -> None:
 # --- the minibatch loop and its optimizer steps ------------------------------
 
 def learning_rate_at(step: int, total_steps: int, config: SftConfig) -> float:
-    """Warmup then cosine decay (or constant after warmup)."""
+    """Linear warmup, then cosine decay."""
     if config.warmup_steps > 0 and step < config.warmup_steps:
         return config.learning_rate * (step + 1) / config.warmup_steps
-    if config.schedule == "constant" or total_steps <= config.warmup_steps:
+    if total_steps <= config.warmup_steps:
         return config.learning_rate
     span = total_steps - config.warmup_steps
     t = (step - config.warmup_steps) / span

@@ -17,7 +17,7 @@ from typing import Sequence
 from ..errors import DegenerateRatio, EmptyCorpus
 from ..policy import AgentState
 from ..policy.features import SparseRow
-from ..policy.model import ACT_NAMES, ModelParams
+from ..policy.model import ACT_NAMES, ModelParams, scatter_row
 from ..env_sim import ActionCall
 from .configs import PpoConfig
 from .losses import ActionRows, _action_rows, _row_softmax, sgd, train_params
@@ -38,8 +38,9 @@ _MIN_OLD_PROB = 1e-12
 
 
 def scale_reward(reward: float, config: PpoConfig = PpoConfig()) -> float:
-    """Affine map of a normalized reward in [0, 1] onto the configured range."""
-    return config.reward_low + reward * (config.reward_high - config.reward_low)
+    """Affine map of a normalized reward in [0, 1] onto [-reward_high, reward_high]."""
+    high = config.reward_high
+    return -high + reward * (high + high)
 
 
 def compute_advantage(rewards: Sequence[float], config: PpoConfig = PpoConfig()) -> list[float]:
@@ -81,9 +82,8 @@ class PpoDiagnostics:
 def _expected(probs: Sequence[float], rows: Sequence[SparseRow]) -> dict[int, float]:
     """E[x] under ``probs``, by feature index, over every feature the rows use."""
     expected: dict[int, float] = {}
-    for p, (idx, xs) in zip(probs, rows):
-        for j, x in zip(idx, xs):
-            expected[j] = expected.get(j, 0.0) + p * x
+    for p, row in zip(probs, rows):
+        scatter_row(expected, p, row)
     return expected
 
 

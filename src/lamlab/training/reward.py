@@ -1,11 +1,12 @@
 """Reward model: a linear scorer of (state, action) pairs.
 
 Trained with mean squared error against +1/-1 trajectory outcome labels; at
-inference the raw score is squashed through a sigmoid into [0, 1].
-``train_reward_model`` computes each step's dense feature vector (a bias,
-then the densified row of ``featurize``) once (``prepare_rewarded``) and
-trains on those rows with ``losses.train_params`` and AdamW or plain gradient
-descent; ``rm_mse_loss`` takes prepared rows or raw steps alike.
+inference the raw score is squashed through a sigmoid into [0, 1]. A step's
+sparse row (``rm_features``) is a bias at index 0, then the action's
+``featurize`` row shifted by one. ``train_reward_model`` prepares each row once
+(``prepare_rewarded``) and trains with ``losses.train_params`` and AdamW under
+a linearly decaying step size; ``rm_mse_loss`` takes prepared rows or raw
+steps alike.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -22,13 +22,13 @@ from ..errors import EmptyCorpus, ValidationFailure
 from ..env_sim import ActionCall
 from ..jsonl import write_text
 from ..policy import AgentState, CandidateAction, featurize
-from ..policy.features import FEATURE_NAMES, densify
+from ..policy.features import FEATURE_NAMES, SparseRow
+from ..policy.model import scatter_row, score_rows
 from .configs import RmConfig
-from .losses import Step, sgd, train_params
+from .losses import LabelledRow, Step, train_params
 
 __all__ = [
     "RewardedStep",
-    "RewardRow",
     "RewardModelParams",
     "prepare_rewarded",
     "rm_features",
@@ -71,26 +71,19 @@ def _candidate_of_action(state: AgentState, action: ActionCall) -> CandidateActi
     )
 
 
-def rm_features(state: AgentState, action: ActionCall) -> list[float]:
-    return [1.0] + densify(featurize(state, _candidate_of_action(state, action)))
+def rm_features(state: AgentState, action: ActionCall) -> SparseRow:
+    """The sparse row over RM_FEATURE_NAMES."""
+    idx, xs = featurize(state, _candidate_of_action(state, action))
+    return (0, *(j + 1 for j in idx)), (1.0, *xs)
 
 
-@dataclass(frozen=True)
-class RewardRow:
-    """One rewarded step, prepared: its features in ``RM_FEATURE_NAMES``
-    order and its label."""
-
-    features: tuple[float, ...]
-    reward: int
-
-
-def _reward_row(step: RewardRow | RewardedStep) -> RewardRow:
-    if isinstance(step, RewardRow):
+def _reward_row(step: LabelledRow | RewardedStep) -> LabelledRow:
+    if isinstance(step, LabelledRow):
         return step
-    return RewardRow(tuple(rm_features(step.state, step.action)), step.reward)
+    return LabelledRow(rm_features(step.state, step.action), step.reward)
 
 
-def prepare_rewarded(steps: Sequence[RewardedStep]) -> list[RewardRow]:
+def prepare_rewarded(steps: Sequence[RewardedStep]) -> list[LabelledRow]:
     return [_reward_row(step) for step in steps]
 
 
@@ -107,11 +100,8 @@ class RewardModelParams:
     def vector(self) -> tuple[float, ...]:
         return tuple(self.weights.get(name, 0.0) for name in RM_FEATURE_NAMES)
 
-    def score(self, features: Sequence[float]) -> float:
-        return sum(map(mul, self.vector, features))
-
     def raw(self, state: AgentState, action: ActionCall) -> float:
-        return self.score(rm_features(state, action))
+        return score_rows(self.vector, [rm_features(state, action)])[0]
 
     def normalized(self, state: AgentState, action: ActionCall) -> float:
         return 1.0 / (1.0 + math.exp(-self.raw(state, action)))
@@ -131,22 +121,20 @@ class RewardModelParams:
 
 
 def rm_mse_loss(
-    params: RewardModelParams, steps: Sequence[RewardRow | RewardedStep]
+    params: RewardModelParams, steps: Sequence[LabelledRow | RewardedStep]
 ) -> tuple[float, dict[str, float]]:
     """MSE between the raw output and the +1/-1 labels, with its gradient."""
     if not steps:
         raise EmptyCorpus("rm_mse_loss needs at least one step")
-    n = len(steps)
+    rows = [_reward_row(step) for step in steps]
+    n = len(rows)
     loss = 0.0
-    grads: dict[str, float] = {}
-    for row in map(_reward_row, steps):
-        err = params.score(row.features) - row.reward
+    grads: dict[int, float] = {}
+    for row, score in zip(rows, score_rows(params.vector, [r.row for r in rows])):
+        err = score - row.label
         loss += err * err / n
-        coef = 2.0 * err / n
-        for name, x in zip(RM_FEATURE_NAMES, row.features):
-            if x != 0.0:
-                grads[name] = grads.get(name, 0.0) + coef * x
-    return loss, grads
+        scatter_row(grads, 2.0 * err / n, row.row)
+    return loss, {RM_FEATURE_NAMES[j]: g for j, g in grads.items()}
 
 
 def _adamw(learning_rate: Callable[[int, int], float]) -> Step:
@@ -184,11 +172,10 @@ def train_reward_model(
     rows = prepare_rewarded(steps)
 
     def learning_rate(t: int, total_steps: int) -> float:
-        if config.schedule == "linear":
-            return config.learning_rate * max(1.0 - t / total_steps, 1.0 / total_steps)
-        return config.learning_rate
+        return config.learning_rate * max(1.0 - t / total_steps, 1.0 / total_steps)
 
-    step = _adamw(learning_rate) if config.optimizer == "adamw" else sgd(learning_rate)
-    params = train_params(params, rows, rm_mse_loss, step, config.batch_size, config.epochs, seed)
+    params = train_params(
+        params, rows, rm_mse_loss, _adamw(learning_rate), config.batch_size, config.epochs, seed
+    )
     final_mse, _ = rm_mse_loss(params, rows)
     return params, final_mse

@@ -354,11 +354,11 @@ def test_criterion_4_phase_progression(suite_phases):
 # sha256 prefixes of each checkpoint's (weights.json, manifest.json), measured
 # with CPython 3.11.
 _PINNED_CHECKPOINTS = {
-    "lam1": ("cea9742e", "4641ebbf"),
-    "lam2": ("0c91515f", "32caa1f6"),
-    "lam3": ("f91ea71e", "0188a1a1"),
-    "lam4": ("f91ea71e", "2d37c63a"),
-    "rm": ("aa185b2e", "65c5148d"),
+    "lam1": ("cea9742e", "d061c170"),
+    "lam2": ("0c91515f", "1b973260"),
+    "lam3": ("f91ea71e", "23b136c1"),
+    "lam4": ("f91ea71e", "9e318567"),
+    "rm": ("aa185b2e", "e216e694"),
 }
 
 

@@ -271,12 +271,28 @@ def test_schema_drifted_corpus_row_is_a_validation_failure(
 @pytest.mark.parametrize(
     "training",
     [
-        {"sft": {"schedule": "cosin"}},
-        {"imitation": {"schedule": "linear"}},
-        {"rm": {"schedule": "cosine"}},
-        {"rm": {"optimizer": "sgd"}},
+        # Keys that no longer exist, with values that were once accepted.
+        {"sft": {"schedule": "cosine"}},
+        {"imitation": {"schedule": "cosine"}},
+        {"rm": {"schedule": "linear"}},
+        {"rm": {"optimizer": "adamw"}},
         {"rm": {"lora_rank": 8}},
         {"imitaton": {"epochs": 3}},
+        {"ppo": {"reward_low": -0.5}},
+        # Values outside their range or of the wrong type.
+        {"sft": {"batch_size": 0}},
+        {"sft": {"batch_size": 2.5}},
+        {"sft": {"epochs": -1}},
+        {"sft": {"warmup_steps": -1}},
+        {"imitation": {"learning_rate": 0}},
+        {"imitation": {"epochs": True}},
+        {"rm": {"epochs": 0}},
+        {"rm": {"learning_rate": float("nan")}},
+        {"ppo": {"minibatch_size": 0}},
+        {"ppo": {"ppo_epochs": 1.0}},
+        {"ppo": {"learning_rate": "fast"}},
+        {"boost": {"attempts_per_task": 0}},
+        {"boost": {"max_steps": -3}},
     ],
 )
 def test_bad_training_config_exit_2(tmp_path, capsys, training):
@@ -284,7 +300,10 @@ def test_bad_training_config_exit_2(tmp_path, capsys, training):
     config.write_text(json.dumps({"training": training}))
     code = main(["--config", str(config), "--workspace", str(tmp_path), "train", "--phase", "1"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "checkpoints").exists()
 
 
 _AGENT_RUN = ["agent", "run", "--task", "Bold the text.", "--template", "plain_text"]

@@ -1,12 +1,14 @@
 """Sparse feature rows, prepared training rows and the per-state caches
 against the per-call loops.
 
-The reference functions below are the straightforward loops: featurize every
-(state, candidate) pair into a dense vector on every call and look every
-weight up by name. The sparse rows, the prepared kernels and the inference
-path must give exactly equal features, losses, gradients and scores on the
-suite's training records and on drawn states; the per-task and per-snapshot
-caches must do their work once and leave shared values unchanged.
+The reference functions below are the straightforward loops: build the
+dense action, status and reward-model vectors of every step from their
+definitions on every call (``densify`` widens a production row only where a
+test checks that row) and look every weight up by name. The sparse rows, the
+prepared kernels and the inference path must give exactly equal features,
+losses, gradients and scores on the suite's training records and on drawn
+states; the per-task and per-snapshot caches must do their work once and
+leave shared values unchanged.
 """
 
 import copy
@@ -58,12 +60,11 @@ from lamlab.policy import (
     match_expert,
     select_action,
     softmax,
-    status_features,
 )
 from lamlab.policy import candidates as candidates_module
-from lamlab.policy.features import _CTYPE_BLOCK, _FUNC_BLOCK, FUNC_TRIGGERS, densify
+from lamlab.policy.features import _CTYPE_BLOCK, _FUNC_BLOCK, FUNC_TRIGGERS
 from lamlab.policy.model import END_TOKEN, plan_overlaps
-from lamlab.textutil import token_overlap
+from lamlab.textutil import set_overlap, token_set
 from lamlab.training import (
     PhaseConfigs,
     RewardedStep,
@@ -76,7 +77,6 @@ from lamlab.training import (
     prepare_rewarded,
     prepare_status,
     records_to_imitation,
-    rm_features,
     rm_mse_loss,
     run_phase,
     sft_plan_loss,
@@ -88,6 +88,19 @@ from lamlab.training.reward import RM_FEATURE_NAMES
 
 
 # --- reference loops ------------------------------------------------------------
+
+
+def densify(row):
+    """The full FEATURE_NAMES-wide vector of a sparse row."""
+    vector = [0.0] * len(FEATURE_NAMES)
+    for j, x in zip(*row):
+        vector[j] = x
+    return vector
+
+
+def token_overlap(a, b):
+    """|tokens(a) ∩ tokens(b)| / |tokens(a)|, 0.0 when a has no tokens."""
+    return set_overlap(token_set(a), token_set(b))
 
 
 def reference_featurize(state, candidate):
@@ -141,6 +154,42 @@ def reference_featurize(state, candidate):
     return values
 
 
+def reference_status_features(state):
+    """The status head's dense vector, in STATUS_FEATURES order."""
+    return [
+        1.0,
+        min((state.step_id - 1) / 20.0, 1.0),
+        1.0 if state.step_id == 1 else 0.0,
+        min(len(state.previous_plan) / 20.0, 1.0),
+        1.0 if len(state.previous_plan) == 1 else 0.0,
+        1.0 if any(k in state.task.lower() for k in FORMAT_KEYWORDS) else 0.0,
+    ]
+
+
+def reference_candidate(state, action):
+    """An action as a candidate: its control is the first observed one whose
+    label, or else whose text, matches; a missing function is FINISH."""
+    if not action.function:
+        return CandidateAction(function="", control=None, args=(), is_finish=True)
+    control = next(
+        (
+            c
+            for c in state.controls
+            if (action.control_label and c["label"] == action.control_label)
+            or (action.control_text and c["control_text"] == action.control_text)
+        ),
+        None,
+    )
+    return CandidateAction(
+        function=action.function, control=control, args=tuple(sorted(dict(action.args).items()))
+    )
+
+
+def reference_rm_features(state, action):
+    """The reward model's dense vector: a bias, then the action's features."""
+    return [1.0] + reference_featurize(state, reference_candidate(state, action))
+
+
 class _NegKey:
     """Inverts comparison so max() breaks score ties by the *lowest* sort key."""
 
@@ -182,7 +231,7 @@ def reference_scores(state, params, candidates):
     return [
         sum(
             params.get(f"act::{n}") * x
-            for n, x in zip(FEATURE_NAMES, densify(featurize(state, c)))
+            for n, x in zip(FEATURE_NAMES, reference_featurize(state, c))
         )
         for c in candidates
     ]
@@ -190,7 +239,8 @@ def reference_scores(state, params, candidates):
 
 def reference_status_logit(state, params):
     return sum(
-        params.get(f"status::{n}") * x for n, x in zip(STATUS_FEATURES, status_features(state))
+        params.get(f"status::{n}") * x
+        for n, x in zip(STATUS_FEATURES, reference_status_features(state))
     )
 
 
@@ -206,7 +256,7 @@ def reference_imitation_loss(params, trajectories, step_mean=False):
         for state, expert in trajectory:
             candidates = enumerate_candidates(state)
             expert_idx = match_expert(candidates, expert)
-            vectors = [densify(featurize(state, c)) for c in candidates]
+            vectors = [reference_featurize(state, c) for c in candidates]
             scores = [
                 sum(params.get(f"act::{n}") * x for n, x in zip(FEATURE_NAMES, vec))
                 for vec in vectors
@@ -228,7 +278,7 @@ def reference_status_loss(params, steps):
     grads = {}
     n = len(steps)
     for state, status in steps:
-        features = status_features(state)
+        features = reference_status_features(state)
         logit = sum(
             params.get(f"status::{name}") * x for name, x in zip(STATUS_FEATURES, features)
         )
@@ -248,7 +298,7 @@ def reference_rm_mse_loss(params, steps):
     loss = 0.0
     grads = {}
     for step in steps:
-        vector = rm_features(step.state, step.action)
+        vector = reference_rm_features(step.state, step.action)
         raw = sum(params.weights.get(nme, 0.0) * x for nme, x in zip(RM_FEATURE_NAMES, vector))
         err = raw - step.reward
         loss += err * err / n
@@ -447,6 +497,24 @@ def test_rm_mse_loss_equals_reference(suite_steps):
             for got in (rm_mse_loss(params, rows), rm_mse_loss(params, raw)):
                 assert got[0] == expected[0]
                 assert list(got[1].items()) == list(expected[1].items())
+
+
+def test_reward_model_scores_equal_dense_reference(suite_steps):
+    odd_actions = [
+        ActionCall(),
+        ActionCall(function="click_input", control_text="No Such Control", args={"button": "left"}),
+        ActionCall(function="frobnicate", control_label="1"),
+    ]
+    steps = rewarded_suite_steps(suite_steps)
+    steps += [RewardedStep(s.state, a, 1) for s in steps[:5] for a in odd_actions]
+    for seed in range(3):
+        rng = random.Random(seed)
+        params = RewardModelParams({n: rng.uniform(-1.0, 1.0) for n in RM_FEATURE_NAMES})
+        w = [params.weights[n] for n in RM_FEATURE_NAMES]
+        for step in steps:
+            raw = sum(map(mul, w, reference_rm_features(step.state, step.action)))
+            assert params.raw(step.state, step.action) == raw
+            assert params.normalized(step.state, step.action) == 1.0 / (1.0 + math.exp(-raw))
 
 
 def test_prepared_plans_refuse_another_vocabulary(plan_records):

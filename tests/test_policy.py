@@ -21,9 +21,11 @@ from lamlab.policy import (
     select_action,
 )
 from lamlab.policy import candidates as candidates_module
-from lamlab.policy.features import BASE_FEATURES, densify
+from lamlab.policy.features import BASE_FEATURES
 from lamlab.training import sft_plan_loss, train_params
 from lamlab.training.losses import sgd
+
+from test_feature_cache import densify
 
 
 def make_state(

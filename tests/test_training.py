@@ -255,14 +255,14 @@ def rewarded_toy_set():
 
 def test_rm_separable_set_reaches_low_mse():
     steps = rewarded_toy_set()
-    config = RmConfig(learning_rate=0.1, optimizer="gd", epochs=2, batch_size=2)
+    config = RmConfig(learning_rate=0.1, epochs=2, batch_size=2)
     _, final_mse = train_reward_model(RewardModelParams.zeros(), steps, config)
     assert final_mse < 0.1
 
 
 def test_rm_all_success_constant_predictor():
     steps = [s for s in rewarded_toy_set() if s.reward == 1]
-    config = RmConfig(learning_rate=0.1, optimizer="gd", epochs=4, batch_size=2)
+    config = RmConfig(learning_rate=0.1, epochs=4, batch_size=2)
     params, final_mse = train_reward_model(RewardModelParams.zeros(), steps, config)
     assert final_mse < 0.05
 

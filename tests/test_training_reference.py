@@ -1,11 +1,14 @@
 """PPO and reward-model training through the shared minibatch loop against
 the dedicated loops they replaced.
 
-The reference functions below are the previous implementations, kept as they
-were: PPO featurized every candidate into a dense ``FEATURE_NAMES``-wide
-vector, scored it weight by weight and ran its own shuffle/minibatch loop;
-the reward model ran a third loop with its optimizer inline. The kernels and
-``train_params`` must give exactly equal weights, diagnostics and losses.
+The reference functions below are the previous implementations: PPO
+featurized every candidate into a dense ``FEATURE_NAMES``-wide vector, scored
+it weight by weight and ran its own shuffle/minibatch loop; the reward model
+ran a third loop over dense vectors (a bias, then the action's features) with
+AdamW and its linearly decaying step size inline. The dense vectors come from
+the reference featurizers of ``test_feature_cache``, not from the package.
+The kernels and ``train_params`` must give exactly equal weights, diagnostics
+and losses.
 """
 
 import dataclasses
@@ -17,9 +20,9 @@ from typing import Sequence
 import pytest
 
 from lamlab.env_sim import ActionCall
-from lamlab.errors import DegenerateRatio, EmptyCorpus, ValidationFailure
-from lamlab.policy import AgentState, ModelParams, enumerate_candidates, featurize, match_expert
-from lamlab.policy.features import FEATURE_NAMES, densify
+from lamlab.errors import DegenerateRatio, EmptyCorpus
+from lamlab.policy import AgentState, ModelParams, enumerate_candidates, match_expert
+from lamlab.policy.features import FEATURE_NAMES
 from lamlab.policy.model import ACT_NAMES, softmax
 from lamlab.training import (
     PpoConfig,
@@ -28,12 +31,12 @@ from lamlab.training import (
     RmConfig,
     clipped_term,
     ppo_update,
-    prepare_rewarded,
     surrogate_value,
     train_reward_model,
 )
-from lamlab.training.reward import RM_FEATURE_NAMES, RewardedStep, RewardRow, _reward_row
+from lamlab.training.reward import RM_FEATURE_NAMES, RewardedStep
 
+from test_feature_cache import reference_featurize, reference_rm_features
 from test_training import ppo_steps, random_params, rewarded_toy_set
 
 # --- reference: the previous PPO update ---------------------------------------------
@@ -61,7 +64,7 @@ def _prepare_steps(
     for (state, action), advantage in zip(steps, advantages):
         candidates = enumerate_candidates(state)
         idx = match_expert(candidates, action)
-        vectors = tuple(tuple(densify(featurize(state, c))) for c in candidates)
+        vectors = tuple(tuple(reference_featurize(state, c)) for c in candidates)
         old_scores = [_score(old_params, vec) for vec in vectors]
         old_probs, old_log_probs = softmax(old_scores)
         if old_probs[idx] < _MIN_OLD_PROB:
@@ -204,20 +207,21 @@ def reference_ppo_update(
 
 
 def reference_rm_mse_loss(
-    params: RewardModelParams, steps: Sequence[RewardRow | RewardedStep]
+    params: RewardModelParams, rows: Sequence[tuple[list[float], int]]
 ) -> tuple[float, dict[str, float]]:
-    """MSE between the raw output and the +1/-1 labels, with its gradient."""
-    if not steps:
+    """MSE between the raw output and the +1/-1 labels of (dense vector,
+    label) rows, with its gradient."""
+    if not rows:
         raise EmptyCorpus("rm_mse_loss needs at least one step")
-    n = len(steps)
+    n = len(rows)
     w = [params.weights.get(name, 0.0) for name in RM_FEATURE_NAMES]
     loss = 0.0
     grads: dict[str, float] = {}
-    for row in map(_reward_row, steps):
-        err = sum(map(mul, w, row.features)) - row.reward
+    for vector, reward in rows:
+        err = sum(map(mul, w, vector)) - reward
         loss += err * err / n
         coef = 2.0 * err / n
-        for name, x in zip(RM_FEATURE_NAMES, row.features):
+        for name, x in zip(RM_FEATURE_NAMES, vector):
             if x != 0.0:
                 grads[name] = grads.get(name, 0.0) + coef * x
     return loss, grads
@@ -232,7 +236,7 @@ def reference_train_reward_model(
     """Minibatch MSE minimization; returns the new params and final train MSE."""
     if not steps:
         raise EmptyCorpus("no rewarded steps to train on")
-    rows = prepare_rewarded(steps)
+    rows = [(reference_rm_features(s.state, s.action), s.reward) for s in steps]
     rng = random.Random(seed)
     order = list(range(len(steps)))
     batches_per_epoch = max(1, math.ceil(len(steps) / config.batch_size))
@@ -248,25 +252,17 @@ def reference_train_reward_model(
             batch = [rows[i] for i in order[start : start + config.batch_size]]
             _, grads = reference_rm_mse_loss(params, batch)
             t += 1
-            lr = config.learning_rate
-            if config.schedule == "linear":
-                lr *= max(1.0 - (t - 1) / total_steps, 1.0 / total_steps)
+            lr = config.learning_rate * max(1.0 - (t - 1) / total_steps, 1.0 / total_steps)
             updates = {}
-            if config.optimizer == "adamw":
-                for name, g in grads.items():
-                    m[name] = beta1 * m.get(name, 0.0) + (1 - beta1) * g
-                    v[name] = beta2 * v.get(name, 0.0) + (1 - beta2) * g * g
-                    m_hat = m[name] / (1 - beta1**t)
-                    v_hat = v[name] / (1 - beta2**t)
-                    current = params.weights.get(name, 0.0)
-                    updates[name] = current - lr * (
-                        m_hat / (math.sqrt(v_hat) + adam_eps) + weight_decay * current
-                    )
-            elif config.optimizer == "gd":
-                for name, g in grads.items():
-                    updates[name] = params.weights.get(name, 0.0) - lr * g
-            else:
-                raise ValidationFailure(f"unknown optimizer {config.optimizer!r}")
+            for name, g in grads.items():
+                m[name] = beta1 * m.get(name, 0.0) + (1 - beta1) * g
+                v[name] = beta2 * v.get(name, 0.0) + (1 - beta2) * g * g
+                m_hat = m[name] / (1 - beta1**t)
+                v_hat = v[name] / (1 - beta2**t)
+                current = params.weights.get(name, 0.0)
+                updates[name] = current - lr * (
+                    m_hat / (math.sqrt(v_hat) + adam_eps) + weight_decay * current
+                )
             params = params.replaced(updates)
     final_mse, _ = reference_rm_mse_loss(params, rows)
     return params, final_mse
@@ -328,21 +324,13 @@ def test_surrogate_value_equals_reference():
             )
 
 
-@pytest.mark.parametrize("optimizer", ["adamw", "gd"])
-@pytest.mark.parametrize("schedule", ["linear", "constant"])
-def test_train_reward_model_equals_reference(optimizer, schedule):
+def test_train_reward_model_equals_reference():
     steps = rewarded_toy_set()
     for seed in range(3):
         rng = random.Random(seed)
         start = RewardModelParams({n: rng.uniform(-0.5, 0.5) for n in RM_FEATURE_NAMES})
         for batch_size in (2, 3, 16):
-            config = RmConfig(
-                learning_rate=0.05,
-                schedule=schedule,
-                optimizer=optimizer,
-                epochs=3,
-                batch_size=batch_size,
-            )
+            config = RmConfig(learning_rate=0.05, epochs=3, batch_size=batch_size)
             for params in (RewardModelParams.zeros(), start):
                 expected, expected_mse = reference_train_reward_model(params, steps, config, seed)
                 got, mse = train_reward_model(params, steps, config, seed)
