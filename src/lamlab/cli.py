@@ -245,7 +245,7 @@ def _cmd_agent(args, config: RunConfig) -> int:
     )
     out_dir = workspace / "runs" / "agent"
     run_file = out_dir / f"{args.task_id}.jsonl"
-    write_jsonl(run_file, [record.trajectory.to_dict()])
+    write_jsonl(run_file, [record.trajectory.to_line()])
     timing_file = out_dir / f"{args.task_id}.timing.json"
     write_text(
         timing_file,

@@ -104,7 +104,7 @@ def instantiate(
             "given_task": record.task,
             "reference_steps": json.dumps(list(record.plan), ensure_ascii=False),
             "doc_canvas_state": snapshot.canvas_xml,
-            "doc_control_state": json.dumps(snapshot.control_state, sort_keys=True),
+            "doc_control_state": snapshot.control_state.prompt_json,
         },
     )
     try:

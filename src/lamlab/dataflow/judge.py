@@ -6,6 +6,7 @@ import json
 
 from ..errors import OracleFailure, ParseFailure
 from ..env_sim import registry_help
+from ..jsonl import prompt_json
 from ..oracle import OracleRequest, Provider
 from .records import EvaluationVerdict, Trajectory
 
@@ -34,8 +35,8 @@ def build_judge_substitutions(traj: Trajectory) -> dict[str, str]:
         "canvas_diff": json.dumps(
             [e.to_dict() for e in traj.canvas_diff], sort_keys=True, ensure_ascii=False
         ),
-        "init_control_state": json.dumps(traj.init_control_state, sort_keys=True),
-        "final_control_state": json.dumps(traj.final_control_state, sort_keys=True),
+        "init_control_state": prompt_json(traj.init_control_state),
+        "final_control_state": prompt_json(traj.final_control_state),
         "final_status": final_status,
     }
 

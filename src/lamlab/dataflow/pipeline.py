@@ -126,7 +126,7 @@ def run_stage(
         trajectories = [execute_trajectory(t) for t in tasks]
         trajectories.sort(key=lambda t: t.trajectory_id)
         produced[stage] = trajectories
-        write_jsonl(files["execute"], (t.to_dict() for t in trajectories))
+        write_jsonl(files["execute"], (t.to_line() for t in trajectories))
         return StageReport(stage, read=len(tasks), written=len(trajectories))
 
     if stage == "judge":
@@ -160,7 +160,7 @@ def run_stage(
                 raise ValidationFailure(f"verdict references unknown {tid}")
             records.extend(postprocess(trajectories[tid], verdict))
         records.sort(key=lambda r: (r.trajectory_id, r.step_no))
-        write_jsonl(files["postprocess"], (r.to_dict() for r in records))
+        write_jsonl(files["postprocess"], (r.to_line() for r in records))
         return StageReport(stage, read=len(verdicts), written=len(records))
 
     raise ValueError(f"unknown stage {stage!r}")

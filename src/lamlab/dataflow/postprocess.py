@@ -8,7 +8,7 @@ empty plan.
 
 from __future__ import annotations
 
-from ..env_sim import CONTROL_TYPES, STATUS_CONTINUE, STATUS_FINISH
+from ..env_sim import CONTROL_TYPES, STATUS_CONTINUE, STATUS_FINISH, ListedControls
 from .records import EvaluationVerdict, TrainingRecord, Trajectory
 
 __all__ = [
@@ -32,7 +32,9 @@ def record_inputs(traj: Trajectory) -> list[dict]:
     Record k's input is everything the agent could see before acting: the
     step's controls, the request, the history of steps 1..k-1 and the plan
     emitted at step k-1. It is the serialized form of the agent's state, so
-    ``AgentState.from_record_input`` reads it back.
+    ``AgentState.from_record_input`` reads it back. Its
+    ``available_controls`` lists the step's own control dicts, shared
+    read-only, and carries their cached encoding for the line writer.
     """
     step_descs = [s.action.step for s in traj.steps]
     history = [
@@ -40,7 +42,7 @@ def record_inputs(traj: Trajectory) -> list[dict]:
     ]
     return [
         {
-            "available_controls": [dict(c) for c in step.controls],
+            "available_controls": ListedControls(step.controls),
             "user_request": traj.origin.instantiated_task,
             "step_history": history[: k - 1],
             # The plan emitted at step k-1 covers the then-remaining steps

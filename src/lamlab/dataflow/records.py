@@ -23,8 +23,8 @@ from ..env_sim import (
     EnvSnapshot,
     ExecutionResult,
     diff_canvas,
-    list_controls,
 )
+from ..jsonl import canonical_dumps, canonical_json
 
 __all__ = [
     "SOURCES",
@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 SOURCES = ("doc", "wikihow", "query", "evolved")
+
+
+def _line(fields: Mapping[str, object], **encoded: str) -> str:
+    """``canonical_dumps`` of ``fields`` updated with ``encoded``, whose
+    values are given as JSON text; every other value is encoded by
+    ``canonical_json``, so its cached text is spliced in where it has one."""
+    texts = {key: canonical_json(v) for key, v in fields.items() if key not in encoded} | encoded
+    return "{" + ",".join(f"{canonical_dumps(key)}:{texts[key]}" for key in sorted(texts)) + "}"
 
 
 @dataclass(frozen=True)
@@ -128,13 +136,21 @@ class TrajectoryStep:
     post_digest: str
 
     def to_dict(self) -> dict:
+        return {**self._fields(), "controls": [dict(c) for c in self.controls]}
+
+    def to_line(self) -> str:
+        """``canonical_dumps(self.to_dict())``."""
+        return _line(self._fields())
+
+    def _fields(self) -> dict:
+        """``to_dict()`` with the recorded control tuple in place of its copy."""
         action = self.action.to_call_dict()
         action["status"] = self.action.status
         return {
             "step_no": self.step_no,
             "action": action,
             "result": self.result.to_dict(),
-            "controls": [dict(c) for c in self.controls],
+            "controls": self.controls,
             "pre_digest": self.pre_digest,
             "post_digest": self.post_digest,
         }
@@ -178,10 +194,17 @@ class Trajectory:
             raise ValueError("exec_error trajectory must end at the failing step")
 
     def to_dict(self) -> dict:
+        return {**self._fields(), "steps": [s.to_dict() for s in self.steps]}
+
+    def to_line(self) -> str:
+        """``canonical_dumps(self.to_dict())``."""
+        return _line(self._fields(), steps="[" + ",".join(s.to_line() for s in self.steps) + "]")
+
+    def _fields(self) -> dict:
+        """``to_dict()`` without its steps."""
         return {
             "trajectory_id": self.trajectory_id,
             "origin": self.origin.to_dict(),
-            "steps": [s.to_dict() for s in self.steps],
             "final_status": self.final_status,
             "canvas_diff": [e.to_dict() for e in self.canvas_diff],
             "initial_canvas": self.initial_canvas,
@@ -218,7 +241,7 @@ def record_step(
         step_no=step_no,
         action=action,
         result=result,
-        controls=tuple(list_controls(pre)),
+        controls=pre.control_list,
         pre_digest=pre.digest(),
         post_digest=post.digest(),
     )
@@ -306,6 +329,10 @@ class TrainingRecord:
             "input": self.input,
             "output": self.output,
         }
+
+    def to_line(self) -> str:
+        """``canonical_dumps(self.to_dict())``."""
+        return _line(self.to_dict(), input=_line(self.input))
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "TrainingRecord":

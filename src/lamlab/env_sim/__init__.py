@@ -43,8 +43,11 @@ from .controls import (
 from .diffs import CanvasDiffEntry, apply_diff, diff_canvas, flatten_canvas
 from .snapshot import (
     AppTemplate,
+    ControlList,
+    ControlTreeDict,
     EnvSession,
     EnvSnapshot,
+    ListedControls,
     get_template,
     list_controls,
     list_templates,
@@ -94,8 +97,11 @@ __all__ = [
     "diff_canvas",
     "flatten_canvas",
     "AppTemplate",
+    "ControlList",
+    "ControlTreeDict",
     "EnvSession",
     "EnvSnapshot",
+    "ListedControls",
     "get_template",
     "list_controls",
     "list_templates",

@@ -5,12 +5,21 @@ rendered view is a deterministic textual screenshot surrogate computed purely
 from the tree and the canvas. Because a snapshot never changes, the values
 derived from it (its canvas encoding, digest and rendered view) are computed
 at most once, on first use, and kept on the instance. The values derived from
-the control tree alone (its flattened control list, its tree dict and the
-JSON encoding of that dict) are computed at most once per tree and shared by
+the control tree alone are computed at most once per tree and shared by
 every snapshot that holds it: an action that leaves the tree as it was, as
 most do, hands them to its successor, and one that leaves the canvas as it
-was hands on the canvas encoding. Recorded trajectories and prompts read
-these values, so the dicts are shared read-only.
+was hands on the canvas encoding.
+
+The tree's values are its flattened control list, a :class:`ControlList`
+(a tuple), and its tree dict, a :class:`ControlTreeDict` (a dict). Each
+caches its own JSON text, again on first use: both their canonical
+encodings, the form every file line holds, and the tree dict's prompt
+encoding, the form oracle prompts embed (see ``jsonl``). The snapshot digest
+reuses the tree dict's canonical text; the pipeline's line writers and the
+instantiate and judge prompts reuse the rest, so a tree is encoded at most
+once per form however many records and prompts carry it. ``json`` encodes
+both types exactly like a plain tuple and dict. Recorded trajectories and
+training records hold these values, so they are shared read-only.
 
 The templates (paragraph, table, figure, shape, chart and comment documents)
 are built in code by ``builtin_templates``. They are built once per process,
@@ -21,10 +30,11 @@ in it, and a template hands out one shared labelled initial snapshot.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from ..errors import UnknownTemplate
-from ..jsonl import canonical_dumps, sha256_text
+from ..jsonl import canonical_dumps, prompt_dumps, sha256_text
 from .actions import ActionCall, ExecutionResult, apply_action
 from .canvas import (
     CanvasState,
@@ -43,6 +53,9 @@ __all__ = [
     "EnvSnapshot",
     "AppTemplate",
     "EnvSession",
+    "ControlList",
+    "ControlTreeDict",
+    "ListedControls",
     "list_controls",
     "load_template",
     "get_template",
@@ -50,24 +63,61 @@ __all__ = [
 ]
 
 
+class ControlList(tuple):
+    """A control tree's flattened control list, with its canonical
+    encoding computed on first use."""
+
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        return canonical_dumps(self)
+
+
+class ControlTreeDict(dict):
+    """A control tree's ``control_tree_dict``, shared read-only, with its
+    canonical and prompt encodings each computed on first use."""
+
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        return canonical_dumps(self)
+
+    @functools.cached_property
+    def prompt_json(self) -> str:
+        return prompt_dumps(self)
+
+
+class ListedControls(list):
+    """``list(controls)``, as a training record's ``available_controls``
+    holds it. While the list holds exactly the control dicts of
+    ``controls``, it carries their cached canonical encoding, if any."""
+
+    __slots__ = ("_source",)
+
+    def __init__(self, controls: tuple[dict, ...]):
+        super().__init__(controls)
+        self._source = controls
+
+    @property
+    def canonical_json(self) -> str | None:
+        source = self._source
+        if len(self) == len(source) and all(map(operator.is_, self, source)):
+            return getattr(source, "canonical_json", None)
+        return None
+
+
 class _ControlTree:
-    """The flattened control list, the tree dict and the canonical JSON
-    encoding of one control tree, each computed on first use."""
+    """The flattened control list and the tree dict of one control tree,
+    each computed on first use."""
 
     def __init__(self, root: ControlNode):
         self.root = root
 
     @functools.cached_property
-    def controls(self) -> tuple[dict, ...]:
-        return tuple(flatten_controls(self.root))
+    def controls(self) -> ControlList:
+        return ControlList(flatten_controls(self.root))
 
     @functools.cached_property
-    def as_dict(self) -> dict:
-        return control_tree_dict(self.root)
-
-    @functools.cached_property
-    def encoded(self) -> str:
-        return canonical_dumps(self.as_dict)
+    def as_dict(self) -> ControlTreeDict:
+        return ControlTreeDict(control_tree_dict(self.root))
 
 
 @dataclass(frozen=True)
@@ -91,7 +141,12 @@ class EnvSnapshot:
         return serialize_canvas(self.canvas)
 
     @property
-    def control_state(self) -> dict:
+    def control_list(self) -> ControlList:
+        """The enabled controls (see ``list_controls``), shared read-only."""
+        return self._tree.controls
+
+    @property
+    def control_state(self) -> ControlTreeDict:
         """``control_tree_dict`` of the control tree, shared read-only."""
         return self._tree.as_dict
 
@@ -146,7 +201,7 @@ class EnvSnapshot:
         with the canvas and tree encodings reused."""
         canvas = canonical_dumps(self.canvas_xml)
         return (
-            f'{{"canvas":{canvas},"controls":{self._tree.encoded},'
+            f'{{"canvas":{canvas},"controls":{self._tree.as_dict.canonical_json},'
             f'"step_index":{self.step_index}}}'
         )
 
@@ -169,7 +224,7 @@ def list_controls(snapshot: EnvSnapshot) -> list[dict]:
     once per control tree, shared by every snapshot holding that tree, and
     must not be mutated.
     """
-    return list(snapshot._tree.controls)
+    return list(snapshot.control_list)
 
 
 @dataclass(frozen=True)

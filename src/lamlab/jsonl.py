@@ -1,8 +1,21 @@
 """Canonical JSON / line-record IO.
 
-Every file the pipeline writes goes through :func:`canonical_dumps` so that
+Every file the pipeline writes holds :func:`canonical_dumps` text, so that
 equal in-memory records always serialize to identical bytes (sorted keys,
-compact separators, UTF-8, one record per line).
+compact separators, UTF-8, one record per line). Oracle prompts embed
+control trees in a second form, :func:`prompt_dumps` (sorted keys, default
+separators, ASCII escapes): that is the text the prompts have always carried,
+and a prompt is part of an oracle cache key, so it must not change with the
+file format.
+
+Some values carry their own encodings, computed at most once: a control
+tree's flattened control list and its tree dict (``env_sim/snapshot.py``)
+keep their canonical text in a ``canonical_json`` attribute, and the tree
+dict its prompt text in ``prompt_json``. :func:`canonical_json` and
+:func:`prompt_json` return that text when a value has it and encode the value
+otherwise, as they do for records read back from a file. The record types'
+line writers (``dataflow/records.py``) splice the cached text into their
+lines, and :func:`write_jsonl` takes such ready lines as well as records.
 
 Every line-record file is read through :func:`read_jsonl`, which parses each
 non-blank line once: ``read_jsonl(path, parse)`` returns ``parse(row)`` for
@@ -25,8 +38,30 @@ from typing import Any, Callable, Iterable
 from .errors import EmptyCorpus, ValidationFailure
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    """``json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))``
+    through one shared encoder."""
+    return _CANONICAL.encode(obj)
+
+
+def prompt_dumps(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True)``: the form oracle prompts carry."""
+    return json.dumps(obj, sort_keys=True)
+
+
+def canonical_json(value: Any) -> str:
+    """``canonical_dumps(value)``, or the ``canonical_json`` text ``value`` carries."""
+    text = getattr(value, "canonical_json", None)
+    return canonical_dumps(value) if text is None else text
+
+
+def prompt_json(value: Any) -> str:
+    """``prompt_dumps(value)``, or the ``prompt_json`` text ``value`` carries."""
+    text = getattr(value, "prompt_json", None)
+    return prompt_dumps(value) if text is None else text
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], Any] | None = None) -> list:
@@ -61,15 +96,16 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any] | None = None) -> 
     return records
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """Atomically write records, one canonical JSON object per line."""
+def write_jsonl(path: str | Path, records: Iterable[dict | str]) -> int:
+    """Atomically write records, one canonical JSON object per line; a
+    ``str`` is taken as that line, ready encoded."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     count = 0
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(canonical_dumps(rec))
+            fh.write(rec if isinstance(rec, str) else canonical_dumps(rec))
             fh.write("\n")
             count += 1
     os.replace(tmp, path)

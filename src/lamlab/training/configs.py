@@ -15,11 +15,13 @@ def _check_ints(config, minimum: int, *names: str) -> None:
             raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_learning_rate(config) -> None:
-    value = config.learning_rate
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0 < value < math.inf):
-        raise ValueError(f"learning_rate must be a finite positive number, got {value!r}")
+def _check_numbers(config, *names: str, zero_ok: bool = False) -> None:
+    for name in names:
+        value = getattr(config, name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and (0 <= value if zero_ok else 0 < value) and value < math.inf):
+            bound = "at least 0" if zero_ok else "above 0"
+            raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,11 @@ class SftConfig:
     step_mean: bool = False
 
     def __post_init__(self) -> None:
-        _check_learning_rate(self)
+        _check_numbers(self, "learning_rate")
         _check_ints(self, 1, "batch_size", "epochs")
         _check_ints(self, 0, "warmup_steps")
+        if not isinstance(self.step_mean, bool):
+            raise ValueError(f"step_mean must be true or false, got {self.step_mean!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class RmConfig:
     batch_size: int = 16
 
     def __post_init__(self) -> None:
-        _check_learning_rate(self)
+        _check_numbers(self, "learning_rate")
         _check_ints(self, 1, "batch_size", "epochs")
 
 
@@ -66,7 +70,8 @@ class PpoConfig:
     reward_high: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_learning_rate(self)
+        _check_numbers(self, "learning_rate", "kl_target", "reward_high")
+        _check_numbers(self, "kl_coef_init", zero_ok=True)
         _check_ints(self, 1, "minibatch_size", "ppo_epochs")
         if not 0 < self.clip_epsilon < 1:
             raise ValueError("clip_epsilon must lie in (0, 1)")

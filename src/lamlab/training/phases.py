@@ -277,7 +277,7 @@ def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int)
     boost_records = [r for traj, verdict in boosted for r in postprocess(traj, verdict)]
     merged = expert_records + [r.to_dict() for r in boost_records]
     boost_file = workspace / "corpus" / "boost_training.jsonl"
-    write_jsonl(boost_file, (r.to_dict() for r in boost_records))
+    write_jsonl(boost_file, (r.to_line() for r in boost_records))
     return _imitation_phase(
         workspace,
         params,

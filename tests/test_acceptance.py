@@ -379,6 +379,25 @@ def test_suite_checkpoints_are_pinned(suite_phases):
     assert digests == _PINNED_CHECKPOINTS
 
 
+# sha256 prefixes of every corpus file that ``dataflow run --stage all
+# --clock zero`` writes over the bundled 20-record corpus (CPython 3.11).
+_PINNED_CORPUS = {
+    "evolved.jsonl": "0e0d5886",
+    "instantiated.jsonl": "0f5779be",
+    "raw_records.jsonl": "52b4e2dd",
+    "taskplan.jsonl": "1ed31733",
+    "training.jsonl": "30994978",
+    "trajectories.jsonl": "5e331239",
+    "verdicts.jsonl": "2c43b688",
+}
+
+
+def test_dataflow_corpus_is_pinned(fixture_pipeline):
+    corpus = fixture_pipeline / "corpus"
+    digests = {path.name: sha256_file(path)[:8] for path in sorted(corpus.iterdir())}
+    assert digests == _PINNED_CORPUS
+
+
 def test_phase4_manifests_list_every_corpus_file_read(suite_phases):
     ws = suite_phases[0]
     corpus = ws / "corpus"

@@ -291,6 +291,17 @@ def test_schema_drifted_corpus_row_is_a_validation_failure(
         {"ppo": {"minibatch_size": 0}},
         {"ppo": {"ppo_epochs": 1.0}},
         {"ppo": {"learning_rate": "fast"}},
+        {"sft": {"step_mean": "no"}},
+        {"imitation": {"step_mean": "no"}},
+        {"imitation": {"step_mean": 1}},
+        {"ppo": {"reward_high": "x"}},
+        {"ppo": {"reward_high": 0}},
+        {"ppo": {"reward_high": True}},
+        {"ppo": {"kl_target": -5}},
+        {"ppo": {"kl_target": float("inf")}},
+        {"ppo": {"kl_coef_init": -0.1}},
+        {"ppo": {"kl_coef_init": float("nan")}},
+        {"ppo": {"kl_coef_init": False}},
         {"boost": {"attempts_per_task": 0}},
         {"boost": {"max_steps": -3}},
     ],
