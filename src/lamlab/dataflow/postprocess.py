@@ -104,6 +104,9 @@ def _executed_target(traj: Trajectory, k: int) -> tuple[str, str]:
 _INPUT_KEYS = ("available_controls", "user_request", "step_history", "previous_plan")
 _OUTPUT_KEYS = ("thought", "control_label", "control_name", "function", "args", "status", "plan")
 _CONTROL_KEYS = {"label", "control_text", "control_type"}
+# The keys of ``ActionCall.to_call_dict``, which ``record_inputs`` writes into
+# each step_history entry; every one but ``args`` holds a string.
+_ACTION_KEYS = {"args", "controlLabel", "controlText", "function", "step"}
 
 
 def validate_record_input(obj: object) -> list[str]:
@@ -121,6 +124,9 @@ def validate_record_input(obj: object) -> list[str]:
             if not isinstance(item, dict) or set(item) != _CONTROL_KEYS:
                 problems.append(f"bad control entry {item!r}")
                 break
+            if not all(isinstance(value, str) for value in item.values()):
+                problems.append(f"control values must be strings, got {item!r}")
+                break
             if item["control_type"] not in CONTROL_TYPES:
                 problems.append(f"bad control type {item['control_type']!r}")
                 break
@@ -131,13 +137,29 @@ def validate_record_input(obj: object) -> list[str]:
         problems.append("step_history must be a list")
     else:
         for item in history:
-            if not isinstance(item, dict) or "action" not in item or "result" not in item:
-                problems.append(f"bad step_history entry {item!r}")
+            problem = _history_problem(item)
+            if problem:
+                problems.append(problem)
                 break
     plan = obj["previous_plan"]
     if not isinstance(plan, list) or not all(isinstance(s, str) for s in plan):
         problems.append("previous_plan must be a list of strings")
     return problems
+
+
+def _history_problem(item: object) -> str | None:
+    if not isinstance(item, dict) or "action" not in item or "result" not in item:
+        return f"bad step_history entry {item!r}"
+    action = item["action"]
+    if not isinstance(action, dict) or set(action) != _ACTION_KEYS:
+        return f"step_history action must be an object with keys {sorted(_ACTION_KEYS)}, got {action!r}"
+    if not isinstance(action["args"], dict):
+        return "step_history action args must be an object"
+    if not all(isinstance(action[key], str) for key in _ACTION_KEYS - {"args"}):
+        return "step_history action controlLabel, controlText, function and step must be strings"
+    if not isinstance(item["result"], dict):
+        return "step_history result must be an object"
+    return None
 
 
 def validate_record_output(obj: object) -> list[str]:

@@ -7,8 +7,13 @@ Three heads over named weights:
     vocabulary with an end token.
 
 The action and status heads and the reward model score sparse feature rows
-with ``score_rows`` and add their gradients with ``scatter_row``, in inference
-and in training alike. Parameters are immutable values during inference;
+with ``score_rows``, in inference and in training alike. A single-row head
+(status, reward model) adds each row's gradient with ``scatter_row``. The
+action head's training kernels (imitation, PPO) see a whole candidate set at
+a time: ``to_columns`` turns its rows into feature columns once, and
+``scatter_columns`` adds the set's gradient one feature at a time, each
+feature's terms in candidate order, so the floats equal the per-candidate
+``scatter_row`` loop's. Parameters are immutable values during inference;
 training constructs new ones. Checkpoints are JSON weight tables keyed by
 feature name; loading a checkpoint with unknown names is an error.
 """
@@ -39,6 +44,9 @@ __all__ = [
     "softmax",
     "score_rows",
     "scatter_row",
+    "Column",
+    "to_columns",
+    "scatter_columns",
     "action_distribution",
     "select_action",
     "PlanWeights",
@@ -77,6 +85,43 @@ def scatter_row(grads: dict[int, float], coef: float, row: SparseRow) -> None:
     the gradient of ``coef * score`` with respect to the weights it reads."""
     for j, x in zip(*row):
         grads[j] = grads.get(j, 0.0) + coef * x
+
+
+# One feature of a candidate set: (feature index, candidate positions in
+# increasing order, the feature's value at each).
+Column = tuple[int, tuple[int, ...], tuple[float, ...]]
+
+
+def to_columns(rows: Sequence[SparseRow]) -> tuple[Column, ...]:
+    """The features of candidate rows as columns, in the order the candidates
+    first use them (candidate by candidate, each row's features in index
+    order): the order in which a per-candidate loop first touches them."""
+    columns: dict[int, tuple[list[int], list[float]]] = {}
+    for k, (idx, xs) in enumerate(rows):
+        for j, x in zip(idx, xs):
+            column = columns.get(j)
+            if column is None:
+                column = columns[j] = ([], [])
+            column[0].append(k)
+            column[1].append(x)
+    return tuple((j, tuple(ks), tuple(xs)) for j, (ks, xs) in columns.items())
+
+
+def scatter_columns(
+    grads: dict[int, float], coefs: Sequence[float], columns: Iterable[Column]
+) -> None:
+    """Adds ``coefs[k] * x`` to ``grads[j]`` for every entry (k, x) of every
+    column j: the gradient of ``sum_k coefs[k] * score_k``. Each feature's
+    terms are added one at a time, in candidate order, to a running float, so
+    the result equals ``scatter_row(grads, coefs[k], row_k)`` for k = 0, 1, ...
+    This must stay a plain loop: ``sum()`` compensates float sums from
+    CPython 3.12 on, and ``math.fsum`` rounds once, so either would change the
+    trained weights."""
+    for j, positions, values in columns:
+        g = grads.get(j, 0.0)
+        for k, x in zip(positions, values):
+            g += coefs[k] * x
+        grads[j] = g
 
 
 @dataclass(frozen=True)

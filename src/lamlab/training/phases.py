@@ -18,7 +18,7 @@ from typing import Sequence
 
 from ..dataflow import judge_trajectory, postprocess, record_inputs, validate_training_record
 from ..dataflow.records import TaskPlanRecord, Trajectory, verdict_row
-from ..errors import EmptyCorpus, MissingPredecessor, StepActionNotInCandidateSet
+from ..errors import EmptyCorpus, MissingPredecessor, StepActionNotInCandidateSet, ValidationFailure
 from ..env_sim import ActionCall
 from ..jsonl import read_jsonl, sha256_file, write_jsonl, write_text
 from ..oracle import Provider
@@ -85,16 +85,22 @@ def records_to_imitation(
 ) -> tuple[list[list[tuple[AgentState, ActionCall]]], list[tuple[AgentState, str]]]:
     """Group training records by trajectory into (state, expert action) steps,
     plus flat (state, status) pairs for the status head. The records must pass
-    ``validate_training_record``; the phases check them as they read them."""
-    grouped: dict[str, list[dict]] = {}
+    ``validate_training_record``; the phases check them as they read them. Two
+    records for one step of one trajectory are a ValidationFailure."""
+    grouped: dict[str, dict[int, dict]] = {}
     for rec in records:
-        grouped.setdefault(rec["trajectory_id"], []).append(rec)
+        tid, step_no = rec["trajectory_id"], rec["step_no"]
+        first = grouped.setdefault(tid, {}).setdefault(step_no, rec)
+        if first is not rec:
+            raise ValidationFailure(
+                f"trajectory {tid!r} has two records for step {step_no}: "
+                f"{first['record_id']!r} and {rec['record_id']!r}"
+            )
     trajectories = []
     statuses = []
     for tid in sorted(grouped):
-        rows = sorted(grouped[tid], key=lambda r: r["step_no"])
         steps = []
-        for row in rows:
+        for _, row in sorted(grouped[tid].items()):
             state = AgentState.from_record_input(row["input"])
             action = _expert_action(row["output"])
             steps.append((state, action))

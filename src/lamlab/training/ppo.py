@@ -3,9 +3,11 @@
 Works entirely from previously collected steps: no environment rollouts. The
 objective is the clipped probability-ratio surrogate minus an adaptive KL
 penalty whose coefficient doubles/halves as the measured KL strays from its
-target band. Steps are prepared and scored as the imitation kernel's sparse
-action rows; ``ppo_loss`` is the objective as a ``(params, batch) -> (loss,
-grads)`` kernel, trained by ``losses.train_params`` with constant-rate SGD.
+target band. Steps are prepared as the imitation kernel's action rows and
+scored with ``model.score_rows``; expected features go in by column with
+``model.scatter_columns``. ``ppo_loss`` is the objective as a ``(params,
+batch) -> (loss, grads)`` kernel, trained by ``losses.train_params`` with
+constant-rate SGD.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from typing import Sequence
 from ..errors import DegenerateRatio, EmptyCorpus
 from ..policy import AgentState
 from ..policy.features import SparseRow
-from ..policy.model import ACT_NAMES, ModelParams, scatter_row
+from ..policy.model import ACT_NAMES, Column, ModelParams, scatter_columns, score_rows, softmax
 from ..env_sim import ActionCall
 from .configs import PpoConfig
-from .losses import ActionRows, _action_rows, _row_softmax, sgd, train_params
+from .losses import ActionRows, prepare_imitation, sgd, train_params
 
 __all__ = [
     "scale_reward",
@@ -79,11 +81,15 @@ class PpoDiagnostics:
     updates: int
 
 
-def _expected(probs: Sequence[float], rows: Sequence[SparseRow]) -> dict[int, float]:
-    """E[x] under ``probs``, by feature index, over every feature the rows use."""
+def _row_softmax(w: Sequence[float], rows: Sequence[SparseRow]) -> tuple[list[float], list[float]]:
+    """(probabilities, log-probabilities) of candidate rows under action weights ``w``."""
+    return softmax(score_rows(w, rows))
+
+
+def _expected(probs: Sequence[float], columns: Sequence[Column]) -> dict[int, float]:
+    """E[x] under ``probs``, by feature index, over every feature the candidates use."""
     expected: dict[int, float] = {}
-    for p, row in zip(probs, rows):
-        scatter_row(expected, p, row)
+    scatter_columns(expected, probs, columns)
     return expected
 
 
@@ -94,8 +100,8 @@ def prepare_ppo(
 ) -> list[PpoRow]:
     w_old = old_params.act_weights
     prepared = []
-    for step, advantage in zip(steps, advantages):
-        action = _action_rows(step)
+    (actions,) = prepare_imitation([steps])
+    for action, advantage in zip(actions, advantages):
         old_probs, old_log_probs = _row_softmax(w_old, action.rows)
         p_old = old_probs[action.expert]
         if p_old < _MIN_OLD_PROB:
@@ -106,7 +112,7 @@ def prepare_ppo(
                 advantage=advantage,
                 old_probs=tuple(old_probs),
                 old_log_prob=old_log_probs[action.expert],
-                old_expected=_expected(old_probs, action.rows),
+                old_expected=_expected(old_probs, action.columns),
             )
         )
     return prepared
@@ -138,7 +144,7 @@ def ppo_loss(
     for row in batch:
         probs, ratio, term, kl = _step_terms(w, row, clip_epsilon)
         loss += (-term + kl_coef * kl) / n
-        expected = _expected(probs, row.action.rows)
+        expected = _expected(probs, row.action.columns)
         chosen = dict(zip(*row.action.rows[row.action.expert]))
         clip_active = ratio * row.advantage > term
         # d ratio / d theta = ratio * (x_chosen - E_new[x]) and

@@ -398,6 +398,53 @@ def test_dataflow_corpus_is_pinned(fixture_pipeline):
     assert digests == _PINNED_CORPUS
 
 
+# A raw corpus whose task texts and plans hold non-ASCII characters, and the
+# sha256 prefixes of every corpus file ``dataflow run --stage all --clock
+# zero`` writes from it (CPython 3.11). The bundled corpus is ASCII only, so
+# this is the pin that shows such characters are written as UTF-8, not as
+# \u escapes.
+_NON_ASCII_RAW = [
+    {"plan": ["Move the cursor to the end.", "Enter the note text « Réunion »."],
+     "source": "wikihow", "task_id": "word_101",
+     "task": 'How to write the note "Réunion déplacée à vendredi" at the end of a document'},
+    {"plan": ["Find the key sentence.", "Highlight it in yellow — it’s urgent."],
+     "source": "doc", "task_id": "word_102",
+     "task": "Highlight the key sentence about the budget in the report document — it’s urgent"},
+    {"plan": ["Pick the heading text.", "Press the Bold button on the Home tab."],
+     "source": "query", "task_id": "word_103",
+     "task": "make the café heading bold in the document"},
+    {"plan": ["Pick the title text.", "Enter 16 in the font size box."],
+     "source": "doc", "task_id": "word_104",
+     "task": "Change the font size of the naïve title to 16 in the document"},
+]
+_PINNED_NON_ASCII_CORPUS = {
+    "evolved.jsonl": "d609cbf7",
+    "instantiated.jsonl": "19b4e5dc",
+    "raw_records.jsonl": "bd4dcc5e",
+    "taskplan.jsonl": "30d7c536",
+    "training.jsonl": "aa29501d",
+    "trajectories.jsonl": "e4e71c70",
+    "verdicts.jsonl": "b90800b2",
+}
+
+
+def test_non_ascii_corpus_is_pinned(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in _NON_ASCII_RAW), encoding="utf-8"
+    )
+    ws = tmp_path / "ws"
+    code = cli_main(["--workspace", str(ws), "--clock", "zero", "dataflow", "run", "--stage", "all",
+                     "--input", str(raw)])
+    assert code == 0
+    corpus = ws / "corpus"
+    digests = {path.name: sha256_file(path)[:8] for path in sorted(corpus.iterdir())}
+    assert digests == _PINNED_NON_ASCII_CORPUS
+    for name in ("taskplan.jsonl", "evolved.jsonl", "instantiated.jsonl", "trajectories.jsonl",
+                 "training.jsonl"):
+        assert "é" in (corpus / name).read_text(encoding="utf-8"), name
+
+
 def test_phase4_manifests_list_every_corpus_file_read(suite_phases):
     ws = suite_phases[0]
     corpus = ws / "corpus"

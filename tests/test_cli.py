@@ -195,14 +195,37 @@ def test_corrupt_input_line_is_a_validation_failure(tmp_path, capsys, line, reas
     assert f"raw_records.jsonl:2: {reason}" in err
 
 
+# A well-formed step_history entry, as ``record_inputs`` writes one.
+_ACTION = {"args": {}, "controlLabel": "1", "controlText": "Document",
+           "function": "click_input", "step": "Click the document."}
+_RESULT = {"ok": True, "observation": ""}
+
+
 @pytest.mark.parametrize(
     "drift, reason",
     [
         (lambda rec: rec["output"].pop("status"), "output keys must be exactly"),
         (lambda rec: rec.pop("step_no"), "record missing step_no"),
         (lambda rec: rec.update(step_no="2"), "step_no must be a positive integer"),
+        (lambda rec: rec["input"]["available_controls"][0].update(control_text=5),
+         "control values must be strings"),
+        (lambda rec: rec["input"]["available_controls"][0].update(label=7),
+         "control values must be strings"),
+        (lambda rec: rec["input"]["step_history"].append({"action": 5, "result": _RESULT}),
+         "step_history action must be an object with keys"),
+        (lambda rec: rec["input"]["step_history"].append({"action": {}, "result": _RESULT}),
+         "step_history action must be an object with keys"),
+        (lambda rec: rec["input"]["step_history"].append(
+            {"action": {**_ACTION, "args": 5}, "result": _RESULT}),
+         "step_history action args must be an object"),
+        (lambda rec: rec["input"]["step_history"].append(
+            {"action": {**_ACTION, "function": 5}, "result": _RESULT}),
+         "step_history action controlLabel, controlText, function and step must be strings"),
+        (lambda rec: rec["input"]["step_history"].append({"action": _ACTION, "result": 5}),
+         "step_history result must be an object"),
     ],
-    ids=["status_missing", "step_no_missing", "step_no_string"],
+    ids=["status_missing", "step_no_missing", "step_no_string", "control_text_int",
+         "label_int", "action_int", "action_empty", "args_int", "function_int", "result_int"],
 )
 def test_schema_drifted_training_record_is_a_validation_failure(
     pipeline_ws, tmp_path, capsys, drift, reason
@@ -219,6 +242,22 @@ def test_schema_drifted_training_record_is_a_validation_failure(
     assert err.count("\n") == 1
     assert err.startswith("ValidationFailure: ")
     assert f"training.jsonl:3: {reason}" in err
+
+
+def test_repeated_training_step_is_a_validation_failure(pipeline_ws, tmp_path, capsys):
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    training = ws / "corpus" / "training.jsonl"
+    records = read_jsonl(training)
+    repeat = dict(records[2], record_id="repeat")
+    write_jsonl(training, records + [repeat])
+    code = main(["--workspace", str(ws), "train", "--phase", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValidationFailure: ")
+    tid, step_no, first = records[2]["trajectory_id"], records[2]["step_no"], records[2]["record_id"]
+    assert f"trajectory {tid!r} has two records for step {step_no}: {first!r} and 'repeat'" in err
 
 
 @pytest.fixture(scope="module")
