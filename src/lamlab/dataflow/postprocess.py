@@ -198,5 +198,9 @@ def validate_training_record(obj: object) -> list[str]:
     if not isinstance(step_no, int) or isinstance(step_no, bool) or step_no < 1:
         problems.append(f"step_no must be a positive integer, got {step_no!r}")
     problems.extend(validate_record_input(obj["input"]))
+    if not problems:
+        history = len(obj["input"]["step_history"])
+        if step_no != history + 1:
+            problems.append(f"step_no {step_no} does not follow a step_history of {history} steps")
     problems.extend(validate_record_output(obj["output"]))
     return problems

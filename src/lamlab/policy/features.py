@@ -6,8 +6,8 @@ and the target control type. All features are deterministic functions of the
 pair and lie in [0, 1]. A pair sets only about four of them, so ``featurize``
 returns its sparse row: the indices of the non-zero features, strictly
 increasing, and their values; ``status_features`` returns the status
-head's row the same way. Every head but the plan head scores such rows with
-``model.score_rows``.
+head's row the same way. Every head scores sparse rows with
+``model.score_rows``; the plan head's rows come from ``model.plan_rows``.
 
 ``featurize`` is called once per pair, but it recomputes only what depends on
 the pair. The function-task and function-plan affinities, the progress value

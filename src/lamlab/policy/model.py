@@ -6,12 +6,13 @@ Three heads over named weights:
   * plan head (``plan::*``): autoregressive scoring over a plan-step
     vocabulary with an end token.
 
-The action and status heads and the reward model score sparse feature rows
-with ``score_rows``, in inference and in training alike. A single-row head
-(status, reward model) adds each row's gradient with ``scatter_row``. The
-action head's training kernels (imitation, PPO) see a whole candidate set at
-a time: ``to_columns`` turns its rows into feature columns once, and
-``scatter_columns`` adds the set's gradient one feature at a time, each
+Every head, and the reward model, scores sparse rows against a dense weight
+vector with ``score_rows``, in inference and in training alike; the plan
+head's rows are ``plan_rows`` over the ``plan_names`` layout. A single-row
+head (status, reward model) adds each row's gradient with ``scatter_row``.
+The softmax heads' training kernels (imitation, PPO, plan SFT) see whole
+candidate sets: ``to_columns`` turns their rows into feature columns once,
+and ``scatter_columns`` adds the gradient one feature at a time, each
 feature's terms in candidate order, so the floats equal the per-candidate
 ``scatter_row`` loop's. Parameters are immutable values during inference;
 training constructs new ones. Checkpoints are JSON weight tables keyed by
@@ -24,10 +25,10 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from ..errors import CheckpointError
 from ..env_sim import ActionCall, STATUS_CONTINUE, STATUS_FINISH
@@ -49,7 +50,8 @@ __all__ = [
     "scatter_columns",
     "action_distribution",
     "select_action",
-    "PlanWeights",
+    "plan_names",
+    "plan_rows",
     "plan_overlaps",
     "generate_plan",
     "build_plan_vocab",
@@ -94,7 +96,7 @@ Column = tuple[int, tuple[int, ...], tuple[float, ...]]
 
 def to_columns(rows: Sequence[SparseRow]) -> tuple[Column, ...]:
     """The features of candidate rows as columns, in the order the candidates
-    first use them (candidate by candidate, each row's features in index
+    first use them (candidate by candidate, each row's features in its own
     order): the order in which a per-candidate loop first touches them."""
     columns: dict[int, tuple[list[int], list[float]]] = {}
     for k, (idx, xs) in enumerate(rows):
@@ -144,8 +146,9 @@ class ModelParams:
     def get(self, name: str) -> float:
         return self.weights.get(name, 0.0)
 
-    # Dense weight vectors aligned with FEATURE_NAMES / STATUS_FEATURES, read
-    # once per instance: parameters are never changed in place.
+    # Dense weight vectors aligned with FEATURE_NAMES / STATUS_FEATURES /
+    # plan_names (over the positions generate_plan decodes), read once per
+    # instance: parameters are never changed in place.
     @cached_property
     def act_weights(self) -> tuple[float, ...]:
         return tuple(self.weights.get(name, 0.0) for name in ACT_NAMES)
@@ -153,6 +156,10 @@ class ModelParams:
     @cached_property
     def status_weights(self) -> tuple[float, ...]:
         return tuple(self.weights.get(name, 0.0) for name in STATUS_NAMES)
+
+    @cached_property
+    def plan_weights(self) -> tuple[float, ...]:
+        return tuple(map(self.get, plan_names(self.plan_vocab, MAX_PLAN_STEPS)))
 
     def replaced(self, updates: dict[str, float]) -> "ModelParams":
         merged = dict(self.weights)
@@ -302,54 +309,54 @@ def plan_overlaps(task: str, vocab: tuple[str, ...]) -> tuple[float, ...]:
     )
 
 
-class PlanWeights:
-    """The plan head's weights over one vocabulary, read from the parameters
-    once; the weights of a position are read when it is first scored."""
-
-    def __init__(self, params: ModelParams, vocab: tuple[str, ...]):
-        self.params = params
-        self.vocab = vocab
-        self.bias_names = [f"plan::bias::{v}" for v in vocab]
-        self.bias = [params.get(name) for name in self.bias_names]
-        self.overlap_weight = params.get("plan::overlap")
-        self.used_weight = params.get("plan::used")
-        self._positions: dict[int, tuple[list[str], list[float]]] = {}
-
-    def position(self, position: int) -> tuple[list[str], list[float]]:
-        """Names and values of the ``plan::pos::<position>::*`` weights."""
-        entry = self._positions.get(position)
-        if entry is None:
-            names = [f"plan::pos::{position}::{v}" for v in self.vocab]
-            entry = self._positions[position] = (names, [self.params.get(n) for n in names])
-        return entry
-
-    def scores(self, position: int, overlaps: tuple[float, ...], used: set[str]) -> list[float]:
-        _, pos = self.position(position)
-        scores = []
-        for v, bias, pos_weight, overlap in zip(self.vocab, self.bias, pos, overlaps):
-            score = bias
-            score += pos_weight
-            if v != END_TOKEN:
-                score += self.overlap_weight * overlap
-                if v in used:
-                    score += self.used_weight
-            scores.append(score)
-        return scores
+@lru_cache(maxsize=16)
+def plan_names(vocab: tuple[str, ...], positions: int) -> tuple[str, ...]:
+    """The plan head's weight names in dense order: each entry's bias, then
+    ``plan::overlap`` and ``plan::used``, then the entry weights of each
+    position 1..positions."""
+    return (
+        *(f"plan::bias::{v}" for v in vocab),
+        "plan::overlap",
+        "plan::used",
+        *(f"plan::pos::{p}::{v}" for p in range(1, positions + 1) for v in vocab),
+    )
 
 
-def generate_plan(task: str, params: ModelParams, max_steps: int = MAX_PLAN_STEPS) -> list[str]:
-    """Greedy autoregressive decode; the end token is barred at position 1 so
-    every generated plan has at least one step."""
-    if not params.plan_vocab:
+def plan_rows(
+    vocab: tuple[str, ...], position: int, overlaps: Sequence[float], used: Container[str]
+) -> list[SparseRow]:
+    """One sparse row per vocabulary entry at a plan position, over the
+    ``plan_names`` layout: the entry's bias and its position weight, then,
+    for every entry but the end token, its overlap with the task and, if the
+    plan already holds it, the used weight. The terms are in the order a score
+    adds them."""
+    n = len(vocab)
+    pos = n + 2 + (position - 1) * n
+    rows = []
+    for i, (v, overlap) in enumerate(zip(vocab, overlaps)):
+        if v == END_TOKEN:
+            rows.append(((i, pos + i), (1.0, 1.0)))
+        elif v in used:
+            rows.append(((i, pos + i, n, n + 1), (1.0, 1.0, overlap, 1.0)))
+        else:
+            rows.append(((i, pos + i, n), (1.0, 1.0, overlap)))
+    return rows
+
+
+def generate_plan(task: str, params: ModelParams) -> list[str]:
+    """Greedy autoregressive decode over MAX_PLAN_STEPS positions; the end
+    token is barred at position 1 so every generated plan has at least one
+    step."""
+    vocab = params.plan_vocab
+    if not vocab:
         return []
-    weights = PlanWeights(params, params.plan_vocab)
-    overlaps = plan_overlaps(task, params.plan_vocab)
+    overlaps = plan_overlaps(task, vocab)
     plan: list[str] = []
     used: set[str] = set()
-    for position in range(1, max_steps + 1):
-        scores = weights.scores(position, overlaps, used)
+    for position in range(1, MAX_PLAN_STEPS + 1):
+        scores = score_rows(params.plan_weights, plan_rows(vocab, position, overlaps, used))
         best, best_score = None, None
-        for v, score in zip(params.plan_vocab, scores):
+        for v, score in zip(vocab, scores):
             if v == END_TOKEN and position == 1:
                 continue
             if best_score is None or score > best_score:

@@ -7,27 +7,25 @@ precision. Gradients come back as name -> value dicts over the weights the
 loss touches.
 
 Each loss is split in two. Preparation does the weight-independent work once
-per corpus: ``prepare_imitation`` enumerates the candidates of every step,
-matches the expert action and interns each candidate's sparse feature row
-(as ``featurize`` returns it) into one table of distinct rows, keeping per
-step the expert index, the candidates' row ids and their feature columns
-(``model.to_columns``); ``prepare_status`` stores the sparse status row and
-label of every step; ``prepare_plans`` stores the target indices of every plan
-and the token overlap of each vocabulary entry with the task. The loss
-functions are the kernels: each call reads the weights once and scores the
-prepared rows with ``model.score_rows``, the kernel inference uses (the plan
-head keeps its own). They also accept raw items (state/action pairs,
-state/status pairs, records with ``task`` and ``plan``) and prepare those on
-the spot, so one call on raw items and one on prepared items give identical
-results. A training phase prepares its corpus once and hands the prepared
-items to every epoch's batches.
+per corpus and turns every item into sparse rows: ``prepare_imitation``
+featurizes the candidates of every step and matches the expert action;
+``prepare_plans`` teacher-forces every plan, one step per position whose
+candidates are the vocabulary entries' ``model.plan_rows`` and whose expert
+is the target; ``prepare_status`` and ``prepare_rewarded`` store one
+labelled row per step. A softmax step holds row ids into one table of
+distinct rows per preparation call. The loss functions are the kernels and
+take prepared items only: each call reads the weights once and scores the
+rows with ``model.score_rows``, the kernel inference uses. A training phase
+prepares its corpus once and hands the prepared items to every epoch.
 
-Candidate rows repeat heavily, because features are indicators and a few
-quantized values: the suite corpus has 2,278 candidate rows but 121 distinct
-ones. ``imitation_loss`` therefore scores each distinct row of a batch once
-and looks the scores up per step; it adds each step's gradient column by
-column with ``model.scatter_columns``, which keeps every feature's additions
-in the (step, candidate) order of a per-candidate loop, so gradients and
+Candidate rows repeat heavily (features are indicators and a few quantized
+values): the suite corpus has 2,278 candidate rows but 121 distinct ones.
+``imitation_loss`` and ``sft_plan_loss`` therefore score each distinct row
+of a batch once, and share one step helper, ``_softmax_steps``: softmax over
+the looked-up scores, cross-entropy against the expert, and the gradient
+added column by column with ``model.scatter_columns``, per imitation step
+and per plan record over all its positions. Every feature's additions keep
+the (step, candidate) order of a per-candidate loop, so gradients and
 trained weights are the same floats.
 """
 
@@ -36,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from ..errors import EmptyCorpus, ValidationFailure
@@ -48,8 +47,9 @@ from ..policy.model import (
     STATUS_NAMES,
     Column,
     ModelParams,
-    PlanWeights,
+    plan_names,
     plan_overlaps,
+    plan_rows,
     scatter_columns,
     scatter_row,
     score_rows,
@@ -81,19 +81,23 @@ ImitationStep = tuple[AgentState, ActionCall]
 
 @dataclass(frozen=True, eq=False)
 class ActionRows:
-    """One imitation step, prepared against a table of distinct sparse rows:
-    the index of the expert's candidate, the table id of every candidate's
-    row, and the candidates' feature columns (``model.to_columns``). Row ids
-    mean nothing without their table, so steps compare by identity."""
+    """One softmax step, prepared against a table of distinct sparse rows:
+    the index of the expert's candidate and the table id of every
+    candidate's row. Row ids mean nothing without their table, so steps
+    compare by identity."""
 
     expert: int
     ids: tuple[int, ...]
-    columns: tuple[Column, ...]
     table: list[SparseRow] = field(repr=False)
 
     @property
     def rows(self) -> tuple[SparseRow, ...]:
         return tuple(map(self.table.__getitem__, self.ids))
+
+    @cached_property
+    def columns(self) -> tuple[Column, ...]:
+        """The candidates' feature columns (``model.to_columns``)."""
+        return to_columns(self.rows)
 
 
 @dataclass(frozen=True)
@@ -106,168 +110,168 @@ class LabelledRow:
     label: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanRows:
-    """One task-plan record, prepared against a vocabulary: the vocabulary
-    indices of its targets (the plan steps, then the end token) and the
-    token overlap of every vocabulary entry with the task."""
+    """One task-plan record, prepared against a vocabulary: one step per
+    target (the plan steps, then the end token), and the feature columns of
+    all the steps' candidates in position order."""
 
     vocab: tuple[str, ...]
-    targets: tuple[int, ...]
-    overlaps: tuple[float, ...]
+    steps: tuple[ActionRows, ...]
+    columns: tuple[Column, ...]
 
 
 # --- preparation ------------------------------------------------------------------
 
-def prepare_imitation(
-    trajectories: Sequence[Sequence[ActionRows | ImitationStep]],
-) -> list[list[ActionRows]]:
-    """Every step against one new table of distinct rows, grouped as the
-    trajectories are. A raw step costs one ``featurize`` call per (state,
-    candidate) pair; a step prepared against another table has its rows
-    interned into this one."""
-    table: list[SparseRow] = []
+def _interner(table: list[SparseRow]) -> Callable[[SparseRow], int]:
+    """A function giving a row its id in ``table``, appending it if new."""
     ids: dict[SparseRow, int] = {}
 
     def intern(row: SparseRow) -> int:
-        i = ids.get(row)
-        if i is None:
-            i = ids[row] = len(table)
+        i = ids.setdefault(row, len(table))
+        if i == len(table):
             table.append(row)
         return i
 
-    def prepare(step: ActionRows | ImitationStep) -> ActionRows:
-        if isinstance(step, ActionRows):
-            expert, rows = step.expert, step.rows
-        else:
-            state, action = step
-            candidates = enumerate_candidates(state)
-            expert = match_expert(candidates, action)
-            rows = tuple(featurize(state, c) for c in candidates)
-        return ActionRows(expert, tuple(map(intern, rows)), to_columns(rows), table)
-
-    return [[prepare(step) for step in trajectory] for trajectory in trajectories]
+    return intern
 
 
-def _one_table(
-    trajectories: Sequence[Sequence[ActionRows | ImitationStep]],
-) -> Sequence[Sequence[ActionRows]]:
-    """The steps as given when all were prepared against one table, else
-    prepared now against a new one."""
-    table = None
-    for trajectory in trajectories:
-        for step in trajectory:
-            if not isinstance(step, ActionRows) or (table is not None and step.table is not table):
-                return prepare_imitation(trajectories)
-            table = step.table
-    return trajectories
+def prepare_imitation(
+    trajectories: Sequence[Sequence[ImitationStep]],
+) -> list[list[ActionRows]]:
+    """Every (state, expert action) step against one new table of distinct
+    rows, grouped as the trajectories are: one ``featurize`` call per (state,
+    candidate) pair."""
+    table: list[SparseRow] = []
+    intern = _interner(table)
 
+    def prepare(state: AgentState, action: ActionCall) -> ActionRows:
+        candidates = enumerate_candidates(state)
+        expert = match_expert(candidates, action)
+        return ActionRows(expert, tuple(intern(featurize(state, c)) for c in candidates), table)
 
-def _status_row(step: LabelledRow | tuple[AgentState, str]) -> LabelledRow:
-    if isinstance(step, LabelledRow):
-        return step
-    state, status = step
-    return LabelledRow(status_features(state), 1.0 if status == "FINISH" else 0.0)
+    return [[prepare(*step) for step in trajectory] for trajectory in trajectories]
 
 
 def prepare_status(steps: Sequence[tuple[AgentState, str]]) -> list[LabelledRow]:
-    return [_status_row(step) for step in steps]
-
-
-def _plan_rows(record, vocab: tuple[str, ...], index: dict[str, int]) -> PlanRows:
-    if isinstance(record, PlanRows):
-        if record.vocab != vocab:
-            raise ValidationFailure("plan record was prepared for another vocabulary")
-        return record
-    targets = []
-    for target in (*record.plan, END_TOKEN):
-        if target not in index:
-            raise ValidationFailure(f"plan step {target!r} is not in the vocabulary")
-        targets.append(index[target])
-    return PlanRows(vocab, tuple(targets), plan_overlaps(record.task, vocab))
+    return [
+        LabelledRow(status_features(state), 1.0 if status == "FINISH" else 0.0)
+        for state, status in steps
+    ]
 
 
 def prepare_plans(records: Sequence, vocab: tuple[str, ...]) -> list[PlanRows]:
-    """Targets and task overlaps of every record (``task`` and ``plan``
-    attributes) against the vocabulary."""
+    """Every record (``task`` and ``plan`` attributes) teacher-forced against
+    the vocabulary, its positions' rows in one new table of distinct rows."""
     index = {v: i for i, v in enumerate(vocab)}
-    return [_plan_rows(record, vocab, index) for record in records]
+    table: list[SparseRow] = []
+    intern = _interner(table)
+    prepared = []
+    for record in records:
+        overlaps = plan_overlaps(record.task, vocab)
+        used: set[str] = set()
+        steps = []
+        for position, target in enumerate((*record.plan, END_TOKEN), 1):
+            if target not in index:
+                raise ValidationFailure(f"plan step {target!r} is not in the vocabulary")
+            rows = plan_rows(vocab, position, overlaps, used)
+            steps.append(ActionRows(index[target], tuple(map(intern, rows)), table))
+            used.add(target)
+        columns = to_columns([row for step in steps for row in step.rows])
+        prepared.append(PlanRows(vocab, tuple(steps), columns))
+    return prepared
 
 
 # --- kernels ------------------------------------------------------------------------
 
+def _distinct_scores(w: Sequence[float], steps: Sequence[ActionRows]) -> dict[int, float]:
+    """The score of every distinct row of the steps, by row id; the steps must
+    share one table."""
+    table = steps[0].table
+    if any(step.table is not table for step in steps):
+        raise ValidationFailure("the batch mixes steps of different preparation calls")
+    distinct = set().union(*(step.ids for step in steps))
+    return dict(zip(distinct, score_rows(w, map(table.__getitem__, distinct))))
+
+
+def _softmax_steps(
+    grads: dict[int, float],
+    scores: dict[int, float],
+    steps: Sequence[ActionRows],
+    columns: Sequence[Column],
+    weight: float,
+) -> float:
+    """Cross-entropy of each step's softmax (its candidates' scores looked up
+    by row id) against its expert, times ``weight``, summed over the steps;
+    adds the gradient to ``grads`` by the steps' joint ``columns``, which
+    hold every candidate of every step in order."""
+    loss = 0.0
+    coefs: list[float] = []
+    for step in steps:
+        probs, log_probs = softmax(list(map(scores.__getitem__, step.ids)))
+        expert = step.expert
+        loss += -log_probs[expert] * weight
+        step_coefs = [p * weight for p in probs]
+        step_coefs[expert] = (probs[expert] - 1.0) * weight
+        coefs += step_coefs
+    if 0.0 in coefs:
+        # A candidate with a zero coefficient adds nothing and must not put
+        # its features' keys into the gradient.
+        rows = [row for step in steps for row in step.rows]
+        columns = to_columns([row if c else ((), ()) for row, c in zip(rows, coefs)])
+    scatter_columns(grads, coefs, columns)
+    return loss
+
+
 def sft_plan_loss(
-    params: ModelParams, batch: Sequence, step_mean: bool = True
+    params: ModelParams, batch: Sequence[PlanRows], step_mean: bool = True
 ) -> tuple[float, dict[str, float]]:
     """Mean cross-entropy over plan-step targets (including the end token).
 
-    Batch items are :class:`PlanRows` or carry ``task`` and ``plan``
-    attributes. With step_mean (default) every target counts equally;
-    otherwise records are weighted equally regardless of plan length.
+    With step_mean (default) every target counts equally; otherwise records
+    are weighted equally regardless of plan length. Each record's loss and
+    gradient are summed first and divided once. The records come from one
+    ``prepare_plans`` call.
     """
     if not batch:
         raise EmptyCorpus("sft_plan_loss needs a non-empty batch")
     vocab = params.plan_vocab
-    if not vocab:
-        raise ValidationFailure("model has no plan vocabulary")
-    rows = prepare_plans(batch, vocab)
-    weights = PlanWeights(params, vocab)
+    if any(record.vocab != vocab for record in batch):
+        raise ValidationFailure("plan record was prepared for another vocabulary")
+    names = plan_names(vocab, max(len(record.steps) for record in batch))
+    w = tuple(map(params.get, names))
+    scores = _distinct_scores(w, [step for record in batch for step in record.steps])
 
-    total_loss = 0.0
-    grads: dict[str, float] = {}
-    contributions: list[tuple[float, float, dict[str, float]]] = []
-
-    for row in rows:
-        record_loss = 0.0
-        record_grads: dict[str, float] = {}
-        used: set[str] = set()
-        for position, t in enumerate(row.targets, 1):
-            pos_names, _ = weights.position(position)
-            probs, log_probs = softmax(weights.scores(position, row.overlaps, used))
-            record_loss += -log_probs[t]
-            target = vocab[t]
-            for i, v in enumerate(vocab):
-                coef = probs[i] - (1.0 if v == target else 0.0)
-                if coef == 0.0:
-                    continue
-                _accumulate(record_grads, weights.bias_names[i], coef)
-                _accumulate(record_grads, pos_names[i], coef)
-                if v != END_TOKEN:
-                    _accumulate(record_grads, "plan::overlap", coef * row.overlaps[i])
-                    if v in used:
-                        _accumulate(record_grads, "plan::used", coef)
-            if target != END_TOKEN:
-                used.add(target)
-        contributions.append((record_loss, float(len(row.targets)), record_grads))
+    contributions: list[tuple[float, float, dict[int, float]]] = []
+    for record in batch:
+        record_grads: dict[int, float] = {}
+        record_loss = _softmax_steps(record_grads, scores, record.steps, record.columns, 1.0)
+        contributions.append((record_loss, float(len(record.steps)), record_grads))
 
     total_targets = sum(n for _, n, _ in contributions)
+    total_loss = 0.0
+    grads: dict[int, float] = {}
     for record_loss, n_targets, record_grads in contributions:
         divisor = total_targets if step_mean else n_targets * len(contributions)
         total_loss += record_loss / divisor
-        for name, g in record_grads.items():
-            _accumulate(grads, name, g / divisor)
-    return total_loss, grads
+        for j, g in record_grads.items():
+            grads[j] = grads.get(j, 0.0) + g / divisor
+    return total_loss, {names[j]: g for j, g in grads.items()}
 
 
 def imitation_loss(
     params: ModelParams,
-    trajectories: Sequence[Sequence[ActionRows | ImitationStep]],
+    trajectories: Sequence[Sequence[ActionRows]],
     step_mean: bool = False,
 ) -> tuple[float, dict[str, float]]:
     """Cross-entropy between the action distribution and the expert action,
     averaged per trajectory then across trajectories (or globally over steps
-    with step_mean).
-
-    Each distinct row of the batch is scored once; a step's softmax reads its
-    candidates' scores by row id, and its gradient goes in by feature column."""
+    with step_mean). The steps come from one ``prepare_imitation`` call."""
     if not trajectories or not any(len(t) for t in trajectories):
         raise EmptyCorpus("imitation_loss needs at least one step")
-    trajectories = _one_table(trajectories)
     total_steps = sum(len(t) for t in trajectories)
     n_traj = len(trajectories)
-    table = next(t[0].table for t in trajectories if t)
-    distinct = set().union(*(step.ids for t in trajectories for step in t))
-    scores = dict(zip(distinct, score_rows(params.act_weights, map(table.__getitem__, distinct))))
+    scores = _distinct_scores(params.act_weights, [step for t in trajectories for step in t])
 
     loss = 0.0
     grads: dict[int, float] = {}
@@ -276,41 +280,26 @@ def imitation_loss(
             continue
         weight = 1.0 / total_steps if step_mean else 1.0 / (n_traj * len(trajectory))
         for step in trajectory:
-            probs, log_probs = softmax(list(map(scores.__getitem__, step.ids)))
-            expert = step.expert
-            loss += -log_probs[expert] * weight
-            coefs = [p * weight for p in probs]
-            coefs[expert] = (probs[expert] - 1.0) * weight
-            columns = step.columns
-            if 0.0 in coefs:
-                # A candidate with a zero coefficient adds nothing and must
-                # not put its features' keys into the gradient.
-                columns = to_columns([row if c else ((), ()) for row, c in zip(step.rows, coefs)])
-            scatter_columns(grads, coefs, columns)
+            loss += _softmax_steps(grads, scores, (step,), step.columns, weight)
     return loss, {ACT_NAMES[j]: g for j, g in grads.items()}
 
 
 def status_loss(
-    params: ModelParams, steps: Sequence[LabelledRow | tuple[AgentState, str]]
+    params: ModelParams, steps: Sequence[LabelledRow]
 ) -> tuple[float, dict[str, float]]:
     """Binary cross-entropy of the status head against CONTINUE/FINISH labels."""
     if not steps:
         raise EmptyCorpus("status_loss needs at least one step")
-    rows = [_status_row(step) for step in steps]
     loss = 0.0
     grads: dict[int, float] = {}
-    n = len(rows)
+    n = len(steps)
     eps = 1e-12
-    for row, logit in zip(rows, score_rows(params.status_weights, [r.row for r in rows])):
-        target = row.label
+    for step, logit in zip(steps, score_rows(params.status_weights, [s.row for s in steps])):
+        target = step.label
         prob = 1.0 / (1.0 + math.exp(-logit))
         loss += -(target * math.log(prob + eps) + (1 - target) * math.log(1 - prob + eps)) / n
-        scatter_row(grads, (prob - target) / n, row.row)
+        scatter_row(grads, (prob - target) / n, step.row)
     return loss, {STATUS_NAMES[j]: g for j, g in grads.items()}
-
-
-def _accumulate(grads: dict[str, float], name: str, value: float) -> None:
-    grads[name] = grads.get(name, 0.0) + value
 
 
 # --- the minibatch loop and its optimizer steps ------------------------------

@@ -86,7 +86,8 @@ def records_to_imitation(
     """Group training records by trajectory into (state, expert action) steps,
     plus flat (state, status) pairs for the status head. The records must pass
     ``validate_training_record``; the phases check them as they read them. Two
-    records for one step of one trajectory are a ValidationFailure."""
+    records for one step of one trajectory, or a trajectory whose steps do not
+    run 1..n, are a ValidationFailure."""
     grouped: dict[str, dict[int, dict]] = {}
     for rec in records:
         tid, step_no = rec["trajectory_id"], rec["step_no"]
@@ -99,6 +100,9 @@ def records_to_imitation(
     trajectories = []
     statuses = []
     for tid in sorted(grouped):
+        missing = [k for k in range(1, len(grouped[tid]) + 1) if k not in grouped[tid]]
+        if missing:
+            raise ValidationFailure(f"trajectory {tid!r} has no record for step {missing[0]}")
         steps = []
         for _, row in sorted(grouped[tid].items()):
             state = AgentState.from_record_input(row["input"])

@@ -5,8 +5,7 @@ inference the raw score is squashed through a sigmoid into [0, 1]. A step's
 sparse row (``rm_features``) is a bias at index 0, then the action's
 ``featurize`` row shifted by one. ``train_reward_model`` prepares each row once
 (``prepare_rewarded``) and trains with ``losses.train_params`` and AdamW under
-a linearly decaying step size; ``rm_mse_loss`` takes prepared rows or raw
-steps alike.
+a linearly decaying step size; ``rm_mse_loss`` takes prepared rows only.
 """
 
 from __future__ import annotations
@@ -77,14 +76,8 @@ def rm_features(state: AgentState, action: ActionCall) -> SparseRow:
     return (0, *(j + 1 for j in idx)), (1.0, *xs)
 
 
-def _reward_row(step: LabelledRow | RewardedStep) -> LabelledRow:
-    if isinstance(step, LabelledRow):
-        return step
-    return LabelledRow(rm_features(step.state, step.action), step.reward)
-
-
 def prepare_rewarded(steps: Sequence[RewardedStep]) -> list[LabelledRow]:
-    return [_reward_row(step) for step in steps]
+    return [LabelledRow(rm_features(step.state, step.action), step.reward) for step in steps]
 
 
 @dataclass(frozen=True)
@@ -121,19 +114,19 @@ class RewardModelParams:
 
 
 def rm_mse_loss(
-    params: RewardModelParams, steps: Sequence[LabelledRow | RewardedStep]
+    params: RewardModelParams, steps: Sequence[LabelledRow]
 ) -> tuple[float, dict[str, float]]:
-    """MSE between the raw output and the +1/-1 labels, with its gradient."""
+    """MSE between the raw output and the +1/-1 labels of prepared steps
+    (``prepare_rewarded``), with its gradient."""
     if not steps:
         raise EmptyCorpus("rm_mse_loss needs at least one step")
-    rows = [_reward_row(step) for step in steps]
-    n = len(rows)
+    n = len(steps)
     loss = 0.0
     grads: dict[int, float] = {}
-    for row, score in zip(rows, score_rows(params.vector, [r.row for r in rows])):
-        err = score - row.label
+    for step, score in zip(steps, score_rows(params.vector, [s.row for s in steps])):
+        err = score - step.label
         loss += err * err / n
-        scatter_row(grads, 2.0 * err / n, row.row)
+        scatter_row(grads, 2.0 * err / n, step.row)
     return loss, {RM_FEATURE_NAMES[j]: g for j, g in grads.items()}
 
 

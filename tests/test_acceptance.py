@@ -36,6 +36,9 @@ from lamlab.training import (
     RewardedStep,
     clipped_term,
     imitation_loss,
+    prepare_imitation,
+    prepare_plans,
+    prepare_rewarded,
     rm_mse_loss,
     sft_plan_loss,
     surrogate_value,
@@ -262,7 +265,9 @@ def test_criterion_3_gradient_checks():
         def set_(name, value):
             holder["params"] = holder["params"].replaced({name: value})
 
-        batch = [_PlanRec(rng.choice(tasks), rng.choice(plan_choices)) for _ in range(3)]
+        batch = prepare_plans(
+            [_PlanRec(rng.choice(tasks), rng.choice(plan_choices)) for _ in range(3)], vocab
+        )
         ok, why = _fd_ok(
             lambda: sft_plan_loss(holder["params"], batch),
             get,
@@ -272,7 +277,9 @@ def test_criterion_3_gradient_checks():
         assert ok, f"sft gradient seed {seed}: {why}"
 
         task = rng.choice(tasks)
-        trajectories = [[(AgentState(task=task, step_id=1, controls=controls), expert_by_task[task])]]
+        trajectories = prepare_imitation(
+            [[(AgentState(task=task, step_id=1, controls=controls), expert_by_task[task])]]
+        )
         ok, why = _fd_ok(
             lambda: imitation_loss(holder["params"], trajectories),
             get,
@@ -286,14 +293,16 @@ def test_criterion_3_gradient_checks():
                 weights={n: rng.uniform(-0.4, 0.4) for n in RM_FEATURE_NAMES}
             )
         }
-        steps = [
-            RewardedStep(
-                state=AgentState(task=task, step_id=1, controls=controls),
-                action=expert_by_task[task],
-                reward=rng.choice([1, -1]),
-            )
-            for _ in range(3)
-        ]
+        steps = prepare_rewarded(
+            [
+                RewardedStep(
+                    state=AgentState(task=task, step_id=1, controls=controls),
+                    action=expert_by_task[task],
+                    reward=rng.choice([1, -1]),
+                )
+                for _ in range(3)
+            ]
+        )
 
         def rm_get(name):
             return rm_holder["params"].weights.get(name, 0.0)

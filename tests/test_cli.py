@@ -260,6 +260,44 @@ def test_repeated_training_step_is_a_validation_failure(pipeline_ws, tmp_path, c
     assert f"trajectory {tid!r} has two records for step {step_no}: {first!r} and 'repeat'" in err
 
 
+def _train_phase2_with(pipeline_ws, tmp_path, capsys, edit):
+    """Exit code and stderr of ``train --phase 2`` on a copy of the workspace
+    whose training records went through ``edit``."""
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    training = ws / "corpus" / "training.jsonl"
+    write_jsonl(training, edit(read_jsonl(training)))
+    code = main(["--workspace", str(ws), "train", "--phase", "2"])
+    return code, capsys.readouterr().err
+
+
+def _without_first_step(records):
+    return [r for r in records if r["record_id"] != "traj_word_001.s1"]
+
+
+def test_trajectory_with_a_missing_step_is_a_validation_failure(pipeline_ws, tmp_path, capsys):
+    code, err = _train_phase2_with(pipeline_ws, tmp_path, capsys, _without_first_step)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err == "ValidationFailure: trajectory 'traj_word_001' has no record for step 1\n"
+
+
+def test_step_no_that_does_not_follow_its_history_is_a_validation_failure(
+    pipeline_ws, tmp_path, capsys
+):
+    def renumbered(records):
+        records = _without_first_step(records)
+        assert records[0]["record_id"] == "traj_word_001.s2"
+        records[0]["step_no"] = 7
+        return records
+
+    code, err = _train_phase2_with(pipeline_ws, tmp_path, capsys, renumbered)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("ValidationFailure: ")
+    assert "training.jsonl:1: step_no 7 does not follow a step_history of 1 steps" in err
+
+
 @pytest.fixture(scope="module")
 def suite_corpus_ws(tmp_path_factory):
     """The suite's corpus files, plus zero-weight lam2 and lam3 checkpoints."""

@@ -442,10 +442,9 @@ def test_imitation_loss_equals_reference(suite_steps, step_mean):
         for raw, rows in zip(batches(trajectories, 8) + [trajectories],
                              batches(prepared, 8) + [prepared]):
             expected = reference_imitation_loss(params, raw, step_mean)
-            for got in (imitation_loss(params, rows, step_mean),
-                        imitation_loss(params, raw, step_mean)):
-                assert got[0] == expected[0]
-                assert list(got[1].items()) == list(expected[1].items())
+            got = imitation_loss(params, rows, step_mean)
+            assert got[0] == expected[0]
+            assert list(got[1].items()) == list(expected[1].items())
 
 
 def test_status_loss_equals_reference(suite_steps):
@@ -455,9 +454,29 @@ def test_status_loss_equals_reference(suite_steps):
         params = nonzero_params(seed)
         for raw, rows in zip(batches(statuses, 8) + [statuses], batches(prepared, 8) + [prepared]):
             expected = reference_status_loss(params, raw)
-            for got in (status_loss(params, rows), status_loss(params, raw)):
-                assert got[0] == expected[0]
-                assert list(got[1].items()) == list(expected[1].items())
+            got = status_loss(params, rows)
+            assert got[0] == expected[0]
+            assert list(got[1].items()) == list(expected[1].items())
+
+
+def saturated_plan_params(seed, vocab, positions, magnitude):
+    """Every plan weight drawn from {-magnitude, +magnitude}, so that most
+    plan softmax steps put all their mass on one entry."""
+    rng = random.Random(seed)
+    params = nonzero_params(seed, vocab, positions)
+    plan = [name for name in params.weights if name.startswith("plan::")]
+    return params.replaced({name: rng.choice((-magnitude, magnitude)) for name in plan})
+
+
+def reference_plan_softmaxes(params, records):
+    """(probabilities, target index) of every teacher-forced plan position."""
+    index = {v: i for i, v in enumerate(params.plan_vocab)}
+    for record in records:
+        used = set()
+        for position, target in enumerate((*record.plan, END_TOKEN), 1):
+            scores = reference_plan_scores(record.task, params, position, used, params.plan_vocab)
+            yield softmax(scores)[0], index[target]
+            used.add(target)
 
 
 @pytest.mark.parametrize("step_mean", [True, False])
@@ -465,15 +484,25 @@ def test_sft_plan_loss_equals_reference(plan_records, step_mean):
     vocab = build_plan_vocab([list(r.plan) for r in plan_records])
     longest = max(len(r.plan) for r in plan_records) + 1
     prepared = prepare_plans(plan_records, vocab)
-    for seed in range(2):
-        params = nonzero_params(seed, vocab, positions=longest)
+    saturated = saturated_plan_params(0, vocab, longest, 200.0)
+    underflowing = saturated_plan_params(1, vocab, longest, 1000.0)
+    # At +-200 some targets take probability exactly 1.0, a zero coefficient;
+    # at +-1000 some other entries' probabilities underflow to 0.0.
+    assert any(probs[t] == 1.0 for probs, t in reference_plan_softmaxes(saturated, plan_records))
+    assert any(
+        p == 0.0
+        for probs, t in reference_plan_softmaxes(underflowing, plan_records)
+        for i, p in enumerate(probs)
+        if i != t
+    )
+    cases = [nonzero_params(0, vocab, longest), nonzero_params(1, vocab, longest)]
+    for params in cases + [saturated, underflowing]:
         for raw, rows in zip(batches(plan_records, 16) + [plan_records],
                              batches(prepared, 16) + [prepared]):
             expected = reference_sft_plan_loss(params, raw, step_mean)
-            for got in (sft_plan_loss(params, rows, step_mean),
-                        sft_plan_loss(params, raw, step_mean)):
-                assert got[0] == expected[0]
-                assert list(got[1].items()) == list(expected[1].items())
+            got = sft_plan_loss(params, rows, step_mean)
+            assert got[0] == expected[0]
+            assert list(got[1].items()) == list(expected[1].items())
 
 
 def rewarded_suite_steps(suite_steps, seed=0):
@@ -494,9 +523,9 @@ def test_rm_mse_loss_equals_reference(suite_steps):
         params = RewardModelParams({n: rng.uniform(-1.0, 1.0) for n in RM_FEATURE_NAMES})
         for raw, rows in zip(batches(steps, 8) + [steps], batches(prepared, 8) + [prepared]):
             expected = reference_rm_mse_loss(params, raw)
-            for got in (rm_mse_loss(params, rows), rm_mse_loss(params, raw)):
-                assert got[0] == expected[0]
-                assert list(got[1].items()) == list(expected[1].items())
+            got = rm_mse_loss(params, rows)
+            assert got[0] == expected[0]
+            assert list(got[1].items()) == list(expected[1].items())
 
 
 def test_reward_model_scores_equal_dense_reference(suite_steps):

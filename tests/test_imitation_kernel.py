@@ -13,14 +13,37 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from lamlab.errors import DegenerateRatio, EmptyCorpus
-from lamlab.policy import enumerate_candidates, featurize, match_expert, softmax
+import pytest
+
+from lamlab.errors import DegenerateRatio, EmptyCorpus, ValidationFailure
+from lamlab.policy import (
+    ModelParams,
+    build_plan_vocab,
+    enumerate_candidates,
+    featurize,
+    match_expert,
+    softmax,
+)
 from lamlab.policy.model import ACT_NAMES, scatter_columns, scatter_row, score_rows, to_columns
-from lamlab.training import SftConfig, imitation_loss, learning_rate_at, ppo_update, prepare_imitation
+from lamlab.training import (
+    SftConfig,
+    imitation_loss,
+    learning_rate_at,
+    ppo_update,
+    prepare_imitation,
+    prepare_plans,
+    sft_plan_loss,
+)
 from lamlab.training import losses, ppo
 from lamlab.training.losses import sgd, train_params
 
-from test_feature_cache import batches, nonzero_params, suite_steps, suite_ws  # noqa: F401
+from test_feature_cache import (  # noqa: F401
+    batches,
+    nonzero_params,
+    plan_records,
+    suite_steps,
+    suite_ws,
+)
 from test_training_reference import PPO_CONFIGS
 
 # --- the previous kernels, verbatim ---------------------------------------------------
@@ -161,12 +184,9 @@ def test_imitation_loss_equals_parent_kernel(suite_steps):
     for params in cases:
         for step_mean in (False, True):
             for size in (1, 4, 8, len(trajectories)):
-                for raw, rows, old in zip(
-                    batches(trajectories, size), batches(prepared, size), batches(parent, size)
-                ):
+                for rows, old in zip(batches(prepared, size), batches(parent, size)):
                     expected = parent_imitation_loss(params, old, step_mean)
                     assert _equal(imitation_loss(params, rows, step_mean), expected)
-                    assert _equal(imitation_loss(params, raw, step_mean), expected)
 
 
 def test_trained_imitation_weights_equal_parent_kernel(suite_steps):
@@ -228,14 +248,13 @@ def test_each_distinct_row_is_scored_once_per_call(suite_steps, monkeypatch):
 
     monkeypatch.setattr(losses, "score_rows", counting)
     params = nonzero_params(0)
-    for raw, batch in zip(batches(trajectories, 4) + [trajectories], batches(prepared, 4) + [prepared]):
+    for batch in batches(prepared, 4) + [prepared]:
         distinct = {table[i] for t in batch for step in t for i in step.ids}
-        for items in (batch, raw):
-            calls.clear()
-            imitation_loss(params, items)
-            (rows,) = calls
-            assert len(rows) == len(distinct) == len(set(rows))
-            assert set(rows) == distinct
+        calls.clear()
+        imitation_loss(params, batch)
+        (rows,) = calls
+        assert len(rows) == len(distinct) == len(set(rows))
+        assert set(rows) == distinct
     assert len(distinct) == 121
 
 
@@ -248,10 +267,17 @@ def test_prepared_step_keeps_its_rows_and_columns(suite_steps):
             assert step.expert == match_expert(candidates, expert)
             assert step.rows == tuple(featurize(state, c) for c in candidates)
             assert step.columns == to_columns(step.rows)
-    # A step prepared against another table is interned into the new one.
-    again = prepare_imitation([prepared[1], prepared[0]])
-    assert again[0][0].table is not prepared[0][0].table
-    assert [s.rows for s in again[1]] == [s.rows for s in prepared[0]]
+
+
+def test_a_batch_from_two_preparations_is_refused(suite_steps, plan_records):
+    trajectories, _ = suite_steps
+    mixed = prepare_imitation(trajectories[:3]) + prepare_imitation(trajectories[3:6])
+    with pytest.raises(ValidationFailure, match="different preparation calls"):
+        imitation_loss(nonzero_params(0), mixed)
+    vocab = build_plan_vocab([list(r.plan) for r in plan_records])
+    plans = prepare_plans(plan_records[:2], vocab) + prepare_plans(plan_records[2:4], vocab)
+    with pytest.raises(ValidationFailure, match="different preparation calls"):
+        sft_plan_loss(ModelParams.zeros(plan_vocab=vocab), plans)
 
 
 def test_scatter_columns_adds_each_feature_in_sequence():

@@ -22,7 +22,7 @@ from lamlab.policy import (
 )
 from lamlab.policy import candidates as candidates_module
 from lamlab.policy.features import BASE_FEATURES
-from lamlab.training import sft_plan_loss, train_params
+from lamlab.training import prepare_plans, sft_plan_loss, train_params
 from lamlab.training.losses import sgd
 
 from test_feature_cache import densify
@@ -266,7 +266,7 @@ def test_plan_overfits_single_pair():
     params = ModelParams.zeros(plan_vocab=vocab)
     params = train_params(
         params,
-        [Rec()],
+        prepare_plans([Rec()], vocab),
         lambda p, b: sft_plan_loss(p, b),
         sgd(lambda t, total_steps: 1.0),
         batch_size=4,

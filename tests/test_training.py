@@ -25,6 +25,10 @@ from lamlab.training import (
     compute_advantage,
     imitation_loss,
     ppo_update,
+    prepare_imitation,
+    prepare_plans,
+    prepare_rewarded,
+    prepare_status,
     rm_mse_loss,
     self_boost,
     sft_plan_loss,
@@ -80,7 +84,7 @@ def test_sft_uniform_model_gives_log_vocab():
     vocab = build_plan_vocab([[f"Step {i}." for i in range(7)]])  # 7 steps + END = 8
     assert len(vocab) == 8
     params = ModelParams.zeros(plan_vocab=vocab)
-    loss, _ = sft_plan_loss(params, [PlanRec("task", ["Step 0."])])
+    loss, _ = sft_plan_loss(params, prepare_plans([PlanRec("task", ["Step 0."])], vocab))
     assert abs(loss - math.log(8)) < 1e-12
 
 
@@ -92,7 +96,7 @@ def test_sft_perfect_model_gives_zero_loss():
             "plan::pos::2::<END>": 200.0,
         }
     )
-    loss, _ = sft_plan_loss(params, [PlanRec("task", ["Step A."])])
+    loss, _ = sft_plan_loss(params, prepare_plans([PlanRec("task", ["Step A."])], vocab))
     assert loss < 1e-9
 
 
@@ -101,10 +105,13 @@ def test_sft_gradient_matches_finite_differences():
     vocab = build_plan_vocab([["Alpha step.", "Beta step.", "Gamma step."]])
     for trial in range(5):
         params = random_params(random.Random(trial), vocab)
-        batch = [
-            PlanRec("do the alpha thing", ["Alpha step.", "Beta step."]),
-            PlanRec("try gamma now", ["Gamma step."]),
-        ]
+        batch = prepare_plans(
+            [
+                PlanRec("do the alpha thing", ["Alpha step.", "Beta step."]),
+                PlanRec("try gamma now", ["Gamma step."]),
+            ],
+            vocab,
+        )
         loss, grads = sft_plan_loss(params, batch)
         finite_difference_check(lambda p: sft_plan_loss(p, batch)[0], params, grads)
 
@@ -122,7 +129,7 @@ def test_imitation_uniform_is_log_candidate_count():
 
     state, expert = expert_step()
     n = len(enumerate_candidates(state))
-    loss, _ = imitation_loss(ModelParams.zeros(), [[(state, expert)]])
+    loss, _ = imitation_loss(ModelParams.zeros(), prepare_imitation([[(state, expert)]]))
     assert abs(loss - math.log(n)) < 1e-12
 
 
@@ -135,7 +142,7 @@ def test_imitation_uniform_over_exactly_four_candidates_is_ln4():
     candidates = enumerate_candidates(state)
     assert len(candidates) == 4
     expert = ActionCall(function="insert_page_border", args={"style": "box"})
-    loss, _ = imitation_loss(ModelParams.zeros(), [[(state, expert)]])
+    loss, _ = imitation_loss(ModelParams.zeros(), prepare_imitation([[(state, expert)]]))
     assert abs(loss - math.log(4)) < 1e-12
 
 
@@ -144,7 +151,7 @@ def test_imitation_expert_absent_raises():
     ghost = ActionCall(function="click_input", control_text="Ghost",
                        args={"button": "left", "double": False})
     with pytest.raises(StepActionNotInCandidateSet):
-        imitation_loss(ModelParams.zeros(), [[(state, ghost)]])
+        prepare_imitation([[(state, ghost)]])
 
 
 def test_imitation_gradient_matches_finite_differences():
@@ -152,20 +159,22 @@ def test_imitation_gradient_matches_finite_differences():
         rng = random.Random(100 + trial)
         params = random_params(rng)
         sel = (ActionCall(function="select_text", args={"text": "Test For Fun"}), {"ok": True})
-        trajectories = [
-            [expert_step()],
+        trajectories = prepare_imitation(
             [
-                (
-                    make_state(
-                        'Make the text "Test For Fun" bold in the document.',
-                        step_id=2,
-                        previous_actions=(sel,),
-                        previous_plan=("Toggle bold formatting on the selection.",),
-                    ),
-                    ActionCall(function="toggle_bold", args={}),
-                )
-            ],
-        ]
+                [expert_step()],
+                [
+                    (
+                        make_state(
+                            'Make the text "Test For Fun" bold in the document.',
+                            step_id=2,
+                            previous_actions=(sel,),
+                            previous_plan=("Toggle bold formatting on the selection.",),
+                        ),
+                        ActionCall(function="toggle_bold", args={}),
+                    )
+                ],
+            ]
+        )
         loss, grads = imitation_loss(params, trajectories)
         finite_difference_check(lambda p: imitation_loss(p, trajectories)[0], params, grads)
 
@@ -175,15 +184,16 @@ def test_imitation_mean_of_means_vs_step_mean():
     one = [(state, expert)]
     two = [(state, expert), (state, expert)]
     params = ModelParams.zeros()
-    loss_mm, _ = imitation_loss(params, [one, two])
-    loss_sm, _ = imitation_loss(params, [one, two], step_mean=True)
+    batch = prepare_imitation([one, two])
+    loss_mm, _ = imitation_loss(params, batch)
+    loss_sm, _ = imitation_loss(params, batch, step_mean=True)
     # Same per-step CE here, so the two weightings agree; both are finite.
     assert abs(loss_mm - loss_sm) < 1e-12
 
 
 def test_status_loss_gradient():
     state, _ = expert_step()
-    steps = [(state, "CONTINUE"), (make_state("task two", step_id=3), "FINISH")]
+    steps = prepare_status([(state, "CONTINUE"), (make_state("task two", step_id=3), "FINISH")])
     for trial in range(3):
         params = random_params(random.Random(trial))
         loss, grads = status_loss(params, steps)
@@ -196,7 +206,7 @@ def test_status_loss_gradient():
 def test_fifty_full_batch_steps_strictly_decrease_losses():
     rng = random.Random(2)
     vocab = build_plan_vocab([["One step.", "Two step."], ["Three step."]])
-    batch = [
+    records = [
         PlanRec("first task text", ["One step.", "Two step."]),
         PlanRec("second task text", ["Three step."]),
         PlanRec("third thing to do", ["Two step."]),
@@ -206,6 +216,7 @@ def test_fifty_full_batch_steps_strictly_decrease_losses():
         PlanRec("seventh task", ["One step.", "Three step."]),
         PlanRec("eighth task", ["Three step.", "Two step."]),
     ]
+    batch = prepare_plans(records, vocab)
     params = ModelParams.zeros(plan_vocab=vocab)
     lr = 1e-2
     previous, _ = sft_plan_loss(params, batch)
@@ -216,7 +227,9 @@ def test_fifty_full_batch_steps_strictly_decrease_losses():
         assert current < previous + 1e-12
         previous = current
 
-    trajectories = [[expert_step()], [expert_step('Make the text "Test For Fun" bold in the document.')]]
+    trajectories = prepare_imitation(
+        [[expert_step()], [expert_step('Make the text "Test For Fun" bold in the document.')]]
+    )
     params = ModelParams.zeros()
     previous, _ = imitation_loss(params, trajectories)
     for _ in range(50):
@@ -278,7 +291,7 @@ def test_rm_normalized_output_in_unit_interval():
 
 
 def test_rm_gradient_matches_finite_differences():
-    steps = rewarded_toy_set()[:6]
+    steps = prepare_rewarded(rewarded_toy_set()[:6])
     for trial in range(3):
         rng = random.Random(trial)
         params = RewardModelParams(
