@@ -27,7 +27,7 @@ from .harness import desk_phase_configs
 from .jsonl import read_jsonl, sha256_file, write_jsonl, write_text
 from .oracle import MemoizingOracle, MockOracle, RemoteOracle, RemoteOracleConfig
 from .policy import ModelParams
-from .training import PhaseConfigs, run_phase
+from .training import PhaseConfigs, checkpoint_dir, run_phase
 
 __all__ = ["RunConfig", "main", "app"]
 
@@ -231,7 +231,9 @@ def _cmd_train(args, config: RunConfig) -> int:
 
 def _cmd_agent(args, config: RunConfig) -> int:
     workspace = Path(config.workspace)
-    params = ModelParams.load(Path(args.policy) if args.policy else workspace / "checkpoints" / "lam4" / "weights.json")
+    params = ModelParams.load(
+        Path(args.policy) if args.policy else checkpoint_dir(workspace, "lam4") / "weights.json"
+    )
     agent_cfg = config.agent
     mode = args.mode or agent_cfg.get("mode", "argmax")
     policy = ModelPolicy(params=params, mode=mode, seed=config.seed)
@@ -243,25 +245,10 @@ def _cmd_agent(args, config: RunConfig) -> int:
         task_id=args.task_id,
         clock=config.make_clock(),
     )
-    out_dir = workspace / "runs" / "agent"
-    run_file = out_dir / f"{args.task_id}.jsonl"
-    write_jsonl(run_file, [record.trajectory.to_line()])
-    timing_file = out_dir / f"{args.task_id}.timing.json"
-    write_text(
-        timing_file,
-        json.dumps(
-            {
-                "outcome": record.outcome,
-                "step_times": list(record.step_times),
-                "total_time": record.total_time,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    run_file = workspace / "runs" / "agent" / f"{args.task_id}.jsonl"
+    write_jsonl(run_file, [record.to_dict()])
     print(f"outcome: {record.outcome} in {len(record.step_times)} steps")
-    _write_manifest(config, f"agent_{args.task_id}", [], [run_file, timing_file])
+    _write_manifest(config, f"agent_{args.task_id}", [], [run_file])
     return 0
 
 

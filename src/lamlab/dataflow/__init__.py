@@ -5,7 +5,15 @@ from .execute import execute_trajectory
 from .instantiate import EXAMPLE_CALLS, instantiate, parse_actions_plan, select_template
 from .judge import build_judge_substitutions, judge_trajectory
 from .normalize import DEFAULT_OFF_PLATFORM, normalize_sources
-from .pipeline import STAGES, PipelineConfig, StageReport, run_all, run_stage, stage_files
+from .pipeline import (
+    STAGES,
+    PipelineConfig,
+    StageReport,
+    run_all,
+    run_stage,
+    stage_files,
+    task_plan_stage,
+)
 from .postprocess import (
     make_thought,
     postprocess,
@@ -44,6 +52,7 @@ __all__ = [
     "run_all",
     "run_stage",
     "stage_files",
+    "task_plan_stage",
     "make_thought",
     "postprocess",
     "record_inputs",

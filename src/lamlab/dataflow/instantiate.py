@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 from ..errors import NoTemplateMatch, OracleFailure, ParseFailure
 from ..env_sim import (
+    CALL_KEYS,
     REGISTRY,
     ActionCall,
     AppTemplate,
@@ -27,8 +28,6 @@ __all__ = ["select_template", "instantiate", "parse_actions_plan", "EXAMPLE_CALL
 EXAMPLE_CALLS = """\
 {"step": "select the target text", "controlLabel": "", "controlText": "", "function": "select_text", "args": {"text": "Test For Fun"}}
 {"step": "apply the yellow highlight", "controlLabel": "", "controlText": "Text Highlight Color", "function": "click_input", "args": {"button": "left", "double": false}}"""
-
-_CALL_KEYS = {"step", "controlLabel", "controlText", "function", "args"}
 
 
 def select_template(task: str, templates: Sequence[AppTemplate]) -> AppTemplate:
@@ -71,13 +70,13 @@ def parse_actions_plan(actions_plan: object) -> list[ActionCall]:
     for item in items:
         if not isinstance(item, Mapping):
             raise ParseFailure(f"action call must be an object, got {type(item).__name__}")
-        missing = _CALL_KEYS - set(item)
+        missing = CALL_KEYS - set(item)
         if missing:
             raise ParseFailure(f"action call missing keys {sorted(missing)}")
         if not isinstance(item["args"], Mapping):
             raise ParseFailure("action call args must be an object")
         # Only the call keys: a status is not part of an instantiated action.
-        action = ActionCall.from_call_dict({key: item[key] for key in _CALL_KEYS})
+        action = ActionCall.from_call_dict({key: item[key] for key in CALL_KEYS})
         spec = REGISTRY.get(action.function)
         if spec is None:
             raise ParseFailure(f"action call names unregistered function {action.function!r}")

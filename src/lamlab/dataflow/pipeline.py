@@ -37,7 +37,15 @@ from .records import (
     verdict_row,
 )
 
-__all__ = ["STAGES", "PipelineConfig", "StageReport", "run_stage", "run_all", "stage_files"]
+__all__ = [
+    "STAGES",
+    "PipelineConfig",
+    "StageReport",
+    "run_stage",
+    "run_all",
+    "stage_files",
+    "task_plan_stage",
+]
 
 STAGES = ("normalize", "evolve", "instantiate", "execute", "judge", "postprocess")
 
@@ -55,6 +63,12 @@ _FILES = {
 def stage_files(workspace: str | Path) -> dict[str, Path]:
     corpus = Path(workspace) / "corpus"
     return {stage: corpus / name for stage, name in _FILES.items()}
+
+
+def task_plan_stage(workspace: str | Path) -> str:
+    """The stage whose file holds the task-plan corpus: ``evolve`` once its
+    file exists, else ``normalize``."""
+    return "evolve" if stage_files(workspace)["evolve"].is_file() else "normalize"
 
 
 @dataclass
@@ -109,8 +123,7 @@ def run_stage(
         return StageReport(stage, read=len(records), written=len(out))
 
     if stage == "instantiate":
-        source = "evolve" if "evolve" in produced or files["evolve"].exists() else "normalize"
-        records = read(source, TaskPlanRecord.from_dict)
+        records = read(task_plan_stage(workspace), TaskPlanRecord.from_dict)
         templates = [get_template(tid) for tid in list_templates()]
         results, skipped = _map_skipping(
             lambda r: instantiate(r, templates, oracle), records, config.workers

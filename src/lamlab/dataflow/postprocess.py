@@ -8,7 +8,7 @@ empty plan.
 
 from __future__ import annotations
 
-from ..env_sim import CONTROL_TYPES, STATUS_CONTINUE, STATUS_FINISH, ListedControls
+from ..env_sim import CALL_KEYS, CONTROL_TYPES, STATUS_CONTINUE, STATUS_FINISH, ListedControls
 from .records import EvaluationVerdict, TrainingRecord, Trajectory
 
 __all__ = [
@@ -104,9 +104,6 @@ def _executed_target(traj: Trajectory, k: int) -> tuple[str, str]:
 _INPUT_KEYS = ("available_controls", "user_request", "step_history", "previous_plan")
 _OUTPUT_KEYS = ("thought", "control_label", "control_name", "function", "args", "status", "plan")
 _CONTROL_KEYS = {"label", "control_text", "control_type"}
-# The keys of ``ActionCall.to_call_dict``, which ``record_inputs`` writes into
-# each step_history entry; every one but ``args`` holds a string.
-_ACTION_KEYS = {"args", "controlLabel", "controlText", "function", "step"}
 
 
 def validate_record_input(obj: object) -> list[str]:
@@ -151,11 +148,11 @@ def _history_problem(item: object) -> str | None:
     if not isinstance(item, dict) or "action" not in item or "result" not in item:
         return f"bad step_history entry {item!r}"
     action = item["action"]
-    if not isinstance(action, dict) or set(action) != _ACTION_KEYS:
-        return f"step_history action must be an object with keys {sorted(_ACTION_KEYS)}, got {action!r}"
+    if not isinstance(action, dict) or set(action) != CALL_KEYS:
+        return f"step_history action must be an object with keys {sorted(CALL_KEYS)}, got {action!r}"
     if not isinstance(action["args"], dict):
         return "step_history action args must be an object"
-    if not all(isinstance(action[key], str) for key in _ACTION_KEYS - {"args"}):
+    if not all(isinstance(action[key], str) for key in CALL_KEYS - {"args"}):
         return "step_history action controlLabel, controlText, function and step must be strings"
     if not isinstance(item["result"], dict):
         return "step_history result must be an object"

@@ -5,6 +5,7 @@ registry with execution semantics, state diffing, and a built-in template set.
 """
 
 from .actions import (
+    CALL_KEYS,
     REGISTRY,
     STATUS_CONTINUE,
     STATUS_FINISH,
@@ -61,6 +62,7 @@ def resolve_control(snapshot: EnvSnapshot, label: str | None = None, text: str |
 
 
 __all__ = [
+    "CALL_KEYS",
     "REGISTRY",
     "STATUS_CONTINUE",
     "STATUS_FINISH",

@@ -41,12 +41,18 @@ __all__ = [
     "apply_action",
     "STATUS_CONTINUE",
     "STATUS_FINISH",
+    "CALL_KEYS",
 ]
 
 STATUS_CONTINUE = "CONTINUE"
 STATUS_FINISH = "FINISH"
 
 _HEX_RE = re.compile(r"^#[0-9A-Fa-f]{6}$")
+
+# The keys of ``ActionCall.to_call_dict``, the form an instantiated actions
+# plan and a training record's step history hold a call in; every one but
+# ``args`` holds a string.
+CALL_KEYS = frozenset({"step", "controlLabel", "controlText", "function", "args"})
 
 
 @dataclass(frozen=True)

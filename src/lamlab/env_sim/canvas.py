@@ -1,9 +1,17 @@
-"""Document canvas model and its canonical markup serialization.
+"""Document canvas model, its block table and its canonical markup.
 
 The canvas is the simulated application's document content: an ordered list
 of blocks (paragraph / table / figure / shape / chart / comment), an optional
 single selection span, and an optional page border. All values are immutable;
 actions produce new :class:`CanvasState` objects.
+
+The block table is the one description of what each kind holds: for a run,
+the selection and each block kind, its markup tag, its scalar attributes
+(its dataclass fields, sorted by name, minus the nested runs and cells) and
+its rendered-view line. ``attributes`` reads the scalars, ``build`` makes a
+value from them and ``render_block`` draws a block's view line; the markup
+codec here, the diff paths of ``diffs`` and the snapshot's rendered view all
+go through these three, so a new attribute is one new dataclass field.
 
 The canonical markup is the golden wire format: UTF-8, element attributes
 sorted lexicographically, 2-space indentation, one element per line. Two
@@ -13,8 +21,10 @@ canvases are equal iff their markups are byte-identical, and
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Mapping, NamedTuple
 from xml.etree import ElementTree
 
 __all__ = [
@@ -27,6 +37,11 @@ __all__ = [
     "Comment",
     "Selection",
     "CanvasState",
+    "BLOCK_TAGS",
+    "BLOCK_CLASSES",
+    "attributes",
+    "build",
+    "render_block",
     "serialize_canvas",
     "parse_canvas",
     "paragraph_text",
@@ -44,7 +59,7 @@ _HEX_RE = re.compile(r"^#[0-9A-F]{6}$")
 class Run:
     """One formatted text run inside a paragraph. font_size is in half-points."""
 
-    text: str
+    text: str = ""
     color: str = DEFAULT_COLOR
     highlight: str | None = None
     font_size: int = DEFAULT_FONT_SIZE
@@ -100,19 +115,10 @@ class Chart:
 @dataclass(frozen=True)
 class Comment:
     author: str
-    text: str
+    text: str = ""
 
 
 Block = Paragraph | Table | Figure | Shape | Chart | Comment
-
-_BLOCK_TAGS: dict[type, str] = {
-    Paragraph: "paragraph",
-    Table: "table",
-    Figure: "figure",
-    Shape: "shape",
-    Chart: "chart",
-    Comment: "comment",
-}
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,97 @@ def find_text(state: CanvasState, needle: str) -> Selection | None:
     return None
 
 
+# --- the block table --------------------------------------------------------
+
+def _to_bool(value: str | bool) -> bool:
+    """A markup ``"true"``/``"false"`` or a diff entry's bool."""
+    if isinstance(value, bool):
+        return value
+    if value == "true":
+        return True
+    if value == "false":
+        return False
+    raise ValueError(f"bad boolean attribute {value!r}")
+
+
+# Field annotations are strings here (``from __future__ import annotations``);
+# every other scalar field holds text.
+_CONVERTERS: dict[str, Callable] = {"int": int, "bool": _to_bool}
+
+
+class _Kind(NamedTuple):
+    tag: str
+    names: tuple[str, ...]
+    values: Callable[[object], tuple]
+    converters: tuple[tuple[str, Callable], ...]
+    view: str
+
+
+def _kind(cls: type, tag: str, view: str = "") -> _Kind:
+    scalars = sorted((f.name, f.type) for f in fields(cls) if not f.type.startswith("tuple"))
+    names = tuple(name for name, _ in scalars)
+    return _Kind(
+        tag=tag,
+        names=names,
+        values=operator.attrgetter(*names) if names else lambda obj: (),
+        converters=tuple((name, _CONVERTERS.get(type_, str)) for name, type_ in scalars),
+        view=view,
+    )
+
+
+# Each kind's tag and view line (``str.format`` over its fields). A paragraph's
+# view line is its runs with their marks (``render_block``).
+_KINDS: dict[type, _Kind] = {
+    Run: _kind(Run, "run"),
+    Selection: _kind(Selection, "selection"),
+    Paragraph: _kind(Paragraph, "paragraph"),
+    Table: _kind(Table, "table", "table: {rows} x {cols}"),
+    Figure: _kind(Figure, "figure", "figure: {name}"),
+    Shape: _kind(Shape, "shape", "shape: {shape_type} {width}x{height}"),
+    Chart: _kind(Chart, "chart", "chart: {chart_type} {title!r}"),
+    Comment: _kind(Comment, "comment", "comment[{author}]: {text}"),
+}
+
+BLOCK_TAGS: dict[type, str] = {cls: _KINDS[cls].tag for cls in Block.__args__}
+BLOCK_CLASSES: dict[str, type] = {tag: cls for cls, tag in BLOCK_TAGS.items()}
+
+
+def attributes(obj: Run | Selection | Block) -> dict[str, object]:
+    """The scalar attributes of a run, the selection or a block, sorted by
+    name, with ``None`` values left out."""
+    kind = _KINDS[type(obj)]
+    return {name: value for name, value in zip(kind.names, kind.values(obj)) if value is not None}
+
+
+def build(cls: type, attrs: Mapping[str, object]):
+    """A ``cls`` (run, selection or block) from its scalar attributes, as
+    markup strings or as typed diff values; a missing attribute takes the
+    field's default and other keys are ignored. A table gets blank cells."""
+    return cls(
+        **{name: convert(attrs[name]) for name, convert in _KINDS[cls].converters if name in attrs}
+    )
+
+
+def _render_run(run: Run) -> str:
+    marks = []
+    if run.bold:
+        marks.append("bold")
+    if run.highlight:
+        marks.append(f"highlight={run.highlight}")
+    if run.color != DEFAULT_COLOR:
+        marks.append(f"color={run.color}")
+    if run.font_size != DEFAULT_FONT_SIZE:
+        marks.append(f"size={run.font_size / 2:g}pt")
+    return run.text + ("{" + ",".join(marks) + "}" if marks else "")
+
+
+def render_block(block: Block) -> str:
+    """The block's line in a snapshot's rendered view."""
+    if type(block) is Paragraph:
+        return "para: " + "".join(map(_render_run, block.runs))
+    return _KINDS[type(block)].view.format_map(vars(block))
+
+
 # --- canonical markup -------------------------------------------------------
 
 def _escape(value: str) -> str:
@@ -198,16 +295,17 @@ def _escape(value: str) -> str:
     )
 
 
-def _attr_str(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _markup(value: object) -> str:
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _escape(str(value))
 
 
-def _element(tag: str, attrs: dict[str, object], indent: int) -> str:
-    parts = [f'{k}="{_escape(_attr_str(v))}"' for k, v in sorted(attrs.items())]
-    body = (" " + " ".join(parts)) if parts else ""
-    return f'{"  " * indent}<{tag}{body}/>'
+def _element(obj: Run | Selection | Block, indent: str, close: str = "/>") -> str:
+    attrs = "".join([f' {name}="{_markup(value)}"' for name, value in attributes(obj).items()])
+    return f"{indent}<{_KINDS[type(obj)].tag}{attrs}{close}"
 
 
 def serialize_canvas(state: CanvasState) -> str:
@@ -217,58 +315,25 @@ def serialize_canvas(state: CanvasState) -> str:
         root_attrs = f' page_border="{_escape(state.page_border)}"'
     lines.append(f"<canvas{root_attrs}>")
     for block in state.blocks:
-        tag = _BLOCK_TAGS[type(block)]
-        if isinstance(block, Paragraph):
+        if type(block) is Paragraph:
             if block.runs:
-                lines.append(f"  <{tag}>")
-                for run in block.runs:
-                    attrs: dict[str, object] = {
-                        "bold": run.bold,
-                        "color": run.color,
-                        "font_size": run.font_size,
-                        "text": run.text,
-                    }
-                    if run.highlight is not None:
-                        attrs["highlight"] = run.highlight
-                    lines.append(_element("run", attrs, 2))
-                lines.append(f"  </{tag}>")
+                lines.append("  <paragraph>")
+                lines.extend([_element(run, "    ") for run in block.runs])
+                lines.append("  </paragraph>")
             else:
-                lines.append(f"  <{tag}/>")
-        elif isinstance(block, Table):
-            lines.append(f'  <{tag} cols="{block.cols}" rows="{block.rows}">')
+                lines.append("  <paragraph/>")
+        elif type(block) is Table:
+            lines.append(_element(block, "  ", ">"))
             for r, row in enumerate(block.cells):
                 for c, cell in enumerate(row):
-                    lines.append(_element("cell", {"col": c, "row": r, "text": cell}, 2))
-            lines.append(f"  </{tag}>")
-        elif isinstance(block, Figure):
-            lines.append(_element(tag, {"caption": block.caption, "name": block.name}, 1))
-        elif isinstance(block, Shape):
-            lines.append(
-                _element(
-                    tag,
-                    {"height": block.height, "shape_type": block.shape_type, "width": block.width},
-                    1,
-                )
-            )
-        elif isinstance(block, Chart):
-            lines.append(_element(tag, {"chart_type": block.chart_type, "title": block.title}, 1))
-        elif isinstance(block, Comment):
-            lines.append(_element(tag, {"author": block.author, "text": block.text}, 1))
+                    lines.append(f'    <cell col="{c}" row="{r}" text="{_escape(cell)}"/>')
+            lines.append("  </table>")
+        else:
+            lines.append(_element(block, "  "))
     if state.selection is not None:
-        sel = state.selection
-        lines.append(
-            _element("selection", {"block": sel.block, "end": sel.end, "start": sel.start}, 1)
-        )
+        lines.append(_element(state.selection, "  "))
     lines.append("</canvas>")
     return "\n".join(lines) + "\n"
-
-
-def _parse_bool(value: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ValueError(f"bad boolean attribute {value!r}")
 
 
 def parse_canvas(text: str) -> CanvasState:
@@ -279,53 +344,28 @@ def parse_canvas(text: str) -> CanvasState:
     blocks: list[Block] = []
     selection: Selection | None = None
     for el in root:
-        if el.tag == "paragraph":
+        cls = BLOCK_CLASSES.get(el.tag)
+        if cls is Paragraph:
             runs = []
             for run_el in el:
                 if run_el.tag != "run":
                     raise ValueError(f"unexpected <{run_el.tag}> inside paragraph")
-                a = run_el.attrib
-                runs.append(
-                    Run(
-                        text=a.get("text", ""),
-                        color=a.get("color", DEFAULT_COLOR),
-                        highlight=a.get("highlight"),
-                        font_size=int(a.get("font_size", DEFAULT_FONT_SIZE)),
-                        bold=_parse_bool(a.get("bold", "false")),
-                    )
-                )
+                runs.append(build(Run, run_el.attrib))
             blocks.append(Paragraph(runs=tuple(runs)))
-        elif el.tag == "table":
-            rows = int(el.attrib["rows"])
-            cols = int(el.attrib["cols"])
-            grid = [["" for _ in range(cols)] for _ in range(rows)]
+        elif cls is Table:
+            table = build(Table, el.attrib)
+            grid = [list(row) for row in table.cells]
             for cell_el in el:
                 if cell_el.tag != "cell":
                     raise ValueError(f"unexpected <{cell_el.tag}> inside table")
                 grid[int(cell_el.attrib["row"])][int(cell_el.attrib["col"])] = cell_el.attrib.get(
                     "text", ""
                 )
-            blocks.append(Table(rows=rows, cols=cols, cells=tuple(tuple(r) for r in grid)))
-        elif el.tag == "figure":
-            blocks.append(Figure(name=el.attrib["name"], caption=el.attrib.get("caption", "")))
-        elif el.tag == "shape":
-            blocks.append(
-                Shape(
-                    shape_type=el.attrib["shape_type"],
-                    width=int(el.attrib["width"]),
-                    height=int(el.attrib["height"]),
-                )
-            )
-        elif el.tag == "chart":
-            blocks.append(Chart(chart_type=el.attrib["chart_type"], title=el.attrib.get("title", "")))
-        elif el.tag == "comment":
-            blocks.append(Comment(author=el.attrib["author"], text=el.attrib.get("text", "")))
+            blocks.append(replace(table, cells=tuple(map(tuple, grid))))
+        elif cls is not None:
+            blocks.append(build(cls, el.attrib))
         elif el.tag == "selection":
-            selection = Selection(
-                block=int(el.attrib["block"]),
-                start=int(el.attrib["start"]),
-                end=int(el.attrib["end"]),
-            )
+            selection = build(Selection, el.attrib)
         else:
             raise ValueError(f"unknown canvas element <{el.tag}>")
     return CanvasState(blocks=tuple(blocks), selection=selection, page_border=page_border)

@@ -4,24 +4,31 @@ A canvas flattens to a path -> scalar map; the diff of two canvases is the
 path-sorted list of entries whose values differ (``before``/``after`` are
 None for added/removed paths). Applying a diff to its ``before`` state
 reconstructs the ``after`` state exactly.
+
+The paths come from the block table in ``canvas``, the one description of
+what each kind holds: a block's ``kind`` is its markup tag, and its scalar
+paths, like a run's and the selection's, are the names ``attributes``
+gives; ``build`` makes the values back from them. Only a paragraph's runs
+and a table's cells are nested paths.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .canvas import (
+    BLOCK_CLASSES,
+    BLOCK_TAGS,
+    Block,
     CanvasState,
-    Chart,
-    Comment,
-    Figure,
     Paragraph,
     Run,
     Selection,
-    Shape,
     Table,
+    attributes,
+    build,
 )
 
 __all__ = ["CanvasDiffEntry", "flatten_canvas", "diff_canvas", "apply_diff"]
@@ -43,50 +50,29 @@ class CanvasDiffEntry:
         return cls(path=obj["path"], before=obj.get("before"), after=obj.get("after"))
 
 
+def _put(flat: dict[str, Scalar], prefix: str, obj: Run | Selection | Block) -> None:
+    for name, value in attributes(obj).items():
+        flat[prefix + name] = value
+
+
 def flatten_canvas(state: CanvasState) -> dict[str, Scalar]:
     flat: dict[str, Scalar] = {}
     if state.page_border is not None:
         flat["page_border"] = state.page_border
     if state.selection is not None:
-        flat["selection.block"] = state.selection.block
-        flat["selection.start"] = state.selection.start
-        flat["selection.end"] = state.selection.end
+        _put(flat, "selection.", state.selection)
     for i, block in enumerate(state.blocks):
-        base = f"blocks[{i}]"
-        if isinstance(block, Paragraph):
-            flat[f"{base}.kind"] = "paragraph"
+        base = f"blocks[{i}]."
+        flat[base + "kind"] = BLOCK_TAGS[type(block)]
+        if type(block) is Paragraph:
             for j, run in enumerate(block.runs):
-                rb = f"{base}.runs[{j}]"
-                flat[f"{rb}.text"] = run.text
-                flat[f"{rb}.color"] = run.color
-                flat[f"{rb}.font_size"] = run.font_size
-                flat[f"{rb}.bold"] = run.bold
-                if run.highlight is not None:
-                    flat[f"{rb}.highlight"] = run.highlight
-        elif isinstance(block, Table):
-            flat[f"{base}.kind"] = "table"
-            flat[f"{base}.rows"] = block.rows
-            flat[f"{base}.cols"] = block.cols
+                _put(flat, f"{base}runs[{j}].", run)
+            continue
+        _put(flat, base, block)
+        if type(block) is Table:
             for r, row in enumerate(block.cells):
                 for c, cell in enumerate(row):
-                    flat[f"{base}.cells[{r}][{c}]"] = cell
-        elif isinstance(block, Figure):
-            flat[f"{base}.kind"] = "figure"
-            flat[f"{base}.name"] = block.name
-            flat[f"{base}.caption"] = block.caption
-        elif isinstance(block, Shape):
-            flat[f"{base}.kind"] = "shape"
-            flat[f"{base}.shape_type"] = block.shape_type
-            flat[f"{base}.width"] = block.width
-            flat[f"{base}.height"] = block.height
-        elif isinstance(block, Chart):
-            flat[f"{base}.kind"] = "chart"
-            flat[f"{base}.chart_type"] = block.chart_type
-            flat[f"{base}.title"] = block.title
-        elif isinstance(block, Comment):
-            flat[f"{base}.kind"] = "comment"
-            flat[f"{base}.author"] = block.author
-            flat[f"{base}.text"] = block.text
+                    flat[f"{base}cells[{r}][{c}]"] = cell
     return flat
 
 
@@ -128,22 +114,15 @@ def apply_diff(before: CanvasState, entries: Iterable[CanvasDiffEntry]) -> Canva
 
 def _unflatten(flat: dict[str, Scalar]) -> CanvasState:
     block_data: dict[int, dict] = {}
-    page_border = flat.get("page_border")
-    sel = None
-    if "selection.block" in flat:
-        sel = Selection(
-            block=int(flat["selection.block"]),
-            start=int(flat["selection.start"]),
-            end=int(flat["selection.end"]),
-        )
+    selection: dict[str, Scalar] = {}
     for path, value in flat.items():
-        if not path.startswith("blocks["):
-            continue
-        m = re.match(r"blocks\[(\d+)\]\.(.+)$", path)
-        if not m:
-            raise ValueError(f"bad diff path {path!r}")
-        idx, rest = int(m.group(1)), m.group(2)
-        block_data.setdefault(idx, {})[rest] = value
+        if path.startswith("selection."):
+            selection[path[len("selection."):]] = value
+        elif path.startswith("blocks["):
+            m = re.match(r"blocks\[(\d+)\]\.(.+)$", path)
+            if not m:
+                raise ValueError(f"bad diff path {path!r}")
+            block_data.setdefault(int(m.group(1)), {})[m.group(2)] = value
 
     blocks = []
     for idx in sorted(block_data):
@@ -151,12 +130,19 @@ def _unflatten(flat: dict[str, Scalar]) -> CanvasState:
         if idx != len(blocks):
             raise ValueError(f"non-contiguous block index {idx}")
         blocks.append(_build_block(data))
-    return CanvasState(blocks=tuple(blocks), selection=sel, page_border=page_border)
+    return CanvasState(
+        blocks=tuple(blocks),
+        selection=build(Selection, selection) if selection else None,
+        page_border=flat.get("page_border"),
+    )
 
 
 def _build_block(data: dict):
     kind = data.pop("kind")
-    if kind == "paragraph":
+    cls = BLOCK_CLASSES.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown block kind {kind!r}")
+    if cls is Paragraph:
         runs_data: dict[int, dict] = {}
         for key, value in data.items():
             m = re.match(r"runs\[(\d+)\]\.(\w+)$", key)
@@ -167,35 +153,14 @@ def _build_block(data: dict):
         for j in sorted(runs_data):
             if j != len(runs):
                 raise ValueError(f"non-contiguous run index {j}")
-            rd = runs_data[j]
-            runs.append(
-                Run(
-                    text=rd.get("text", ""),
-                    color=rd.get("color", "#000000"),
-                    highlight=rd.get("highlight"),
-                    font_size=int(rd.get("font_size", 24)),
-                    bold=bool(rd.get("bold", False)),
-                )
-            )
+            runs.append(build(Run, runs_data[j]))
         return Paragraph(runs=tuple(runs))
-    if kind == "table":
-        rows, cols = int(data["rows"]), int(data["cols"])
-        grid = [["" for _ in range(cols)] for _ in range(rows)]
+    block = build(cls, data)
+    if cls is Table:
+        grid = [list(row) for row in block.cells]
         for key, value in data.items():
             m = re.match(r"cells\[(\d+)\]\[(\d+)\]$", key)
             if m:
                 grid[int(m.group(1))][int(m.group(2))] = str(value)
-        return Table(rows=rows, cols=cols, cells=tuple(tuple(r) for r in grid))
-    if kind == "figure":
-        return Figure(name=str(data["name"]), caption=str(data.get("caption", "")))
-    if kind == "shape":
-        return Shape(
-            shape_type=str(data["shape_type"]),
-            width=int(data["width"]),
-            height=int(data["height"]),
-        )
-    if kind == "chart":
-        return Chart(chart_type=str(data["chart_type"]), title=str(data.get("title", "")))
-    if kind == "comment":
-        return Comment(author=str(data["author"]), text=str(data.get("text", "")))
-    raise ValueError(f"unknown block kind {kind!r}")
+        block = replace(block, cells=tuple(map(tuple, grid)))
+    return block

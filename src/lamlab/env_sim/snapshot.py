@@ -2,7 +2,10 @@
 
 A snapshot is an immutable (control tree, canvas, step index) value. The
 rendered view is a deterministic textual screenshot surrogate computed purely
-from the tree and the canvas. Because a snapshot never changes, the values
+from the tree and the canvas: the window's controls, then one line per block
+as ``canvas.render_block`` draws it from the block table (the one
+description of what each block kind holds), then the page border and the
+selected text. Because a snapshot never changes, the values
 derived from it (its canvas encoding, digest and rendered view) are computed
 at most once, on first use, and kept on the instance. The values derived from
 the control tree alone are computed at most once per tree and shared by
@@ -36,17 +39,7 @@ from dataclasses import dataclass
 from ..errors import UnknownTemplate
 from ..jsonl import canonical_dumps, prompt_dumps, sha256_text
 from .actions import ActionCall, ExecutionResult, apply_action
-from .canvas import (
-    CanvasState,
-    Chart,
-    Comment,
-    Figure,
-    Paragraph,
-    Shape,
-    Table,
-    paragraph_text,
-    serialize_canvas,
-)
+from .canvas import CanvasState, paragraph_text, render_block, serialize_canvas
 from .controls import ControlNode, assign_labels, control_tree_dict, flatten_controls
 
 __all__ = [
@@ -162,32 +155,7 @@ class EnvSnapshot:
                 f"[{item['label']}] {item['control_type']} {item['control_text']!r}"
             )
         lines.append("=== document ===")
-        for block in self.canvas.blocks:
-            if isinstance(block, Paragraph):
-                decorated = []
-                for run in block.runs:
-                    marks = []
-                    if run.bold:
-                        marks.append("bold")
-                    if run.highlight:
-                        marks.append(f"highlight={run.highlight}")
-                    if run.color != "#000000":
-                        marks.append(f"color={run.color}")
-                    if run.font_size != 24:
-                        marks.append(f"size={run.font_size / 2:g}pt")
-                    suffix = "{" + ",".join(marks) + "}" if marks else ""
-                    decorated.append(run.text + suffix)
-                lines.append("para: " + "".join(decorated))
-            elif isinstance(block, Table):
-                lines.append(f"table: {block.rows} x {block.cols}")
-            elif isinstance(block, Figure):
-                lines.append(f"figure: {block.name}")
-            elif isinstance(block, Shape):
-                lines.append(f"shape: {block.shape_type} {block.width}x{block.height}")
-            elif isinstance(block, Chart):
-                lines.append(f"chart: {block.chart_type} {block.title!r}")
-            elif isinstance(block, Comment):
-                lines.append(f"comment[{block.author}]: {block.text}")
+        lines.extend(map(render_block, self.canvas.blocks))
         if self.canvas.page_border:
             lines.append(f"page border: {self.canvas.page_border}")
         if self.canvas.selection:

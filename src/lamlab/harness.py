@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .agent import AgentConfig, ModelPolicy, RunRecord, run_task
-from .dataflow import run_stage
+from .dataflow import run_stage, stage_files
 from .dataflow.records import InstantiatedTask, TaskPlanRecord
 from .env_sim import ActionCall
 from .evaluation import eval_online
@@ -85,7 +85,8 @@ def build_suite_workspace(workspace: str | Path, oracle=None) -> Path:
         TaskPlanRecord(task_id=t.task_id, task=t.task, plan=t.plan, source="doc")
         for t in suite
     ]
-    write_jsonl(workspace / "corpus" / "evolved.jsonl", (r.to_dict() for r in plans))
+    files = stage_files(workspace)
+    write_jsonl(files["evolve"], (r.to_dict() for r in plans))
 
     instantiated = [
         InstantiatedTask(
@@ -97,7 +98,7 @@ def build_suite_workspace(workspace: str | Path, oracle=None) -> Path:
         )
         for t in suite
     ]
-    write_jsonl(workspace / "corpus" / "instantiated.jsonl", (t.to_dict() for t in instantiated))
+    write_jsonl(files["instantiate"], (t.to_dict() for t in instantiated))
 
     for stage in ("execute", "judge", "postprocess"):
         run_stage(stage, workspace, oracle)

@@ -82,7 +82,6 @@ RESPONSE_SCHEMAS: dict[str, tuple[str, ...]] = {
     "judge": ("task_quality", "task_complete", "complete_judgement", "quality_judgement"),
     "evolve": ("evolved_task", "evolved_plan"),
     "plan_eval": ("Subtask1", "Subtask2", "Subtask3", "Subtask4"),
-    "training_record": (),
 }
 
 

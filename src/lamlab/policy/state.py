@@ -13,6 +13,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
+from .. import env_sim
 from ..env_sim import ActionCall
 from ..textutil import token_set
 
@@ -42,19 +43,7 @@ FUNC_TRIGGERS: dict[str, tuple[str, ...]] = {
 # Control types with a one-hot feature each, then the pseudo-type of a
 # candidate without a control (or of a control with an empty type). Any other
 # type has no one-hot feature.
-CONTROL_TYPES = (
-    "Button",
-    "Edit",
-    "TabItem",
-    "ListItem",
-    "MenuItem",
-    "ScrollBar",
-    "TreeItem",
-    "Document",
-    "Hyperlink",
-    "ComboBox",
-    "<none>",
-)
+CONTROL_TYPES = env_sim.CONTROL_TYPES + ("<none>",)
 _CONTROL_TYPE_INDEX = {name: i for i, name in enumerate(CONTROL_TYPES)}
 
 # (task overlap, plan-step overlap, position prior, CONTROL_TYPES index or

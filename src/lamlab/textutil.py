@@ -26,8 +26,6 @@ COLOR_HEX = {
     "yellow": "#FFFF00",
 }
 
-HIGHLIGHT_COLORS = ("yellow", "green", "turquoise", "pink", "red", "gray")
-
 
 def tokens(text: str) -> list[str]:
     return [t.lower() for t in _WORD_RE.findall(text)]

@@ -16,7 +16,14 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from ..dataflow import judge_trajectory, postprocess, record_inputs, validate_training_record
+from ..dataflow import (
+    judge_trajectory,
+    postprocess,
+    record_inputs,
+    stage_files,
+    task_plan_stage,
+    validate_training_record,
+)
 from ..dataflow.records import TaskPlanRecord, Trajectory, verdict_row
 from ..errors import EmptyCorpus, MissingPredecessor, StepActionNotInCandidateSet, ValidationFailure
 from ..env_sim import ActionCall
@@ -121,11 +128,12 @@ def _training_row(row: dict) -> dict:
     return row
 
 
-def _judged_trajectories(corpus: Path) -> list[tuple[Trajectory, bool]]:
+def _judged_trajectories(workspace: str | Path) -> list[tuple[Trajectory, bool]]:
     """Each executed trajectory with whether it succeeded (executed to success
     and judged complete); a malformed row is a ValidationFailure at path:line."""
-    trajectories = read_jsonl(corpus / "trajectories.jsonl", Trajectory.from_dict)
-    verdicts_file = corpus / "verdicts.jsonl"
+    files = stage_files(workspace)
+    trajectories = read_jsonl(files["execute"], Trajectory.from_dict)
+    verdicts_file = files["judge"]
     verdicts = read_jsonl(verdicts_file, verdict_row) if verdicts_file.is_file() else []
     complete = {tid: verdict.task_complete for tid, verdict in verdicts}
     return [
@@ -142,7 +150,7 @@ def collect_failed_tasks(workspace: str | Path) -> list[FailedTask]:
             template_id=traj.origin.template_id,
             task=traj.origin.instantiated_task,
         )
-        for traj, success in _judged_trajectories(Path(workspace) / "corpus")
+        for traj, success in _judged_trajectories(workspace)
         if not success
     ]
 
@@ -168,14 +176,13 @@ def run_phase(
     raise ValueError(f"unknown phase {phase!r}")
 
 
-def _task_plan_file(workspace: Path) -> Path:
-    corpus = workspace / "corpus"
-    evolved = corpus / "evolved.jsonl"
-    return evolved if evolved.is_file() else corpus / "taskplan.jsonl"
+def _boost_file(workspace: Path) -> Path:
+    """Phase 3's self-boosted training records, beside the expert ones."""
+    return stage_files(workspace)["postprocess"].with_name("boost_training.jsonl")
 
 
 def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
-    source = _task_plan_file(workspace)
+    source = stage_files(workspace)[task_plan_stage(workspace)]
     records = read_jsonl(source, TaskPlanRecord.from_dict)
     if not records:
         raise EmptyCorpus("task-plan corpus is empty")
@@ -261,7 +268,7 @@ def _imitation_phase(
 
 def _phase2(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 1)
-    source = workspace / "corpus" / "training.jsonl"
+    source = stage_files(workspace)["postprocess"]
     records = read_jsonl(source, _training_row)
     if not records:
         raise EmptyCorpus("training record corpus is empty")
@@ -272,7 +279,7 @@ def _phase2(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
 
 def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 2)
-    source = workspace / "corpus" / "training.jsonl"
+    source = stage_files(workspace)["postprocess"]
     expert_records = read_jsonl(source, _training_row)
     if not expert_records:
         raise EmptyCorpus("phase 3 needs the expert training records")
@@ -286,7 +293,7 @@ def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int)
     )
     boost_records = [r for traj, verdict in boosted for r in postprocess(traj, verdict)]
     merged = expert_records + [r.to_dict() for r in boost_records]
-    boost_file = workspace / "corpus" / "boost_training.jsonl"
+    boost_file = _boost_file(workspace)
     write_jsonl(boost_file, (r.to_line() for r in boost_records))
     return _imitation_phase(
         workspace,
@@ -307,11 +314,9 @@ def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int)
 
 def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 3)
-    corpus = workspace / "corpus"
-    boost_file = corpus / "boost_training.jsonl"
-    inputs = _input_digests(
-        [corpus / "trajectories.jsonl", corpus / "verdicts.jsonl", boost_file]
-    )
+    files = stage_files(workspace)
+    boost_file = _boost_file(workspace)
+    inputs = _input_digests([files["execute"], files["judge"], boost_file])
     boost_success_states: list[tuple[AgentState, ActionCall]] = []
     if boost_file.is_file():
         boost_trajs, _ = records_to_imitation(read_jsonl(boost_file, _training_row))
@@ -320,7 +325,7 @@ def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
 
     rewarded: list[RewardedStep] = []
     failure_steps: list[tuple[AgentState, ActionCall]] = []
-    for traj, success in _judged_trajectories(corpus):
+    for traj, success in _judged_trajectories(workspace):
         for step, record_input in zip(traj.steps, record_inputs(traj)):
             state, action = AgentState.from_record_input(record_input), step.action
             if success:

@@ -9,6 +9,7 @@ from lamlab.env_sim import (
     CanvasState,
     Chart,
     Comment,
+    EnvSnapshot,
     Figure,
     Paragraph,
     Run,
@@ -18,6 +19,9 @@ from lamlab.env_sim import (
     apply_diff,
     diff_canvas,
     find_text,
+    list_templates,
+    load_template,
+    paragraph_text,
     parse_canvas,
     serialize_canvas,
 )
@@ -25,44 +29,72 @@ from lamlab.env_sim.diffs import flatten_canvas
 
 TEXTS = ["", "hello world", "Test For Fun", 'quote " and & amp < > done', "line\nbreak"]
 
+# Markup-special characters, newlines and non-ASCII text (all of which the
+# markup must carry through a parse unchanged).
+text_strategy = st.one_of(
+    st.sampled_from(TEXTS), st.text(alphabet="aZ 9\"&<>'\néß日本€🙂", max_size=12)
+)
+
 
 def runs_strategy():
     return st.builds(
         Run,
-        text=st.sampled_from(TEXTS),
+        text=text_strategy,
         color=st.sampled_from(["#000000", "#FF0000", "#00B050"]),
-        highlight=st.sampled_from([None, "yellow", "green"]),
-        font_size=st.integers(min_value=2, max_value=96),
+        highlight=st.sampled_from([None, "", "yellow", "green"]),
+        font_size=st.integers(min_value=1, max_value=96),
         bold=st.booleans(),
     )
+
+
+@st.composite
+def tables_strategy(draw):
+    rows = draw(st.integers(min_value=1, max_value=3))
+    cols = draw(st.integers(min_value=1, max_value=3))
+    cells = tuple(tuple(draw(text_strategy) for _ in range(cols)) for _ in range(rows))
+    return Table(rows=rows, cols=cols, cells=cells)
 
 
 def blocks_strategy():
     return st.one_of(
         st.builds(Paragraph, runs=st.lists(runs_strategy(), max_size=3).map(tuple)),
-        st.builds(
-            Table,
-            rows=st.integers(min_value=1, max_value=3),
-            cols=st.integers(min_value=1, max_value=3),
-        ),
-        st.builds(Figure, name=st.sampled_from(["a.png", "b.png"]), caption=st.sampled_from(TEXTS)),
+        tables_strategy(),
+        st.builds(Figure, name=text_strategy, caption=text_strategy),
         st.builds(
             Shape,
-            shape_type=st.sampled_from(["rectangle", "oval"]),
-            width=st.integers(min_value=1, max_value=500),
-            height=st.integers(min_value=1, max_value=500),
+            shape_type=st.sampled_from(["rectangle", "oval", "a<b"]),
+            width=st.integers(min_value=-5, max_value=500),
+            height=st.integers(min_value=-5, max_value=500),
         ),
-        st.builds(Chart, chart_type=st.sampled_from(["bar", "line"]), title=st.sampled_from(TEXTS)),
-        st.builds(Comment, author=st.sampled_from(["Reviewer", "Editor"]), text=st.sampled_from(TEXTS)),
+        st.builds(Chart, chart_type=st.sampled_from(["bar", "line"]), title=text_strategy),
+        st.builds(Comment, author=text_strategy, text=text_strategy),
     )
+
+
+@st.composite
+def canvases(draw):
+    """Any mix of the six block kinds, a page border or none, and a selection
+    inside one run of a paragraph or none."""
+    blocks = tuple(draw(st.lists(blocks_strategy(), max_size=5)))
+    spans = []
+    for index, block in enumerate(blocks):
+        if isinstance(block, Paragraph):
+            offset = 0
+            for run in block.runs:
+                spans.append((index, offset, offset + len(run.text)))
+                offset += len(run.text)
+    selection = None
+    if spans and draw(st.booleans()):
+        index, low, high = draw(st.sampled_from(spans))
+        start = draw(st.integers(min_value=low, max_value=high))
+        end = draw(st.integers(min_value=start, max_value=high))
+        selection = Selection(block=index, start=start, end=end)
+    page_border = draw(st.sampled_from([None, "box", "shadow", 'a "b" & <c>']))
+    return CanvasState(blocks=blocks, selection=selection, page_border=page_border)
 
 
 def canvas_strategy():
-    return st.builds(
-        CanvasState,
-        blocks=st.lists(blocks_strategy(), max_size=5).map(tuple),
-        page_border=st.sampled_from([None, "box", "shadow"]),
-    )
+    return canvases()
 
 
 @given(canvas_strategy())
@@ -237,3 +269,236 @@ def test_apply_diff_reconstructs_after():
         after = _random_canvas(rng)
         entries = diff_canvas(before, after)
         assert apply_diff(before, entries) == after
+
+
+@given(canvas_strategy(), canvas_strategy())
+@settings(max_examples=150, deadline=None)
+def test_apply_diff_inverts_diff(before, after):
+    assert apply_diff(before, diff_canvas(before, after)) == after
+
+
+# --- the block table against the codecs it replaced --------------------------
+# The serializer, the flattener and the rendered view as they were written out
+# per block kind before the block table described every kind once; the table's
+# codecs must give the same bytes and the same paths.
+
+_REF_BLOCK_TAGS: dict[type, str] = {
+    Paragraph: "paragraph",
+    Table: "table",
+    Figure: "figure",
+    Shape: "shape",
+    Chart: "chart",
+    Comment: "comment",
+}
+
+
+def _ref_escape(value: str) -> str:
+    return (
+        value.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+        .replace("\n", "&#10;")
+    )
+
+
+def _ref_attr_str(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _ref_element(tag: str, attrs: dict[str, object], indent: int) -> str:
+    parts = [f'{k}="{_ref_escape(_ref_attr_str(v))}"' for k, v in sorted(attrs.items())]
+    body = (" " + " ".join(parts)) if parts else ""
+    return f'{"  " * indent}<{tag}{body}/>'
+
+
+def reference_serialize_canvas(state: CanvasState) -> str:
+    lines = []
+    root_attrs = ""
+    if state.page_border is not None:
+        root_attrs = f' page_border="{_ref_escape(state.page_border)}"'
+    lines.append(f"<canvas{root_attrs}>")
+    for block in state.blocks:
+        tag = _REF_BLOCK_TAGS[type(block)]
+        if isinstance(block, Paragraph):
+            if block.runs:
+                lines.append(f"  <{tag}>")
+                for run in block.runs:
+                    attrs: dict[str, object] = {
+                        "bold": run.bold,
+                        "color": run.color,
+                        "font_size": run.font_size,
+                        "text": run.text,
+                    }
+                    if run.highlight is not None:
+                        attrs["highlight"] = run.highlight
+                    lines.append(_ref_element("run", attrs, 2))
+                lines.append(f"  </{tag}>")
+            else:
+                lines.append(f"  <{tag}/>")
+        elif isinstance(block, Table):
+            lines.append(f'  <{tag} cols="{block.cols}" rows="{block.rows}">')
+            for r, row in enumerate(block.cells):
+                for c, cell in enumerate(row):
+                    lines.append(_ref_element("cell", {"col": c, "row": r, "text": cell}, 2))
+            lines.append(f"  </{tag}>")
+        elif isinstance(block, Figure):
+            lines.append(_ref_element(tag, {"caption": block.caption, "name": block.name}, 1))
+        elif isinstance(block, Shape):
+            lines.append(
+                _ref_element(
+                    tag,
+                    {"height": block.height, "shape_type": block.shape_type, "width": block.width},
+                    1,
+                )
+            )
+        elif isinstance(block, Chart):
+            lines.append(_ref_element(tag, {"chart_type": block.chart_type, "title": block.title}, 1))
+        elif isinstance(block, Comment):
+            lines.append(_ref_element(tag, {"author": block.author, "text": block.text}, 1))
+    if state.selection is not None:
+        sel = state.selection
+        lines.append(
+            _ref_element("selection", {"block": sel.block, "end": sel.end, "start": sel.start}, 1)
+        )
+    lines.append("</canvas>")
+    return "\n".join(lines) + "\n"
+
+
+def reference_flatten_canvas(state: CanvasState) -> dict:
+    flat: dict = {}
+    if state.page_border is not None:
+        flat["page_border"] = state.page_border
+    if state.selection is not None:
+        flat["selection.block"] = state.selection.block
+        flat["selection.start"] = state.selection.start
+        flat["selection.end"] = state.selection.end
+    for i, block in enumerate(state.blocks):
+        base = f"blocks[{i}]"
+        if isinstance(block, Paragraph):
+            flat[f"{base}.kind"] = "paragraph"
+            for j, run in enumerate(block.runs):
+                rb = f"{base}.runs[{j}]"
+                flat[f"{rb}.text"] = run.text
+                flat[f"{rb}.color"] = run.color
+                flat[f"{rb}.font_size"] = run.font_size
+                flat[f"{rb}.bold"] = run.bold
+                if run.highlight is not None:
+                    flat[f"{rb}.highlight"] = run.highlight
+        elif isinstance(block, Table):
+            flat[f"{base}.kind"] = "table"
+            flat[f"{base}.rows"] = block.rows
+            flat[f"{base}.cols"] = block.cols
+            for r, row in enumerate(block.cells):
+                for c, cell in enumerate(row):
+                    flat[f"{base}.cells[{r}][{c}]"] = cell
+        elif isinstance(block, Figure):
+            flat[f"{base}.kind"] = "figure"
+            flat[f"{base}.name"] = block.name
+            flat[f"{base}.caption"] = block.caption
+        elif isinstance(block, Shape):
+            flat[f"{base}.kind"] = "shape"
+            flat[f"{base}.shape_type"] = block.shape_type
+            flat[f"{base}.width"] = block.width
+            flat[f"{base}.height"] = block.height
+        elif isinstance(block, Chart):
+            flat[f"{base}.kind"] = "chart"
+            flat[f"{base}.chart_type"] = block.chart_type
+            flat[f"{base}.title"] = block.title
+        elif isinstance(block, Comment):
+            flat[f"{base}.kind"] = "comment"
+            flat[f"{base}.author"] = block.author
+            flat[f"{base}.text"] = block.text
+    return flat
+
+
+def reference_rendered_view(snapshot) -> str:
+    lines = ["=== window ==="]
+    for item in snapshot.control_list:
+        lines.append(
+            f"[{item['label']}] {item['control_type']} {item['control_text']!r}"
+        )
+    lines.append("=== document ===")
+    for block in snapshot.canvas.blocks:
+        if isinstance(block, Paragraph):
+            decorated = []
+            for run in block.runs:
+                marks = []
+                if run.bold:
+                    marks.append("bold")
+                if run.highlight:
+                    marks.append(f"highlight={run.highlight}")
+                if run.color != "#000000":
+                    marks.append(f"color={run.color}")
+                if run.font_size != 24:
+                    marks.append(f"size={run.font_size / 2:g}pt")
+                suffix = "{" + ",".join(marks) + "}" if marks else ""
+                decorated.append(run.text + suffix)
+            lines.append("para: " + "".join(decorated))
+        elif isinstance(block, Table):
+            lines.append(f"table: {block.rows} x {block.cols}")
+        elif isinstance(block, Figure):
+            lines.append(f"figure: {block.name}")
+        elif isinstance(block, Shape):
+            lines.append(f"shape: {block.shape_type} {block.width}x{block.height}")
+        elif isinstance(block, Chart):
+            lines.append(f"chart: {block.chart_type} {block.title!r}")
+        elif isinstance(block, Comment):
+            lines.append(f"comment[{block.author}]: {block.text}")
+    if snapshot.canvas.page_border:
+        lines.append(f"page border: {snapshot.canvas.page_border}")
+    if snapshot.canvas.selection:
+        sel = snapshot.canvas.selection
+        para = snapshot.canvas.blocks[sel.block]
+        lines.append(f"selection: {paragraph_text(para)[sel.start:sel.end]!r}")
+    return "\n".join(lines) + "\n"
+
+
+@given(canvas_strategy())
+@settings(max_examples=200, deadline=None)
+def test_serialize_equals_reference(canvas):
+    assert serialize_canvas(canvas) == reference_serialize_canvas(canvas)
+
+
+def _typed(flat: dict) -> list:
+    return sorted((path, type(value).__name__, value) for path, value in flat.items())
+
+
+@given(canvas_strategy())
+@settings(max_examples=200, deadline=None)
+def test_flatten_equals_reference(canvas):
+    assert _typed(flatten_canvas(canvas)) == _typed(reference_flatten_canvas(canvas))
+
+
+@given(st.sampled_from(list_templates()), canvas_strategy())
+@settings(max_examples=200, deadline=None)
+def test_rendered_view_equals_reference(template_id, canvas):
+    snapshot = EnvSnapshot(controls=load_template(template_id).controls, canvas=canvas)
+    assert snapshot.rendered_view() == reference_rendered_view(snapshot)
+
+
+def test_strategy_covers_every_kind_and_mark():
+    """The canvases above reach every block kind, a selection, non-ASCII and
+    markup-special text, and both set and unset highlights."""
+    seen = set()
+
+    @given(canvas_strategy())
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def collect(canvas):
+        seen.update(type(block).__name__ for block in canvas.blocks)
+        runs = [run for block in canvas.blocks if isinstance(block, Paragraph) for run in block.runs]
+        seen.update("highlight" if run.highlight else "no highlight" for run in runs)
+        seen.update("color" for run in runs if run.color != "#000000")
+        seen.update("size" for run in runs if run.font_size != 24)
+        markup = serialize_canvas(canvas)
+        seen.update(mark for mark in ("&amp;", "&lt;", "&quot;", "&#10;", "é") if mark in markup)
+        if canvas.selection is not None:
+            seen.add("selection")
+
+    collect()
+    assert seen >= {
+        "Paragraph", "Table", "Figure", "Shape", "Chart", "Comment", "selection",
+        "highlight", "no highlight", "color", "size", "&amp;", "&lt;", "&quot;", "&#10;", "é",
+    }

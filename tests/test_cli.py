@@ -54,11 +54,11 @@ def test_train_phase4_without_lam3_fails_cleanly(pipeline_ws, capsys):
     assert "MissingPredecessor" in capsys.readouterr().err
 
 
-def test_agent_run_writes_trajectory_and_timing(pipeline_ws):
-    code = main(
+def _agent_run(workspace, task_id):
+    return main(
         [
             "--workspace",
-            str(pipeline_ws),
+            str(workspace),
             "--clock",
             "zero",
             "agent",
@@ -68,16 +68,31 @@ def test_agent_run_writes_trajectory_and_timing(pipeline_ws):
             "--template",
             "plain_text",
             "--policy",
-            str(pipeline_ws / "checkpoints" / "lam2" / "weights.json"),
+            str(workspace / "checkpoints" / "lam2" / "weights.json"),
             "--task-id",
-            "t1",
+            task_id,
         ]
     )
-    assert code == 0
-    trajectory = read_jsonl(pipeline_ws / "runs" / "agent" / "t1.jsonl")[0]
-    assert trajectory["steps"]
-    timing = json.loads((pipeline_ws / "runs" / "agent" / "t1.timing.json").read_text())
-    assert timing["total_time"] == 0.0
+
+
+def test_agent_run_writes_trajectory_and_timing(pipeline_ws):
+    assert _agent_run(pipeline_ws, "t1") == 0
+    out_dir = pipeline_ws / "runs" / "agent"
+    [record] = read_jsonl(out_dir / "t1.jsonl")
+    assert record["trajectory"]["steps"]
+    assert record["outcome"] == "finished"
+    assert record["total_time"] == 0.0
+    assert not (out_dir / "t1.timing.json").exists()
+
+
+def test_agent_run_output_is_read_by_eval_online(pipeline_ws, capsys):
+    assert _agent_run(pipeline_ws, "t2") == 0
+    runs = pipeline_ws / "runs" / "agent" / "t2.jsonl"
+    capsys.readouterr()
+    code = main(["--workspace", str(pipeline_ws), "eval", "online", "--runs", str(runs)])
+    assert code == 0, capsys.readouterr().err
+    csv = (pipeline_ws / "reports" / "report_online.csv").read_text()
+    assert csv.splitlines()[1] == "Task Success Rate (%),100.0"
 
 
 def test_agent_run_unknown_template_exits_1(tmp_path, capsys):

@@ -408,6 +408,34 @@ def test_templates_are_pinned():
         assert load_template(template_id).digest() == digest
 
 
+# The document part of every template's initial rendered view (one line per
+# block, as ``canvas.render_block`` draws it), and a digest of the whole view.
+TEMPLATE_VIEWS = {
+    "chart_doc": ("2029199e0b6c3bdf", "para: Sales overview text\nchart: bar 'Sales by region'\n"),
+    "comments_doc": (
+        "70a2b8fdbcb2cb1b",
+        "para: Reviewed draft paragraph\ncomment[Reviewer]: Please check this section.\n",
+    ),
+    "figure_doc": ("7e729329787966e0", "para: Figure caption text\nfigure: diagram.png\n"),
+    "plain_text": ("db48d7c1391c4dce", "para: Test For Fun\npara: hello world and more words here\n"),
+    "rect_shape": ("b2cd99c6717e9960", "para: Shape demo text\nshape: rectangle 200x100\n"),
+    "report_doc": (
+        "f1fdc1fbae6be03e",
+        "para: Quarterly Report\npara: The project is on track this quarter.\n"
+        "para: Key sentence about the budget.\n",
+    ),
+    "table_doc": ("1729392db0430409", "para: Quarterly data overview\ntable: 2 x 3\n"),
+}
+
+
+def test_template_rendered_views_are_pinned():
+    assert list_templates() == list(TEMPLATE_VIEWS)
+    for template_id, (digest, document) in TEMPLATE_VIEWS.items():
+        view = load_template(template_id).rendered_view()
+        assert view.split("=== document ===\n")[1] == document
+        assert sha256_text(view)[:16] == digest
+
+
 # --- memoized views and the shared templates ---------------------------------
 
 
