@@ -20,6 +20,7 @@ from .env_sim import (
     list_controls,
     load_template,
 )
+from .errors import check_ints
 from .policy import AgentState, ModelParams, generate_plan, select_action
 
 __all__ = [
@@ -54,11 +55,12 @@ class Memory:
 @dataclass(frozen=True)
 class AgentConfig:
     max_steps: int = 20
-    mode: str = "argmax"  # "argmax" | "sample"
+    mode: str = "argmax"
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        check_ints(self, 1, "max_steps")
+        if self.mode not in ("argmax", "sample"):
+            raise ValueError(f"mode must be argmax or sample, got {self.mode!r}")
 
 
 class Policy(Protocol):

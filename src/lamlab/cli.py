@@ -23,7 +23,6 @@ from .dataflow import STAGES, PipelineConfig, run_all, run_stage, stage_files
 from .dataflow.records import EvolutionConfig
 from .errors import ConfigError, LamLabError
 from .fixtures import fixture_path
-from .harness import desk_phase_configs
 from .jsonl import read_jsonl, sha256_file, write_jsonl, write_text
 from .oracle import MemoizingOracle, MockOracle, RemoteOracle, RemoteOracleConfig
 from .policy import ModelParams
@@ -42,8 +41,6 @@ _CONFIG_KEYS = {
     "agent",
 }
 _ORACLE_KEYS = {"provider", "endpoint", "model", "auth_env", "timeout_s"}
-_AGENT_KEYS = {"max_steps", "mode"}
-_AGENT_MODES = ("argmax", "sample")
 
 
 def _is_int(value) -> bool:
@@ -54,11 +51,32 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _build(cls, name: str, **values):
+    """``cls(**values)``; a value or key it rejects is a ``ConfigError``."""
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} config: {exc}") from exc
+
+
+def _phase_configs(training: dict) -> PhaseConfigs:
+    """``PhaseConfigs()`` with the values of the config file's
+    ``training.<phase>`` objects in place."""
+    defaults = PhaseConfigs()
+    merged = {}
+    for key, values in training.items():
+        try:
+            merged[key] = dataclasses.replace(getattr(defaults, key), **values)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad training.{key} config: {exc}") from exc
+    return dataclasses.replace(defaults, **merged)
+
+
 @dataclasses.dataclass
 class RunConfig:
     workspace: str = ".lamlab"
     seed: int = 0
-    workers: int = 6
+    workers: int = PipelineConfig().workers
     oracle: dict = dataclasses.field(default_factory=lambda: {"provider": "mock"})
     clock: str = "real"  # "real" | "zero"
     evolution: dict = dataclasses.field(default_factory=dict)
@@ -67,13 +85,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Every value is checked before any work starts: a bad one is a
-        ``ConfigError``. ``training`` is checked by ``phase_configs``."""
+        ``ConfigError``. ``workers``, ``evolution``, ``agent`` and
+        ``training`` are checked by the config objects built here."""
         if not isinstance(self.workspace, str):
             raise ConfigError(f"workspace must be a string, got {self.workspace!r}")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
         for name in ("oracle", "evolution", "training", "agent"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be an object")
@@ -83,15 +100,11 @@ class RunConfig:
         timeout = self.oracle.get("timeout_s", 30.0)
         if not _is_number(timeout) or timeout <= 0:
             raise ConfigError(f"oracle.timeout_s must be a positive number, got {timeout!r}")
-        self.evolution_config()
-        unknown = set(self.agent) - _AGENT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown agent config keys {sorted(unknown)}")
-        max_steps = self.agent.get("max_steps", 20)
-        if not _is_int(max_steps) or max_steps < 1:
-            raise ConfigError(f"agent.max_steps must be a positive integer, got {max_steps!r}")
-        if self.agent.get("mode", "argmax") not in _AGENT_MODES:
-            raise ConfigError(f"agent.mode must be one of {list(_AGENT_MODES)}")
+        # Plain attributes, not fields: the manifest records the fields only.
+        evolution = _build(EvolutionConfig, "evolution", **self.evolution)
+        self.pipeline = _build(PipelineConfig, "run", workers=self.workers, evolution=evolution)
+        self.agent_config = _build(AgentConfig, "agent", **self.agent)
+        self.phase_configs = _phase_configs(self.training)
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
@@ -131,38 +144,12 @@ class RunConfig:
             return MemoizingOracle(remote)
         raise ConfigError(f"unknown oracle provider {provider!r}")
 
-    def evolution_config(self) -> EvolutionConfig:
-        """The ``evolution`` object as an ``EvolutionConfig``: each value a
-        non-negative number, an integer where the default is one."""
-        defaults = {f.name: f.default for f in dataclasses.fields(EvolutionConfig)}
-        for name, value in self.evolution.items():
-            integral = isinstance(defaults.get(name), int)
-            if not (_is_int(value) if integral else _is_number(value)) or value < 0:
-                kind = "integer" if integral else "number"
-                raise ConfigError(f"evolution.{name} must be a non-negative {kind}, got {value!r}")
-        try:
-            return EvolutionConfig(**self.evolution)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad evolution config: {exc}") from exc
-
     def make_clock(self):
         if self.clock == "zero":
             return lambda: 0.0
         if self.clock == "real":
             return time.perf_counter
         raise ConfigError(f"unknown clock {self.clock!r}")
-
-    def phase_configs(self) -> PhaseConfigs:
-        """``harness.desk_phase_configs()`` with the values of the config file's
-        ``training.<phase>`` objects in place."""
-        desk = desk_phase_configs()
-        merged = {}
-        for key, values in self.training.items():
-            try:
-                merged[key] = dataclasses.replace(getattr(desk, key), **values)
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad training.{key} config: {exc}") from exc
-        return dataclasses.replace(desk, **merged)
 
 
 def _digests(paths) -> dict:
@@ -197,14 +184,10 @@ def _cmd_dataflow(args, config: RunConfig) -> int:
         raw.parent.mkdir(parents=True, exist_ok=True)
         raw.write_bytes(Path(fixture_path("raw_records.jsonl")).read_bytes())
     oracle = config.make_oracle()
-    pipeline_config = PipelineConfig(
-        workers=config.workers,
-        evolution=config.evolution_config(),
-    )
     if args.stage == "all":
-        reports = run_all(workspace, oracle, pipeline_config)
+        reports = run_all(workspace, oracle, config.pipeline)
     else:
-        reports = [run_stage(args.stage, workspace, oracle, pipeline_config)]
+        reports = [run_stage(args.stage, workspace, oracle, config.pipeline)]
     for report in reports:
         print(
             f"{report.stage}: read {report.read}, wrote {report.written}, "
@@ -217,7 +200,7 @@ def _cmd_dataflow(args, config: RunConfig) -> int:
 def _cmd_train(args, config: RunConfig) -> int:
     workspace = Path(config.workspace)
     oracle = config.make_oracle()
-    out = run_phase(args.phase, workspace, oracle, config.phase_configs(), seed=config.seed)
+    out = run_phase(args.phase, workspace, oracle, config.phase_configs, seed=config.seed)
     print(f"phase {args.phase}: checkpoint at {out}")
     files = stage_files(workspace)
     _write_manifest(
@@ -234,14 +217,15 @@ def _cmd_agent(args, config: RunConfig) -> int:
     params = ModelParams.load(
         Path(args.policy) if args.policy else checkpoint_dir(workspace, "lam4") / "weights.json"
     )
-    agent_cfg = config.agent
-    mode = args.mode or agent_cfg.get("mode", "argmax")
-    policy = ModelPolicy(params=params, mode=mode, seed=config.seed)
+    agent_cfg = config.agent_config
+    if args.mode:
+        agent_cfg = dataclasses.replace(agent_cfg, mode=args.mode)
+    policy = ModelPolicy(params=params, mode=agent_cfg.mode, seed=config.seed)
     record = run_task(
         policy,
         args.template,
         args.task,
-        config=AgentConfig(max_steps=agent_cfg.get("max_steps", 20), mode=mode),
+        config=agent_cfg,
         task_id=args.task_id,
         clock=config.make_clock(),
     )

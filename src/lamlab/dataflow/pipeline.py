@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..env_sim import get_template, list_templates
-from ..errors import LamLabError, ValidationFailure
+from ..errors import LamLabError, ValidationFailure, check_ints
 from ..jsonl import read_jsonl, write_jsonl
 from ..oracle import Provider
 from .evolve import evolve_corpus
@@ -76,6 +76,9 @@ class PipelineConfig:
     # Oracle requests in flight in the instantiate and judge stages.
     workers: int = 6
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
+
+    def __post_init__(self) -> None:
+        check_ints(self, 1, "workers")
 
 
 @dataclass

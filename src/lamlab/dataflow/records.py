@@ -24,6 +24,7 @@ from ..env_sim import (
     ExecutionResult,
     diff_canvas,
 )
+from ..errors import check_ints, check_numbers
 from ..jsonl import canonical_dumps, canonical_json
 
 __all__ = [
@@ -94,8 +95,9 @@ class EvolutionConfig:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_extra_words <= 0:
-            raise ValueError("max_extra_words must be positive")
+        check_ints(self, 1, "max_extra_words")
+        check_ints(self, 0, "max_retries")
+        check_numbers(self, "target_multiplier", zero_ok=True)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .canvas import (
     paragraph_text,
     run_span_index,
 )
-from .controls import DEFAULT_ALIASES, ControlNode, map_tree, resolve_in_tree
+from .controls import ControlNode, map_tree, resolve_in_tree
 
 if TYPE_CHECKING:
     from .snapshot import EnvSnapshot
@@ -250,22 +250,18 @@ def registry_help() -> str:
 
 
 def apply_action(
-    snapshot: "EnvSnapshot",
-    action: ActionCall,
-    aliases: Mapping[str, str] = DEFAULT_ALIASES,
+    snapshot: "EnvSnapshot", action: ActionCall
 ) -> tuple["EnvSnapshot", ExecutionResult]:
     """Execute one action. On failure the input snapshot is returned unchanged
     together with exactly one typed error name in the result."""
     try:
-        new_snapshot, observation = _execute(snapshot, action, aliases)
+        new_snapshot, observation = _execute(snapshot, action)
     except LamLabError as exc:
         return snapshot, ExecutionResult(ok=False, observation=str(exc), error=type(exc).__name__)
     return new_snapshot, ExecutionResult(ok=True, observation=observation)
 
 
-def _execute(
-    snapshot: "EnvSnapshot", action: ActionCall, aliases: Mapping[str, str]
-) -> tuple["EnvSnapshot", str]:
+def _execute(snapshot: "EnvSnapshot", action: ActionCall) -> tuple["EnvSnapshot", str]:
     spec = REGISTRY.get(action.function)
     if spec is None:
         raise UnknownFunction(f"function {action.function!r} is not registered")
@@ -275,7 +271,7 @@ def _execute(
     target: ControlNode | None = None
     if action.control_label or action.control_text:
         target = resolve_in_tree(
-            snapshot.controls, action.control_label or None, action.control_text or None, aliases
+            snapshot.controls, action.control_label or None, action.control_text or None
         )
     if spec.requires_control:
         if target is None:

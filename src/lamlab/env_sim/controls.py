@@ -137,7 +137,6 @@ def resolve_in_tree(
     root: ControlNode,
     label: str | None = None,
     text: str | None = None,
-    aliases: Mapping[str, str] = DEFAULT_ALIASES,
 ) -> ControlNode:
     """Resolve a control by label first, then by text.
 
@@ -158,7 +157,7 @@ def resolve_in_tree(
             raise AmbiguousControl(f"label {label!r} matches {len(hits)} controls")
 
     if text:
-        for query in _alias_queries(text, aliases):
+        for query in _alias_queries(text):
             folded = query.casefold()
             hits = [n for n in nodes if n.control_text.casefold() == folded]
             if len(hits) == 1:
@@ -175,9 +174,9 @@ def resolve_in_tree(
     raise UnknownControl(f"no control matches label={label!r} text={text!r}")
 
 
-def _alias_queries(text: str, aliases: Mapping[str, str]) -> list[str]:
+def _alias_queries(text: str) -> list[str]:
     queries = [text]
-    alias = aliases.get(_norm(text))
+    alias = DEFAULT_ALIASES.get(_norm(text))
     if alias and alias != text:
         queries.append(alias)
     return queries

@@ -2,9 +2,29 @@
 
 Every raised error is a subclass of :class:`LamLabError`, so callers (most
 notably the CLI) can distinguish domain validation failures from plain bugs.
+The value checks of the config dataclasses live here too, where every layer
+can import them; a rejected value is a ``ValueError``.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def check_ints(config, minimum: int, *names: str) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_numbers(config, *names: str, zero_ok: bool = False) -> None:
+    for name in names:
+        value = getattr(config, name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and (0 <= value if zero_ok else 0 < value) and value < math.inf):
+            bound = "at least 0" if zero_ok else "above 0"
+            raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 class LamLabError(Exception):

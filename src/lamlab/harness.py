@@ -2,9 +2,9 @@
 
 Builds a pipeline-shaped workspace from the suite (tasks without expert
 scripts become empty-action trajectories, i.e. failures available for
-self-boosting), runs the four training phases with desk-scale
-hyperparameters, and measures online task success per checkpoint with
-seed-fixed argmax runs.
+self-boosting), runs the four training phases with the ``PhaseConfigs``
+defaults, and measures online task success per checkpoint with seed-fixed
+argmax runs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .fixtures import load_suite
 from .jsonl import write_jsonl
 from .oracle import MockOracle
 from .policy import ModelParams
-from .training import PhaseConfigs, RmConfig, SftConfig, run_phase
+from .training import PhaseConfigs, run_phase
 
 __all__ = [
     "SuiteTask",
@@ -64,13 +64,8 @@ def load_suite_tasks() -> list[SuiteTask]:
 
 
 def desk_phase_configs() -> PhaseConfigs:
-    """Hyperparameters sized for the toy linear heads (the dataclass defaults
-    mirror a large-model recipe whose step sizes barely move these weights)."""
-    return PhaseConfigs(
-        sft=SftConfig(learning_rate=0.8, epochs=40, step_mean=True),
-        imitation=SftConfig(learning_rate=0.5, batch_size=8, epochs=60),
-        rm=RmConfig(learning_rate=0.05, epochs=10),
-    )
+    """``PhaseConfigs()``; kept for the benchmark's workloads, which call it."""
+    return PhaseConfigs()
 
 
 def build_suite_workspace(workspace: str | Path, oracle=None) -> Path:
@@ -107,14 +102,13 @@ def build_suite_workspace(workspace: str | Path, oracle=None) -> Path:
 
 def run_suite_phases(
     workspace: str | Path,
-    configs: PhaseConfigs | None = None,
+    configs: PhaseConfigs = PhaseConfigs(),
     seed: int = 0,
     oracle=None,
 ) -> dict[int, ModelParams]:
     """Run phases 1..4 in order; returns the checkpoint parameters per phase."""
     workspace = Path(workspace)
     oracle = oracle or MockOracle()
-    configs = configs or desk_phase_configs()
     checkpoints: dict[int, ModelParams] = {}
     for phase in (1, 2, 3, 4):
         out = run_phase(phase, workspace, oracle, configs, seed=seed)

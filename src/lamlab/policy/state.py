@@ -28,7 +28,8 @@ FUNC_TRIGGERS: dict[str, tuple[str, ...]] = {
     "click_input": (),
     "set_edit_text": ("enter", "edit"),
     "type_keys": ("type", "write", "append"),
-    "select_text": ("highlight", "bold", "color", "size", "font", "comment"),
+    # Formatting acts on a selection, so a formatting task calls for one first.
+    "select_text": FORMAT_KEYWORDS,
     "select_option": ("option", "style", "dropdown"),
     "scroll": ("scroll",),
     "toggle_highlight": ("highlight",),

@@ -2,60 +2,48 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from ..errors import check_ints, check_numbers
 
 __all__ = ["SftConfig", "RmConfig", "PpoConfig", "BoostConfig", "PhaseConfigs"]
 
 
-def _check_ints(config, minimum: int, *names: str) -> None:
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_numbers(config, *names: str, zero_ok: bool = False) -> None:
-    for name in names:
-        value = getattr(config, name)
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and (0 <= value if zero_ok else 0 < value) and value < math.inf):
-            bound = "at least 0" if zero_ok else "above 0"
-            raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SftConfig:
-    """Minibatch SGD with a linear warmup, then cosine decay."""
+    """Minibatch SGD with a linear warmup, then cosine decay. The defaults are
+    the phase 2-3 imitation recipe sized for the linear heads; ``PhaseConfigs``
+    sets phase 1's own."""
 
-    learning_rate: float = 2e-5
+    learning_rate: float = 0.5
     warmup_steps: int = 2
-    batch_size: int = 16
-    epochs: int = 3
+    batch_size: int = 8
+    epochs: int = 60
     # Weighting of the double sum over trajectories and steps (imitation) or
     # over task-plan records and plan targets (phase 1 SFT): the mean of
     # per-item means (default) or one global mean over all steps or targets.
     step_mean: bool = False
 
     def __post_init__(self) -> None:
-        _check_numbers(self, "learning_rate")
-        _check_ints(self, 1, "batch_size", "epochs")
-        _check_ints(self, 0, "warmup_steps")
+        check_numbers(self, "learning_rate")
+        check_ints(self, 1, "batch_size", "epochs")
+        check_ints(self, 0, "warmup_steps")
         if not isinstance(self.step_mean, bool):
             raise ValueError(f"step_mean must be true or false, got {self.step_mean!r}")
 
 
 @dataclass(frozen=True)
 class RmConfig:
-    """AdamW with a linearly decaying step size."""
+    """AdamW with a linearly decaying step size; the defaults are sized for the
+    linear reward head."""
 
-    learning_rate: float = 2e-5
-    epochs: int = 2
+    learning_rate: float = 0.05
+    epochs: int = 10
     batch_size: int = 16
 
     def __post_init__(self) -> None:
-        _check_numbers(self, "learning_rate")
-        _check_ints(self, 1, "batch_size", "epochs")
+        check_numbers(self, "learning_rate")
+        check_ints(self, 1, "batch_size", "epochs")
 
 
 @dataclass(frozen=True)
@@ -70,9 +58,9 @@ class PpoConfig:
     reward_high: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_numbers(self, "learning_rate", "kl_target", "reward_high")
-        _check_numbers(self, "kl_coef_init", zero_ok=True)
-        _check_ints(self, 1, "minibatch_size", "ppo_epochs")
+        check_numbers(self, "learning_rate", "kl_target", "reward_high")
+        check_numbers(self, "kl_coef_init", zero_ok=True)
+        check_ints(self, 1, "minibatch_size", "ppo_epochs")
         if not 0 < self.clip_epsilon < 1:
             raise ValueError("clip_epsilon must lie in (0, 1)")
 
@@ -84,12 +72,16 @@ class BoostConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_ints(self, 1, "attempts_per_task", "max_steps")
+        check_ints(self, 1, "attempts_per_task", "max_steps")
 
 
 @dataclass(frozen=True)
 class PhaseConfigs:
-    sft: SftConfig = field(default_factory=SftConfig)
+    sft: SftConfig = field(
+        default_factory=lambda: SftConfig(
+            learning_rate=0.8, batch_size=16, epochs=40, step_mean=True
+        )
+    )
     imitation: SftConfig = field(default_factory=SftConfig)
     rm: RmConfig = field(default_factory=RmConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)

@@ -46,7 +46,6 @@ from lamlab.training import (
 from lamlab.training.reward import RM_FEATURE_NAMES
 from lamlab.harness import (
     build_suite_workspace,
-    desk_phase_configs,
     load_suite_tasks,
     run_suite_phases,
     suite_tsr,
@@ -330,12 +329,12 @@ def test_criterion_3_gradient_checks():
 
 @pytest.fixture(scope="module")
 def suite_phases(tmp_path_factory):
-    """The suite workspace after phases 1-4 (desk configs, seed 0), the
+    """The suite workspace after phases 1-4 (default configs, seed 0), the
     checkpoint parameters per phase, and the seconds the build and run took."""
     started = time.perf_counter()
     ws = tmp_path_factory.mktemp("suite") / "suite_ws"
     build_suite_workspace(ws)
-    checkpoints = run_suite_phases(ws, desk_phase_configs(), seed=0)
+    checkpoints = run_suite_phases(ws, seed=0)
     return ws, checkpoints, time.perf_counter() - started
 
 

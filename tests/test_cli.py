@@ -5,7 +5,9 @@ import shutil
 
 import pytest
 
+from lamlab.agent import AgentConfig
 from lamlab.cli import main
+from lamlab.dataflow import EvolutionConfig, PipelineConfig
 from lamlab.jsonl import read_jsonl, write_jsonl
 
 
@@ -432,10 +434,11 @@ _NORMALIZE = ["dataflow", "run", "--stage", "normalize"]
         ({"oracle": {"provider": "mock", "timeot_s": 5}}, ["report"]),
         ({"seed": "abc"}, ["train", "--phase", "2"]),
         ({"seed": True}, ["train", "--phase", "2"]),
+        ({"training": {"sft": {"epochs": 0}}}, _NORMALIZE),
     ],
     ids=["max_steps_0", "max_steps_many", "mode_bogus", "agent_key", "evolution_key",
          "max_retries_float", "workers_x", "workers_0", "timeout_abc", "oracle_key", "seed_abc",
-         "seed_bool"],
+         "seed_bool", "training_on_dataflow"],
 )
 def test_bad_config_value_exit_2(tmp_path, capsys, values, command):
     config = tmp_path / "cfg.json"
@@ -449,14 +452,45 @@ def test_bad_config_value_exit_2(tmp_path, capsys, values, command):
 
 def test_config_without_training_section_is_the_desk_configs(tmp_path):
     from lamlab.cli import RunConfig
-    from lamlab.harness import desk_phase_configs
+    from lamlab.training import PhaseConfigs
 
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"seed": 3}))
-    assert RunConfig.load(str(config), {}).phase_configs() == desk_phase_configs()
-    overridden = RunConfig(training={"rm": {"epochs": 3}}).phase_configs()
+    assert RunConfig.load(str(config), {}).phase_configs == PhaseConfigs()
+    overridden = RunConfig(training={"rm": {"epochs": 3}}).phase_configs
     assert overridden.rm.epochs == 3
-    assert overridden.rm.learning_rate == desk_phase_configs().rm.learning_rate
+    assert overridden.rm.learning_rate == PhaseConfigs().rm.learning_rate
+
+
+def test_run_phase_defaults_train_what_the_cli_trains(suite_corpus_ws, tmp_path):
+    from lamlab.oracle import MockOracle
+    from lamlab.training import run_phase
+
+    ws = tmp_path / "ws"
+    shutil.copytree(suite_corpus_ws, ws)
+    weights = run_phase(1, ws, MockOracle()) / "weights.json"
+    library = weights.read_bytes()
+    assert main(["--workspace", str(ws), "train", "--phase", "1"]) == 0
+    assert weights.read_bytes() == library
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [
+        (PipelineConfig, {"workers": 0}),
+        (PipelineConfig, {"workers": "x"}),
+        (EvolutionConfig, {"max_retries": -1}),
+        (EvolutionConfig, {"max_retries": 1.5}),
+        (EvolutionConfig, {"target_multiplier": float("nan")}),
+        (AgentConfig, {"max_steps": "many"}),
+        (AgentConfig, {"mode": "bogus"}),
+    ],
+    ids=["workers_0", "workers_x", "max_retries_negative", "max_retries_float",
+         "target_multiplier_nan", "max_steps_many", "mode_bogus"],
+)
+def test_config_objects_reject_bad_values(cls, values):
+    with pytest.raises(ValueError):
+        cls(**values)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from lamlab.env_sim import (
     list_controls,
     list_templates,
     load_template,
-    resolve_control,
+    resolve_in_tree,
     serialize_canvas,
 )
 from lamlab.errors import AmbiguousControl, UnknownControl, UnknownTemplate
@@ -148,24 +148,24 @@ def test_label_stability_under_reserialization():
     assert control_tree_dict(again.controls) == control_tree_dict(s.controls)
 
 
-# --- resolve_control ---------------------------------------------------------
+# --- resolve_in_tree ---------------------------------------------------------
 
 
 def test_resolve_by_label_has_priority():
     s = snap(simple_tree())
-    node = resolve_control(s, label="2", text="Beta")
+    node = resolve_in_tree(s.controls, label="2", text="Beta")
     assert node.control_text == "Alpha"
 
 
 def test_resolve_alias_highlight():
     s = load_template("plain_text")
-    node = resolve_control(s, text="Highlight")
+    node = resolve_in_tree(s.controls, text="Highlight")
     assert node.control_text == "Text Highlight Color"
 
 
 def test_resolve_whitespace_normalized():
     s = load_template("plain_text")
-    node = resolve_control(s, text="  text   highlight   color ")
+    node = resolve_in_tree(s.controls, text="  text   highlight   color ")
     assert node.control_text == "Text Highlight Color"
 
 
@@ -176,12 +176,12 @@ def test_resolve_ambiguous():
         children=(ControlNode("Copy", "Button"), ControlNode("Copy", "Button")),
     )
     with pytest.raises(AmbiguousControl):
-        resolve_control(snap(tree), text="Copy")
+        resolve_in_tree(snap(tree).controls, text="Copy")
 
 
 def test_resolve_unknown():
     with pytest.raises(UnknownControl):
-        resolve_control(snap(simple_tree()), text="Nope")
+        resolve_in_tree(snap(simple_tree()).controls, text="Nope")
 
 
 # --- apply_action --------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_select_option_in_combo():
         ActionCall(function="select_option", control_text="Styles", args={"option": "Heading 1"}),
     )
     assert result.ok
-    styles = resolve_control(s2, text="Styles")
+    styles = resolve_in_tree(s2.controls, text="Styles")
     selected = [c.control_text for c in styles.children if c.selected]
     assert selected == ["Heading 1"]
 

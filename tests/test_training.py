@@ -17,10 +17,12 @@ from lamlab.oracle import MockOracle
 from lamlab.policy import AgentState, ModelParams, build_plan_vocab
 from lamlab.training import (
     FailedTask,
+    PhaseConfigs,
     PpoConfig,
     RmConfig,
     RewardModelParams,
     RewardedStep,
+    SftConfig,
     clipped_term,
     compute_advantage,
     imitation_loss,
@@ -528,7 +530,6 @@ def test_phase3_trains_on_boost_successes_judged_once(suite_ws, monkeypatch):
     returns and asks the judge about nothing else."""
     import json
 
-    from lamlab.harness import desk_phase_configs
     from lamlab.jsonl import read_jsonl
     from lamlab.training import phases, run_phase
 
@@ -541,7 +542,7 @@ def test_phase3_trains_on_boost_successes_judged_once(suite_ws, monkeypatch):
 
     monkeypatch.setattr(phases, "self_boost", recording_self_boost)
     oracle = JudgeCountingOracle()
-    configs = desk_phase_configs()
+    configs = PhaseConfigs()
     for phase in (1, 2):
         run_phase(phase, suite_ws, oracle, configs, seed=0)
     assert oracle.judge_calls == 0
@@ -600,16 +601,27 @@ def test_run_phase_empty_corpus(tmp_path):
         run_phase(1, tmp_path, MockOracle())
 
 
+def test_phase_configs_defaults_are_the_desk_recipe():
+    configs = PhaseConfigs()
+    assert configs.sft == SftConfig(
+        learning_rate=0.8, warmup_steps=2, batch_size=16, epochs=40, step_mean=True
+    )
+    assert configs.imitation == SftConfig(
+        learning_rate=0.5, warmup_steps=2, batch_size=8, epochs=60, step_mean=False
+    )
+    assert configs.rm == RmConfig(learning_rate=0.05, epochs=10, batch_size=16)
+
+
 def test_phase_manifests_record_corpus_sizes(tmp_path):
     import json
 
-    from lamlab.harness import build_suite_workspace, desk_phase_configs
+    from lamlab.harness import build_suite_workspace
     from lamlab.jsonl import read_jsonl
     from lamlab.training import run_phase
 
     ws = tmp_path / "ws"
     build_suite_workspace(ws)
-    configs = desk_phase_configs()
+    configs = PhaseConfigs()
     run_phase(1, ws, MockOracle(), configs, seed=0)
     manifest = json.loads((ws / "checkpoints" / "lam1" / "manifest.json").read_text())
     assert manifest["data_size"] == len(read_jsonl(ws / "corpus" / "evolved.jsonl"))
@@ -623,15 +635,15 @@ def test_phase1_follows_sft_step_mean(tmp_path):
     import dataclasses
     import json
 
-    from lamlab.harness import build_suite_workspace, desk_phase_configs
+    from lamlab.harness import build_suite_workspace
     from lamlab.training import run_phase
 
     ws = build_suite_workspace(tmp_path / "ws")
-    desk = desk_phase_configs()
+    defaults = PhaseConfigs()
     weights = {}
     for step_mean in (True, False):
-        sft = dataclasses.replace(desk.sft, epochs=2, step_mean=step_mean)
-        out = run_phase(1, ws, MockOracle(), dataclasses.replace(desk, sft=sft), seed=0)
+        sft = dataclasses.replace(defaults.sft, epochs=2, step_mean=step_mean)
+        out = run_phase(1, ws, MockOracle(), dataclasses.replace(defaults, sft=sft), seed=0)
         weights[step_mean] = (out / "weights.json").read_bytes()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["step_mean"] is step_mean
