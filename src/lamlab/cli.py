@@ -310,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workspace", help="workspace directory")
     parser.add_argument("--seed", type=int, help="global seed")
     parser.add_argument(
-        "--workers", type=int, help="oracle requests in flight in the instantiate and judge stages"
+        "--workers",
+        type=int,
+        help="oracle requests in flight in the instantiate and judge stages, for a provider "
+        "that waits on the network (the mock oracle runs inline)",
     )
     parser.add_argument("--clock", choices=["real", "zero"], help="timing source")
     sub = parser.add_subparsers(dest="command", required=True)

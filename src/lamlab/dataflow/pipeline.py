@@ -5,8 +5,11 @@ workspace and reads its input from the previous stage's file, or, within one
 ``run_all``, from the records that stage produced earlier in the same run, so
 a run decodes only ``raw_records.jsonl``. The two stages that prompt the
 oracle once per record, instantiate and judge, keep up to ``workers`` oracle
-requests in flight, so a remote provider's latency overlaps; every other
-stage is plain Python under the interpreter lock and runs serially. Outputs
+requests in flight when the provider waits on the network (its
+``waits_on_io``), so a remote provider's latency overlaps. A provider that
+computes its answer in this process, like the bundled mock, gains nothing
+from threads that share the interpreter lock, so those stages call it inline,
+in record order, as every other stage runs. Outputs
 are merged deterministically (sorted by id); records that fail a per-record
 validation are skipped with a diagnostic, never aborting the stage.
 """
@@ -73,7 +76,8 @@ def task_plan_stage(workspace: str | Path) -> str:
 
 @dataclass
 class PipelineConfig:
-    # Oracle requests in flight in the instantiate and judge stages.
+    # Oracle requests in flight in the instantiate and judge stages, for a
+    # provider that waits on the network; the mock oracle runs inline.
     workers: int = 6
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
 
@@ -105,6 +109,7 @@ def run_stage(
     """
     files = stage_files(workspace)
     produced = {} if produced is None else produced
+    in_flight = config.workers if getattr(oracle, "waits_on_io", True) else 1
 
     def read(source: str, parse: Callable | None = None) -> list:
         if source in produced:
@@ -129,7 +134,7 @@ def run_stage(
         records = read(task_plan_stage(workspace), TaskPlanRecord.from_dict)
         templates = [get_template(tid) for tid in list_templates()]
         results, skipped = _map_skipping(
-            lambda r: instantiate(r, templates, oracle), records, config.workers
+            lambda r: instantiate(r, templates, oracle), records, in_flight
         )
         results.sort(key=lambda t: t.origin_task_id)
         produced[stage] = results
@@ -151,7 +156,7 @@ def run_stage(
         verdicts, skipped = _map_skipping(
             lambda t: (t.trajectory_id, t.origin.origin_task_id, judge_trajectory(t, oracle)),
             successes,
-            config.workers,
+            in_flight,
         )
         verdicts.sort(key=lambda v: v[0])
         produced[stage] = [(tid, verdict) for tid, _, verdict in verdicts]

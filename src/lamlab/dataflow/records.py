@@ -264,7 +264,7 @@ def record_trajectory(
         origin=origin,
         steps=tuple(steps),
         final_status=final_status,
-        canvas_diff=tuple(diff_canvas(initial.canvas, final.canvas)),
+        canvas_diff=tuple(diff_canvas(initial.flat_canvas, final.canvas)),
         initial_canvas=initial.canvas_xml,
         final_canvas=final.canvas_xml,
         init_control_state=initial.control_state,

@@ -27,6 +27,8 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, NamedTuple
 from xml.etree import ElementTree
 
+from ..errors import ValidationFailure
+
 __all__ = [
     "Run",
     "Paragraph",
@@ -337,6 +339,16 @@ def serialize_canvas(state: CanvasState) -> str:
 
 
 def parse_canvas(text: str) -> CanvasState:
+    """The canvas of a markup text; malformed markup (not XML, an unknown
+    element, a missing or unconvertible attribute, a cell outside its table)
+    is a ``ValidationFailure``."""
+    try:
+        return _parse_canvas(text)
+    except (ElementTree.ParseError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"malformed canvas markup: {exc}") from exc
+
+
+def _parse_canvas(text: str) -> CanvasState:
     root = ElementTree.fromstring(text)
     if root.tag != "canvas":
         raise ValueError(f"expected <canvas> root, got <{root.tag}>")
@@ -358,9 +370,12 @@ def parse_canvas(text: str) -> CanvasState:
             for cell_el in el:
                 if cell_el.tag != "cell":
                     raise ValueError(f"unexpected <{cell_el.tag}> inside table")
-                grid[int(cell_el.attrib["row"])][int(cell_el.attrib["col"])] = cell_el.attrib.get(
-                    "text", ""
-                )
+                row, col = int(cell_el.attrib["row"]), int(cell_el.attrib["col"])
+                if not (0 <= row < table.rows and 0 <= col < table.cols):
+                    raise ValueError(
+                        f"cell ({row}, {col}) outside a {table.rows} x {table.cols} table"
+                    )
+                grid[row][col] = cell_el.attrib.get("text", "")
             blocks.append(replace(table, cells=tuple(map(tuple, grid))))
         elif cls is not None:
             blocks.append(build(cls, el.attrib))

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Mapping
 
+from ..errors import ValidationFailure
 from .canvas import (
     BLOCK_CLASSES,
     BLOCK_TAGS,
@@ -89,9 +90,13 @@ def _path_key(path: str) -> tuple:
     return tuple(key)
 
 
-def diff_canvas(before: CanvasState, after: CanvasState) -> list[CanvasDiffEntry]:
-    """Minimal attribute-level diff; empty iff canonical markups are equal."""
-    fb, fa = flatten_canvas(before), flatten_canvas(after)
+def diff_canvas(
+    before: CanvasState | Mapping[str, Scalar], after: CanvasState | Mapping[str, Scalar]
+) -> list[CanvasDiffEntry]:
+    """Minimal attribute-level diff; empty iff canonical markups are equal.
+    Either side may be given as its ``flatten_canvas`` map, which is only
+    read."""
+    fb, fa = _flat(before), _flat(after)
     entries = [
         CanvasDiffEntry(path=path, before=fb.get(path), after=fa.get(path))
         for path in set(fb) | set(fa)
@@ -101,7 +106,15 @@ def diff_canvas(before: CanvasState, after: CanvasState) -> list[CanvasDiffEntry
     return entries
 
 
+def _flat(canvas: CanvasState | Mapping[str, Scalar]) -> Mapping[str, Scalar]:
+    return flatten_canvas(canvas) if isinstance(canvas, CanvasState) else canvas
+
+
 def apply_diff(before: CanvasState, entries: Iterable[CanvasDiffEntry]) -> CanvasState:
+    """The canvas ``entries`` make of ``before``; entries that make no valid
+    canvas (a bad path, a gap in the block or run indices, a block without
+    its kind or a required attribute, a value of the wrong type, a cell
+    outside its table) are a ``ValidationFailure``."""
     # Flattened values are never None, so after=None always means "path removed".
     flat = flatten_canvas(before)
     for entry in entries:
@@ -109,7 +122,10 @@ def apply_diff(before: CanvasState, entries: Iterable[CanvasDiffEntry]) -> Canva
             flat.pop(entry.path, None)
         else:
             flat[entry.path] = entry.after
-    return _unflatten(flat)
+    try:
+        return _unflatten(flat)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationFailure(f"canvas diff does not apply: {exc}") from exc
 
 
 def _unflatten(flat: dict[str, Scalar]) -> CanvasState:

@@ -5,8 +5,8 @@ rendered view is a deterministic textual screenshot surrogate computed purely
 from the tree and the canvas: the window's controls, then one line per block
 as ``canvas.render_block`` draws it from the block table (the one
 description of what each block kind holds), then the page border and the
-selected text. Because a snapshot never changes, the values
-derived from it (its canvas encoding, digest and rendered view) are computed
+selected text. Because a snapshot never changes, the values derived from it
+(its canvas encoding and flat form, digest and rendered view) are computed
 at most once, on first use, and kept on the instance. The values derived from
 the control tree alone are computed at most once per tree and shared by
 every snapshot that holds it: an action that leaves the tree as it was, as
@@ -35,12 +35,14 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..errors import UnknownTemplate
 from ..jsonl import canonical_dumps, prompt_dumps, sha256_text
 from .actions import ActionCall, ExecutionResult, apply_action
 from .canvas import CanvasState, paragraph_text, render_block, serialize_canvas
 from .controls import ControlNode, assign_labels, control_tree_dict, flatten_controls
+from .diffs import Scalar, flatten_canvas
 
 __all__ = [
     "EnvSnapshot",
@@ -132,6 +134,13 @@ class EnvSnapshot:
     def canvas_xml(self) -> str:
         """``serialize_canvas`` of the canvas."""
         return serialize_canvas(self.canvas)
+
+    @functools.cached_property
+    def flat_canvas(self) -> MappingProxyType[str, Scalar]:
+        """``flatten_canvas`` of the canvas, read-only, so a template's shared
+        initial snapshot is flattened once however many runs are diffed
+        against it."""
+        return MappingProxyType(flatten_canvas(self.canvas))
 
     @property
     def control_list(self) -> ControlList:

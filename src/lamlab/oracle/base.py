@@ -73,6 +73,17 @@ class OracleResponse:
 
 
 class Provider(Protocol):
+    """A text-generation backend.
+
+    ``waits_on_io`` says whether a ``complete`` call waits on something
+    outside this process, such as the network. Only then do the pipeline's
+    oracle stages keep several calls in flight; a provider that computes its
+    answer under the interpreter lock is called inline, one request at a
+    time. A provider that does not declare it is taken to wait.
+    """
+
+    waits_on_io: bool
+
     def complete(self, request: OracleRequest) -> OracleResponse: ...
 
 

@@ -8,6 +8,7 @@ through the same code path as remote responses.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .. import goals
@@ -29,6 +30,9 @@ EVOLUTION_CLAUSES = (
 
 class MockOracle:
     """Keyword-rule provider; complete() is a pure function of the request."""
+
+    # Pure Python under the interpreter lock: the pipeline calls it inline.
+    waits_on_io = False
 
     def complete(self, request: OracleRequest) -> OracleResponse:
         # Render first: substitution mismatches must fail identically to the
@@ -53,6 +57,9 @@ def _handle_evolve(subs: dict) -> dict:
     return {"evolved_task": evolved_task, "evolved_plan": evolved_plan}
 
 
+# Instantiate prompts embed one of a few template canvases, so each distinct
+# markup is parsed once; the result is a string, so nothing mutable is shared.
+@functools.lru_cache(maxsize=64)
 def _first_paragraph_run(markup: str) -> str:
     canvas = parse_canvas(markup)
     for block in canvas.blocks:

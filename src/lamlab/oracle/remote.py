@@ -33,6 +33,8 @@ class RemoteOracleConfig:
 
 
 class RemoteOracle:
+    waits_on_io = True
+
     def __init__(self, config: RemoteOracleConfig, session=None, sleep=time.sleep):
         self._config = config
         self._session = session if session is not None else requests.Session()
@@ -126,3 +128,8 @@ class MemoizingOracle:
             if key not in self._cache:
                 self._cache[key] = self.inner.complete(request)
             return self._cache[key]
+
+    @property
+    def waits_on_io(self) -> bool:
+        """The inner provider's (see ``Provider``)."""
+        return getattr(self.inner, "waits_on_io", True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamlab.env_sim import (
+    CanvasDiffEntry,
     CanvasState,
     Chart,
     Comment,
@@ -26,6 +27,7 @@ from lamlab.env_sim import (
     serialize_canvas,
 )
 from lamlab.env_sim.diffs import flatten_canvas
+from lamlab.errors import ValidationFailure
 
 TEXTS = ["", "hello world", "Test For Fun", 'quote " and & amp < > done', "line\nbreak"]
 
@@ -275,6 +277,87 @@ def test_apply_diff_reconstructs_after():
 @settings(max_examples=150, deadline=None)
 def test_apply_diff_inverts_diff(before, after):
     assert apply_diff(before, diff_canvas(before, after)) == after
+
+
+def _markup(*blocks: str) -> str:
+    return "<canvas>\n" + "".join(f"  {b}\n" for b in blocks) + "</canvas>\n"
+
+
+_ONE_CELL = '<table cols="1" rows="1">{}</table>'
+
+
+@pytest.mark.parametrize(
+    "markup",
+    [
+        _markup('<figure caption="x"/>'),
+        _markup("<paragraph>"),
+        "not markup at all",
+        _markup(_ONE_CELL.format('<cell col="0" row="5" text="x"/>')),
+        _markup(_ONE_CELL.format('<cell col="0" row="-1" text="x"/>')),
+        _markup(_ONE_CELL.format('<cell col="0" text="x"/>')),
+        _markup('<table cols="1" rows="two"/>'),
+        _markup('<paragraph><run bold="maybe" text="x"/></paragraph>'),
+        _markup('<paragraph><run color="red" text="x"/></paragraph>'),
+        _markup("<video/>"),
+        "<document/>",
+    ],
+    ids=[
+        "missing_required_attribute",
+        "truncated",
+        "not_xml",
+        "cell_outside_grid",
+        "negative_cell_index",
+        "cell_without_row",
+        "non_integer_rows",
+        "bad_boolean",
+        "bad_color",
+        "unknown_element",
+        "wrong_root",
+    ],
+)
+def test_malformed_markup_is_a_validation_failure(markup):
+    with pytest.raises(ValidationFailure, match="malformed canvas markup"):
+        parse_canvas(markup)
+
+
+_TABLE_DOC = CanvasState(blocks=(Paragraph(runs=(Run(text="hi"),)), Table(rows=1, cols=1)))
+
+
+@pytest.mark.parametrize(
+    "path, after",
+    [
+        ("blocks[1].cells[5][0]", "x"),
+        ("blocks[1].rows", "two"),
+        ("blocks[1].rows", [2]),
+        ("blocks[0].runs[0].bold", "maybe"),
+        ("blocks[0].runs[0].color", "red"),
+        ("blocks[0].runs[3].text", "gap"),
+        ("blocks[0].heading", "x"),
+        ("blocks[2].rows", 1),
+        ("blocks[1].kind", "video"),
+        ("blocks[1].kind", None),
+        ("blocks[1]", "x"),
+        ("selection.block", 1),
+    ],
+    ids=[
+        "cell_outside_grid",
+        "non_integer_rows",
+        "list_rows",
+        "bad_boolean",
+        "bad_color",
+        "run_index_gap",
+        "bad_paragraph_path",
+        "block_without_kind",
+        "unknown_kind",
+        "kind_removed",
+        "bad_block_path",
+        "incomplete_selection",
+    ],
+)
+def test_diff_that_does_not_apply_is_a_validation_failure(path, after):
+    entry = CanvasDiffEntry(path=path, before=None, after=after)
+    with pytest.raises(ValidationFailure, match="canvas diff does not apply"):
+        apply_diff(_TABLE_DOC, [entry])
 
 
 # --- the block table against the codecs it replaced --------------------------

@@ -552,3 +552,34 @@ def test_run_task_never_parses_a_template(monkeypatch):
     assert parses == []
     assert all(r.trajectory.steps[0].result.ok for r in records)
     assert load_template("plain_text") is load_template("plain_text")
+
+
+def test_a_template_canvas_is_flattened_once_across_runs(monkeypatch):
+    import sys
+
+    from lamlab.agent import ScriptedPolicy, run_task
+    from lamlab.env_sim import diffs, parse_canvas
+
+    flattened = []
+    original = diffs.flatten_canvas
+
+    def counting_flatten(canvas):
+        flattened.append(canvas)
+        return original(canvas)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "flatten_canvas", None) is original:
+            monkeypatch.setattr(module, "flatten_canvas", counting_flatten)
+    initial = load_template("plain_text")
+    action = ActionCall(function="select_text", args={"text": "Test For Fun"})
+    records = [
+        run_task(ScriptedPolicy((action,)), "plain_text", "Select it.") for _ in range(5)
+    ]
+    assert sum(canvas is initial.canvas for canvas in flattened) <= 1
+    final = parse_canvas(records[0].trajectory.final_canvas)
+    expected = tuple(diff_canvas(initial.canvas, final))
+    assert all(r.trajectory.canvas_diff == expected for r in records)
+    assert records[0].trajectory.canvas_diff
+    assert initial.flat_canvas == original(initial.canvas)
+    with pytest.raises(TypeError):
+        initial.flat_canvas["page_border"] = "box"

@@ -19,7 +19,7 @@ from lamlab.dataflow.records import (
 )
 from lamlab.fixtures import fixture_path
 from lamlab.jsonl import read_jsonl, sha256_file, write_jsonl
-from lamlab.oracle import MockOracle
+from lamlab.oracle import MemoizingOracle, MockOracle, RemoteOracle
 
 
 def seed_workspace(ws: Path, records=None) -> Path:
@@ -78,11 +78,28 @@ def test_provenance_chain_is_complete(pipeline_ws):
         assert traj["origin"]["origin_task_id"] == rec["origin_task_id"]
 
 
+class WaitingMock(MockOracle):
+    """``MockOracle`` that declares it waits, so the oracle stages pool its
+    calls; records the threads its calls ran on."""
+
+    waits_on_io = True
+
+    def __init__(self):
+        self.threads = set()
+
+    def complete(self, request):
+        self.threads.add(threading.get_ident())
+        return super().complete(request)
+
+
 def test_worker_pool_size_does_not_change_outputs(tmp_path):
     ws1 = seed_workspace(tmp_path / "w1")
     ws6 = seed_workspace(tmp_path / "w6")
-    run_all(ws1, MockOracle(), PipelineConfig(workers=1))
-    run_all(ws6, MockOracle(), PipelineConfig(workers=6))
+    inline, pooled = WaitingMock(), WaitingMock()
+    run_all(ws1, inline, PipelineConfig(workers=1))
+    run_all(ws6, pooled, PipelineConfig(workers=6))
+    assert inline.threads == {threading.get_ident()}
+    assert pooled.threads - {threading.get_ident()}, "the pool ran no oracle call"
     for stage, path in stage_files(ws1).items():
         other = stage_files(ws6)[stage]
         assert sha256_file(path) == sha256_file(other), f"stage {stage} differs"
@@ -238,3 +255,51 @@ def test_oracle_stages_overlap_oracle_calls_and_execute_runs_inline(tmp_path, mo
             assert oracle.max_in_flight["judge"] > 1
     assert corpora[4] == corpora[1]
     assert threads == {threading.get_ident()}
+
+
+def test_memoized_waiting_oracle_keeps_calls_in_flight(tmp_path):
+    slow = SlowOracle()
+    run_all(seed_workspace(tmp_path / "ws"), MemoizingOracle(slow), PipelineConfig(workers=4))
+    assert slow.max_in_flight["instantiate"] > 1
+    assert slow.max_in_flight["judge"] > 1
+
+
+def test_mock_oracle_calls_run_on_the_calling_thread(tmp_path, monkeypatch):
+    """The mock computes its answers under the interpreter lock, so a pool
+    would only contend for it: ``workers`` does not start one."""
+    threads = []
+    complete = MockOracle.complete
+
+    def recording_complete(self, request):
+        threads.append((request.template_id, threading.get_ident()))
+        return complete(self, request)
+
+    monkeypatch.setattr(MockOracle, "complete", recording_complete)
+    run_all(seed_workspace(tmp_path / "ws"), MockOracle(), PipelineConfig(workers=6))
+    assert {template for template, _ in threads} == {"evolve", "instantiate", "judge"}
+    assert {ident for _, ident in threads} == {threading.get_ident()}
+
+
+def test_mock_parses_each_distinct_canvas_markup_once(tmp_path, monkeypatch):
+    from lamlab.oracle import mock
+
+    parsed = []
+    parse_canvas = mock.parse_canvas
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_canvas(text)
+
+    monkeypatch.setattr(mock, "parse_canvas", counting_parse)
+    mock._first_paragraph_run.cache_clear()
+    run_all(seed_workspace(tmp_path / "ws"), MockOracle(), PipelineConfig())
+    assert parsed
+    assert len(parsed) == len(set(parsed))
+
+
+def test_providers_declare_whether_they_wait():
+    assert MockOracle.waits_on_io is False
+    assert RemoteOracle.waits_on_io is True
+    assert MemoizingOracle(MockOracle()).waits_on_io is False
+    assert MemoizingOracle(WaitingMock()).waits_on_io is True
+    assert MemoizingOracle(SlowOracle()).waits_on_io is True
