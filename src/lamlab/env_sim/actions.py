@@ -1,6 +1,12 @@
 """Structured actions: the closed registry of callable functions and their
 execution semantics against a snapshot.
 
+Each registry entry (``FunctionSpec``) is the one description of its function:
+prompt text, target and argument rules, whether it needs an active text
+selection, and its handler. Some ribbon clicks are registry calls: clicking
+Bold, Font Color or Page Borders, and editing Font Size, run the handler of
+the function they stand for.
+
 Execution never mutates its input; it returns either a successor snapshot
 with an ok result, or the unchanged snapshot with exactly one typed error
 recorded in the result.
@@ -8,9 +14,10 @@ recorded in the result.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Mapping, TYPE_CHECKING
+from typing import Callable, Mapping, TYPE_CHECKING
 
 from ..errors import BadArgs, DisabledControl, LamLabError, UnknownFunction
 from ..textutil import COLOR_HEX
@@ -104,135 +111,57 @@ class ExecutionResult:
         return cls(ok=bool(obj["ok"]), observation=obj.get("observation", ""), error=obj.get("error"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FunctionSpec:
+    """One registry function, described once: its prompt text, its target
+    and argument rules, whether it needs an active text selection, and its
+    handler ``run(snapshot, target, args)`` -> (canvas, control root,
+    observation)."""
+
     name: str
-    requires_control: bool
-    control_types: tuple[str, ...]  # empty = any / no target
-    required_args: tuple[str, ...]
-    optional_args: tuple[str, ...]
     summary: str
+    run: Callable[..., tuple[CanvasState, ControlNode, str]]
+    requires_control: bool = False
+    control_types: tuple[str, ...] = ()  # empty = any / no target
+    required_args: tuple[str, ...] = ()
+    optional_args: tuple[str, ...] = ()
+    selection: bool = False
 
 
-# Closed registry. Order matters: it is the tie-break order for policies.
-REGISTRY: dict[str, FunctionSpec] = {
-    spec.name: spec
-    for spec in (
-        FunctionSpec(
-            "click_input",
-            True,
-            ("Button", "TabItem", "ListItem", "MenuItem", "TreeItem", "Hyperlink", "ComboBox"),
-            (),
-            ("button", "double"),
-            "Click the target control with the mouse. Args: button ('left'|'right'), double (bool).",
-        ),
-        FunctionSpec(
-            "set_edit_text",
-            True,
-            ("Edit", "ComboBox", "Document"),
-            ("text",),
-            (),
-            "Replace the text content of an editable control. Args: text (str).",
-        ),
-        FunctionSpec(
-            "type_keys",
-            False,
-            (),
-            ("text",),
-            (),
-            "Type the given text at the end of the document. Args: text (str).",
-        ),
-        FunctionSpec(
-            "select_text",
-            False,
-            (),
-            ("text",),
-            (),
-            "Select the first exact occurrence of the given text in the document. Args: text (str).",
-        ),
-        FunctionSpec(
-            "select_option",
-            True,
-            ("ComboBox", "ListItem", "MenuItem"),
-            ("option",),
-            (),
-            "Select a named option in a combo box, list, or menu. Args: option (str).",
-        ),
-        FunctionSpec(
-            "scroll",
-            True,
-            ("ScrollBar",),
-            (),
-            ("direction", "amount"),
-            "Scroll the view. Args: direction ('up'|'down'), amount (positive int).",
-        ),
-        FunctionSpec(
-            "toggle_highlight",
-            False,
-            (),
-            (),
-            ("color",),
-            "Toggle a highlight color on the selected text. Args: color (name, default 'yellow').",
-        ),
-        FunctionSpec(
-            "set_font_size",
-            False,
-            (),
-            ("size",),
-            (),
-            "Set the font size of the selected text. Args: size (points, positive number).",
-        ),
-        FunctionSpec(
-            "set_font_color",
-            False,
-            (),
-            ("color",),
-            (),
-            "Set the font color of the selected text. Args: color (name or #RRGGBB).",
-        ),
-        FunctionSpec(
-            "insert_page_border",
-            False,
-            (),
-            (),
-            ("style",),
-            "Add a page border to the document. Args: style (default 'box').",
-        ),
-        FunctionSpec(
-            "insert_table",
-            False,
-            (),
-            ("rows", "cols"),
-            (),
-            "Insert a table at the end of the document. Args: rows (int), cols (int).",
-        ),
-        FunctionSpec(
-            "toggle_bold",
-            False,
-            (),
-            (),
-            (),
-            "Toggle bold on the selected text. No args.",
-        ),
-    )
+# Closed registry, filled by ``_function`` in handler definition order. Order
+# matters: it is the tie-break order for policies.
+REGISTRY: dict[str, FunctionSpec] = {}
+
+# Ribbon buttons whose click is a registry call: control text -> (function, args).
+_BUTTON_CALLS: dict[str, tuple[str, Mapping[str, object]]] = {
+    "Bold": ("toggle_bold", {}),
+    "Font Color": ("set_font_color", {"color": "red"}),
+    "Page Borders": ("insert_page_border", {}),
 }
-_REGISTRY_ORDER = {name: i for i, name in enumerate(REGISTRY)}
 
-# Controls whose click semantics edit the selection, so they need one.
-_SELECTION_BUTTONS = ("Text Highlight Color", "Bold", "Font Color")
 
-_SELECTION_FUNCTIONS = ("toggle_highlight", "set_font_size", "set_font_color", "toggle_bold")
+def _function(name: str, summary: str, **spec):
+    """Register the decorated handler as the registry function ``name``."""
+
+    def register(run):
+        REGISTRY[name] = FunctionSpec(name=name, summary=summary, run=run, **spec)
+        return run
+
+    return register
 
 
 def needs_selection(function: str, control_text: str = "") -> bool:
-    """True when the call only succeeds with an active text selection."""
-    if function in _SELECTION_FUNCTIONS:
-        return True
-    if function == "click_input" and control_text in _SELECTION_BUTTONS:
-        return True
-    if function == "set_edit_text" and control_text == "Font Size":
-        return True
-    return False
+    """True when the call only succeeds with an active text selection: its
+    function needs one, or the control runs a registry function that does."""
+    if function == "click_input":
+        if control_text == "Text Highlight Color":
+            return True
+        if control_text in _BUTTON_CALLS:
+            function = _BUTTON_CALLS[control_text][0]
+    elif function == "set_edit_text" and control_text == "Font Size":
+        function = "set_font_size"
+    spec = REGISTRY.get(function)
+    return spec is not None and spec.selection
 
 
 def registry_order(function: str) -> int:
@@ -283,7 +212,7 @@ def _execute(snapshot: "EnvSnapshot", action: ActionCall) -> tuple["EnvSnapshot"
                 f"{spec.name} cannot target a {target.control_type} control"
             )
 
-    canvas, controls, observation = _SEMANTICS[spec.name](snapshot, target, args)
+    canvas, controls, observation = spec.run(snapshot, target, args)
     return snapshot.advance(canvas, controls), observation
 
 
@@ -328,6 +257,13 @@ def _selected_text(canvas: CanvasState) -> str:
 # --- per-function semantics ---------------------------------------------------
 # Each handler returns (new canvas, new control root, observation text).
 
+@_function(
+    "click_input",
+    "Click the target control with the mouse. Args: button ('left'|'right'), double (bool).",
+    requires_control=True,
+    control_types=("Button", "TabItem", "ListItem", "MenuItem", "TreeItem", "Hyperlink", "ComboBox"),
+    optional_args=("button", "double"),
+)
 def _fn_click_input(snapshot, target, args):
     button = args.get("button", "left")
     double = args.get("double", False)
@@ -342,25 +278,17 @@ def _fn_click_input(snapshot, target, args):
         return canvas, controls, f"Selected {target.control_text}"
 
     if target.control_type == "Button":
+        if target.control_text in _BUTTON_CALLS:
+            function, call_args = _BUTTON_CALLS[target.control_text]
+            return REGISTRY[function].run(snapshot, target, call_args)
         if target.control_text == "Text Highlight Color":
+            # Not toggle_highlight: the click always sets yellow, and says so.
             canvas, run = _update_selected_run(canvas, highlight="yellow")
             return canvas, controls, f"Applied yellow highlight to {run.text!r}"
-        if target.control_text == "Bold":
-            _, para, idx = _require_selection(canvas)
-            canvas, run = _update_selected_run(canvas, bold=not para.runs[idx].bold)
-            state = "bold" if run.bold else "not bold"
-            return canvas, controls, f"Toggled {run.text!r} to {state}"
-        if target.control_text == "Font Color":
-            canvas, run = _update_selected_run(canvas, color=COLOR_HEX["red"])
-            return canvas, controls, f"Set font color of {run.text!r} to red"
-        if target.control_text == "Page Borders":
-            canvas = replace(canvas, page_border="box")
-            return canvas, controls, "Added a box page border"
         if target.control_text == "New Comment":
             sel_text = _selected_text(canvas) if canvas.selection else ""
             canvas = canvas.append_block(Comment(author="Reviewer", text=sel_text or "Comment"))
             return canvas, controls, "Inserted a new comment"
-        return canvas, controls, f"Clicked {target.control_text}"
 
     return canvas, controls, f"Clicked {target.control_text}"
 
@@ -386,6 +314,13 @@ def _select_node(root: ControlNode, target: ControlNode) -> ControlNode:
     return map_tree(root, rebuild)
 
 
+@_function(
+    "set_edit_text",
+    "Replace the text content of an editable control. Args: text (str).",
+    requires_control=True,
+    control_types=("Edit", "ComboBox", "Document"),
+    required_args=("text",),
+)
 def _fn_set_edit_text(snapshot, target, args):
     text = args["text"]
     if not isinstance(text, str):
@@ -415,12 +350,16 @@ def _fn_set_edit_text(snapshot, target, args):
             raise BadArgs(f"font size {text!r} is not a number") from None
         if points <= 0:
             raise BadArgs("font size must be positive")
-        canvas, run = _update_selected_run(canvas, font_size=int(round(points * 2)))
-        return canvas, controls, f"Set font size of {run.text!r} to {points:g}"
+        return _fn_set_font_size(snapshot, target, {"size": points})
 
     return canvas, controls, f"Entered {text!r} into {target.control_text}"
 
 
+@_function(
+    "type_keys",
+    "Type the given text at the end of the document. Args: text (str).",
+    required_args=("text",),
+)
 def _fn_type_keys(snapshot, target, args):
     text = args["text"]
     if not isinstance(text, str) or not text:
@@ -439,6 +378,11 @@ def _fn_type_keys(snapshot, target, args):
     return canvas, snapshot.controls, f"Typed {text!r}"
 
 
+@_function(
+    "select_text",
+    "Select the first exact occurrence of the given text in the document. Args: text (str).",
+    required_args=("text",),
+)
 def _fn_select_text(snapshot, target, args):
     text = args["text"]
     if not isinstance(text, str) or not text:
@@ -452,6 +396,13 @@ def _fn_select_text(snapshot, target, args):
     return snapshot.canvas.with_selection(sel), snapshot.controls, f"Selected {text!r}"
 
 
+@_function(
+    "select_option",
+    "Select a named option in a combo box, list, or menu. Args: option (str).",
+    requires_control=True,
+    control_types=("ComboBox", "ListItem", "MenuItem"),
+    required_args=("option",),
+)
 def _fn_select_option(snapshot, target, args):
     option = args["option"]
     if not isinstance(option, str) or not option:
@@ -471,6 +422,13 @@ def _fn_select_option(snapshot, target, args):
     return snapshot.canvas, controls, f"Selected option {target.control_text}"
 
 
+@_function(
+    "scroll",
+    "Scroll the view. Args: direction ('up'|'down'), amount (positive int).",
+    requires_control=True,
+    control_types=("ScrollBar",),
+    optional_args=("direction", "amount"),
+)
 def _fn_scroll(snapshot, target, args):
     direction = args.get("direction", "down")
     amount = args.get("amount", 1)
@@ -481,6 +439,12 @@ def _fn_scroll(snapshot, target, args):
     return snapshot.canvas, snapshot.controls, f"Scrolled {direction} by {amount}"
 
 
+@_function(
+    "toggle_highlight",
+    "Toggle a highlight color on the selected text. Args: color (name, default 'yellow').",
+    optional_args=("color",),
+    selection=True,
+)
 def _fn_toggle_highlight(snapshot, target, args):
     color = args.get("color", "yellow")
     if not isinstance(color, str) or not color:
@@ -494,14 +458,26 @@ def _fn_toggle_highlight(snapshot, target, args):
     return canvas, snapshot.controls, f"{verb} {color} highlight on {run.text!r}"
 
 
+@_function(
+    "set_font_size",
+    "Set the font size of the selected text. Args: size (points, positive number).",
+    required_args=("size",),
+    selection=True,
+)
 def _fn_set_font_size(snapshot, target, args):
     size = args["size"]
-    if not isinstance(size, (int, float)) or isinstance(size, bool) or size <= 0:
+    if not isinstance(size, (int, float)) or isinstance(size, bool) or not 0 < size < math.inf:
         raise BadArgs(f"size must be a positive number, got {size!r}")
     canvas, run = _update_selected_run(snapshot.canvas, font_size=int(round(size * 2)))
     return canvas, snapshot.controls, f"Set font size of {run.text!r} to {size:g}"
 
 
+@_function(
+    "set_font_color",
+    "Set the font color of the selected text. Args: color (name or #RRGGBB).",
+    required_args=("color",),
+    selection=True,
+)
 def _fn_set_font_color(snapshot, target, args):
     color = args["color"]
     if not isinstance(color, str) or not color:
@@ -515,6 +491,11 @@ def _fn_set_font_color(snapshot, target, args):
     return canvas, snapshot.controls, f"Set font color of {run.text!r} to {color}"
 
 
+@_function(
+    "insert_page_border",
+    "Add a page border to the document. Args: style (default 'box').",
+    optional_args=("style",),
+)
 def _fn_insert_page_border(snapshot, target, args):
     style = args.get("style", "box")
     if not isinstance(style, str) or not style:
@@ -523,6 +504,11 @@ def _fn_insert_page_border(snapshot, target, args):
     return canvas, snapshot.controls, f"Added a {style} page border"
 
 
+@_function(
+    "insert_table",
+    "Insert a table at the end of the document. Args: rows (int), cols (int).",
+    required_args=("rows", "cols"),
+)
 def _fn_insert_table(snapshot, target, args):
     rows, cols = args["rows"], args["cols"]
     for name, value in (("rows", rows), ("cols", cols)):
@@ -532,6 +518,7 @@ def _fn_insert_table(snapshot, target, args):
     return canvas, snapshot.controls, f"Inserted a {rows} x {cols} table"
 
 
+@_function("toggle_bold", "Toggle bold on the selected text. No args.", selection=True)
 def _fn_toggle_bold(snapshot, target, args):
     _, para, idx = _require_selection(snapshot.canvas)
     canvas, run = _update_selected_run(snapshot.canvas, bold=not para.runs[idx].bold)
@@ -539,17 +526,4 @@ def _fn_toggle_bold(snapshot, target, args):
     return canvas, snapshot.controls, f"Toggled {run.text!r} to {state}"
 
 
-_SEMANTICS = {
-    "click_input": _fn_click_input,
-    "set_edit_text": _fn_set_edit_text,
-    "type_keys": _fn_type_keys,
-    "select_text": _fn_select_text,
-    "select_option": _fn_select_option,
-    "scroll": _fn_scroll,
-    "toggle_highlight": _fn_toggle_highlight,
-    "set_font_size": _fn_set_font_size,
-    "set_font_color": _fn_set_font_color,
-    "insert_page_border": _fn_insert_page_border,
-    "insert_table": _fn_insert_table,
-    "toggle_bold": _fn_toggle_bold,
-}
+_REGISTRY_ORDER = {name: i for i, name in enumerate(REGISTRY)}

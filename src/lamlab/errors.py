@@ -94,7 +94,8 @@ class MissingPredecessor(LamLabError):
 
 
 class EmptyCorpus(LamLabError):
-    """A line-record file is missing, or a phase has no records to train on."""
+    """A line-record file is missing, or a phase or an evaluation has no
+    records to work on."""
 
 
 class CheckpointError(LamLabError):
@@ -111,10 +112,6 @@ class MissingGroundTruth(LamLabError):
 
 class TemplateError(LamLabError):
     """Prompt template missing, or substitutions do not match its placeholders."""
-
-
-class MalformedResponse(LamLabError):
-    """Provider response failed strict structured parsing."""
 
 
 class Timeout(LamLabError):

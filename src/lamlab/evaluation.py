@@ -16,11 +16,11 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .agent import RunRecord
-from .errors import MissingGroundTruth, OracleFailure
+from .errors import EmptyCorpus, MissingGroundTruth, OracleFailure
 from .goals import goal_satisfied
 from .jsonl import write_text
 from .oracle import OracleRequest, Provider
-from .textutil import normalize_line
+from . import textutil
 
 __all__ = [
     "GroundTruthStep",
@@ -41,9 +41,6 @@ __all__ = [
     "render_table",
     "write_reports",
 ]
-
-SOLVED_RECALL_THRESHOLD = 0.8
-
 
 @dataclass(frozen=True)
 class GroundTruthStep:
@@ -124,22 +121,8 @@ Matcher = Callable[[Sequence[str], Sequence[str]], list[tuple[str, str]]]
 def match_plan_steps(
     pred: Sequence[str], truth: Sequence[str], matcher: Matcher | None = None
 ) -> list[tuple[str, str]]:
-    """Greedy one-to-one matching: each predicted step pairs with the first
-    still-unmatched truth step of equal normalized text."""
-    if matcher is not None:
-        return matcher(pred, truth)
-    pairs = []
-    used: set[int] = set()
-    for p in pred:
-        norm = normalize_line(p)
-        for j, t in enumerate(truth):
-            if j in used:
-                continue
-            if normalize_line(t) == norm:
-                used.add(j)
-                pairs.append((p, t))
-                break
-    return pairs
+    """The matcher's step pairs, by default ``textutil.match_plan_steps``."""
+    return (matcher or textutil.match_plan_steps)(pred, truth)
 
 
 def _plan_eval(
@@ -199,11 +182,11 @@ def eval_plans(
     """pairs: (task, predicted plan, ground-truth plan) triples.
 
     Precision/recall are micro-averaged over steps (empty prediction counts
-    as precision 0). Task success defaults to per-task recall >= 0.8; a judge
-    callable replaces that proxy when given.
+    as precision 0). Task success defaults to ``textutil.plan_solved`` on the
+    per-task recall; a judge callable replaces that proxy when given.
     """
     if not pairs:
-        raise ValueError("eval_plans needs at least one pair")
+        raise EmptyCorpus("eval_plans needs at least one pair")
     total_matched = 0
     total_pred = 0
     total_truth = 0
@@ -218,8 +201,7 @@ def eval_plans(
         if judge is not None:
             solved += 1 if judge(task, pred, truth) else 0
         else:
-            recall_i = len(matched) / len(truth) if truth else 0.0
-            solved += 1 if recall_i >= SOLVED_RECALL_THRESHOLD else 0
+            solved += textutil.plan_solved(len(matched), len(truth))
     return PlanEvalResult(
         tsr=solved / len(pairs),
         step_precision=total_matched / total_pred if total_pred else 0.0,
@@ -242,7 +224,7 @@ def eval_actions(
     ground-truth steps; a task succeeds iff every step succeeds and the
     predicted step count matches the truth."""
     if not preds:
-        raise ValueError("eval_actions needs at least one predicted task")
+        raise EmptyCorpus("eval_actions needs at least one predicted task")
     object_hits = operation_hits = status_hits = step_hits = 0
     total_steps = 0
     per_task: dict[str, bool] = {}
@@ -285,7 +267,7 @@ def eval_online(
     runs: Sequence[RunRecord], judge: Callable[[RunRecord], bool] = canvas_predicate_judge
 ) -> OnlineEvalResult:
     if not runs:
-        raise ValueError("eval_online needs at least one run")
+        raise EmptyCorpus("eval_online needs at least one run")
     successes = sum(1 for run in runs if judge(run))
     total_time = sum(run.total_time for run in runs)
     total_steps = sum(len(run.trajectory.steps) for run in runs)

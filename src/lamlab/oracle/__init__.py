@@ -2,7 +2,6 @@
 
 from .base import (
     RESPONSE_SCHEMAS,
-    DecodingParams,
     OracleRequest,
     OracleResponse,
     Provider,
@@ -17,7 +16,6 @@ from .remote import MemoizingOracle, RemoteOracle, RemoteOracleConfig
 
 __all__ = [
     "RESPONSE_SCHEMAS",
-    "DecodingParams",
     "OracleRequest",
     "OracleResponse",
     "Provider",

@@ -16,10 +16,9 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Protocol
 
-from ..errors import MalformedResponse, TemplateError
+from ..errors import TemplateError
 
 __all__ = [
-    "DecodingParams",
     "OracleRequest",
     "OracleResponse",
     "Provider",
@@ -33,27 +32,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DecodingParams:
-    temperature: float = 0.0
-    top_p: float = 0.0
-
-
-@dataclass(frozen=True)
 class OracleRequest:
     template_id: str
     substitutions: Mapping[str, str] = field(default_factory=dict)
-    decoding: DecodingParams = DecodingParams()
-    max_tokens: int = 2048
 
     def cache_key(self) -> str:
         return json.dumps(
-            {
-                "template": self.template_id,
-                "subs": dict(sorted(self.substitutions.items())),
-                "temperature": self.decoding.temperature,
-                "top_p": self.decoding.top_p,
-                "max_tokens": self.max_tokens,
-            },
+            {"template": self.template_id, "subs": dict(sorted(self.substitutions.items()))},
             sort_keys=True,
         )
 
@@ -65,11 +50,6 @@ class OracleResponse:
     parse_error: str | None = None
     latency_s: float = 0.0
     attempts: int = 1
-
-    def require_parsed(self) -> dict:
-        if self.parsed is None:
-            raise MalformedResponse(self.parse_error or "response not parseable")
-        return self.parsed
 
 
 class Provider(Protocol):

@@ -14,7 +14,8 @@ import json
 from .. import goals
 from ..env_sim import parse_canvas
 from ..env_sim.canvas import Paragraph
-from ..textutil import first_color, first_int, first_quoted, normalize_line, table_dims
+from ..textutil import first_color, first_int, first_quoted, table_dims
+from ..textutil import match_plan_steps, plan_solved
 from .base import OracleRequest, OracleResponse, parse_response, render_prompt
 
 __all__ = ["MockOracle", "EVOLUTION_CLAUSES"]
@@ -234,19 +235,9 @@ def _numbered_steps(answer: str) -> list[str]:
 def _handle_plan_eval(subs: dict) -> dict:
     steps1 = _numbered_steps(subs["answer1"])
     steps2 = _numbered_steps(subs["answer2"])
-    used = set()
-    pairs = []
-    for s1 in steps1:
-        for j, s2 in enumerate(steps2):
-            if j in used:
-                continue
-            if normalize_line(s1) == normalize_line(s2):
-                used.add(j)
-                pairs.append(f"{s1} / {s2}")
-                break
-    recall = len(pairs) / len(steps2) if steps2 else 0.0
+    pairs = [f"{s1} / {s2}" for s1, s2 in match_plan_steps(steps1, steps2)]
     return {
-        "Subtask1": "Yes" if recall >= 0.8 else "No",
+        "Subtask1": "Yes" if plan_solved(len(pairs), len(steps2)) else "No",
         "Subtask2": "Yes" if steps2 else "No",
         "Subtask3": {
             "Action items in Answer1": steps1,

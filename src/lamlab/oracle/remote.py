@@ -20,16 +20,19 @@ from .base import OracleRequest, OracleResponse, parse_response, render_prompt, 
 __all__ = ["RemoteOracleConfig", "RemoteOracle", "MemoizingOracle"]
 
 
+# Greedy decoding with a fixed token budget, sent with every request.
+_DECODING = {"temperature": 0.0, "top_p": 0.0, "max_tokens": 2048}
+# Attempts per completion; the waits between them double from _BACKOFF_S.
+_ATTEMPTS = 3
+_BACKOFF_S = 0.5
+
+
 @dataclass(frozen=True)
 class RemoteOracleConfig:
     endpoint: str
     model: str
     auth_env: str = "LAMLAB_ORACLE_TOKEN"
     timeout_s: float = 30.0
-    max_retries: int = 3
-    backoff_s: float = 0.5
-    # Minimum spacing between requests across all threads; 0 disables limiting.
-    min_interval_s: float = 0.0
 
 
 class RemoteOracle:
@@ -39,27 +42,10 @@ class RemoteOracle:
         self._config = config
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
-        self._gate = threading.Lock()
-        self._last_request = 0.0
-
-    def _rate_limit(self) -> None:
-        if self._config.min_interval_s <= 0:
-            return
-        with self._gate:
-            wait = self._config.min_interval_s - (time.monotonic() - self._last_request)
-            if wait > 0:
-                self._sleep(wait)
-            self._last_request = time.monotonic()
 
     def complete(self, request: OracleRequest) -> OracleResponse:
         rendered = render_prompt(request.template_id, request.substitutions)
-        payload = {
-            "model": self._config.model,
-            "messages": split_messages(rendered),
-            "temperature": request.decoding.temperature,
-            "top_p": request.decoding.top_p,
-            "max_tokens": request.max_tokens,
-        }
+        payload = {"model": self._config.model, "messages": split_messages(rendered), **_DECODING}
         headers = {}
         token = os.environ.get(self._config.auth_env, "")
         if token:
@@ -67,8 +53,7 @@ class RemoteOracle:
 
         start = time.perf_counter()
         last_error = "no attempt made"
-        for attempt in range(1, self._config.max_retries + 1):
-            self._rate_limit()
+        for attempt in range(1, _ATTEMPTS + 1):
             try:
                 resp = self._session.post(
                     self._config.endpoint,
@@ -90,11 +75,9 @@ class RemoteOracle:
                         attempts=attempt,
                     )
                 last_error = f"HTTP {resp.status_code}"
-            if attempt < self._config.max_retries:
-                self._sleep(self._config.backoff_s * (2 ** (attempt - 1)))
-        raise Timeout(
-            f"oracle gave no answer after {self._config.max_retries} attempts ({last_error})"
-        )
+            if attempt < _ATTEMPTS:
+                self._sleep(_BACKOFF_S * (2 ** (attempt - 1)))
+        raise Timeout(f"oracle gave no answer after {_ATTEMPTS} attempts ({last_error})")
 
 
 def _extract_content(resp) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import re
 import string
+from typing import Sequence
 
 _WORD_RE = re.compile(r"[A-Za-z0-9']+")
 
@@ -60,6 +61,31 @@ def normalize_line(text: str) -> str:
     lowered = text.lower()
     stripped = "".join(" " if c in string.punctuation else c for c in lowered)
     return " ".join(stripped.split())
+
+
+# A plan solves its task when it matches at least this share of the truth steps.
+SOLVED_RECALL_THRESHOLD = 0.8
+
+
+def match_plan_steps(pred: Sequence[str], truth: Sequence[str]) -> list[tuple[str, str]]:
+    """Greedy one-to-one matching: each predicted step pairs with the first
+    still-unmatched truth step of equal normalized text."""
+    pairs = []
+    used: set[int] = set()
+    for p in pred:
+        norm = normalize_line(p)
+        for j, t in enumerate(truth):
+            if j not in used and normalize_line(t) == norm:
+                used.add(j)
+                pairs.append((p, t))
+                break
+    return pairs
+
+
+def plan_solved(matched: int, truth_steps: int) -> bool:
+    """The default task-solved rule: recall over the truth steps reaches
+    ``SOLVED_RECALL_THRESHOLD``; an empty truth plan is never solved."""
+    return truth_steps > 0 and matched / truth_steps >= SOLVED_RECALL_THRESHOLD
 
 
 def token_set(text: str) -> frozenset[str]:

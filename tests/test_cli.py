@@ -575,6 +575,21 @@ def test_bad_eval_input_exits_1(tmp_path, capsys, kind, file, key):
         assert f"{file}.jsonl:2: missing key '{key}'" in err
 
 
+@pytest.mark.parametrize("kind", sorted(_EVAL_FILES))
+def test_empty_eval_input_exits_1(tmp_path, capsys, kind):
+    argv = ["--workspace", str(tmp_path / "ws"), "eval", kind]
+    for name in _EVAL_FILES[kind]:
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("")
+        argv += [f"--{name}", str(path)]
+    code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("EmptyCorpus: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "row, key",
     [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamlab.env_sim import (
+    REGISTRY,
     ActionCall,
     CanvasState,
     ControlNode,
@@ -22,6 +23,7 @@ from lamlab.env_sim import (
     list_controls,
     list_templates,
     load_template,
+    needs_selection,
     resolve_in_tree,
     serialize_canvas,
 )
@@ -246,6 +248,24 @@ def test_set_font_size_half_points():
     assert s2.canvas.blocks[0].runs[0].font_size == 28
 
 
+@pytest.mark.parametrize(
+    "action",
+    [
+        ActionCall(function="set_font_size", args={"size": float("inf")}),
+        ActionCall(function="set_font_size", args={"size": float("nan")}),
+        ActionCall(function="set_edit_text", control_text="Font Size", args={"text": "inf"}),
+        ActionCall(function="set_edit_text", control_text="Font Size", args={"text": "nan"}),
+    ],
+    ids=["size_inf", "size_nan", "edit_inf", "edit_nan"],
+)
+def test_non_finite_font_size_is_bad_args(action):
+    s = para_snapshot("resize me")
+    s, _ = apply_action(s, ActionCall(function="select_text", args={"text": "resize"}))
+    s2, result = apply_action(s, action)
+    assert result.error == "BadArgs"
+    assert s2 is s
+
+
 def test_insert_table_and_border():
     s = para_snapshot()
     s, r1 = apply_action(s, ActionCall(function="insert_table", args={"rows": 2, "cols": 3}))
@@ -281,6 +301,66 @@ def test_purity_same_inputs_same_outputs():
     out2, res2 = apply_action(s, action)
     assert out1.serialize() == out2.serialize()
     assert res1 == res2
+
+
+# Arguments each registry function accepts; a new function needs an entry.
+_VALID_ARGS = {
+    "click_input": {"button": "left", "double": False},
+    "set_edit_text": {"text": "14"},
+    "type_keys": {"text": "more"},
+    "select_text": {"text": "Report"},
+    "select_option": {"option": "Quote"},
+    "scroll": {"direction": "down", "amount": 2},
+    "toggle_highlight": {"color": "green"},
+    "set_font_size": {"size": 14},
+    "set_font_color": {"color": "red"},
+    "insert_page_border": {"style": "box"},
+    "insert_table": {"rows": 2, "cols": 3},
+    "toggle_bold": {},
+}
+
+
+@pytest.mark.parametrize("template_id", list_templates())
+def test_call_without_selection_fails_iff_needs_selection(template_id):
+    s = load_template(template_id)
+    assert s.canvas.selection is None
+    for control in list_controls(s):
+        for function in REGISTRY:
+            action = ActionCall(
+                control_label=control["label"],
+                control_text=control["control_text"],
+                function=function,
+                args=_VALID_ARGS[function],
+            )
+            _, result = apply_action(s, action)
+            failed = result.error == "BadArgs" and result.observation == "no active text selection"
+            assert failed == needs_selection(function, control["control_text"]), (control, function)
+
+
+@pytest.mark.parametrize(
+    "control_text, control_call, function, args",
+    [
+        ("Bold", ("click_input", {}), "toggle_bold", {}),
+        ("Font Color", ("click_input", {}), "set_font_color", {"color": "red"}),
+        ("Page Borders", ("click_input", {}), "insert_page_border", {}),
+        ("Font Size", ("set_edit_text", {"text": "14"}), "set_font_size", {"size": 14}),
+    ],
+    ids=["bold", "font_color", "page_borders", "font_size"],
+)
+@pytest.mark.parametrize("template_id", list_templates())
+def test_ribbon_call_equals_the_function_it_runs(template_id, control_text, control_call, function, args):
+    s = load_template(template_id)
+    first_run = next(b.runs[0].text for b in s.canvas.blocks if isinstance(b, Paragraph))
+    s, result = apply_action(s, ActionCall(function="select_text", args={"text": first_run}))
+    assert result.ok
+    control_function, control_args = control_call
+    via_control = apply_action(
+        s, ActionCall(control_text=control_text, function=control_function, args=control_args)
+    )
+    direct = apply_action(s, ActionCall(function=function, args=args))
+    assert via_control[1].ok
+    assert via_control[1] == direct[1]
+    assert via_control[0].digest() == direct[0].digest()
 
 
 _FUNCTIONS = st.sampled_from(

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamlab.errors import MissingGroundTruth, OracleFailure
 from lamlab.evaluation import (
@@ -132,6 +133,39 @@ def test_oracle_plan_judge_drives_tsr():
         [("t_good", plan, plan), ("t_bad", ["Different."], plan)], judge=judge
     )
     assert result.tsr == pytest.approx(0.5)
+
+
+# Single-line steps without " / ", the separator of the oracle's pair lines:
+# spellings of a few steps that match after normalization, and free text.
+_STEP = st.one_of(
+    st.sampled_from(
+        ["Open the file.", "open the  FILE", "Save it.", "save, it", "Bold the title!", "bold the title"]
+    ),
+    st.text(
+        st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="/"),
+        min_size=1,
+        max_size=12,
+    ).map(str.strip).filter(lambda step: step and step.splitlines() == [step]),
+)
+# Predictions reuse truth steps often enough to reach every recall.
+_PLAN_PAIR = st.lists(_STEP, max_size=5).flatmap(
+    lambda truth: st.tuples(
+        st.just("t"),
+        st.lists(st.one_of(_STEP, *([st.sampled_from(truth)] if truth else [])), max_size=5),
+        st.just(truth),
+    )
+)
+_PLAN_PAIRS = st.lists(_PLAN_PAIR, min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=_PLAN_PAIRS)
+def test_mock_oracle_plan_eval_agrees_with_default_rules(pairs):
+    oracle = MockOracle()
+    matcher = oracle_matcher(oracle)
+    for _, pred, truth in pairs:
+        assert matcher(pred, truth) == match_plan_steps(pred, truth)
+    assert eval_plans(pairs, judge=oracle_plan_judge(oracle)).tsr == eval_plans(pairs).tsr
 
 
 class RaisingOracle:
