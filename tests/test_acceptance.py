@@ -370,21 +370,26 @@ _PINNED_CHECKPOINTS = {
 }
 
 
-@pytest.mark.skipif(
+_TRAINED_BYTES_ARE_311 = pytest.mark.skipif(
     sys.version_info >= (3, 12),
     reason="from CPython 3.12 on, sum() of floats uses compensated summation, "
     "which changes the trained weights' bytes",
 )
-def test_suite_checkpoints_are_pinned(suite_phases):
-    ws = suite_phases[0]
-    digests = {
+
+
+def _checkpoint_digests(ws: Path, names) -> dict[str, tuple[str, str]]:
+    return {
         name: tuple(
             sha256_file(ws / "checkpoints" / name / file)[:8]
             for file in ("weights.json", "manifest.json")
         )
-        for name in _PINNED_CHECKPOINTS
+        for name in names
     }
-    assert digests == _PINNED_CHECKPOINTS
+
+
+@_TRAINED_BYTES_ARE_311
+def test_suite_checkpoints_are_pinned(suite_phases):
+    assert _checkpoint_digests(suite_phases[0], _PINNED_CHECKPOINTS) == _PINNED_CHECKPOINTS
 
 
 # sha256 prefixes of every corpus file that ``dataflow run --stage all
@@ -562,13 +567,44 @@ def _full_run(ws: Path) -> dict[str, str]:
     return digests
 
 
-def test_criterion_7_determinism(tmp_path):
-    first = _full_run(tmp_path / "a")
+@pytest.fixture(scope="module")
+def cli_lifecycle(tmp_path_factory):
+    """A workspace after ``_full_run``, and its file digests."""
+    ws = tmp_path_factory.mktemp("cli_lifecycle")
+    return ws, _full_run(ws)
+
+
+def test_criterion_7_determinism(cli_lifecycle, tmp_path):
+    first = cli_lifecycle[1]
     second = _full_run(tmp_path / "b")
     assert first.keys() == second.keys()
     differing = [name for name in first if first[name] != second[name]]
     assert not differing, f"outputs differ: {differing[:5]}"
     report(7, f"{len(first)} files byte-identical across two seeded executions")
+
+
+# sha256 prefixes of each checkpoint's (weights.json, manifest.json) after the
+# bundled-corpus CLI lifecycle of ``_full_run`` (CPython 3.11). Unlike the
+# suite's, this corpus leaves phase 4 failure steps to run PPO on.
+_PINNED_CLI_CHECKPOINTS = {
+    "lam1": ("7b1138d1", "b23db27f"),
+    "lam2": ("cc3418e2", "e87e5b78"),
+    "lam3": ("d644cd96", "962399ad"),
+    "lam4": ("b82f9c7b", "63de57a5"),
+    "rm": ("e45180bc", "a425fa20"),
+}
+
+
+def test_cli_lifecycle_runs_ppo(cli_lifecycle):
+    manifest = json.loads((cli_lifecycle[0] / "checkpoints" / "lam4" / "manifest.json").read_text())
+    assert manifest["data_size"] > 0
+    assert manifest["ppo"] is not None
+
+
+@_TRAINED_BYTES_ARE_311
+def test_cli_checkpoints_are_pinned(cli_lifecycle):
+    digests = _checkpoint_digests(cli_lifecycle[0], _PINNED_CLI_CHECKPOINTS)
+    assert digests == _PINNED_CLI_CHECKPOINTS
 
 
 # --------------------------------------------------------------------------
