@@ -85,8 +85,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Every value is checked before any work starts: a bad one is a
-        ``ConfigError``. ``workers``, ``evolution``, ``agent`` and
-        ``training`` are checked by the config objects built here."""
+        ``ConfigError``. ``workers``, ``evolution``, ``agent``, ``training``
+        and a remote ``oracle`` are checked by the config objects built
+        here."""
         if not isinstance(self.workspace, str):
             raise ConfigError(f"workspace must be a string, got {self.workspace!r}")
         if not _is_int(self.seed):
@@ -94,13 +95,22 @@ class RunConfig:
         for name in ("oracle", "evolution", "training", "agent"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be an object")
+        if self.clock not in ("real", "zero"):
+            raise ConfigError(f"unknown clock {self.clock!r}")
         unknown = set(self.oracle) - _ORACLE_KEYS
         if unknown:
             raise ConfigError(f"unknown oracle config keys {sorted(unknown)}")
         timeout = self.oracle.get("timeout_s", 30.0)
         if not _is_number(timeout) or timeout <= 0:
             raise ConfigError(f"oracle.timeout_s must be a positive number, got {timeout!r}")
+        oracle = dict(self.oracle)
+        provider = oracle.pop("provider", "mock")
+        if provider not in ("mock", "remote"):
+            raise ConfigError(f"unknown oracle provider {provider!r}")
         # Plain attributes, not fields: the manifest records the fields only.
+        self.remote_oracle = None
+        if provider == "remote":
+            self.remote_oracle = _build(RemoteOracleConfig, "oracle", **oracle)
         evolution = _build(EvolutionConfig, "evolution", **self.evolution)
         self.pipeline = _build(PipelineConfig, "run", workers=self.workers, evolution=evolution)
         self.agent_config = _build(AgentConfig, "agent", **self.agent)
@@ -126,30 +136,12 @@ class RunConfig:
             raise ConfigError(f"bad config values: {exc}") from exc
 
     def make_oracle(self):
-        provider = self.oracle.get("provider", "mock")
-        if provider == "mock":
+        if self.remote_oracle is None:
             return MockOracle()
-        if provider == "remote":
-            try:
-                remote = RemoteOracle(
-                    RemoteOracleConfig(
-                        endpoint=self.oracle["endpoint"],
-                        model=self.oracle["model"],
-                        auth_env=self.oracle.get("auth_env", "LAMLAB_ORACLE_TOKEN"),
-                        timeout_s=float(self.oracle.get("timeout_s", 30.0)),
-                    )
-                )
-            except KeyError as exc:
-                raise ConfigError(f"remote oracle config missing {exc}") from exc
-            return MemoizingOracle(remote)
-        raise ConfigError(f"unknown oracle provider {provider!r}")
+        return MemoizingOracle(RemoteOracle(self.remote_oracle))
 
     def make_clock(self):
-        if self.clock == "zero":
-            return lambda: 0.0
-        if self.clock == "real":
-            return time.perf_counter
-        raise ConfigError(f"unknown clock {self.clock!r}")
+        return time.perf_counter if self.clock == "real" else lambda: 0.0
 
 
 def _digests(paths) -> dict:

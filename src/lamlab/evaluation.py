@@ -154,10 +154,17 @@ def oracle_matcher(oracle: Provider, question: str = "") -> Matcher:
         parsed = _plan_eval(
             oracle, "plan matcher", question or "Complete the task with these steps.", pred, truth
         )
+        # Each item names one pair as "pred step / truth step"; a step may
+        # hold " / " itself, so items are matched against whole pairs, each
+        # step at most once. An item that names no free pair is dropped.
+        free = [(i, j) for i in range(len(pred)) for j in range(len(truth))]
         pairs = []
         for item in parsed["Subtask3"].get("Similar action items", []):
-            left, sep, right = str(item).partition(" / ")
-            pairs.append((left, right if sep else ""))
+            hit = next((ij for ij in free if f"{pred[ij[0]]} / {truth[ij[1]]}" == item), None)
+            if hit is not None:
+                i, j = hit
+                free = [(a, b) for a, b in free if a != i and b != j]
+                pairs.append((pred[i], truth[j]))
         return pairs
 
     return match

@@ -1,6 +1,6 @@
 """Four-phase training: plan SFT, imitation, self-boosting, RM + offline PPO."""
 
-from .boost import FailedTask, self_boost
+from .boost import self_boost
 from .configs import BoostConfig, PhaseConfigs, PpoConfig, RmConfig, SftConfig
 from .losses import (
     imitation_loss,
@@ -37,7 +37,6 @@ from .reward import (
 )
 
 __all__ = [
-    "FailedTask",
     "self_boost",
     "BoostConfig",
     "PhaseConfigs",

@@ -69,7 +69,6 @@ class PpoConfig:
 class BoostConfig:
     attempts_per_task: int = 3
     max_steps: int = 20
-    base_seed: int = 0
 
     def __post_init__(self) -> None:
         check_ints(self, 1, "attempts_per_task", "max_steps")

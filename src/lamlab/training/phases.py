@@ -2,10 +2,11 @@
 
 Phase 1 teaches plan generation from task-plan pairs; phase 2 imitates expert
 step records; phase 3 self-boosts on failed tasks and re-trains on the merged
-corpus; phase 4 trains the reward model on success/failure steps and runs
-offline PPO over the failure trajectories. Each phase writes a checkpoint
-directory with a weights file and a manifest (data type, source, in/out
-format, size, config snapshot, seed, input digests).
+corpus; phase 4 trains the reward model on every judged step (executed
+successes and failures, then the boost successes) and runs offline PPO over
+the failure steps. Each phase reads ``(workspace, oracle, configs, seed)`` and
+writes its checkpoints through ``_save``: a weights file and a manifest (data
+type, source, in/out format, size, config snapshot, seed, input digests).
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from ..dataflow import (
     task_plan_stage,
     validate_training_record,
 )
-from ..dataflow.records import TaskPlanRecord, Trajectory, verdict_row
+from ..dataflow.records import InstantiatedTask, TaskPlanRecord, Trajectory, verdict_row
 from ..errors import EmptyCorpus, MissingPredecessor, StepActionNotInCandidateSet, ValidationFailure
 from ..env_sim import ActionCall
 from ..jsonl import read_jsonl, sha256_file, write_jsonl, write_text
 from ..oracle import Provider
 from ..policy import AgentState, ModelParams, build_plan_vocab, enumerate_candidates, match_expert
-from .boost import FailedTask, self_boost
+from .boost import self_boost
 from .configs import PhaseConfigs, SftConfig
 from .losses import (
     imitation_loss,
@@ -66,8 +67,14 @@ def load_checkpoint(workspace: str | Path, phase: int) -> ModelParams:
     return ModelParams.load(path)
 
 
-def _write_manifest(directory: Path, manifest: dict) -> None:
-    write_text(directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _save(workspace: Path, name: str, params, **manifest) -> Path:
+    """Write checkpoint ``name``: the weights of ``params`` and a manifest of
+    ``manifest``'s values."""
+    out = checkpoint_dir(workspace, name)
+    params.save(out / "weights.json")
+    text = json.dumps({"model": name, **manifest}, indent=2, sort_keys=True)
+    write_text(out / "manifest.json", text + "\n")
+    return out
 
 
 def _input_digests(paths: Sequence[Path]) -> dict[str, str]:
@@ -76,22 +83,9 @@ def _input_digests(paths: Sequence[Path]) -> dict[str, str]:
 
 # --- record adapters ----------------------------------------------------------
 
-def _expert_action(output: dict) -> ActionCall:
-    return ActionCall(
-        step=output.get("thought", ""),
-        control_label=output.get("control_label", ""),
-        control_text=output.get("control_name", ""),
-        function=output.get("function", ""),
-        args=dict(output.get("args", {})),
-        status=output.get("status", "CONTINUE"),
-    )
-
-
-def records_to_imitation(
-    records: Sequence[dict],
-) -> tuple[list[list[tuple[AgentState, ActionCall]]], list[tuple[AgentState, str]]]:
-    """Group training records by trajectory into (state, expert action) steps,
-    plus flat (state, status) pairs for the status head. The records must pass
+def records_to_imitation(records: Sequence[dict]) -> list[list[tuple[AgentState, ActionCall]]]:
+    """Group training records by trajectory into (state, expert action) steps;
+    each action carries its record's status. The records must pass
     ``validate_training_record``; the phases check them as they read them. Two
     records for one step of one trajectory, or a trajectory whose steps do not
     run 1..n, are a ValidationFailure."""
@@ -105,19 +99,24 @@ def records_to_imitation(
                 f"{first['record_id']!r} and {rec['record_id']!r}"
             )
     trajectories = []
-    statuses = []
     for tid in sorted(grouped):
         missing = [k for k in range(1, len(grouped[tid]) + 1) if k not in grouped[tid]]
         if missing:
             raise ValidationFailure(f"trajectory {tid!r} has no record for step {missing[0]}")
         steps = []
         for _, row in sorted(grouped[tid].items()):
-            state = AgentState.from_record_input(row["input"])
-            action = _expert_action(row["output"])
-            steps.append((state, action))
-            statuses.append((state, row["output"]["status"]))
+            out = row["output"]
+            action = ActionCall(
+                step=out["thought"],
+                control_label=out["control_label"],
+                control_text=out["control_name"],
+                function=out["function"],
+                args=dict(out["args"]),
+                status=out["status"],
+            )
+            steps.append((AgentState.from_record_input(row["input"]), action))
         trajectories.append(steps)
-    return trajectories, statuses
+    return trajectories
 
 
 def _training_row(row: dict) -> dict:
@@ -142,17 +141,10 @@ def _judged_trajectories(workspace: str | Path) -> list[tuple[Trajectory, bool]]
     ]
 
 
-def collect_failed_tasks(workspace: str | Path) -> list[FailedTask]:
-    """Tasks whose trajectory failed execution or whose verdict was not yes."""
-    return [
-        FailedTask(
-            task_id=traj.origin.origin_task_id,
-            template_id=traj.origin.template_id,
-            task=traj.origin.instantiated_task,
-        )
-        for traj, success in _judged_trajectories(workspace)
-        if not success
-    ]
+def collect_failed_tasks(workspace: str | Path) -> list[InstantiatedTask]:
+    """The tasks of the trajectories that failed execution or whose verdict
+    was not yes."""
+    return [traj.origin for traj, success in _judged_trajectories(workspace) if not success]
 
 
 # --- phases ---------------------------------------------------------------
@@ -164,16 +156,10 @@ def run_phase(
     configs: PhaseConfigs = PhaseConfigs(),
     seed: int = 0,
 ) -> Path:
-    workspace = Path(workspace)
-    if phase == 1:
-        return _phase1(workspace, configs, seed)
-    if phase == 2:
-        return _phase2(workspace, configs, seed)
-    if phase == 3:
-        return _phase3(workspace, oracle, configs, seed)
-    if phase == 4:
-        return _phase4(workspace, configs, seed)
-    raise ValueError(f"unknown phase {phase!r}")
+    run = {1: _phase1, 2: _phase2, 3: _phase3, 4: _phase4}.get(phase)
+    if run is None:
+        raise ValueError(f"unknown phase {phase!r}")
+    return run(Path(workspace), oracle, configs, seed)
 
 
 def _boost_file(workspace: Path) -> Path:
@@ -181,7 +167,7 @@ def _boost_file(workspace: Path) -> Path:
     return stage_files(workspace)["postprocess"].with_name("boost_training.jsonl")
 
 
-def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
+def _phase1(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
     source = stage_files(workspace)[task_plan_stage(workspace)]
     records = read_jsonl(source, TaskPlanRecord.from_dict)
     if not records:
@@ -195,22 +181,18 @@ def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
         configs.sft,
         seed,
     )
-    out = checkpoint_dir(workspace, "lam1")
-    params.save(out / "weights.json")
-    _write_manifest(
-        out,
-        {
-            "model": "lam1",
-            "data_type": "task-plan pairs",
-            "data_source": "normalized corpus + evolved variants",
-            "input_to_output": "task -> plan",
-            "data_size": len(records),
-            "config": configs.sft.__dict__,
-            "seed": seed,
-            "inputs": _input_digests([source]),
-        },
+    return _save(
+        workspace,
+        "lam1",
+        params,
+        data_type="task-plan pairs",
+        data_source="normalized corpus + evolved variants",
+        input_to_output="task -> plan",
+        data_size=len(records),
+        config=configs.sft.__dict__,
+        seed=seed,
+        inputs=_input_digests([source]),
     )
-    return out
 
 
 def _descend(params: ModelParams, examples: Sequence, loss_fn, config: SftConfig, seed: int):
@@ -224,13 +206,13 @@ def _imitation_phase(
     params: ModelParams,
     records: list[dict],
     name: str,
-    data_source: str,
     configs: PhaseConfigs,
     seed: int,
-    inputs: list[Path],
-    extra_manifest: dict | None = None,
+    **manifest,
 ) -> Path:
-    trajectories, statuses = records_to_imitation(records)
+    """Train the action head, then the status head, on ``records``; save the
+    result as checkpoint ``name`` with ``manifest``'s values added."""
+    trajectories = records_to_imitation(records)
     if not trajectories:
         raise EmptyCorpus(f"{name}: no trajectories to imitate")
     step_mean = configs.imitation.step_mean
@@ -241,6 +223,7 @@ def _imitation_phase(
         configs.imitation,
         seed,
     )
+    statuses = [(state, action.status) for steps in trajectories for state, action in steps]
     params = _descend(
         params,
         prepare_status(statuses),
@@ -248,32 +231,34 @@ def _imitation_phase(
         configs.imitation,
         seed + 1,
     )
-    out = checkpoint_dir(workspace, name)
-    params.save(out / "weights.json")
-    manifest = {
-        "model": name,
-        "data_type": "task-action trajectories",
-        "data_source": data_source,
-        "input_to_output": "state -> action",
-        "data_size": len(trajectories),
-        "config": configs.imitation.__dict__,
-        "seed": seed,
-        "inputs": _input_digests(inputs),
-    }
-    if extra_manifest:
-        manifest.update(extra_manifest)
-    _write_manifest(out, manifest)
-    return out
+    return _save(
+        workspace,
+        name,
+        params,
+        data_type="task-action trajectories",
+        input_to_output="state -> action",
+        data_size=len(trajectories),
+        config=configs.imitation.__dict__,
+        seed=seed,
+        **manifest,
+    )
 
 
-def _phase2(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
+def _phase2(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 1)
     source = stage_files(workspace)["postprocess"]
     records = read_jsonl(source, _training_row)
     if not records:
         raise EmptyCorpus("training record corpus is empty")
     return _imitation_phase(
-        workspace, params, records, "lam2", "expert demonstrations", configs, seed, [source]
+        workspace,
+        params,
+        records,
+        "lam2",
+        configs,
+        seed,
+        data_source="expert demonstrations",
+        inputs=_input_digests([source]),
     )
 
 
@@ -290,84 +275,75 @@ def _phase3(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int)
         failed,
         judge=lambda traj: judge_trajectory(traj, oracle),
         config=configs.boost,
+        seed=seed,
     )
     boost_records = [r for traj, verdict in boosted for r in postprocess(traj, verdict)]
-    merged = expert_records + [r.to_dict() for r in boost_records]
     boost_file = _boost_file(workspace)
     write_jsonl(boost_file, (r.to_line() for r in boost_records))
     return _imitation_phase(
         workspace,
         params,
-        merged,
+        expert_records + [r.to_dict() for r in boost_records],
         "lam3",
-        "expert demonstrations + self-boosted successes",
         configs,
         seed,
-        [source, boost_file],
-        extra_manifest={
-            "expert_trajectories": len({r["trajectory_id"] for r in expert_records}),
-            "boost_trajectories": len(boosted),
-            "failed_tasks_attempted": len(failed),
-        },
+        data_source="expert demonstrations + self-boosted successes",
+        inputs=_input_digests([source, boost_file]),
+        expert_trajectories=len({r["trajectory_id"] for r in expert_records}),
+        boost_trajectories=len(boosted),
+        failed_tasks_attempted=len(failed),
     )
 
 
-def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
+def _materializes(state: AgentState, action: ActionCall) -> bool:
+    """Whether ``action`` is one of the candidates of ``state``."""
+    try:
+        match_expert(enumerate_candidates(state), action)
+    except StepActionNotInCandidateSet:
+        return False
+    return True
+
+
+def _phase4(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 3)
     files = stage_files(workspace)
     boost_file = _boost_file(workspace)
     inputs = _input_digests([files["execute"], files["judge"], boost_file])
-    boost_success_states: list[tuple[AgentState, ActionCall]] = []
+    # (state, action, succeeded): every executed step in trajectory order,
+    # then phase 3's boost successes. The reward model's shuffle follows
+    # this order.
+    judged = [
+        (AgentState.from_record_input(record_input), step.action, success)
+        for traj, success in _judged_trajectories(workspace)
+        for step, record_input in zip(traj.steps, record_inputs(traj))
+    ]
     if boost_file.is_file():
-        boost_trajs, _ = records_to_imitation(read_jsonl(boost_file, _training_row))
-        for steps in boost_trajs:
-            boost_success_states.extend(steps)
-
-    rewarded: list[RewardedStep] = []
-    failure_steps: list[tuple[AgentState, ActionCall]] = []
-    for traj, success in _judged_trajectories(workspace):
-        for step, record_input in zip(traj.steps, record_inputs(traj)):
-            state, action = AgentState.from_record_input(record_input), step.action
-            if success:
-                rewarded.append(RewardedStep(state=state, action=action, reward=1))
-            else:
-                rewarded.append(RewardedStep(state=state, action=action, reward=-1))
-                failure_steps.append((state, action))
-    for state, action in boost_success_states:
-        rewarded.append(RewardedStep(state=state, action=action, reward=1))
-    if not rewarded:
+        boosted = records_to_imitation(read_jsonl(boost_file, _training_row))
+        judged += [(state, action, True) for steps in boosted for state, action in steps]
+    if not judged:
         raise EmptyCorpus("phase 4 has no rewarded steps")
 
+    rewarded = [RewardedStep(state=s, action=a, reward=1 if ok else -1) for s, a, ok in judged]
     rm_params, final_mse = train_reward_model(
         RewardModelParams.zeros(), rewarded, configs.rm, seed=seed
     )
-    rm_dir = checkpoint_dir(workspace, "rm")
-    rm_params.save(rm_dir / "weights.json")
-    _write_manifest(
-        rm_dir,
-        {
-            "model": "rm",
-            "data_type": "task-action-reward trajectories",
-            "data_source": "success and failure trajectories",
-            "input_to_output": "(state, action) -> reward",
-            "data_size": len(rewarded),
-            "final_train_mse": final_mse,
-            "config": configs.rm.__dict__,
-            "seed": seed,
-            "inputs": inputs,
-        },
+    _save(
+        workspace,
+        "rm",
+        rm_params,
+        data_type="task-action-reward trajectories",
+        data_source="success and failure trajectories",
+        input_to_output="(state, action) -> reward",
+        data_size=len(rewarded),
+        final_train_mse=final_mse,
+        config=configs.rm.__dict__,
+        seed=seed,
+        inputs=inputs,
     )
 
-    # PPO over the failure trajectories only; steps whose actions cannot be
+    # PPO over the failure steps only; steps whose actions cannot be
     # materialized from their states carry no gradient and are dropped.
-    usable: list[tuple[AgentState, ActionCall]] = []
-    for state, action in failure_steps:
-        try:
-            match_expert(enumerate_candidates(state), action)
-        except StepActionNotInCandidateSet:
-            continue
-        usable.append((state, action))
-
+    usable = [(s, a) for s, a, ok in judged if not ok and _materializes(s, a)]
     diagnostics = None
     if usable:
         rewards = [rm_params.normalized(state, action) for state, action in usable]
@@ -375,21 +351,16 @@ def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
         params, diagnostics = ppo_update(
             params, params, usable, advantages, configs.ppo, seed=seed
         )
-
-    out = checkpoint_dir(workspace, "lam4")
-    params.save(out / "weights.json")
-    _write_manifest(
-        out,
-        {
-            "model": "lam4",
-            "data_type": "task-action-reward trajectories",
-            "data_source": "reward model + failure trajectories",
-            "input_to_output": "(state, reward) -> action",
-            "data_size": len(usable),
-            "config": configs.ppo.__dict__,
-            "seed": seed,
-            "inputs": inputs,
-            "ppo": None if diagnostics is None else dataclasses.asdict(diagnostics),
-        },
+    return _save(
+        workspace,
+        "lam4",
+        params,
+        data_type="task-action-reward trajectories",
+        data_source="reward model + failure trajectories",
+        input_to_output="(state, reward) -> action",
+        data_size=len(usable),
+        config=configs.ppo.__dict__,
+        seed=seed,
+        inputs=inputs,
+        ppo=None if diagnostics is None else dataclasses.asdict(diagnostics),
     )
-    return out

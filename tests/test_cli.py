@@ -398,6 +398,7 @@ def test_schema_drifted_corpus_row_is_a_validation_failure(
         {"ppo": {"kl_coef_init": False}},
         {"boost": {"attempts_per_task": 0}},
         {"boost": {"max_steps": -3}},
+        {"boost": {"base_seed": 0}},
     ],
 )
 def test_bad_training_config_exit_2(tmp_path, capsys, training):
@@ -435,10 +436,14 @@ _NORMALIZE = ["dataflow", "run", "--stage", "normalize"]
         ({"seed": "abc"}, ["train", "--phase", "2"]),
         ({"seed": True}, ["train", "--phase", "2"]),
         ({"training": {"sft": {"epochs": 0}}}, _NORMALIZE),
+        ({"clock": "bogus"}, ["report"]),
+        ({"oracle": {"provider": "nope"}}, ["report"]),
+        ({"oracle": {"provider": "remote"}}, ["report"]),
     ],
     ids=["max_steps_0", "max_steps_many", "mode_bogus", "agent_key", "evolution_key",
          "max_retries_float", "workers_x", "workers_0", "timeout_abc", "oracle_key", "seed_abc",
-         "seed_bool", "training_on_dataflow"],
+         "seed_bool", "training_on_dataflow", "clock_on_report", "provider_on_report",
+         "remote_without_endpoint_on_report"],
 )
 def test_bad_config_value_exit_2(tmp_path, capsys, values, command):
     config = tmp_path / "cfg.json"

@@ -126,6 +126,29 @@ def test_oracle_matcher_pairs_through_prompt():
     assert pairs == [("Open the file.", "Open the file.")]
 
 
+def test_oracle_matcher_pairs_whole_steps():
+    matcher = oracle_matcher(MockOracle())
+    assert matcher(["Pick A / B"], ["Pick A / B"]) == [("Pick A / B", "Pick A / B")]
+    # The prompt numbers one step per line, so the oracle sees two steps here.
+    result = eval_plans([("t", ["Open\nit"], ["Open\nit"])], matcher=matcher)
+    assert 0.0 <= result.step_precision <= 1.0
+    assert 0.0 <= result.step_recall <= 1.0
+
+
+class FixedPairsOracle:
+    def __init__(self, items):
+        self.items = items
+
+    def complete(self, request):
+        parsed = {"Subtask3": {"Similar action items": self.items}}
+        return OracleResponse(raw_text="", parsed=parsed, parse_error=None)
+
+
+def test_oracle_matcher_uses_each_step_once_and_drops_unknown_items():
+    matcher = oracle_matcher(FixedPairsOracle(["a / a", "a / a", "x / y", "b / a", 7]))
+    assert matcher(["a", "b"], ["a", "c"]) == [("a", "a")]
+
+
 def test_oracle_plan_judge_drives_tsr():
     judge = oracle_plan_judge(MockOracle())
     plan = ["Open the file.", "Save it."]

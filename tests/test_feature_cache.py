@@ -396,7 +396,9 @@ def suite_ws(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def suite_steps(suite_ws):
-    return records_to_imitation(read_jsonl(suite_ws / "corpus" / "training.jsonl"))
+    """The suite's imitation trajectories and their (state, status) pairs."""
+    trajectories = records_to_imitation(read_jsonl(suite_ws / "corpus" / "training.jsonl"))
+    return trajectories, [(s, a.status) for steps in trajectories for s, a in steps]
 
 
 @pytest.fixture(scope="module")
@@ -620,7 +622,7 @@ def test_imitation_phase_featurizes_each_pair_once(tmp_path, monkeypatch):
         imitation=SftConfig(learning_rate=0.5, batch_size=8, epochs=3),
     )
     run_phase(1, ws, MockOracle(), configs)
-    trajectories, _ = records_to_imitation(read_jsonl(ws / "corpus" / "training.jsonl"))
+    trajectories = records_to_imitation(read_jsonl(ws / "corpus" / "training.jsonl"))
     pairs = sum(len(enumerate_candidates(s)) for t in trajectories for s, _ in t)
 
     calls = {"n": 0}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lamlab.dataflow import judge_trajectory
+from lamlab.dataflow import InstantiatedTask, judge_trajectory
 from lamlab.env_sim import ActionCall, list_controls, load_template
 from lamlab.errors import (
     DegenerateRatio,
@@ -16,7 +16,6 @@ from lamlab.errors import (
 from lamlab.oracle import MockOracle
 from lamlab.policy import AgentState, ModelParams, build_plan_vocab
 from lamlab.training import (
-    FailedTask,
     PhaseConfigs,
     PpoConfig,
     RmConfig,
@@ -480,10 +479,11 @@ def trained_highlight_params():
 def test_self_boost_finds_success_for_solvable_task():
     oracle = MockOracle()
     tasks = [
-        FailedTask(
-            task_id="bz1",
+        InstantiatedTask(
+            origin_task_id="bz1",
             template_id="plain_text",
-            task="Add a box page border to the document.",
+            instantiated_task="Add a box page border to the document.",
+            actions=(),
         )
     ]
     out = self_boost(
@@ -497,10 +497,12 @@ def test_self_boost_finds_success_for_solvable_task():
 def test_self_boost_returns_empty_when_never_judged_yes():
     oracle = MockOracle()
     tasks = [
-        FailedTask(
-            task_id="bz2",
+        InstantiatedTask(
+            origin_task_id="bz2",
             template_id="plain_text",
-            task="Rearrange the pictures in the document.",  # no goal rule: never "yes"
+            # No goal rule: never judged "yes".
+            instantiated_task="Rearrange the pictures in the document.",
+            actions=(),
         )
     ]
     out = self_boost(
@@ -561,6 +563,44 @@ def test_phase3_trains_on_boost_successes_judged_once(suite_ws, monkeypatch):
     ]
 
 
+def test_phase3_seeds_each_boost_attempt_from_the_run_seed(suite_ws, tmp_path, monkeypatch):
+    import shutil
+
+    from lamlab import agent
+    from lamlab.textutil import stable_hash
+    from lamlab.training import BoostConfig, collect_failed_tasks, phases, run_phase
+
+    ws = tmp_path / "ws"
+    shutil.copytree(suite_ws, ws)
+    cheap = SftConfig(epochs=1)
+    configs = PhaseConfigs(
+        sft=cheap, imitation=cheap, boost=BoostConfig(attempts_per_task=2, max_steps=2)
+    )
+    for phase in (1, 2):
+        run_phase(phase, ws, MockOracle(), configs, seed=7)
+
+    boost_seeds = []
+    attempts: dict[str, list[int]] = {}
+
+    def recording_self_boost(*args, seed, **kwargs):
+        boost_seeds.append(seed)
+        return self_boost(*args, seed=seed, **kwargs)
+
+    def recording_run_task(policy, template_id, task, *args, task_id, **kwargs):
+        attempts.setdefault(task_id, []).append(policy.seed)
+        return run_task(policy, template_id, task, *args, task_id=task_id, **kwargs)
+
+    run_task = agent.run_task
+    monkeypatch.setattr(phases, "self_boost", recording_self_boost)
+    monkeypatch.setattr(agent, "run_task", recording_run_task)
+    run_phase(3, ws, MockOracle(), configs, seed=7)
+
+    assert boost_seeds == [7]
+    assert sorted(attempts) == sorted(t.origin_task_id for t in collect_failed_tasks(ws))
+    for task_id, seeds in attempts.items():
+        assert seeds == [stable_hash(task_id, attempt, 7) for attempt in range(len(seeds))]
+
+
 def test_record_inputs_give_the_states_phase_2_reads(suite_ws):
     from lamlab.dataflow import Trajectory, record_inputs
     from lamlab.dataflow.records import verdict_row
@@ -578,7 +618,7 @@ def test_record_inputs_give_the_states_phase_2_reads(suite_ws):
         key=lambda t: t.trajectory_id,
     )
     assert len(successes) == 35
-    trajectories, _ = records_to_imitation(read_jsonl(corpus / "training.jsonl"))
+    trajectories = records_to_imitation(read_jsonl(corpus / "training.jsonl"))
     assert [[state for state, _ in steps] for steps in trajectories] == [
         [AgentState.from_record_input(x) for x in record_inputs(t)] for t in successes
     ]
