@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -154,18 +155,31 @@ def oracle_matcher(oracle: Provider, question: str = "") -> Matcher:
         parsed = _plan_eval(
             oracle, "plan matcher", question or "Complete the task with these steps.", pred, truth
         )
-        # Each item names one pair as "pred step / truth step"; a step may
-        # hold " / " itself, so items are matched against whole pairs, each
-        # step at most once. An item that names no free pair is dropped.
+        # Each item names one pair as "pred step / truth step". An item that
+        # names a step of each plan (at any " / ", as a step may hold one)
+        # takes a still-free pair of them, and is a repeat when none is free.
+        # Any other item is the oracle's paraphrase of a pair and counts too,
+        # up to one pair per step of the shorter plan.
+        norm = textutil.normalize_line
+        norm_pred, norm_truth = [norm(s) for s in pred], [norm(s) for s in truth]
         free = [(i, j) for i in range(len(pred)) for j in range(len(truth))]
-        pairs = []
-        for item in parsed["Subtask3"].get("Similar action items", []):
-            hit = next((ij for ij in free if f"{pred[ij[0]]} / {truth[ij[1]]}" == item), None)
+        named, paraphrased = [], []
+        for item in map(str, parsed["Subtask3"].get("Similar action items", [])):
+            halves = {
+                (norm(item[:k]), norm(item[k + 3 :]))
+                for k in range(len(item))
+                if item.startswith(" / ", k)
+            }
+            if halves.isdisjoint(itertools.product(norm_pred, norm_truth)):
+                left, _, right = item.partition(" / ")
+                paraphrased.append((left, right))
+                continue
+            hit = next(((i, j) for i, j in free if (norm_pred[i], norm_truth[j]) in halves), None)
             if hit is not None:
                 i, j = hit
                 free = [(a, b) for a, b in free if a != i and b != j]
-                pairs.append((pred[i], truth[j]))
-        return pairs
+                named.append((pred[i], truth[j]))
+        return named + paraphrased[: min(len(pred), len(truth)) - len(named)]
 
     return match
 

@@ -27,7 +27,8 @@ def self_boost(
     failed_tasks: Sequence[InstantiatedTask],
     judge: Callable[[Trajectory], EvaluationVerdict],
     config: BoostConfig = BoostConfig(),
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> list[tuple[Trajectory, EvaluationVerdict]]:
     """New success trajectories, each with its judge-yes verdict; possibly
     empty."""

@@ -4,9 +4,9 @@ Phase 1 teaches plan generation from task-plan pairs; phase 2 imitates expert
 step records; phase 3 self-boosts on failed tasks and re-trains on the merged
 corpus; phase 4 trains the reward model on every judged step (executed
 successes and failures, then the boost successes) and runs offline PPO over
-the failure steps. Each phase reads ``(workspace, oracle, configs, seed)`` and
-writes its checkpoints through ``_save``: a weights file and a manifest (data
-type, source, in/out format, size, config snapshot, seed, input digests).
+the failure steps; only phase 3 asks the oracle, to judge its attempts. Each
+phase writes its checkpoints through ``_save``: a weights file and a manifest
+(data type, source, in/out format, size, config snapshot, seed, input digests).
 """
 
 from __future__ import annotations
@@ -156,10 +156,12 @@ def run_phase(
     configs: PhaseConfigs = PhaseConfigs(),
     seed: int = 0,
 ) -> Path:
-    run = {1: _phase1, 2: _phase2, 3: _phase3, 4: _phase4}.get(phase)
+    if phase == 3:
+        return _phase3(Path(workspace), oracle, configs, seed)
+    run = {1: _phase1, 2: _phase2, 4: _phase4}.get(phase)
     if run is None:
         raise ValueError(f"unknown phase {phase!r}")
-    return run(Path(workspace), oracle, configs, seed)
+    return run(Path(workspace), configs, seed)
 
 
 def _boost_file(workspace: Path) -> Path:
@@ -167,7 +169,7 @@ def _boost_file(workspace: Path) -> Path:
     return stage_files(workspace)["postprocess"].with_name("boost_training.jsonl")
 
 
-def _phase1(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
+def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     source = stage_files(workspace)[task_plan_stage(workspace)]
     records = read_jsonl(source, TaskPlanRecord.from_dict)
     if not records:
@@ -244,7 +246,7 @@ def _imitation_phase(
     )
 
 
-def _phase2(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
+def _phase2(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 1)
     source = stage_files(workspace)["postprocess"]
     records = read_jsonl(source, _training_row)
@@ -304,7 +306,7 @@ def _materializes(state: AgentState, action: ActionCall) -> bool:
     return True
 
 
-def _phase4(workspace: Path, oracle: Provider, configs: PhaseConfigs, seed: int) -> Path:
+def _phase4(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     params = load_checkpoint(workspace, 3)
     files = stage_files(workspace)
     boost_file = _boost_file(workspace)

@@ -144,9 +144,33 @@ class FixedPairsOracle:
         return OracleResponse(raw_text="", parsed=parsed, parse_error=None)
 
 
-def test_oracle_matcher_uses_each_step_once_and_drops_unknown_items():
-    matcher = oracle_matcher(FixedPairsOracle(["a / a", "a / a", "x / y", "b / a", 7]))
+def test_oracle_matcher_uses_each_named_step_once():
+    # The repeat of "a / a" and "b / a" name the already-paired truth step.
+    matcher = oracle_matcher(FixedPairsOracle(["a / a", "a / a", "b / a"]))
     assert matcher(["a", "b"], ["a", "c"]) == [("a", "a")]
+
+
+def test_oracle_matcher_counts_paraphrased_items_up_to_the_shorter_plan():
+    items = ["press Bold / click the Bold button", "b / a", "save / save the file", 7]
+    matcher = oracle_matcher(FixedPairsOracle(items))
+    pred, truth = ["Click Bold", "b"], ["Click the Bold button", "a", "Save the file"]
+    assert matcher(pred, truth) == [
+        ("b", "a"),
+        ("press Bold", "click the Bold button"),
+    ]
+    result = eval_plans([("t", pred, truth)], matcher=matcher)
+    assert result.step_precision == 1.0
+    assert result.step_recall == pytest.approx(2 / 3)
+
+
+def test_oracle_matcher_pairs_steps_the_mock_oracle_strips():
+    matcher = oracle_matcher(MockOracle())
+    assert matcher(["Save it. ", "- Open"], ["Save it.", "- Open"]) == [
+        ("Save it. ", "Save it."),
+        ("- Open", "- Open"),
+    ]
+    result = eval_plans([("t", ["Save it. "], ["Save it. "])], matcher=matcher)
+    assert (result.step_precision, result.step_recall) == (1.0, 1.0)
 
 
 def test_oracle_plan_judge_drives_tsr():
@@ -168,7 +192,7 @@ _STEP = st.one_of(
         st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="/"),
         min_size=1,
         max_size=12,
-    ).map(str.strip).filter(lambda step: step and step.splitlines() == [step]),
+    ).filter(lambda step: step.strip() and step.splitlines() == [step]),
 )
 # Predictions reuse truth steps often enough to reach every recall.
 _PLAN_PAIR = st.lists(_STEP, max_size=5).flatmap(

@@ -487,7 +487,10 @@ def test_self_boost_finds_success_for_solvable_task():
         )
     ]
     out = self_boost(
-        trained_highlight_params(), tasks, judge=lambda t: judge_trajectory(t, oracle)
+        trained_highlight_params(),
+        tasks,
+        judge=lambda t: judge_trajectory(t, oracle),
+        seed=0,
     )
     [(trajectory, verdict)] = out
     assert trajectory.final_status == "success"
@@ -506,7 +509,10 @@ def test_self_boost_returns_empty_when_never_judged_yes():
         )
     ]
     out = self_boost(
-        trained_highlight_params(), tasks, judge=lambda t: judge_trajectory(t, oracle)
+        trained_highlight_params(),
+        tasks,
+        judge=lambda t: judge_trajectory(t, oracle),
+        seed=0,
     )
     assert out == []
 
@@ -596,6 +602,7 @@ def test_phase3_seeds_each_boost_attempt_from_the_run_seed(suite_ws, tmp_path, m
     run_phase(3, ws, MockOracle(), configs, seed=7)
 
     assert boost_seeds == [7]
+    assert attempts
     assert sorted(attempts) == sorted(t.origin_task_id for t in collect_failed_tasks(ws))
     for task_id, seeds in attempts.items():
         assert seeds == [stable_hash(task_id, attempt, 7) for attempt in range(len(seeds))]
