@@ -145,7 +145,7 @@ class FixedPairsOracle:
 
 
 def test_oracle_matcher_uses_each_named_step_once():
-    # The repeat of "a / a" and "b / a" name the already-paired truth step.
+    # The second "a / a" and "b / a" both name the truth step "a", already paired.
     matcher = oracle_matcher(FixedPairsOracle(["a / a", "a / a", "b / a"]))
     assert matcher(["a", "b"], ["a", "c"]) == [("a", "a")]
 
