@@ -1,8 +1,9 @@
 """The application-agent loop: observe, infer, ground, execute, remember.
 
-One agent owns one environment session. Execution errors are captured into
-the step result and the memory (the loop continues and the policy can adapt);
-a run ends on FINISH, on the step budget, or after three consecutive errors.
+One agent owns one environment session, where every step executes its action.
+Execution errors are captured into the step result and the memory (the loop
+continues and the policy can adapt); a run ends when the chosen action carries
+FINISH, on the step budget, or after three consecutive errors.
 """
 
 from __future__ import annotations
@@ -96,14 +97,16 @@ class ModelPolicy:
 
 @dataclass
 class ScriptedPolicy:
-    """Replays a fixed action sequence; the final action carries FINISH."""
+    """Replays a fixed, non-empty action sequence; the last action carries FINISH."""
 
     actions: tuple[ActionCall, ...]
     _cursor: int = 0
 
+    def __post_init__(self) -> None:
+        if not self.actions:
+            raise ValueError("a script needs at least one action")
+
     def decide(self, state: AgentState) -> tuple[ActionCall, tuple[str, ...]]:
-        if self._cursor >= len(self.actions):
-            return ActionCall(step="finish the task", status=STATUS_FINISH), ()
         action = self.actions[self._cursor]
         self._cursor += 1
         is_last = self._cursor == len(self.actions)
@@ -129,10 +132,7 @@ def step(
 ) -> tuple[ActionCall, ExecutionResult, Memory]:
     state = observe(session, task, memory, step_id)
     action, plan = policy.decide(state)
-    if action.status == STATUS_FINISH and not action.function:
-        result = ExecutionResult(ok=True, observation="finish")
-    else:
-        result = session.apply(action)
+    result = session.apply(action)
     memory = memory.extended(action, result.to_dict(), plan)
     return action, result, memory
 

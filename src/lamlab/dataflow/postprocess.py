@@ -8,7 +8,7 @@ empty plan.
 
 from __future__ import annotations
 
-from ..env_sim import CALL_KEYS, CONTROL_TYPES, STATUS_CONTINUE, STATUS_FINISH, ListedControls
+from ..env_sim import CALL_KEYS, CONTROL_TYPES, REGISTRY, STATUS_CONTINUE, STATUS_FINISH, ListedControls
 from .records import EvaluationVerdict, TrainingRecord, Trajectory
 
 __all__ = [
@@ -169,6 +169,8 @@ def validate_record_output(obj: object) -> list[str]:
     for key in ("thought", "control_label", "control_name", "function"):
         if not isinstance(obj[key], str):
             problems.append(f"{key} must be a string")
+    if isinstance(obj["function"], str) and obj["function"] not in REGISTRY:
+        problems.append(f"function must name a registry function, got {obj['function']!r}")
     if not isinstance(obj["args"], dict):
         problems.append("args must be an object")
     if obj["status"] not in (STATUS_CONTINUE, STATUS_FINISH):

@@ -30,13 +30,16 @@ binary mode and decoded line by line, so a decoding error names its own line.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, TextIO, TypeVar
 
 from .errors import EmptyCorpus, ValidationFailure
 
+T = TypeVar("T")
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
@@ -96,29 +99,44 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any] | None = None) -> 
     return records
 
 
+_TEMP_IDS = itertools.count()
+
+
+def _replace_with(path: str | Path, write: Callable[[TextIO], T]) -> T:
+    """Run ``write`` on a new temp file next to ``path``, named by pid, thread
+    id and a counter, then replace ``path`` with it, so overlapping writers
+    each install one whole file. A write that raises leaves ``path`` as it was
+    and no temp file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.{next(_TEMP_IDS)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            result = write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return result
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict | str]) -> int:
     """Atomically write records, one canonical JSON object per line; a
     ``str`` is taken as that line, ready encoded."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    count = 0
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+
+    def write(fh: TextIO) -> int:
+        count = 0
         for rec in records:
             fh.write(rec if isinstance(rec, str) else canonical_dumps(rec))
             fh.write("\n")
             count += 1
-    os.replace(tmp, path)
-    return count
+        return count
+
+    return _replace_with(path, write)
 
 
 def write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _replace_with(path, lambda fh: fh.write(text))
 
 
 def sha256_file(path: str | Path) -> str:

@@ -2,8 +2,9 @@
 
 A candidate is (control from the observed list) x (applicable registry
 function) x (an args template extracted deterministically from the task
-text), plus one pure-FINISH pseudo-candidate. Functions whose arguments
-cannot be derived from the task contribute no candidate.
+text). Functions whose arguments cannot be derived from the task contribute
+no candidate. No candidate stops a run: the status head decides whether the
+chosen action carries FINISH.
 
 The args template depends only on the task and the function, so the
 templates of all registry functions are extracted and sorted once per task
@@ -17,8 +18,9 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 
-from ..env_sim import REGISTRY, STATUS_CONTINUE, STATUS_FINISH, ActionCall, registry_order
+from ..env_sim import REGISTRY, STATUS_CONTINUE, ActionCall, registry_order
 from ..errors import StepActionNotInCandidateSet
 from ..textutil import first_color, first_int, first_quoted, table_dims
 from .state import AgentState
@@ -28,10 +30,12 @@ __all__ = ["CandidateAction", "extract_args", "enumerate_candidates", "match_exp
 
 @dataclass(frozen=True)
 class CandidateAction:
-    function: str  # "" for the FINISH pseudo-candidate
+    function: str
     control: dict | None
     args: tuple[tuple[str, object], ...]
-    is_finish: bool = False
+    # Always False. benchmarks/layers.py still reads it; it goes with the
+    # benchmark's next change (ROADMAP item 5), like desk_phase_configs.
+    is_finish: ClassVar[bool] = False
 
     @property
     def control_text(self) -> str:
@@ -49,8 +53,6 @@ class CandidateAction:
         return dict(self.args)
 
     def to_action_call(self, status: str | None = None) -> ActionCall:
-        if self.is_finish:
-            return ActionCall(step="finish the task", status=STATUS_FINISH)
         target = f" on {self.control_text!r}" if self.control else ""
         return ActionCall(
             step=f"{self.function}{target}",
@@ -64,8 +66,7 @@ class CandidateAction:
     def sort_key(self) -> tuple:
         label = self.control_label
         label_key = (0, int(label)) if label.isdigit() else (1, 0)
-        return (1 if self.is_finish else 0, label_key if self.control else (2, 0),
-                registry_order(self.function))
+        return (label_key if self.control else (2, 0), registry_order(self.function))
 
 
 def extract_args(task: str, function: str) -> dict | None:
@@ -98,9 +99,6 @@ def extract_args(task: str, function: str) -> dict | None:
     raise ValueError(f"unknown function {function!r}")
 
 
-_FINISH = CandidateAction(function="", control=None, args=(), is_finish=True)
-
-
 @functools.lru_cache(maxsize=1024)
 def _task_templates(task: str) -> tuple[tuple, tuple[CandidateAction, ...]]:
     """The args templates of the task, in registry order: (function, control
@@ -122,8 +120,7 @@ def _task_templates(task: str) -> tuple[tuple, tuple[CandidateAction, ...]]:
 
 def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
     """All materializable actions at this state, in deterministic order:
-    targeted functions over the control list, then target-free functions,
-    then the FINISH pseudo-candidate."""
+    targeted functions over the control list, then target-free functions."""
     targeted, free = _task_templates(state.task)
     candidates = [
         CandidateAction(function=name, control=control, args=args)
@@ -132,7 +129,6 @@ def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
         if not control_types or control["control_type"] in control_types
     ]
     candidates.extend(free)
-    candidates.append(_FINISH)
     return candidates
 
 
@@ -142,13 +138,9 @@ def _args_key(args: dict) -> str:
 
 def match_expert(candidates: list[CandidateAction], action: ActionCall) -> int:
     """Index of the candidate that materializes the expert action."""
-    if action.status == STATUS_FINISH and not action.function:
-        for i, c in enumerate(candidates):
-            if c.is_finish:
-                return i
     expert_args = _args_key(dict(action.args))
     for i, c in enumerate(candidates):
-        if c.is_finish or c.function != action.function:
+        if c.function != action.function:
             continue
         if action.control_label and c.control_label != action.control_label:
             continue

@@ -1,13 +1,14 @@
 """Feature extraction for candidate scoring.
 
 Every (state, candidate) pair has one feature per entry of FEATURE_NAMES: a
-block of hand-designed signals followed by one-hot blocks for the function
-and the target control type. All features are deterministic functions of the
-pair and lie in [0, 1]. A pair sets only about four of them, so ``featurize``
-returns its sparse row: the indices of the non-zero features, strictly
-increasing, and their values; ``status_features`` returns the status
-head's row the same way. Every head scores sparse rows with
-``model.score_rows``; the plan head's rows come from ``model.plan_rows``.
+block of hand-designed signals followed by one-hot blocks for the registry
+function and the target control type; stopping is the status head's decision
+alone. All features are deterministic functions of the pair and lie in
+[0, 1]. A pair sets only about four of them, so ``featurize`` returns its
+sparse row: the indices of the non-zero features, strictly increasing, and
+their values; ``status_features`` returns the status head's row the same
+way. Every head scores sparse rows with ``model.score_rows``; the plan
+head's rows come from ``model.plan_rows``.
 
 ``featurize`` is called once per pair, but it recomputes only what depends on
 the pair. The function-task and function-plan affinities, the progress value
@@ -43,8 +44,6 @@ __all__ = [
 #   select_needed     select_text candidate, no selection yet, formatting task
 #   position_prior    1 / (1 + index of the control in the observed list)
 #   args_present      1 if the candidate carries any arguments
-#   is_finish         1 for the pure-FINISH pseudo-candidate
-#   finish_plan_done  is_finish and the previous plan is exhausted
 BASE_FEATURES = (
     "overlap_task",
     "overlap_plan",
@@ -57,11 +56,9 @@ BASE_FEATURES = (
     "select_needed",
     "position_prior",
     "args_present",
-    "is_finish",
-    "finish_plan_done",
 )
 
-_FUNC_BLOCK = tuple(f"func::{name}" for name in REGISTRY) + ("func::<finish>",)
+_FUNC_BLOCK = tuple(f"func::{name}" for name in REGISTRY)
 _CTYPE_BLOCK = tuple(f"ctype::{name}" for name in CONTROL_TYPES)
 
 FEATURE_NAMES: tuple[str, ...] = BASE_FEATURES + _FUNC_BLOCK + _CTYPE_BLOCK
@@ -93,7 +90,6 @@ def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
     idx: list[int] = []
     xs: list[float] = []
     function = candidate.function
-    is_finish = candidate.is_finish
     control = candidate.control
     if control:
         text = control["control_text"]
@@ -110,30 +106,29 @@ def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
         text = ""
         position_prior = 0.0
         ctype = _NO_CONTROL
-    if not is_finish:
-        affinity = state.task_affinity.get(function)
-        if affinity:
-            idx.append(2)
-            xs.append(affinity)
-        affinity = state.step_affinity.get(function)
-        if affinity:
-            idx.append(3)
-            xs.append(affinity)
-        if state.previous_actions:
-            last = state.previous_actions[-1][0]
-            if (
-                last.function == function
-                and last.control_text == text
-                and dict(last.args) == candidate.args_dict()
-            ):
-                idx.append(4)
-                xs.append(1.0)
+    affinity = state.task_affinity.get(function)
+    if affinity:
+        idx.append(2)
+        xs.append(affinity)
+    affinity = state.step_affinity.get(function)
+    if affinity:
+        idx.append(3)
+        xs.append(affinity)
+    if state.previous_actions:
+        last = state.previous_actions[-1][0]
+        if (
+            last.function == function
+            and last.control_text == text
+            and dict(last.args) == candidate.args_dict()
+        ):
+            idx.append(4)
+            xs.append(1.0)
     progress = state.progress
     if progress:
         idx.append(5)
         xs.append(progress)
     selection = state.selection_active
-    if not is_finish and needs_selection(function, text):
+    if needs_selection(function, text):
         idx.append(6 if selection else 7)
         xs.append(1.0)
     if function == "select_text" and not selection and state.is_format_task:
@@ -145,13 +140,7 @@ def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
     if candidate.args:
         idx.append(10)
         xs.append(1.0)
-    if is_finish:
-        idx.append(11)
-        xs.append(1.0)
-        if not state.previous_plan:
-            idx.append(12)
-            xs.append(1.0)
-    j = _FUNC_INDEX.get("<finish>" if is_finish else function)
+    j = _FUNC_INDEX.get(function)
     if j is not None:
         idx.append(j)
         xs.append(1.0)

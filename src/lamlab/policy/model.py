@@ -2,7 +2,8 @@
 
 Three heads over named weights:
   * action head (``act::<feature>``): scores every candidate action;
-  * status head (``status::<feature>``): CONTINUE vs FINISH for the chosen action;
+  * status head (``status::<feature>``): CONTINUE vs FINISH for the chosen
+    action, the only way a step stops a run;
   * plan head (``plan::*``): autoregressive scoring over a plan-step
     vocabulary with an end token.
 
@@ -236,7 +237,7 @@ class ActionDistribution:
     scores: tuple[float, ...]
     probs: tuple[float, ...]
     log_probs: tuple[float, ...]
-    finish_prob: float  # status head: P(FINISH) for a non-finish action
+    finish_prob: float  # status head: P(FINISH) for the chosen action
 
 
 def action_distribution(
@@ -285,10 +286,7 @@ def select_action(
         finish = rng.random() < dist.finish_prob
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    candidate = dist.candidates[best]
-    if candidate.is_finish:
-        return candidate.to_action_call()
-    return candidate.to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
+    return dist.candidates[best].to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
 
 
 # --- plan head ----------------------------------------------------------------

@@ -19,7 +19,7 @@ rows with ``model.score_rows``, the kernel inference uses. A training phase
 prepares its corpus once and hands the prepared items to every epoch.
 
 Candidate rows repeat heavily (features are indicators and a few quantized
-values): the suite corpus has 2,278 candidate rows but 121 distinct ones.
+values): the suite corpus has 2,222 candidate rows but 119 distinct ones.
 ``imitation_loss`` and ``sft_plan_loss`` therefore score each distinct row
 of a batch once, and share one step helper, ``_softmax_steps``: softmax over
 the looked-up scores, cross-entropy against the expert, and the gradient

@@ -53,8 +53,6 @@ def _candidate_of_action(state: AgentState, action: ActionCall) -> CandidateActi
     """Featurization shim: wrap an arbitrary action as a candidate, resolving
     its control against the state's list when possible (failure-trajectory
     actions may reference controls that do not exist)."""
-    if not action.function:
-        return CandidateAction(function="", control=None, args=(), is_finish=True)
     control = None
     for item in state.controls:
         if action.control_label and item["label"] == action.control_label:

@@ -362,11 +362,11 @@ def test_criterion_4_phase_progression(suite_phases):
 # sha256 prefixes of each checkpoint's (weights.json, manifest.json), measured
 # with CPython 3.11.
 _PINNED_CHECKPOINTS = {
-    "lam1": ("cea9742e", "d061c170"),
-    "lam2": ("0c91515f", "1b973260"),
-    "lam3": ("f91ea71e", "23b136c1"),
-    "lam4": ("f91ea71e", "9e318567"),
-    "rm": ("aa185b2e", "e216e694"),
+    "lam1": ("7f190fac", "d061c170"),
+    "lam2": ("68f9d90e", "1b973260"),
+    "lam3": ("91d458a0", "23b136c1"),
+    "lam4": ("91d458a0", "9e318567"),
+    "rm": ("fdf954c3", "e216e694"),
 }
 
 
@@ -587,11 +587,11 @@ def test_criterion_7_determinism(cli_lifecycle, tmp_path):
 # bundled-corpus CLI lifecycle of ``_full_run`` (CPython 3.11). Unlike the
 # suite's, this corpus leaves phase 4 failure steps to run PPO on.
 _PINNED_CLI_CHECKPOINTS = {
-    "lam1": ("7b1138d1", "b23db27f"),
-    "lam2": ("cc3418e2", "e87e5b78"),
-    "lam3": ("d644cd96", "962399ad"),
-    "lam4": ("b82f9c7b", "63de57a5"),
-    "rm": ("e45180bc", "a425fa20"),
+    "lam1": ("476acd71", "b23db27f"),
+    "lam2": ("7170bce3", "e87e5b78"),
+    "lam3": ("6a663455", "962399ad"),
+    "lam4": ("cb652fc6", "0778c4ba"),
+    "rm": ("a01a515a", "a425fa20"),
 }
 
 

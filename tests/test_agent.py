@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from lamlab.agent import (
     AgentConfig,
     Memory,
@@ -19,7 +21,11 @@ from lamlab.policy import ModelParams
 
 class FinishPolicy:
     def decide(self, state):
-        return ActionCall(step="finish the task", status=STATUS_FINISH), ()
+        return (
+            ActionCall(step="select the text", function="select_text",
+                       args={"text": "Test For Fun"}, status=STATUS_FINISH),
+            (),
+        )
 
 
 class NeverFinishPolicy:
@@ -82,14 +88,18 @@ def test_observe_state_matches_record_input_schema():
 # --- step -----------------------------------------------------------------------
 
 
-def test_finish_action_mutates_nothing():
+def test_finish_status_executes_the_action_and_finishes_the_run():
     s = session()
     before = s.current.serialize()
     action, result, memory = step(FinishPolicy(), s, "task", Memory(), 1)
     assert action.status == STATUS_FINISH
     assert result.ok
-    assert s.current.serialize() == before
+    assert s.current.serialize() != before
     assert len(memory.historical_actions) == 1
+    record = run_task(FinishPolicy(), "plain_text", "task", clock=lambda: 0.0)
+    assert record.outcome == "finished"
+    assert record.trajectory.final_status == "success"
+    assert record.trajectory.final_canvas == s.current.canvas_xml
 
 
 def test_error_captured_not_raised():
@@ -106,6 +116,11 @@ def test_memory_plan_replaced_each_step():
     memory = Memory(previous_plan=("old plan",))
     _, _, memory = step(NeverFinishPolicy(), s, "task", memory, 1)
     assert memory.previous_plan == ("keep scrolling",)
+
+
+def test_empty_script_is_rejected():
+    with pytest.raises(ValueError, match="at least one action"):
+        ScriptedPolicy(actions=())
 
 
 # --- run_task -----------------------------------------------------------------------

@@ -27,3 +27,21 @@ def test_workloads_build_their_configs(workloads):
     assert workloads.PipelineConfig(workers=workers).workers == workers
     for name, workload in workloads.WORKLOADS.items():
         assert workload(1, workers).name == name
+
+
+def test_traced_agent_run_notes_featurized_pairs(workloads):
+    import layers
+    from tracing import Tracer
+
+    from lamlab import agent
+    from lamlab.policy import ModelParams
+
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        agent.run_task(agent.ModelPolicy(params=ModelParams.zeros()), "plain_text",
+                       'Type the text "zz" in the document.', clock=lambda: 0.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.distinct("policy.featurize") > 0
+    assert tracer.summary()["agent.run_task"]["calls"] == 1

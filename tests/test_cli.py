@@ -111,6 +111,22 @@ def test_agent_run_unknown_template_exits_1(tmp_path, capsys):
     assert "'no_such_template'" in err
 
 
+def test_agent_run_on_a_checkpoint_with_the_finish_candidate_exits_1(
+    pipeline_ws, tmp_path, capsys
+):
+    """Checkpoints written while the action head had a FINISH pseudo-candidate
+    hold its three weights, and must be retrained."""
+    payload = json.loads((pipeline_ws / "checkpoints" / "lam2" / "weights.json").read_text())
+    old = ("act::finish_plan_done", "act::func::<finish>", "act::is_finish")
+    payload["weights"].update(dict.fromkeys(old, 0.0))
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    code = main(["--workspace", str(tmp_path / "ws"), *_AGENT_RUN, "--policy", str(weights)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "CheckpointError: unknown feature name 'act::finish_plan_done'\n"
+
+
 def test_eval_plan_command(pipeline_ws, tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     write_jsonl(
@@ -240,9 +256,12 @@ _RESULT = {"ok": True, "observation": ""}
          "step_history action controlLabel, controlText, function and step must be strings"),
         (lambda rec: rec["input"]["step_history"].append({"action": _ACTION, "result": 5}),
          "step_history result must be an object"),
+        (lambda rec: rec["output"].update(function=""),
+         "function must name a registry function, got ''"),
     ],
     ids=["status_missing", "step_no_missing", "step_no_string", "control_text_int",
-         "label_int", "action_int", "action_empty", "args_int", "function_int", "result_int"],
+         "label_int", "action_int", "action_empty", "args_int", "function_int", "result_int",
+         "output_function_empty"],
 )
 def test_schema_drifted_training_record_is_a_validation_failure(
     pipeline_ws, tmp_path, capsys, drift, reason
@@ -536,8 +555,10 @@ def _eval_row(name: str) -> dict:
     if name == "truth":
         return {"task_id": "a", "steps": [{"operation": "select_text", "status": "FINISH"}]}
     from lamlab.agent import ScriptedPolicy, run_task
+    from lamlab.env_sim import ActionCall
 
-    return run_task(ScriptedPolicy(actions=()), "plain_text", "Do it.", clock=lambda: 0.0).to_dict()
+    script = ScriptedPolicy(actions=(ActionCall(function="select_text", args={"text": "Test"}),))
+    return run_task(script, "plain_text", "Do it.", clock=lambda: 0.0).to_dict()
 
 
 _EVAL_FILES = {"plan": ("pairs",), "actions": ("pred", "truth"), "online": ("runs",)}

@@ -116,16 +116,14 @@ def reference_featurize(state, candidate):
         return 1.0 if any(t in low for t in FUNC_TRIGGERS.get(function, ())) else 0.0
 
     repeat = 0.0
-    if last is not None and not candidate.is_finish:
+    if last is not None:
         if (
             last.function == candidate.function
             and last.control_text == candidate.control_text
             and dict(last.args) == candidate.args_dict()
         ):
             repeat = 1.0
-    needs_sel = (not candidate.is_finish) and needs_selection(
-        candidate.function, candidate.control_text
-    )
+    needs_sel = needs_selection(candidate.function, candidate.control_text)
     task_has_format = any(k in state.task.lower() for k in FORMAT_KEYWORDS)
     position_prior = 0.0
     if candidate.control is not None and candidate.control_label.isdigit():
@@ -133,8 +131,8 @@ def reference_featurize(state, candidate):
     values = [
         token_overlap(candidate.control_text, state.task) if candidate.control else 0.0,
         token_overlap(candidate.control_text, current_step) if candidate.control else 0.0,
-        0.0 if candidate.is_finish else affinity(candidate.function, state.task),
-        0.0 if candidate.is_finish else affinity(candidate.function, current_step),
+        affinity(candidate.function, state.task),
+        affinity(candidate.function, current_step),
         repeat,
         min((state.step_id - 1) / 20.0, 1.0),
         1.0 if needs_sel and selection else 0.0,
@@ -144,11 +142,8 @@ def reference_featurize(state, candidate):
         else 0.0,
         position_prior,
         1.0 if candidate.args else 0.0,
-        1.0 if candidate.is_finish else 0.0,
-        1.0 if candidate.is_finish and not state.previous_plan else 0.0,
     ]
-    func_name = "<finish>" if candidate.is_finish else candidate.function
-    values.extend(1.0 if name == f"func::{func_name}" else 0.0 for name in _FUNC_BLOCK)
+    values.extend(1.0 if name == f"func::{candidate.function}" else 0.0 for name in _FUNC_BLOCK)
     ctype = candidate.control_type or "<none>"
     values.extend(1.0 if name == f"ctype::{ctype}" else 0.0 for name in _CTYPE_BLOCK)
     return values
@@ -168,9 +163,7 @@ def reference_status_features(state):
 
 def reference_candidate(state, action):
     """An action as a candidate: its control is the first observed one whose
-    label, or else whose text, matches; a missing function is FINISH."""
-    if not action.function:
-        return CandidateAction(function="", control=None, args=(), is_finish=True)
+    label, or else whose text, matches."""
     control = next(
         (
             c
@@ -217,10 +210,7 @@ def reference_select_action(state, params):
         key=lambda i: (dist.scores[i], _neg_sort_key(dist.candidates[i])),
     )
     finish = dist.finish_prob > 0.5
-    candidate = dist.candidates[best]
-    if candidate.is_finish:
-        return candidate.to_action_call()
-    return candidate.to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
+    return dist.candidates[best].to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
 
 
 def _add(grads, name, value):
@@ -733,14 +723,13 @@ def test_rows_are_sparse_and_match_reference_on_drawn_states(state):
 @settings(max_examples=60, deadline=None)
 @given(drawn_states(), st.data())
 def test_rows_match_reference_on_drawn_candidates(state, data):
-    """Candidates that enumeration never makes: unknown functions, a FINISH
-    with a control or args, a control that is not an observed one."""
+    """Candidates that enumeration never makes: unknown or empty functions,
+    a control that is not an observed one."""
     foreign = {"label": "7", "control_text": "Font Color", "control_type": "Button"}
     candidate = CandidateAction(
         function=data.draw(st.sampled_from(("", "frobnicate", "select_text", *REGISTRY))),
         control=data.draw(st.sampled_from((None, foreign, *state.controls))),
         args=data.draw(st.sampled_from(((), (("text", "bold"),)))),
-        is_finish=data.draw(st.booleans()),
     )
     assert_row_is_reference(state, candidate)
 

@@ -236,8 +236,8 @@ def test_each_distinct_row_is_scored_once_per_call(suite_steps, monkeypatch):
     steps = [step for t in prepared for step in t]
     table = steps[0].table
     assert all(step.table is table for step in steps)
-    assert sum(len(step.ids) for step in steps) == 2278
-    assert len(table) == 121 == len(set(table))
+    assert sum(len(step.ids) for step in steps) == 2222
+    assert len(table) == 119 == len(set(table))
 
     calls = []
 
@@ -255,7 +255,7 @@ def test_each_distinct_row_is_scored_once_per_call(suite_steps, monkeypatch):
         (rows,) = calls
         assert len(rows) == len(distinct) == len(set(rows))
         assert set(rows) == distinct
-    assert len(distinct) == 121
+    assert len(distinct) == 119
 
 
 def test_prepared_step_keeps_its_rows_and_columns(suite_steps):

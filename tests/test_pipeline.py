@@ -2,6 +2,7 @@
 concurrency, worker determinism, provenance."""
 
 import shutil
+import sys
 import threading
 import time
 from pathlib import Path
@@ -18,7 +19,7 @@ from lamlab.dataflow.records import (
     verdict_row,
 )
 from lamlab.fixtures import fixture_path
-from lamlab.jsonl import read_jsonl, sha256_file, write_jsonl
+from lamlab.jsonl import read_jsonl, sha256_file, write_jsonl, write_text
 from lamlab.oracle import MemoizingOracle, MockOracle, RemoteOracle
 
 
@@ -303,3 +304,58 @@ def test_providers_declare_whether_they_wait():
     assert MemoizingOracle(MockOracle()).waits_on_io is False
     assert MemoizingOracle(WaitingMock()).waits_on_io is True
     assert MemoizingOracle(SlowOracle()).waits_on_io is True
+
+
+# --- file writers ---------------------------------------------------------------
+
+
+def test_concurrent_writers_of_one_path_each_install_a_whole_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    outputs = {name: [{"writer": name, "row": i} for i in range(20)] for name in ("a", "b")}
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def write(name):
+        barrier.wait()
+        try:
+            for _ in range(50):
+                write_jsonl(path, outputs[name])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(name,)) for name in outputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert read_jsonl(path) in outputs.values()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def test_a_write_that_raises_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"row": 1}])
+    before = path.read_bytes()
+
+    def rows():
+        yield {"row": 2}
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_jsonl(path, rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def test_written_files_have_the_mode_of_a_plain_open(tmp_path):
+    with open(tmp_path / "plain.txt", "w") as fh:
+        fh.write("x")
+    write_text(tmp_path / "out.txt", "x")
+    assert (tmp_path / "out.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode

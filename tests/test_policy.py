@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from lamlab.env_sim import REGISTRY, ActionCall, list_controls, load_template
+from lamlab.env_sim import REGISTRY, ActionCall, list_controls, list_templates, load_template
 from lamlab.errors import CheckpointError, StepActionNotInCandidateSet
 from lamlab.policy import (
     AgentState,
@@ -252,6 +252,17 @@ def test_enumerate_candidates_extracts_args_once_per_function(monkeypatch, copie
     found = enumerate_candidates(state)
     assert len(calls) <= len(REGISTRY)
     assert len(found) > copies * len(base.controls)
+
+
+@pytest.mark.parametrize("template", list_templates())
+def test_every_state_has_candidates_and_each_names_a_function(template):
+    # The task has no quoted text, colour or number: the target-free
+    # functions whose arguments never come from the task remain.
+    base = make_state(task="Tidy up the document.", template=template)
+    for state in (base, replace(base, controls=())):
+        found = enumerate_candidates(state)
+        assert found
+        assert all(c.function in REGISTRY for c in found)
 
 
 # --- plan head ----------------------------------------------------------------

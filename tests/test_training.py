@@ -134,17 +134,17 @@ def test_imitation_uniform_is_log_candidate_count():
     assert abs(loss - math.log(n)) < 1e-12
 
 
-def test_imitation_uniform_over_exactly_four_candidates_is_ln4():
+def test_imitation_uniform_over_exactly_three_candidates_is_ln3():
     from lamlab.policy import enumerate_candidates
 
     # No controls and no extractable args: only the three always-available
-    # target-free functions plus the FINISH pseudo-candidate remain.
+    # target-free functions remain.
     state = AgentState(task="tidy up the open file", step_id=1, controls=())
     candidates = enumerate_candidates(state)
-    assert len(candidates) == 4
+    assert len(candidates) == 3
     expert = ActionCall(function="insert_page_border", args={"style": "box"})
     loss, _ = imitation_loss(ModelParams.zeros(), prepare_imitation([[(state, expert)]]))
-    assert abs(loss - math.log(4)) < 1e-12
+    assert abs(loss - math.log(3)) < 1e-12
 
 
 def test_imitation_expert_absent_raises():
