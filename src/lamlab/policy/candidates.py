@@ -18,14 +18,17 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import ClassVar
+from types import MappingProxyType
+from typing import ClassVar, Iterable, Mapping
 
 from ..env_sim import REGISTRY, STATUS_CONTINUE, ActionCall, registry_order
 from ..errors import StepActionNotInCandidateSet
 from ..textutil import first_color, first_int, first_quoted, table_dims
 from .state import AgentState
 
-__all__ = ["CandidateAction", "extract_args", "enumerate_candidates", "match_expert"]
+__all__ = [
+    "CandidateAction", "extract_args", "enumerate_candidates", "candidates_at", "match_expert"
+]
 
 
 @dataclass(frozen=True)
@@ -100,11 +103,13 @@ def extract_args(task: str, function: str) -> dict | None:
 
 
 @functools.lru_cache(maxsize=1024)
-def _task_templates(task: str) -> tuple[tuple, tuple[CandidateAction, ...]]:
-    """The args templates of the task, in registry order: (function, control
-    types, sorted args) of every targeted function, and the candidate of
-    every target-free function."""
-    targeted = []
+def _task_templates(
+    task: str,
+) -> tuple[tuple[str, ...], Mapping[str, tuple], tuple[CandidateAction, ...]]:
+    """The args templates of the task, in registry order: the names of the
+    targeted functions that have one, their sorted args by name, and the
+    candidate of every target-free function."""
+    targeted: dict[str, tuple] = {}
     free = []
     for name, spec in REGISTRY.items():
         args = extract_args(task, name)
@@ -112,24 +117,51 @@ def _task_templates(task: str) -> tuple[tuple, tuple[CandidateAction, ...]]:
             continue
         args = tuple(sorted(args.items()))
         if spec.requires_control:
-            targeted.append((name, spec.control_types, args))
+            targeted[name] = args
         else:
             free.append(CandidateAction(function=name, control=None, args=args))
-    return tuple(targeted), tuple(free)
+    return tuple(targeted), MappingProxyType(targeted), tuple(free)
+
+
+@functools.lru_cache(maxsize=1024)
+def _applicable(functions: tuple[str, ...], control_type: str) -> tuple[str, ...]:
+    """The targeted functions, in their order, that act on a control of this
+    type. Tasks share a few sets of functions, so the cache stays small."""
+    return tuple(
+        name
+        for name in functions
+        if not REGISTRY[name].control_types or control_type in REGISTRY[name].control_types
+    )
 
 
 def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
     """All materializable actions at this state, in deterministic order:
     targeted functions over the control list, then target-free functions."""
-    targeted, free = _task_templates(state.task)
+    functions, args, free = _task_templates(state.task)
     candidates = [
-        CandidateAction(function=name, control=control, args=args)
+        CandidateAction(function=name, control=control, args=args[name])
         for control in state.controls
-        for name, control_types, args in targeted
-        if not control_types or control["control_type"] in control_types
+        for name in _applicable(functions, control["control_type"])
     ]
     candidates.extend(free)
     return candidates
+
+
+def candidates_at(state: AgentState, indices: Iterable[int]) -> list[CandidateAction]:
+    """The candidates of ``enumerate_candidates(state)`` at ``indices``, in
+    index order, built in one walk of that order without building the
+    others."""
+    wanted = set(indices)
+    functions, args, free = _task_templates(state.task)
+    found = []
+    i = 0
+    for control in state.controls:
+        for name in _applicable(functions, control["control_type"]):
+            if i in wanted:
+                found.append(CandidateAction(function=name, control=control, args=args[name]))
+            i += 1
+    found.extend(c for k, c in enumerate(free, i) if k in wanted)
+    return found
 
 
 def _args_key(args: dict) -> str:

@@ -7,20 +7,25 @@ alone. All features are deterministic functions of the pair and lie in
 [0, 1]. A pair sets only about four of them, so ``featurize`` returns its
 sparse row: the indices of the non-zero features, strictly increasing, and
 their values; ``status_features`` returns the status head's row the same
-way. Every head scores sparse rows with ``model.score_rows``; the plan
-head's rows come from ``model.plan_rows``.
+way. Training scores sparse rows with ``model.score_rows``, because its
+gradients need the rows; inference needs only the action scores, and
+``candidate_scores`` computes them for a whole state in one pass, without a
+row or a candidate per pair.
 
-``featurize`` is called once per pair, but it recomputes only what depends on
-the pair. The function-task and function-plan affinities, the progress value
-and each control's overlaps, position prior and type index are computed once
-per state (``AgentState`` cached properties).
+Training calls ``featurize`` once per pair, but it recomputes only what
+depends on the pair. The function-task and function-plan affinities, the
+progress value and each control's overlaps, position prior and type index
+are computed once per state (``AgentState`` cached properties).
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Sequence
+
 from ..env_sim import REGISTRY, needs_selection
-from .candidates import CandidateAction
-from .state import CONTROL_TYPES, FORMAT_KEYWORDS, FUNC_TRIGGERS, AgentState
+from .candidates import CandidateAction, _applicable, _task_templates
+from .state import CONTROL_TYPES, FORMAT_KEYWORDS, FUNC_TRIGGERS, AgentState, _control_values
 
 __all__ = [
     "BASE_FEATURES",
@@ -28,6 +33,7 @@ __all__ = [
     "STATUS_FEATURES",
     "FORMAT_KEYWORDS",
     "SparseRow",
+    "candidate_scores",
     "featurize",
     "status_features",
 ]
@@ -148,6 +154,88 @@ def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
         idx.append(_CTYPE_START + ctype)
         xs.append(1.0)
     return tuple(idx), tuple(xs)
+
+
+@functools.lru_cache(maxsize=4096)
+def _selection_flags(functions: tuple[str, ...], text: str) -> tuple[bool, ...]:
+    """``needs_selection`` of each function on a control with this text."""
+    return tuple(needs_selection(function, text) for function in functions)
+
+
+def candidate_scores(state: AgentState, w: Sequence[float]) -> list[float]:
+    """The action head's score under the dense weights ``w`` of every
+    candidate of ``enumerate_candidates(state)``, in that order: the targeted
+    functions over the controls, then the target-free functions.
+
+    Each score is the float ``score_rows(w, [featurize(state, c)])`` gives,
+    but no row and no candidate is built. The overlap prefix, position-prior
+    and type terms are computed once per control; the affinity,
+    select-needed, args and one-hot terms once per function; a pair adds
+    them, in feature-index order, to the running score. ``score_rows`` is a
+    left-to-right ``sum()`` started at +0.0 on CPython 3.11, and a term
+    w * 0.0 = +-0.0 of a feature that a row skips never changes such a sum,
+    so the floats are equal. From CPython 3.12 on ``sum()`` compensates, and
+    ``score_rows`` may differ from this pass in the last bits.
+    """
+    selection = state.selection_active
+    select_term = w[6] if selection else w[7]
+    format_select = not selection and state.is_format_task
+    progress_term = w[5] * state.progress
+    last = state.previous_actions[-1][0] if state.previous_actions else None
+    task_affinity, step_affinity = state.task_affinity, state.step_affinity
+
+    def function_terms(name: str, args: tuple) -> tuple:
+        """The function's terms in feature order, with the function half of
+        the repeat test in place of its term."""
+        return (
+            w[2] * task_affinity.get(name, 0.0),
+            w[3] * step_affinity.get(name, 0.0),
+            last is not None and last.function == name and dict(last.args) == dict(args),
+            w[8] if name == "select_text" and format_select else 0.0,
+            w[10] if args else 0.0,
+            w[_FUNC_INDEX[name]],
+        )
+
+    targeted, args, free = _task_templates(state.task)
+    terms = {name: function_terms(name, args[name]) for name in targeted}
+    # Per control type: the names and terms of the functions that apply.
+    groups: dict[str, tuple[tuple[str, ...], list[tuple]]] = {}
+    scores: list[float] = []
+    append = scores.append
+    controls = state.controls
+    for control, values in zip((*controls, None), _control_values(state, controls) + [None]):
+        if control is None:
+            names = tuple(c.function for c in free)
+            functions = [function_terms(c.function, c.args) for c in free]
+            text = ""
+            head = prior_term = 0.0
+            type_term = w[_CTYPE_START + _NO_CONTROL]
+        else:
+            ctype = control["control_type"]
+            group = groups.get(ctype)
+            if group is None:
+                names = _applicable(targeted, ctype)
+                group = groups[ctype] = (names, [terms[name] for name in names])
+            names, functions = group
+            if not names:
+                continue
+            text = control["control_text"]
+            overlap_task, overlap_plan, prior, type_index = values
+            head = 0.0 + w[0] * overlap_task + w[1] * overlap_plan
+            prior_term = w[9] * prior
+            type_term = 0.0 if type_index is None else w[_CTYPE_START + type_index]
+        repeat_text = last is not None and last.control_text == text
+        for (task_term, step_term, repeat, select_needed, args_term, one_hot), needs in zip(
+            functions, _selection_flags(names, text)
+        ):
+            score = head + task_term + step_term
+            if repeat and repeat_text:
+                score += w[4]
+            score += progress_term
+            if needs:
+                score += select_term
+            append(score + select_needed + prior_term + args_term + one_hot + type_term)
+    return scores
 
 
 def status_features(state: AgentState) -> SparseRow:

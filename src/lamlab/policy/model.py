@@ -7,9 +7,12 @@ Three heads over named weights:
   * plan head (``plan::*``): autoregressive scoring over a plan-step
     vocabulary with an end token.
 
-Every head, and the reward model, scores sparse rows against a dense weight
-vector with ``score_rows``, in inference and in training alike; the plan
-head's rows are ``plan_rows`` over the ``plan_names`` layout. A single-row
+In training every head, and the reward model, scores sparse rows against a
+dense weight vector with ``score_rows``; the plan head's rows are
+``plan_rows`` over the ``plan_names`` layout. In inference the status and
+plan heads score their rows the same way, but the action head scores a
+state's candidates in one pass (``features.candidate_scores``), to the same
+floats, without a row or a candidate object per pair. A single-row
 head (status, reward model) adds each row's gradient with ``scatter_row``.
 The softmax heads' training kernels (imitation, PPO, plan SFT) see whole
 candidate sets: ``to_columns`` turns their rows into feature columns once,
@@ -17,7 +20,8 @@ and ``scatter_columns`` adds the gradient one feature at a time, each
 feature's terms in candidate order, so the floats equal the per-candidate
 ``scatter_row`` loop's. Parameters are immutable values during inference;
 training constructs new ones. Checkpoints are JSON weight tables keyed by
-feature name; loading a checkpoint with unknown names is an error.
+feature name; loading one with a missing table, an unknown name or a weight
+that is not a finite number is an error that names its path.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from ..errors import CheckpointError
 from ..env_sim import ActionCall, STATUS_CONTINUE, STATUS_FINISH
 from ..jsonl import write_text
 from ..textutil import set_overlap, token_set
-from .candidates import CandidateAction, enumerate_candidates
-from .features import FEATURE_NAMES, STATUS_FEATURES, SparseRow, featurize, status_features
+from .candidates import CandidateAction, candidates_at
+from .features import FEATURE_NAMES, STATUS_FEATURES, SparseRow, candidate_scores, status_features
 from .state import AgentState, _text_tokens
 
 __all__ = [
@@ -173,14 +177,6 @@ class ModelParams:
             plan_vocab=self.plan_vocab,
         )
 
-    def validate(self) -> None:
-        vocab = set(self.plan_vocab)
-        for name, value in self.weights.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise CheckpointError(f"weight {name!r} is not finite: {value!r}")
-            if not _known_feature(name, vocab):
-                raise CheckpointError(f"unknown feature name {name!r}")
-
     def save(self, path: str | Path) -> None:
         payload = {
             "format_version": 1,
@@ -192,27 +188,33 @@ class ModelParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelParams":
+        """The parameters ``save`` wrote to ``path``; any other content, an
+        unknown feature name or a weight that is not a finite number is a
+        CheckpointError naming the path."""
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            # Every JSON number as a float, so that a huge integer is inf.
+            payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("kind") != "policy":
             raise CheckpointError(f"checkpoint {path} is not a policy checkpoint")
-        weights = payload.get("weights", {})
+        weights = payload.get("weights")
         if not isinstance(weights, dict):
             raise CheckpointError(f"checkpoint {path}: weights must be an object")
-        for name, value in weights.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CheckpointError(f"checkpoint {path}: weight {name!r} is not a number")
-        plan_vocab = payload.get("plan_vocab", [])
+        plan_vocab = payload.get("plan_vocab")
         if not isinstance(plan_vocab, list) or not all(isinstance(v, str) for v in plan_vocab):
             raise CheckpointError(f"checkpoint {path}: plan_vocab must be a list of strings")
-        params = cls(
-            weights={k: float(v) for k, v in weights.items()},
-            plan_vocab=tuple(plan_vocab),
-        )
-        params.validate()
-        return params
+        vocab = set(plan_vocab)
+        for name, value in weights.items():
+            if not isinstance(value, float):
+                raise CheckpointError(f"checkpoint {path}: weight {name!r} is not a number")
+            if not math.isfinite(value):
+                raise CheckpointError(
+                    f"checkpoint {path}: weight {name!r} is not finite: {value!r}"
+                )
+            if not _known_feature(name, vocab):
+                raise CheckpointError(f"checkpoint {path}: unknown feature name {name!r}")
+        return cls(weights=weights, plan_vocab=tuple(plan_vocab))
 
 
 def _known_feature(name: str, vocab: set[str]) -> bool:
@@ -233,30 +235,41 @@ def _known_feature(name: str, vocab: set[str]) -> bool:
 
 @dataclass(frozen=True)
 class ActionDistribution:
-    candidates: tuple[CandidateAction, ...]
+    """The action head's scores of a state's candidates, in
+    ``enumerate_candidates`` order, and the status head's P(FINISH) for the
+    chosen action. The softmax is computed on first read, and a candidate is
+    built only when it is asked for by index."""
+
+    state: AgentState
     scores: tuple[float, ...]
-    probs: tuple[float, ...]
-    log_probs: tuple[float, ...]
-    finish_prob: float  # status head: P(FINISH) for the chosen action
+    finish_prob: float
+
+    @cached_property
+    def _softmax(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        probs, log_probs = softmax(list(self.scores))
+        return tuple(probs), tuple(log_probs)
+
+    @property
+    def probs(self) -> tuple[float, ...]:
+        return self._softmax[0]
+
+    @property
+    def log_probs(self) -> tuple[float, ...]:
+        return self._softmax[1]
+
+    def candidate(self, index: int) -> CandidateAction:
+        if not 0 <= index < len(self.scores):
+            raise IndexError(f"candidate index {index} out of range")
+        (candidate,) = candidates_at(self.state, (index,))
+        return candidate
 
 
-def action_distribution(
-    state: AgentState,
-    params: ModelParams,
-    candidates: list[CandidateAction] | None = None,
-) -> ActionDistribution:
-    if candidates is None:
-        candidates = enumerate_candidates(state)
-    scores = score_rows(params.act_weights, [featurize(state, c) for c in candidates])
-    probs, log_probs = softmax(scores)
+def action_distribution(state: AgentState, params: ModelParams) -> ActionDistribution:
     (logit,) = score_rows(params.status_weights, [status_features(state)])
-    finish_prob = 1.0 / (1.0 + math.exp(-logit))
     return ActionDistribution(
-        candidates=tuple(candidates),
-        scores=tuple(scores),
-        probs=tuple(probs),
-        log_probs=tuple(log_probs),
-        finish_prob=finish_prob,
+        state=state,
+        scores=tuple(candidate_scores(state, params.act_weights)),
+        finish_prob=1.0 / (1.0 + math.exp(-logit)),
     )
 
 
@@ -271,22 +284,23 @@ def select_action(
         # The highest score wins; a tie goes to the lowest sort key.
         top = max(dist.scores)
         tied = [i for i, score in enumerate(dist.scores) if score == top]
-        best = min(tied, key=lambda i: dist.candidates[i].sort_key())
+        chosen = min(candidates_at(state, tied), key=CandidateAction.sort_key)
         finish = dist.finish_prob > 0.5
     elif mode == "sample":
         rng = random.Random(seed)
         r = rng.random()
         cumulative = 0.0
-        best = len(dist.candidates) - 1
+        best = len(dist.scores) - 1
         for i, p in enumerate(dist.probs):
             cumulative += p
             if r < cumulative:
                 best = i
                 break
+        chosen = dist.candidate(best)
         finish = rng.random() < dist.finish_prob
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return dist.candidates[best].to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
+    return chosen.to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
 
 
 # --- plan head ----------------------------------------------------------------

@@ -71,27 +71,24 @@ def _affinities(low: str) -> Mapping[str, float]:
     })
 
 
-def _control_values(
-    state: AgentState, controls: tuple[dict, ...]
-) -> dict[tuple[str, str, str], ControlValues]:
-    """Per control, keyed by its (label, text, type), on which alone they
-    depend: the token overlap of its text with the task and with the current
-    plan step, the position prior 1 / (1 + label) of a numeric label (else 0)
-    and the index of its type in CONTROL_TYPES (None if it has none). An
-    overlap is ``set_overlap``, with the common disjoint case first."""
+def _control_values(state: AgentState, controls: tuple[dict, ...]) -> list[ControlValues]:
+    """Per control, in order, the values that depend on its (label, text,
+    type) alone: the token overlap of its text with the task and with the
+    current plan step, the position prior 1 / (1 + label) of a numeric label
+    (else 0) and the index of its type in CONTROL_TYPES (None if it has
+    none). An overlap is ``set_overlap``, with the common disjoint case
+    first."""
     task, step = state.task_tokens, state.step_tokens
-    values = {}
+    values = []
     for control in controls:
         label = control["label"]
-        text = control["control_text"]
-        ctype = control["control_type"]
-        words = _text_tokens(text)
-        values[label, text, ctype] = (
+        words = _text_tokens(control["control_text"])
+        values.append((
             0.0 if words.isdisjoint(task) else len(words & task) / len(words),
             0.0 if words.isdisjoint(step) else len(words & step) / len(words),
             1.0 / (1.0 + float(label)) if label.isdigit() else 0.0,
-            _CONTROL_TYPE_INDEX.get(ctype or "<none>"),
-        )
+            _CONTROL_TYPE_INDEX.get(control["control_type"] or "<none>"),
+        ))
     return values
 
 
@@ -158,12 +155,14 @@ class AgentState:
 
     @cached_property
     def control_values(self) -> dict[tuple[str, str, str], ControlValues]:
-        """The values of every observed control (see ``_control_values``)."""
-        return _control_values(self, self.controls)
+        """The values of every observed control, keyed by its (label, text,
+        type) (see ``_control_values``)."""
+        keys = [(c["label"], c["control_text"], c["control_type"]) for c in self.controls]
+        return dict(zip(keys, _control_values(self, self.controls)))
 
     def values_of(self, control: dict) -> ControlValues:
         """The values of a control that need not be an observed one."""
-        (values,) = _control_values(self, (control,)).values()
+        (values,) = _control_values(self, (control,))
         return values
 
     def last_action(self) -> ActionCall | None:

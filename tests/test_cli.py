@@ -124,7 +124,9 @@ def test_agent_run_on_a_checkpoint_with_the_finish_candidate_exits_1(
     code = main(["--workspace", str(tmp_path / "ws"), *_AGENT_RUN, "--policy", str(weights)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "CheckpointError: unknown feature name 'act::finish_plan_done'\n"
+    assert err == (
+        f"CheckpointError: checkpoint {weights}: unknown feature name 'act::finish_plan_done'\n"
+    )
 
 
 def test_eval_plan_command(pipeline_ws, tmp_path, capsys):
@@ -644,9 +646,13 @@ def test_eval_plan_row_without_string_lists_exits_1(tmp_path, capsys, row, key):
         lambda payload: {**payload, "weights": {**payload["weights"], "plan::used": None}},
         lambda payload: {**payload, "plan_vocab": 5},
         lambda payload: {**payload, "plan_vocab": [payload["plan_vocab"]]},
+        lambda payload: {"kind": "policy"},
+        lambda payload: {**payload, "weights": {**payload["weights"], "plan::used": 1e999}},
+        lambda payload: {**payload, "weights": {**payload["weights"], "plan::nope": 0.0}},
     ],
     ids=["payload_list", "weights_list", "weight_string", "weight_null",
-         "plan_vocab_int", "plan_vocab_nested"],
+         "plan_vocab_int", "plan_vocab_nested", "no_weights", "weight_infinite",
+         "unknown_name"],
 )
 def test_corrupt_checkpoint_is_a_checkpoint_error(pipeline_ws, tmp_path, capsys, corrupt):
     ws = tmp_path / "ws"

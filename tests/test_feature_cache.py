@@ -12,6 +12,7 @@ leave shared values unchanged.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -46,6 +47,7 @@ from lamlab.errors import ValidationFailure
 from lamlab.jsonl import read_jsonl
 from lamlab.oracle import MockOracle
 from lamlab.policy import (
+    BASE_FEATURES,
     AgentState,
     CandidateAction,
     FEATURE_NAMES,
@@ -62,8 +64,10 @@ from lamlab.policy import (
     softmax,
 )
 from lamlab.policy import candidates as candidates_module
+from lamlab.policy import features as features_module
+from lamlab.policy import model as model_module
 from lamlab.policy.features import _CTYPE_BLOCK, _FUNC_BLOCK, FUNC_TRIGGERS
-from lamlab.policy.model import END_TOKEN, plan_overlaps
+from lamlab.policy.model import END_TOKEN, plan_overlaps, score_rows
 from lamlab.textutil import set_overlap, token_set
 from lamlab.training import (
     PhaseConfigs,
@@ -205,12 +209,13 @@ def _neg_sort_key(candidate):
 def reference_select_action(state, params):
     """Argmax action selection that builds a sort key for every candidate."""
     dist = action_distribution(state, params)
+    candidates = enumerate_candidates(state)
     best = max(
-        range(len(dist.candidates)),
-        key=lambda i: (dist.scores[i], _neg_sort_key(dist.candidates[i])),
+        range(len(candidates)),
+        key=lambda i: (dist.scores[i], _neg_sort_key(candidates[i])),
     )
     finish = dist.finish_prob > 0.5
-    return dist.candidates[best].to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
+    return candidates[best].to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
 
 
 def _add(grads, name, value):
@@ -554,7 +559,7 @@ def test_inference_scores_equal_reference(suite_steps, plan_records):
         for trajectory in trajectories:
             for state, _ in trajectory:
                 candidates = enumerate_candidates(state)
-                dist = action_distribution(state, params, candidates)
+                dist = action_distribution(state, params)
                 assert list(dist.scores) == reference_scores(state, params, candidates)
                 logit = reference_status_logit(state, params)
                 assert dist.finish_prob == 1.0 / (1.0 + math.exp(-logit))
@@ -749,7 +754,101 @@ def test_scores_equal_dense_reference_dot_product(suite_steps, make_params):
                 sum(map(mul, params.act_weights, reference_featurize(state, c)))
                 for c in candidates
             ]
-            assert list(action_distribution(state, params, candidates).scores) == dense
+            assert list(action_distribution(state, params).scores) == dense
+
+
+def wide_params(seed):
+    """Action weights of very different magnitudes, so that adding a pair's
+    terms in another order changes its float score."""
+    rng = random.Random(seed)
+    values = (-1e16, -3.0, -0.1, 0.0, 0.7, 1.0, 1e16)
+    return ModelParams.zeros().replaced({f"act::{n}": rng.choice(values) for n in FEATURE_NAMES})
+
+
+WEIGHTS = {
+    "zeros": lambda seed: ModelParams.zeros(),
+    "random": nonzero_params,
+    "coarse": coarse_params,
+    "wide": wide_params,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_states(), st.integers(0, 9), st.data())
+def test_one_pass_scores_equal_featurized_rows_on_drawn_states(state, seed, data):
+    """The scoring pass against ``score_rows`` over ``featurize`` rows, float
+    for float, under every kind of weights, and its lazy candidates and
+    softmax against their references. The state may gain a successful
+    ``select_text`` and a last action that repeats one of its candidates."""
+    candidates = enumerate_candidates(state)
+    history = list(state.previous_actions)
+    if data.draw(st.booleans()):
+        select = ActionCall(function="select_text", args={"text": "Test For Fun"})
+        history.append((select, {"ok": True}))
+    if data.draw(st.booleans()):
+        repeated = data.draw(st.sampled_from(candidates))
+        history.append((repeated.to_action_call(), {"ok": data.draw(st.booleans())}))
+    state = dataclasses.replace(state, previous_actions=tuple(history))
+    rows = [featurize(state, c) for c in candidates]
+    for make_params in WEIGHTS.values():
+        params = make_params(seed)
+        dist = action_distribution(state, params)
+        expected = score_rows(params.act_weights, rows)
+        assert [s.hex() for s in dist.scores] == [s.hex() for s in expected]
+        probs, log_probs = softmax(expected)
+        assert dist.probs == tuple(probs)
+        assert dist.log_probs == tuple(log_probs)
+    assert [dist.candidate(i) for i in range(len(candidates))] == candidates
+    with pytest.raises(IndexError):
+        dist.candidate(len(candidates))
+
+
+def test_one_pass_adds_terms_in_feature_order():
+    """Weights of very different magnitudes on a state where pairs set many
+    features at once, so that adding a pair's terms in any other order
+    changes its score."""
+    task = 'Set the "Styles" option, then type the text "Styles" in bold.'
+    controls = tuple(list_controls(load_template("plain_text")))
+    first = AgentState(task=task, step_id=1, controls=controls)
+    styles = next(
+        c for c in enumerate_candidates(first)
+        if c.function == "select_option" and c.control_text == "Styles"
+    )
+    state = AgentState(
+        task=task,
+        step_id=4,
+        controls=controls,
+        previous_actions=((styles.to_action_call(), {"ok": True}),),
+        previous_plan=("Choose the Styles option.",),
+    )
+    magnitudes = (0.7, 0.3, 1e16, -3.3, 1.1, 5e15, -2.5, 7.5, 0.9, 7.7, 3e15)
+    weights = dict(zip((f"act::{n}" for n in BASE_FEATURES), magnitudes))
+    weights.update({f"act::{n}": 1.3 for n in _FUNC_BLOCK})
+    weights.update({f"act::{n}": -0.6 for n in _CTYPE_BLOCK})
+    params = ModelParams.zeros().replaced(weights)
+    w = params.act_weights
+    rows = [featurize(state, c) for c in enumerate_candidates(state)]
+    expected = score_rows(w, rows)
+    assert [s.hex() for s in action_distribution(state, params).scores] == [
+        s.hex() for s in expected
+    ]
+    reversed_order = [sum(w[j] * x for j, x in reversed(list(zip(*row)))) for row in rows]
+    assert reversed_order != expected
+
+
+def test_argmax_run_on_a_trained_checkpoint_builds_no_row_and_no_softmax(tmp_path, monkeypatch):
+    ws = harness.build_suite_workspace(tmp_path / "ws", MockOracle())
+    for phase in (1, 2):
+        out = run_phase(phase, ws, MockOracle(), PhaseConfigs())
+    params = ModelParams.load(out / "weights.json")
+    featurized = _count_calls(monkeypatch, features_module, "featurize")
+    softmaxes = _count_calls(monkeypatch, model_module, "softmax")
+    distributions = _count_calls(monkeypatch, model_module, "action_distribution")
+    task = 'Highlight the text "Test For Fun" in yellow in the document.'
+    record = run_task(ModelPolicy(params=params), "plain_text", task, AgentConfig(max_steps=6))
+    assert len(record.trajectory.steps) > 1
+    assert len(distributions) == len(record.trajectory.steps)
+    assert featurized == [] and softmaxes == []
 
 
 def test_equal_labels_keep_their_own_control_values():

@@ -105,7 +105,7 @@ def test_selection_features_follow_history():
 def test_zero_params_uniform():
     state = make_state()
     dist = action_distribution(state, ModelParams.zeros())
-    n = len(dist.candidates)
+    n = len(dist.scores)
     for p in dist.probs:
         assert abs(p - 1.0 / n) < 1e-12
 
@@ -117,7 +117,6 @@ def test_shift_invariance():
     # Adding a constant to every score must leave probabilities unchanged.
     import lamlab.policy.model as model_mod
 
-    candidates = list(dist.candidates)
     scores = [s + 5.0 for s in dist.scores]
     probs, _ = model_mod.softmax(scores)
     assert all(abs(p - q) < 1e-12 for p, q in zip(probs, dist.probs))
@@ -205,7 +204,7 @@ def test_argmax_action_has_max_probability():
     best = max(dist.probs)
     chosen = [
         i
-        for i, c in enumerate(dist.candidates)
+        for i, c in enumerate(enumerate_candidates(state))
         if c.to_action_call().function == action.function
         and c.to_action_call().control_text == action.control_text
         and dict(c.args_dict()) == dict(action.args)
