@@ -9,7 +9,7 @@ FINISH, on the step budget, or after three consecutive errors.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 from .dataflow.records import InstantiatedTask, Trajectory, record_step, record_trajectory
@@ -78,8 +78,6 @@ class ModelPolicy:
     mode: str = "argmax"
     seed: int = 0
 
-    _plan_cache: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
-
     def decide(self, state: AgentState) -> tuple[ActionCall, tuple[str, ...]]:
         seed = None
         if self.mode == "sample":
@@ -87,12 +85,11 @@ class ModelPolicy:
         action = select_action(state, self.params, mode=self.mode, seed=seed)
         if action.status == STATUS_FINISH:
             return action, ()
+        # The plan left after this step: the generated plan without its
+        # first step, then the previous plan without its head.
         if state.step_id == 1:
-            full = tuple(generate_plan(state.task, self.params))
-            self._plan_cache[state.task] = full
-        full = self._plan_cache.get(state.task, state.previous_plan)
-        remaining = full[state.step_id :] if len(full) > state.step_id else ()
-        return action, remaining
+            return action, tuple(generate_plan(state.task, self.params)[1:])
+        return action, state.previous_plan[1:]
 
 
 @dataclass

@@ -42,7 +42,6 @@ __all__ = [
     "ExecutionResult",
     "FunctionSpec",
     "REGISTRY",
-    "registry_order",
     "registry_help",
     "needs_selection",
     "apply_action",
@@ -162,11 +161,6 @@ def needs_selection(function: str, control_text: str = "") -> bool:
         function = "set_font_size"
     spec = REGISTRY.get(function)
     return spec is not None and spec.selection
-
-
-def registry_order(function: str) -> int:
-    """Position of the function in REGISTRY; an unknown one sorts last."""
-    return _REGISTRY_ORDER.get(function, len(_REGISTRY_ORDER))
 
 
 def registry_help() -> str:
@@ -524,6 +518,3 @@ def _fn_toggle_bold(snapshot, target, args):
     canvas, run = _update_selected_run(snapshot.canvas, bold=not para.runs[idx].bold)
     state = "bold" if run.bold else "not bold"
     return canvas, snapshot.controls, f"Toggled {run.text!r} to {state}"
-
-
-_REGISTRY_ORDER = {name: i for i, name in enumerate(REGISTRY)}

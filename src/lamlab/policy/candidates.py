@@ -19,15 +19,15 @@ import functools
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Mapping
 
-from ..env_sim import REGISTRY, STATUS_CONTINUE, ActionCall, registry_order
+from ..env_sim import REGISTRY, STATUS_CONTINUE, ActionCall
 from ..errors import StepActionNotInCandidateSet
 from ..textutil import first_color, first_int, first_quoted, table_dims
 from .state import AgentState
 
 __all__ = [
-    "CandidateAction", "extract_args", "enumerate_candidates", "candidates_at", "match_expert"
+    "CandidateAction", "extract_args", "enumerate_candidates", "candidate_at", "match_expert"
 ]
 
 
@@ -65,11 +65,6 @@ class CandidateAction:
             args=self.args_dict(),
             status=status or STATUS_CONTINUE,
         )
-
-    def sort_key(self) -> tuple:
-        label = self.control_label
-        label_key = (0, int(label)) if label.isdigit() else (1, 0)
-        return (label_key if self.control else (2, 0), registry_order(self.function))
 
 
 def extract_args(task: str, function: str) -> dict | None:
@@ -147,21 +142,21 @@ def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
     return candidates
 
 
-def candidates_at(state: AgentState, indices: Iterable[int]) -> list[CandidateAction]:
-    """The candidates of ``enumerate_candidates(state)`` at ``indices``, in
-    index order, built in one walk of that order without building the
-    others."""
-    wanted = set(indices)
+def candidate_at(state: AgentState, index: int) -> CandidateAction:
+    """The candidate at ``index`` of ``enumerate_candidates(state)``, found by
+    walking that order without building the others; an IndexError if the
+    state has no such candidate."""
     functions, args, free = _task_templates(state.task)
-    found = []
-    i = 0
-    for control in state.controls:
-        for name in _applicable(functions, control["control_type"]):
-            if i in wanted:
-                found.append(CandidateAction(function=name, control=control, args=args[name]))
-            i += 1
-    found.extend(c for k, c in enumerate(free, i) if k in wanted)
-    return found
+    i = index
+    if i >= 0:
+        for control in state.controls:
+            names = _applicable(functions, control["control_type"])
+            if i < len(names):
+                return CandidateAction(function=names[i], control=control, args=args[names[i]])
+            i -= len(names)
+        if i < len(free):
+            return free[i]
+    raise IndexError(f"candidate index {index} out of range")
 
 
 def _args_key(args: dict) -> str:

@@ -12,10 +12,11 @@ gradients need the rows; inference needs only the action scores, and
 ``candidate_scores`` computes them for a whole state in one pass, without a
 row or a candidate per pair.
 
-Training calls ``featurize`` once per pair, but it recomputes only what
-depends on the pair. The function-task and function-plan affinities, the
-progress value and each control's overlaps, position prior and type index
-are computed once per state (``AgentState`` cached properties).
+Training calls ``featurize`` once per pair. The function-task and
+function-plan affinities and the progress value are computed once per state
+(``AgentState`` cached properties); a control's overlaps, position prior and
+type index come from ``_control_values`` on each call, and
+``candidate_scores`` computes them once per control.
 """
 
 from __future__ import annotations
@@ -99,9 +100,7 @@ def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
     control = candidate.control
     if control:
         text = control["control_text"]
-        key = (control["label"], text, control["control_type"])
-        values = state.control_values.get(key) or state.values_of(control)
-        overlap_task, overlap_plan, position_prior, ctype = values
+        ((overlap_task, overlap_plan, position_prior, ctype),) = _control_values(state, (control,))
         if overlap_task:
             idx.append(0)
             xs.append(overlap_task)

@@ -39,7 +39,7 @@ from ..errors import CheckpointError
 from ..env_sim import ActionCall, STATUS_CONTINUE, STATUS_FINISH
 from ..jsonl import write_text
 from ..textutil import set_overlap, token_set
-from .candidates import CandidateAction, candidates_at
+from .candidates import CandidateAction, candidate_at
 from .features import FEATURE_NAMES, STATUS_FEATURES, SparseRow, candidate_scores, status_features
 from .state import AgentState, _text_tokens
 
@@ -48,6 +48,7 @@ __all__ = [
     "ModelParams",
     "ActionDistribution",
     "softmax",
+    "sigmoid",
     "score_rows",
     "scatter_row",
     "Column",
@@ -78,6 +79,15 @@ def softmax(scores: list[float]) -> tuple[list[float], list[float]]:
     probs = [e / total for e in exps]
     log_probs = [(s - m) - log_total for s in scores]
     return probs, log_probs
+
+
+def sigmoid(logit: float) -> float:
+    """1 / (1 + e^-logit), and 0.0 where e^-logit overflows (a logit below
+    about -709)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-logit))
+    except OverflowError:
+        return 0.0
 
 
 def score_rows(w: Sequence[float], rows: Iterable[SparseRow]) -> list[float]:
@@ -258,10 +268,7 @@ class ActionDistribution:
         return self._softmax[1]
 
     def candidate(self, index: int) -> CandidateAction:
-        if not 0 <= index < len(self.scores):
-            raise IndexError(f"candidate index {index} out of range")
-        (candidate,) = candidates_at(self.state, (index,))
-        return candidate
+        return candidate_at(self.state, index)
 
 
 def action_distribution(state: AgentState, params: ModelParams) -> ActionDistribution:
@@ -269,7 +276,7 @@ def action_distribution(state: AgentState, params: ModelParams) -> ActionDistrib
     return ActionDistribution(
         state=state,
         scores=tuple(candidate_scores(state, params.act_weights)),
-        finish_prob=1.0 / (1.0 + math.exp(-logit)),
+        finish_prob=sigmoid(logit),
     )
 
 
@@ -281,10 +288,9 @@ def select_action(
 ) -> ActionCall:
     dist = action_distribution(state, params)
     if mode == "argmax":
-        # The highest score wins; a tie goes to the lowest sort key.
-        top = max(dist.scores)
-        tied = [i for i, score in enumerate(dist.scores) if score == top]
-        chosen = min(candidates_at(state, tied), key=CandidateAction.sort_key)
+        # The highest score wins; a tie goes to the first of the tied
+        # candidates in enumeration order.
+        chosen = dist.candidate(dist.scores.index(max(dist.scores)))
         finish = dist.finish_prob > 0.5
     elif mode == "sample":
         rng = random.Random(seed)

@@ -153,18 +153,6 @@ class AgentState:
                 return True
         return False
 
-    @cached_property
-    def control_values(self) -> dict[tuple[str, str, str], ControlValues]:
-        """The values of every observed control, keyed by its (label, text,
-        type) (see ``_control_values``)."""
-        keys = [(c["label"], c["control_text"], c["control_type"]) for c in self.controls]
-        return dict(zip(keys, _control_values(self, self.controls)))
-
-    def values_of(self, control: dict) -> ControlValues:
-        """The values of a control that need not be an observed one."""
-        (values,) = _control_values(self, (control,))
-        return values
-
     def last_action(self) -> ActionCall | None:
         return self.previous_actions[-1][0] if self.previous_actions else None
 

@@ -53,6 +53,7 @@ from ..policy.model import (
     scatter_columns,
     scatter_row,
     score_rows,
+    sigmoid,
     softmax,
     to_columns,
 )
@@ -296,7 +297,7 @@ def status_loss(
     eps = 1e-12
     for step, logit in zip(steps, score_rows(params.status_weights, [s.row for s in steps])):
         target = step.label
-        prob = 1.0 / (1.0 + math.exp(-logit))
+        prob = sigmoid(logit)
         loss += -(target * math.log(prob + eps) + (1 - target) * math.log(1 - prob + eps)) / n
         scatter_row(grads, (prob - target) / n, step.row)
     return loss, {STATUS_NAMES[j]: g for j, g in grads.items()}

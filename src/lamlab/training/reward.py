@@ -22,7 +22,7 @@ from ..env_sim import ActionCall
 from ..jsonl import write_text
 from ..policy import AgentState, CandidateAction, featurize
 from ..policy.features import FEATURE_NAMES, SparseRow
-from ..policy.model import scatter_row, score_rows
+from ..policy.model import scatter_row, score_rows, sigmoid
 from .configs import RmConfig
 from .losses import LabelledRow, Step, train_params
 
@@ -95,7 +95,7 @@ class RewardModelParams:
         return score_rows(self.vector, [rm_features(state, action)])[0]
 
     def normalized(self, state: AgentState, action: ActionCall) -> float:
-        return 1.0 / (1.0 + math.exp(-self.raw(state, action)))
+        return sigmoid(self.raw(state, action))
 
     def replaced(self, updates: dict[str, float]) -> "RewardModelParams":
         merged = dict(self.weights)

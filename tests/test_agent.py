@@ -16,7 +16,7 @@ from lamlab.agent import (
 from lamlab.dataflow import execute_trajectory, validate_record_input
 from lamlab.dataflow.records import InstantiatedTask
 from lamlab.env_sim import ActionCall, EnvSession, STATUS_FINISH, list_controls, load_template
-from lamlab.policy import ModelParams
+from lamlab.policy import ModelParams, build_plan_vocab, generate_plan
 
 
 class FinishPolicy:
@@ -167,6 +167,33 @@ def test_run_deterministic_under_argmax():
     b = run_task(ModelPolicy(params=params), "plain_text",
                  'Type the text "zz" in the document.', clock=lambda: 0.0)
     assert a.trajectory.to_dict() == b.trajectory.to_dict()
+
+
+def test_model_policy_emits_the_generated_plan_less_the_steps_taken():
+    """At step k a ModelPolicy emits ``generate_plan(task)[k:]``; past the
+    plan's end it emits an empty plan."""
+    steps = tuple(f"Step {i}." for i in range(1, 6))
+    vocab = build_plan_vocab([list(steps)])
+    # Each step wins its own position and the end token the next one.
+    weights = {f"plan::pos::{p}::{v}": 1.0 for p, v in enumerate(steps, 1)}
+    weights[f"plan::pos::{len(steps) + 1}::<END>"] = 1.0
+    params = ModelParams.zeros(vocab).replaced(weights)
+    task = 'Type the text "zz" in the document.'
+    plan = generate_plan(task, params)
+    assert plan == list(steps)
+
+    policy = ModelPolicy(params=params)
+    emitted = []
+
+    class Recording:
+        def decide(self, state):
+            action, remaining = policy.decide(state)
+            emitted.append((state.step_id, remaining))
+            return action, remaining
+
+    record = run_task(Recording(), "plain_text", task, AgentConfig(max_steps=8))
+    assert record.outcome == "max_steps_exceeded"
+    assert emitted == [(k, tuple(plan[k:])) for k in range(1, 9)]
 
 
 def test_timings_non_negative_and_summed():

@@ -129,6 +129,28 @@ def test_agent_run_on_a_checkpoint_with_the_finish_candidate_exits_1(
     )
 
 
+def test_agent_run_on_a_checkpoint_that_never_finishes_runs_to_the_budget(
+    pipeline_ws, tmp_path, capsys
+):
+    """A status logit below about -709 is P(FINISH) = 0, not an overflow."""
+    payload = json.loads((pipeline_ws / "checkpoints" / "lam2" / "weights.json").read_text())
+    payload["weights"]["status::bias"] = -800.0
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    workspace = tmp_path / "ws"
+    task = 'Highlight the text "Test For Fun" in yellow in the document.'
+    code = main([
+        "--workspace", str(workspace), "agent", "run", "--task", task,
+        "--template", "plain_text", "--policy", str(weights),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "outcome: max_steps_exceeded in 20 steps"
+    [record] = read_jsonl(workspace / "runs" / "agent" / "task.jsonl")
+    assert record["outcome"] == "max_steps_exceeded"
+
+
 def test_eval_plan_command(pipeline_ws, tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     write_jsonl(

@@ -188,7 +188,7 @@ def reference_rm_features(state, action):
 
 
 class _NegKey:
-    """Inverts comparison so max() breaks score ties by the *lowest* sort key."""
+    """Inverts comparison so max() breaks score ties by the *lowest* key."""
 
     __slots__ = ("key",)
 
@@ -202,17 +202,28 @@ class _NegKey:
         return isinstance(other, _NegKey) and self.key == other.key
 
 
-def _neg_sort_key(candidate):
-    return _NegKey(candidate.sort_key())
+def _tie_key(candidate):
+    """The reference tie-break key: a numeric control label first,
+    in label order, then any other control, then no control; within each,
+    the function's position in REGISTRY."""
+    if candidate.control is None:
+        label_key = (2, 0)
+    elif candidate.control_label.isdigit():
+        label_key = (0, int(candidate.control_label))
+    else:
+        label_key = (1, 0)
+    return _NegKey((label_key, list(REGISTRY).index(candidate.function)))
 
 
 def reference_select_action(state, params):
-    """Argmax action selection that builds a sort key for every candidate."""
+    """Argmax action selection that breaks a score tie by the lowest
+    (control label, registry position) key, independently of the candidate
+    order."""
     dist = action_distribution(state, params)
     candidates = enumerate_candidates(state)
     best = max(
         range(len(candidates)),
-        key=lambda i: (dist.scores[i], _neg_sort_key(candidates[i])),
+        key=lambda i: (dist.scores[i], _tie_key(candidates[i])),
     )
     finish = dist.finish_prob > 0.5
     return candidates[best].to_action_call(STATUS_FINISH if finish else STATUS_CONTINUE)
@@ -605,6 +616,45 @@ def test_argmax_select_action_equals_reference(suite_steps, make_params):
             assert select_action(state, params) == reference_select_action(state, params)
             states += 1
     assert states >= 50
+
+
+def test_controls_are_labelled_in_list_order(suite_steps):
+    """The argmax tie-break rests on this: in every observed state the
+    controls are labelled "1".."n" in list order, so candidate order is
+    (label, registry position) order."""
+
+    def assert_counted(controls):
+        assert [c["label"] for c in controls] == [str(i) for i in range(1, len(controls) + 1)]
+
+    for template in list_templates():
+        assert_counted(list_controls(load_template(template)))
+    trajectories, _ = suite_steps
+    states = 0
+    for trajectory in trajectories:
+        for state, _ in trajectory:
+            assert_counted(state.controls)
+            states += 1
+    assert states >= 50
+
+
+def test_argmax_over_tied_scores_builds_one_candidate_per_step(monkeypatch):
+    """All-zero action weights tie every candidate at every step of the
+    suite's runs; the argmax builds only the first of them."""
+    suite = harness.load_suite_tasks()
+    for task in suite:
+        candidates_module._task_templates(task.task)
+    built = []
+    original = CandidateAction.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args or kwargs)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CandidateAction, "__init__", counting)
+    runs = harness.suite_runs(ModelParams.zeros(), suite)
+    steps = sum(len(run.trajectory.steps) for run in runs)
+    assert steps == 20 * len(suite) == 1000
+    assert len(built) == steps
 
 
 # --- featurize once per phase -----------------------------------------------------------

@@ -6,7 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from lamlab.env_sim import REGISTRY, ActionCall, list_controls, list_templates, load_template
+from lamlab.env_sim import (
+    REGISTRY,
+    STATUS_CONTINUE,
+    ActionCall,
+    list_controls,
+    list_templates,
+    load_template,
+)
 from lamlab.errors import CheckpointError, StepActionNotInCandidateSet
 from lamlab.policy import (
     AgentState,
@@ -22,6 +29,7 @@ from lamlab.policy import (
 )
 from lamlab.policy import candidates as candidates_module
 from lamlab.policy.features import BASE_FEATURES
+from lamlab.policy.model import sigmoid
 from lamlab.training import prepare_plans, sft_plan_loss, train_params
 from lamlab.training.losses import sgd
 
@@ -174,13 +182,30 @@ def test_log_prob_consistency():
 
 def test_argmax_ties_break_to_lowest_label():
     state = make_state(task="Click something plain")
-    # All scores zero: the first labeled control with an applicable function
-    # must win; that is the lowest label in registry order.
+    # All scores zero: the first candidate in enumeration order wins, which
+    # is the lowest label's first applicable function in registry order.
     action = select_action(state, ModelParams.zeros())
     candidates = enumerate_candidates(state)
+    assert action == candidates[0].to_action_call()
     labeled = [c for c in candidates if c.control is not None]
     lowest = min(int(c.control_label) for c in labeled)
     assert int(action.control_label) == lowest
+
+
+def test_sigmoid_is_zero_where_the_exponential_overflows():
+    for logit in (-709.0, -30.0, -1.5, 0.0, 0.25, 40.0, 800.0):
+        assert sigmoid(logit) == 1.0 / (1.0 + math.exp(-logit))
+    assert sigmoid(-709.0) > 0.0
+    assert sigmoid(-710.0) == sigmoid(-800.0) == sigmoid(-1e300) == 0.0
+
+
+def test_very_negative_status_logit_never_finishes():
+    state = make_state()
+    params = ModelParams.zeros().replaced({"status::bias": -800.0})
+    assert action_distribution(state, params).finish_prob == 0.0
+    assert select_action(state, params).status == STATUS_CONTINUE
+    for seed in range(5):
+        assert select_action(state, params, mode="sample", seed=seed).status == STATUS_CONTINUE
 
 
 def test_sampling_is_seed_deterministic():

@@ -201,6 +201,17 @@ def test_status_loss_gradient():
         finite_difference_check(lambda p: status_loss(p, steps)[0], params, grads)
 
 
+def test_status_loss_takes_a_very_negative_logit():
+    state, _ = expert_step()
+    steps = prepare_status([(state, "CONTINUE"), (state, "FINISH")])
+    params = ModelParams.zeros().replaced({"status::bias": -800.0})
+    loss, grads = status_loss(params, steps)
+    # P(FINISH) is 0.0: the CONTINUE step costs ~0 and the FINISH step
+    # -log(eps); each gradient is the mean of (0 - 0) and (0 - 1).
+    assert abs(loss + math.log(1e-12) / 2) < 1e-9
+    assert grads["status::bias"] == -0.5
+
+
 # --- loss descent property --------------------------------------------------------
 
 
@@ -289,6 +300,13 @@ def test_rm_normalized_output_in_unit_interval():
     for step in rewarded_toy_set():
         value = params.normalized(step.state, step.action)
         assert 0.0 <= value <= 1.0
+
+
+def test_rm_normalized_score_of_a_very_negative_raw_score_is_zero():
+    params = RewardModelParams.zeros().replaced({"bias": -800.0})
+    for step in rewarded_toy_set():
+        assert params.raw(step.state, step.action) == -800.0
+        assert params.normalized(step.state, step.action) == 0.0
 
 
 def test_rm_gradient_matches_finite_differences():
