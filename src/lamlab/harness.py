@@ -119,7 +119,8 @@ def run_suite_phases(
 def suite_runs(
     params: ModelParams, suite: list[SuiteTask] | None = None, clock=lambda: 0.0
 ) -> list[RunRecord]:
-    suite = suite or load_suite_tasks()
+    if suite is None:
+        suite = load_suite_tasks()
     runs = []
     for task in suite:
         policy = ModelPolicy(params=params, mode="argmax")

@@ -100,22 +100,20 @@ def extract_args(task: str, function: str) -> dict | None:
 @functools.lru_cache(maxsize=1024)
 def _task_templates(
     task: str,
-) -> tuple[tuple[str, ...], Mapping[str, tuple], tuple[CandidateAction, ...]]:
+) -> tuple[tuple[str, ...], tuple[str, ...], Mapping[str, tuple]]:
     """The args templates of the task, in registry order: the names of the
-    targeted functions that have one, their sorted args by name, and the
-    candidate of every target-free function."""
-    targeted: dict[str, tuple] = {}
-    free = []
+    targeted functions that have one, the names of the target-free functions
+    that have one, and every such function's sorted args by name."""
+    targeted: list[str] = []
+    free: list[str] = []
+    templates: dict[str, tuple] = {}
     for name, spec in REGISTRY.items():
         args = extract_args(task, name)
         if args is None:
             continue
-        args = tuple(sorted(args.items()))
-        if spec.requires_control:
-            targeted[name] = args
-        else:
-            free.append(CandidateAction(function=name, control=None, args=args))
-    return tuple(targeted), MappingProxyType(targeted), tuple(free)
+        templates[name] = tuple(sorted(args.items()))
+        (targeted if spec.requires_control else free).append(name)
+    return tuple(targeted), tuple(free), MappingProxyType(templates)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -132,13 +130,13 @@ def _applicable(functions: tuple[str, ...], control_type: str) -> tuple[str, ...
 def enumerate_candidates(state: AgentState) -> list[CandidateAction]:
     """All materializable actions at this state, in deterministic order:
     targeted functions over the control list, then target-free functions."""
-    functions, args, free = _task_templates(state.task)
+    functions, free, args = _task_templates(state.task)
     candidates = [
         CandidateAction(function=name, control=control, args=args[name])
         for control in state.controls
         for name in _applicable(functions, control["control_type"])
     ]
-    candidates.extend(free)
+    candidates += (CandidateAction(function=name, control=None, args=args[name]) for name in free)
     return candidates
 
 
@@ -146,7 +144,7 @@ def candidate_at(state: AgentState, index: int) -> CandidateAction:
     """The candidate at ``index`` of ``enumerate_candidates(state)``, found by
     walking that order without building the others; an IndexError if the
     state has no such candidate."""
-    functions, args, free = _task_templates(state.task)
+    functions, free, args = _task_templates(state.task)
     i = index
     if i >= 0:
         for control in state.controls:
@@ -155,7 +153,7 @@ def candidate_at(state: AgentState, index: int) -> CandidateAction:
                 return CandidateAction(function=names[i], control=control, args=args[names[i]])
             i -= len(names)
         if i < len(free):
-            return free[i]
+            return CandidateAction(function=free[i], control=None, args=args[free[i]])
     raise IndexError(f"candidate index {index} out of range")
 
 

@@ -1,32 +1,44 @@
 """Feature extraction for candidate scoring.
 
-Every (state, candidate) pair has one feature per entry of FEATURE_NAMES: a
-block of hand-designed signals followed by one-hot blocks for the registry
-function and the target control type; stopping is the status head's decision
-alone. All features are deterministic functions of the pair and lie in
-[0, 1]. A pair sets only about four of them, so ``featurize`` returns its
-sparse row: the indices of the non-zero features, strictly increasing, and
-their values; ``status_features`` returns the status head's row the same
-way. Training scores sparse rows with ``model.score_rows``, because its
-gradients need the rows; inference needs only the action scores, and
-``candidate_scores`` computes them for a whole state in one pass, without a
-row or a candidate per pair.
+Every (state, candidate) pair has one feature per entry of FEATURE_NAMES; all
+of them are deterministic functions of the pair and lie in [0, 1]. Stopping
+is the status head's decision alone. FEATURE_NAMES is four contiguous
+blocks, ordered by what their features depend on:
 
-Training calls ``featurize`` once per pair. The function-task and
-function-plan affinities and the progress value are computed once per state
-(``AgentState`` cached properties); a control's overlaps, position prior and
-type index come from ``_control_values`` on each call, and
-``candidate_scores`` computes them once per control.
+1. ``progress``: the state alone;
+2. the function block: the candidate's function and args (the task and
+   plan-step affinities, select-needed, args-present, the function one-hot);
+3. the control block: the candidate's control (the task and plan-step
+   overlaps, the position prior, the control-type one-hot);
+4. the pair block: function and control together (repeat-last, selection
+   ready or missing).
+
+Each block is built by exactly one function below, which returns its fixed
+``(index, value)`` slots in index order; a slot may hold 0.0. The pair
+block takes one of eight values (``_PAIR_BLOCKS``), and ``_pair_codes``
+picks each pair's. Training and inference both read the features from those
+functions:
+
+* ``featurize`` concatenates a pair's non-zero slots into its sparse row
+  (indices strictly increasing), which ``model.score_rows`` scores;
+* ``candidate_scores`` scores every candidate of a state for the agent,
+  without a row or a candidate per pair: once per function the prefix
+  ``0.0 + w·slots`` of the first two blocks, once per control its four
+  products, and per pair ``prefix + control products + pair products``.
+
+Both add a pair's terms left to right in index order, starting at +0.0. A
+zero slot adds w * 0.0 = +-0.0, which never changes such a sum, so the
+agent's scores equal ``score_rows`` over the rows float for float.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..env_sim import REGISTRY, needs_selection
 from .candidates import CandidateAction, _applicable, _task_templates
-from .state import CONTROL_TYPES, FORMAT_KEYWORDS, FUNC_TRIGGERS, AgentState, _control_values
+from .state import CONTROL_TYPES, FORMAT_KEYWORDS, AgentState, _text_tokens
 
 __all__ = [
     "BASE_FEATURES",
@@ -39,47 +51,51 @@ __all__ = [
     "status_features",
 ]
 
-# Base signal block. Definitions:
-#   overlap_task      token overlap of candidate control text with the task
-#   overlap_plan      token overlap of control text with the current plan step
+# The four blocks, in layout order. Definitions:
+#   progress             (step_id - 1) / 20, capped at 1
 #   func_task_affinity   1 if a trigger keyword of the function is in the task
 #   func_plan_affinity   1 if a trigger keyword is in the current plan step
-#   repeat_last       1 if the candidate equals the previously executed action
-#   progress          (step_id - 1) / 20
-#   selection_ready   candidate needs a selection and one is active
-#   selection_missing candidate needs a selection and none is active
-#   select_needed     select_text candidate, no selection yet, formatting task
-#   position_prior    1 / (1 + index of the control in the observed list)
-#   args_present      1 if the candidate carries any arguments
-BASE_FEATURES = (
-    "overlap_task",
-    "overlap_plan",
-    "func_task_affinity",
-    "func_plan_affinity",
-    "repeat_last",
-    "progress",
-    "selection_ready",
-    "selection_missing",
-    "select_needed",
-    "position_prior",
-    "args_present",
-)
+#   select_needed        select_text candidate, no selection yet, formatting task
+#   args_present         1 if the candidate carries any arguments
+#   func::<name>         one-hot of the registry function
+#   overlap_task         token overlap of the control text with the task
+#   overlap_plan         token overlap of the control text with the current plan step
+#   position_prior       1 / (1 + label) of a numeric control label
+#   ctype::<type>        one-hot of the control type; <none>: no control or no type
+#   repeat_last          1 if the candidate equals the previously executed action
+#   selection_ready      the call needs a selection and one is active
+#   selection_missing    the call needs a selection and none is active
+PROGRESS_BLOCK = ("progress",)
+FUNCTION_BLOCK = ("func_task_affinity", "func_plan_affinity", "select_needed", "args_present")
+FUNCTION_BLOCK += tuple(f"func::{name}" for name in REGISTRY)
+CONTROL_BLOCK = ("overlap_task", "overlap_plan", "position_prior")
+CONTROL_BLOCK += tuple(f"ctype::{name}" for name in CONTROL_TYPES)
+PAIR_BLOCK = ("repeat_last", "selection_ready", "selection_missing")
 
-_FUNC_BLOCK = tuple(f"func::{name}" for name in REGISTRY)
-_CTYPE_BLOCK = tuple(f"ctype::{name}" for name in CONTROL_TYPES)
+FEATURE_NAMES: tuple[str, ...] = PROGRESS_BLOCK + FUNCTION_BLOCK + CONTROL_BLOCK + PAIR_BLOCK
 
-FEATURE_NAMES: tuple[str, ...] = BASE_FEATURES + _FUNC_BLOCK + _CTYPE_BLOCK
+# The hand-designed signals: every feature but the one-hots.
+BASE_FEATURES = tuple(name for name in FEATURE_NAMES if "::" not in name)
 
 # The non-zero features of one pair: (feature indices, values), indices
 # strictly increasing.
 SparseRow = tuple[tuple[int, ...], tuple[float, ...]]
 
-# Feature index of every function's one-hot; an unknown function has none.
-_FUNC_INDEX = {
-    name.removeprefix("func::"): len(BASE_FEATURES) + i for i, name in enumerate(_FUNC_BLOCK)
-}
-_CTYPE_START = len(BASE_FEATURES) + len(_FUNC_BLOCK)
-_NO_CONTROL = CONTROL_TYPES.index("<none>")
+# One feature of a block: (index in FEATURE_NAMES, value).
+Slot = tuple[int, float]
+
+_INDEX = {name: j for j, name in enumerate(FEATURE_NAMES)}
+_TASK_AFFINITY, _PLAN_AFFINITY = _INDEX["func_task_affinity"], _INDEX["func_plan_affinity"]
+_SELECT_NEEDED, _ARGS_PRESENT = _INDEX["select_needed"], _INDEX["args_present"]
+_OVERLAP_TASK, _OVERLAP_PLAN = _INDEX["overlap_task"], _INDEX["overlap_plan"]
+_POSITION_PRIOR = _INDEX["position_prior"]
+_FUNC_INDEX = {name: _INDEX[f"func::{name}"] for name in REGISTRY}
+# The type slot of each control type; any other type's is the <none> one at 0.0.
+_TYPE_SLOTS = {name: (_INDEX[f"ctype::{name}"], 1.0) for name in CONTROL_TYPES}
+_UNKNOWN_TYPE = (_INDEX["ctype::<none>"], 0.0)
+_NO_CONTROL = (
+    (_OVERLAP_TASK, 0.0), (_OVERLAP_PLAN, 0.0), (_POSITION_PRIOR, 0.0), _TYPE_SLOTS["<none>"]
+)
 
 STATUS_FEATURES = (
     "bias",
@@ -91,149 +107,132 @@ STATUS_FEATURES = (
 )
 
 
-def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
-    """The sparse row of one pair. The literal indices are the positions of
-    the features in BASE_FEATURES; features are appended in that order."""
-    idx: list[int] = []
-    xs: list[float] = []
-    function = candidate.function
-    control = candidate.control
-    if control:
-        text = control["control_text"]
-        ((overlap_task, overlap_plan, position_prior, ctype),) = _control_values(state, (control,))
-        if overlap_task:
-            idx.append(0)
-            xs.append(overlap_task)
-        if overlap_plan:
-            idx.append(1)
-            xs.append(overlap_plan)
-    else:
-        text = ""
-        position_prior = 0.0
-        ctype = _NO_CONTROL
-    affinity = state.task_affinity.get(function)
-    if affinity:
-        idx.append(2)
-        xs.append(affinity)
-    affinity = state.step_affinity.get(function)
-    if affinity:
-        idx.append(3)
-        xs.append(affinity)
-    if state.previous_actions:
-        last = state.previous_actions[-1][0]
-        if (
-            last.function == function
-            and last.control_text == text
-            and dict(last.args) == candidate.args_dict()
-        ):
-            idx.append(4)
-            xs.append(1.0)
-    progress = state.progress
-    if progress:
-        idx.append(5)
-        xs.append(progress)
-    selection = state.selection_active
-    if needs_selection(function, text):
-        idx.append(6 if selection else 7)
-        xs.append(1.0)
-    if function == "select_text" and not selection and state.is_format_task:
-        idx.append(8)
-        xs.append(1.0)
-    if position_prior:
-        idx.append(9)
-        xs.append(position_prior)
-    if candidate.args:
-        idx.append(10)
-        xs.append(1.0)
+def _progress_slots(state: AgentState) -> tuple[Slot]:
+    return ((_INDEX["progress"], state.progress),)
+
+
+def _function_slots(state: AgentState, function: str, args: tuple) -> tuple[Slot, ...]:
+    """The function block of a candidate with this function and args. A
+    function outside the registry has no one-hot slot."""
+    select = function == "select_text" and not state.selection_active and state.is_format_task
+    slots = (
+        (_TASK_AFFINITY, state.task_affinity.get(function, 0.0)),
+        (_PLAN_AFFINITY, state.step_affinity.get(function, 0.0)),
+        (_SELECT_NEEDED, 1.0 if select else 0.0),
+        (_ARGS_PRESENT, 1.0 if args else 0.0),
+    )
     j = _FUNC_INDEX.get(function)
-    if j is not None:
-        idx.append(j)
-        xs.append(1.0)
-    if ctype is not None:
-        idx.append(_CTYPE_START + ctype)
-        xs.append(1.0)
-    return tuple(idx), tuple(xs)
+    return slots if j is None else (*slots, (j, 1.0))
+
+
+def _control_slots(
+    state: AgentState, controls: Sequence[dict | None]
+) -> list[tuple[Slot, Slot, Slot, Slot]]:
+    """The control block of each control, in order; None stands for no
+    control. An overlap is ``set_overlap``, with the common disjoint case
+    first."""
+    task, step = state.task_tokens, state.step_tokens
+    blocks = []
+    for control in controls:
+        if not control:
+            blocks.append(_NO_CONTROL)
+            continue
+        label = control["label"]
+        words = _text_tokens(control["control_text"])
+        ctype = _TYPE_SLOTS.get(control["control_type"] or "<none>", _UNKNOWN_TYPE)
+        blocks.append((
+            (_OVERLAP_TASK, 0.0 if words.isdisjoint(task) else len(words & task) / len(words)),
+            (_OVERLAP_PLAN, 0.0 if words.isdisjoint(step) else len(words & step) / len(words)),
+            (_POSITION_PRIOR, 1.0 / (1.0 + float(label)) if label.isdigit() else 0.0),
+            ctype,
+        ))
+    return blocks
+
+
+# The pair block of every case, by its code 4 * repeat + 2 * needs + selection:
+# whether the candidate repeats the last action, whether its call needs a
+# selection and whether one is active.
+_PAIR_BLOCKS = tuple(
+    (
+        (_INDEX["repeat_last"], 1.0 if repeat else 0.0),
+        (_INDEX["selection_ready"], 1.0 if needs and selection else 0.0),
+        (_INDEX["selection_missing"], 1.0 if needs and not selection else 0.0),
+    )
+    for repeat in (False, True)
+    for needs in (False, True)
+    for selection in (False, True)
+)
+
+
+def _repeated(state: AgentState, args: Mapping[str, tuple]) -> tuple[str, str] | None:
+    """(control text, function) of the candidate, with its args from
+    ``args``, that equals the last action: same function, control text and
+    args. None if no candidate does."""
+    last = state.last_action()
+    if last is not None and last.function in args and dict(last.args) == dict(args[last.function]):
+        return last.control_text, last.function
+    return None
 
 
 @functools.lru_cache(maxsize=4096)
-def _selection_flags(functions: tuple[str, ...], text: str) -> tuple[bool, ...]:
-    """``needs_selection`` of each function on a control with this text."""
-    return tuple(needs_selection(function, text) for function in functions)
+def _pair_codes(
+    functions: tuple[str, ...], text: str, selection: bool, repeated: tuple[str, str] | None
+) -> tuple[int, ...]:
+    """The code in ``_PAIR_BLOCKS`` of each function's pair block on a
+    control with this text ("" for none), at a state with or without an
+    active selection whose ``_repeated`` candidate is ``repeated``."""
+    return tuple(
+        4 * ((text, name) == repeated) + 2 * needs_selection(name, text) + selection
+        for name in functions
+    )
+
+
+def featurize(state: AgentState, candidate: CandidateAction) -> SparseRow:
+    """The sparse row of one pair: its blocks' non-zero slots."""
+    function, control = candidate.function, candidate.control
+    text = control["control_text"] if control else ""
+    (control_slots,) = _control_slots(state, (control,))
+    repeated = _repeated(state, {function: candidate.args})
+    (pair,) = _pair_codes((function,), text, state.selection_active, repeated)
+    slots = (
+        *_progress_slots(state),
+        *_function_slots(state, function, candidate.args),
+        *control_slots,
+        *_PAIR_BLOCKS[pair],
+    )
+    return tuple(j for j, x in slots if x), tuple(x for _, x in slots if x)
 
 
 def candidate_scores(state: AgentState, w: Sequence[float]) -> list[float]:
     """The action head's score under the dense weights ``w`` of every
     candidate of ``enumerate_candidates(state)``, in that order: the targeted
-    functions over the controls, then the target-free functions.
-
-    Each score is the float ``score_rows(w, [featurize(state, c)])`` gives,
-    but no row and no candidate is built. The overlap prefix, position-prior
-    and type terms are computed once per control; the affinity,
-    select-needed, args and one-hot terms once per function; a pair adds
-    them, in feature-index order, to the running score. ``score_rows`` is a
-    left-to-right ``sum()`` started at +0.0 on CPython 3.11, and a term
-    w * 0.0 = +-0.0 of a feature that a row skips never changes such a sum,
-    so the floats are equal. From CPython 3.12 on ``sum()`` compensates, and
-    ``score_rows`` may differ from this pass in the last bits.
-    """
-    selection = state.selection_active
-    select_term = w[6] if selection else w[7]
-    format_select = not selection and state.is_format_task
-    progress_term = w[5] * state.progress
-    last = state.previous_actions[-1][0] if state.previous_actions else None
-    task_affinity, step_affinity = state.task_affinity, state.step_affinity
-
-    def function_terms(name: str, args: tuple) -> tuple:
-        """The function's terms in feature order, with the function half of
-        the repeat test in place of its term."""
-        return (
-            w[2] * task_affinity.get(name, 0.0),
-            w[3] * step_affinity.get(name, 0.0),
-            last is not None and last.function == name and dict(last.args) == dict(args),
-            w[8] if name == "select_text" and format_select else 0.0,
-            w[10] if args else 0.0,
-            w[_FUNC_INDEX[name]],
-        )
-
-    targeted, args, free = _task_templates(state.task)
-    terms = {name: function_terms(name, args[name]) for name in targeted}
-    # Per control type: the names and terms of the functions that apply.
-    groups: dict[str, tuple[tuple[str, ...], list[tuple]]] = {}
+    functions over the controls, then the target-free functions. Each score
+    is the float ``score_rows(w, [featurize(state, c)])`` gives."""
+    targeted, free, args = _task_templates(state.task)
+    (progress,) = _progress_slots(state)
+    prefixes = {}
+    for name, template in args.items():
+        prefix = 0.0
+        for j, x in (progress, *_function_slots(state, name, template)):
+            prefix += w[j] * x
+        prefixes[name] = prefix
+    selection, repeated = state.selection_active, _repeated(state, args)
+    pair_terms = [[w[j] * x for j, x in block] for block in _PAIR_BLOCKS]
     scores: list[float] = []
     append = scores.append
-    controls = state.controls
-    for control, values in zip((*controls, None), _control_values(state, controls) + [None]):
+    controls = (*state.controls, None)
+    for control, block in zip(controls, _control_slots(state, controls)):
         if control is None:
-            names = tuple(c.function for c in free)
-            functions = [function_terms(c.function, c.args) for c in free]
-            text = ""
-            head = prior_term = 0.0
-            type_term = w[_CTYPE_START + _NO_CONTROL]
+            names, text = free, ""
         else:
-            ctype = control["control_type"]
-            group = groups.get(ctype)
-            if group is None:
-                names = _applicable(targeted, ctype)
-                group = groups[ctype] = (names, [terms[name] for name in names])
-            names, functions = group
-            if not names:
-                continue
-            text = control["control_text"]
-            overlap_task, overlap_plan, prior, type_index = values
-            head = 0.0 + w[0] * overlap_task + w[1] * overlap_plan
-            prior_term = w[9] * prior
-            type_term = 0.0 if type_index is None else w[_CTYPE_START + type_index]
-        repeat_text = last is not None and last.control_text == text
-        for (task_term, step_term, repeat, select_needed, args_term, one_hot), needs in zip(
-            functions, _selection_flags(names, text)
-        ):
-            score = head + task_term + step_term
-            if repeat and repeat_text:
-                score += w[4]
-            score += progress_term
-            if needs:
-                score += select_term
-            append(score + select_needed + prior_term + args_term + one_hot + type_term)
+            names, text = _applicable(targeted, control["control_type"]), control["control_text"]
+        if not names:
+            continue
+        (i0, x0), (i1, x1), (i2, x2), (i3, x3) = block
+        c0, c1, c2, c3 = w[i0] * x0, w[i1] * x1, w[i2] * x2, w[i3] * x3
+        for name, pair in zip(names, _pair_codes(names, text, selection, repeated)):
+            p0, p1, p2 = pair_terms[pair]
+            append(prefixes[name] + c0 + c1 + c2 + c3 + p0 + p1 + p2)
     return scores
 
 

@@ -11,8 +11,11 @@ In training every head, and the reward model, scores sparse rows against a
 dense weight vector with ``score_rows``; the plan head's rows are
 ``plan_rows`` over the ``plan_names`` layout. In inference the status and
 plan heads score their rows the same way, but the action head scores a
-state's candidates in one pass (``features.candidate_scores``), to the same
-floats, without a row or a candidate object per pair. A single-row
+state's candidates in one pass (``features.candidate_scores``), without a
+row or a candidate object per pair; both read one definition of the
+features, its block-ordered slots, and add a score's terms in the same
+order, so the floats are equal. Every float sum here and in ``training``
+is ``left_sum``, which adds left to right on every interpreter. A single-row
 head (status, reward model) adds each row's gradient with ``scatter_row``.
 The softmax heads' training kernels (imitation, PPO, plan SFT) see whole
 candidate sets: ``to_columns`` turns their rows into feature columns once,
@@ -30,8 +33,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from operator import mul
+from functools import cached_property, lru_cache, reduce
+from operator import add, mul
 from pathlib import Path
 from typing import Container, Iterable, Sequence
 
@@ -47,6 +50,7 @@ __all__ = [
     "END_TOKEN",
     "ModelParams",
     "ActionDistribution",
+    "left_sum",
     "softmax",
     "sigmoid",
     "score_rows",
@@ -70,11 +74,18 @@ ACT_NAMES = tuple(f"act::{name}" for name in FEATURE_NAMES)
 STATUS_NAMES = tuple(f"status::{name}" for name in STATUS_FEATURES)
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """0.0 + v0 + v1 + ..., added left to right. Unlike ``sum()``, which
+    compensates float sums from CPython 3.12 on, it gives the same float on
+    every interpreter, so trained weights do not depend on the version."""
+    return reduce(add, values, 0.0)
+
+
 def softmax(scores: list[float]) -> tuple[list[float], list[float]]:
     """Returns (probabilities, log-probabilities), numerically stable."""
     m = max(scores)
     exps = [math.exp(s - m) for s in scores]
-    total = sum(exps)
+    total = left_sum(exps)
     log_total = math.log(total)
     probs = [e / total for e in exps]
     log_probs = [(s - m) - log_total for s in scores]
@@ -94,7 +105,7 @@ def score_rows(w: Sequence[float], rows: Iterable[SparseRow]) -> list[float]:
     """The score of every sparse row under the dense weights ``w``. A feature
     a row skips would add w * 0.0 = +-0.0, which never changes a float sum
     started at +0.0, so the scores equal the dense dot products exactly."""
-    return [sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in rows]
+    return [left_sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in rows]
 
 
 def scatter_row(grads: dict[int, float], coef: float, row: SparseRow) -> None:

@@ -45,11 +45,6 @@ FUNC_TRIGGERS: dict[str, tuple[str, ...]] = {
 # candidate without a control (or of a control with an empty type). Any other
 # type has no one-hot feature.
 CONTROL_TYPES = env_sim.CONTROL_TYPES + ("<none>",)
-_CONTROL_TYPE_INDEX = {name: i for i, name in enumerate(CONTROL_TYPES)}
-
-# (task overlap, plan-step overlap, position prior, CONTROL_TYPES index or
-# None) of one control at one state.
-ControlValues = tuple[float, float, float, int | None]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -69,27 +64,6 @@ def _affinities(low: str) -> Mapping[str, float]:
         function: 1.0 if any(trigger in low for trigger in triggers) else 0.0
         for function, triggers in FUNC_TRIGGERS.items()
     })
-
-
-def _control_values(state: AgentState, controls: tuple[dict, ...]) -> list[ControlValues]:
-    """Per control, in order, the values that depend on its (label, text,
-    type) alone: the token overlap of its text with the task and with the
-    current plan step, the position prior 1 / (1 + label) of a numeric label
-    (else 0) and the index of its type in CONTROL_TYPES (None if it has
-    none). An overlap is ``set_overlap``, with the common disjoint case
-    first."""
-    task, step = state.task_tokens, state.step_tokens
-    values = []
-    for control in controls:
-        label = control["label"]
-        words = _text_tokens(control["control_text"])
-        values.append((
-            0.0 if words.isdisjoint(task) else len(words & task) / len(words),
-            0.0 if words.isdisjoint(step) else len(words & step) / len(words),
-            1.0 / (1.0 + float(label)) if label.isdigit() else 0.0,
-            _CONTROL_TYPE_INDEX.get(control["control_type"] or "<none>"),
-        ))
-    return values
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .ppo import (
     compute_advantage,
     ppo_update,
     scale_reward,
-    surrogate_value,
 )
 from .reward import (
     RewardedStep,
@@ -61,7 +60,6 @@ __all__ = [
     "compute_advantage",
     "ppo_update",
     "scale_reward",
-    "surrogate_value",
     "RewardedStep",
     "RewardModelParams",
     "prepare_rewarded",

@@ -15,8 +15,12 @@ is the target; ``prepare_status`` and ``prepare_rewarded`` store one
 labelled row per step. A softmax step holds row ids into one table of
 distinct rows per preparation call. The loss functions are the kernels and
 take prepared items only: each call reads the weights once and scores the
-rows with ``model.score_rows``, the kernel inference uses. A training phase
-prepares its corpus once and hands the prepared items to every epoch.
+rows with ``model.score_rows``. An action row is ``featurize``'s
+concatenation of the feature blocks' slots, the one definition of the
+action features that the agent's one-pass scores read too, in the same
+order, so training and inference score a pair to the same float. A
+training phase prepares its corpus once and hands the prepared items to
+every epoch.
 
 Candidate rows repeat heavily (features are indicators and a few quantized
 values): the suite corpus has 2,222 candidate rows but 119 distinct ones.
@@ -47,6 +51,7 @@ from ..policy.model import (
     STATUS_NAMES,
     Column,
     ModelParams,
+    left_sum,
     plan_names,
     plan_overlaps,
     plan_rows,
@@ -249,7 +254,7 @@ def sft_plan_loss(
         record_loss = _softmax_steps(record_grads, scores, record.steps, record.columns, 1.0)
         contributions.append((record_loss, float(len(record.steps)), record_grads))
 
-    total_targets = sum(n for _, n, _ in contributions)
+    total_targets = left_sum(n for _, n, _ in contributions)
     total_loss = 0.0
     grads: dict[int, float] = {}
     for record_loss, n_targets, record_grads in contributions:

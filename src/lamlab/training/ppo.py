@@ -19,7 +19,8 @@ from typing import Sequence
 from ..errors import DegenerateRatio, EmptyCorpus
 from ..policy import AgentState
 from ..policy.features import SparseRow
-from ..policy.model import ACT_NAMES, Column, ModelParams, scatter_columns, score_rows, softmax
+from ..policy.model import ACT_NAMES, Column, ModelParams, left_sum
+from ..policy.model import scatter_columns, score_rows, softmax
 from ..env_sim import ActionCall
 from .configs import PpoConfig
 from .losses import ActionRows, prepare_imitation, sgd, train_params
@@ -31,7 +32,6 @@ __all__ = [
     "PpoRow",
     "prepare_ppo",
     "ppo_loss",
-    "surrogate_value",
     "ppo_update",
     "PpoDiagnostics",
 ]
@@ -50,7 +50,7 @@ def compute_advantage(rewards: Sequence[float], config: PpoConfig = PpoConfig())
     if not rewards:
         return []
     scaled = [scale_reward(r, config) for r in rewards]
-    baseline = sum(scaled) / len(scaled)
+    baseline = left_sum(scaled) / len(scaled)
     return [s - baseline for s in scaled]
 
 
@@ -123,7 +123,7 @@ def _step_terms(w: Sequence[float], row: PpoRow, epsilon: float):
     probs, log_probs = _row_softmax(w, row.action.rows)
     ratio = math.exp(log_probs[row.action.expert] - row.old_log_prob)
     term = clipped_term(ratio, row.advantage, epsilon)
-    kl = sum(
+    kl = left_sum(
         p_old * (math.log(max(p_old, 1e-300)) - lp)
         for p_old, lp in zip(row.old_probs, log_probs)
     )
@@ -158,21 +158,7 @@ def ppo_loss(
 
 
 def _mean_surrogate(params: ModelParams, rows: Sequence[PpoRow], epsilon: float) -> float:
-    return sum(_step_terms(params.act_weights, row, epsilon)[2] for row in rows) / len(rows)
-
-
-def surrogate_value(
-    params: ModelParams,
-    old_params: ModelParams,
-    steps: Sequence[tuple[AgentState, ActionCall]],
-    advantages: Sequence[float],
-    config: PpoConfig = PpoConfig(),
-) -> float:
-    """Mean clipped surrogate of the given steps under params vs old_params."""
-    prepared = prepare_ppo(steps, advantages, old_params)
-    if not prepared:
-        raise EmptyCorpus("no steps to evaluate")
-    return _mean_surrogate(params, prepared, config.clip_epsilon)
+    return left_sum(_step_terms(params.act_weights, row, epsilon)[2] for row in rows) / len(rows)
 
 
 def ppo_update(
@@ -197,7 +183,7 @@ def ppo_update(
 
     def adapt_kl_coef(params: ModelParams) -> None:
         nonlocal kl_coef, kl_measured
-        kl = sum(_step_terms(params.act_weights, row, epsilon)[3] for row in prepared)
+        kl = left_sum(_step_terms(params.act_weights, row, epsilon)[3] for row in prepared)
         kl_measured = kl / len(prepared)
         if kl_measured > config.kl_target * 1.5:
             kl_coef *= 2.0

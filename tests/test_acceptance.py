@@ -5,7 +5,9 @@ progress and timing lines.
 """
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -40,8 +42,8 @@ from lamlab.training import (
     prepare_plans,
     prepare_rewarded,
     rm_mse_loss,
+    ppo_update,
     sft_plan_loss,
-    surrogate_value,
 )
 from lamlab.training.reward import RM_FEATURE_NAMES
 from lamlab.harness import (
@@ -196,7 +198,8 @@ def test_criterion_2_ppo_identities():
     params = ModelParams.zeros().replaced(
         {name: rng.uniform(-1, 1) for name in ModelParams.zeros().weights if name.startswith("act::")}
     )
-    value = surrogate_value(params, params, steps, advantages, PpoConfig())
+    _, diagnostics = ppo_update(params, params, steps, advantages, PpoConfig())
+    value = diagnostics.surrogate_before
     assert abs(value - sum(advantages) / len(advantages)) <= 1e-12
 
     assert clipped_term(1.5, 1.0, 0.2) == 1.2
@@ -359,22 +362,17 @@ def test_criterion_4_phase_progression(suite_phases):
     )
 
 
-# sha256 prefixes of each checkpoint's (weights.json, manifest.json), measured
-# with CPython 3.11.
+# sha256 prefixes of each checkpoint's (weights.json, manifest.json). Every
+# float sum adds left to right (``model.left_sum``), so they are the same on
+# every CPython; ``test_checkpoints_are_pinned_on_other_interpreters`` checks
+# that on each CPython >= 3.12 it finds.
 _PINNED_CHECKPOINTS = {
     "lam1": ("7f190fac", "d061c170"),
-    "lam2": ("68f9d90e", "1b973260"),
-    "lam3": ("91d458a0", "23b136c1"),
-    "lam4": ("91d458a0", "9e318567"),
-    "rm": ("fdf954c3", "e216e694"),
+    "lam2": ("cf4fa8ff", "1b973260"),
+    "lam3": ("f589fc24", "23b136c1"),
+    "lam4": ("f589fc24", "9e318567"),
+    "rm": ("b7fa32b0", "6a3df481"),
 }
-
-
-_TRAINED_BYTES_ARE_311 = pytest.mark.skipif(
-    sys.version_info >= (3, 12),
-    reason="from CPython 3.12 on, sum() of floats uses compensated summation, "
-    "which changes the trained weights' bytes",
-)
 
 
 def _checkpoint_digests(ws: Path, names) -> dict[str, tuple[str, str]]:
@@ -387,7 +385,6 @@ def _checkpoint_digests(ws: Path, names) -> dict[str, tuple[str, str]]:
     }
 
 
-@_TRAINED_BYTES_ARE_311
 def test_suite_checkpoints_are_pinned(suite_phases):
     assert _checkpoint_digests(suite_phases[0], _PINNED_CHECKPOINTS) == _PINNED_CHECKPOINTS
 
@@ -584,14 +581,14 @@ def test_criterion_7_determinism(cli_lifecycle, tmp_path):
 
 
 # sha256 prefixes of each checkpoint's (weights.json, manifest.json) after the
-# bundled-corpus CLI lifecycle of ``_full_run`` (CPython 3.11). Unlike the
-# suite's, this corpus leaves phase 4 failure steps to run PPO on.
+# bundled-corpus CLI lifecycle of ``_full_run``. Unlike the suite's, this
+# corpus leaves phase 4 failure steps to run PPO on.
 _PINNED_CLI_CHECKPOINTS = {
     "lam1": ("476acd71", "b23db27f"),
-    "lam2": ("7170bce3", "e87e5b78"),
-    "lam3": ("6a663455", "962399ad"),
-    "lam4": ("cb652fc6", "0778c4ba"),
-    "rm": ("a01a515a", "a425fa20"),
+    "lam2": ("f51ac156", "e87e5b78"),
+    "lam3": ("f6727241", "962399ad"),
+    "lam4": ("0aae4254", "0499e267"),
+    "rm": ("d78fd170", "2a6afb30"),
 }
 
 
@@ -601,10 +598,55 @@ def test_cli_lifecycle_runs_ppo(cli_lifecycle):
     assert manifest["ppo"] is not None
 
 
-@_TRAINED_BYTES_ARE_311
 def test_cli_checkpoints_are_pinned(cli_lifecycle):
     digests = _checkpoint_digests(cli_lifecycle[0], _PINNED_CLI_CHECKPOINTS)
     assert digests == _PINNED_CLI_CHECKPOINTS
+
+
+def _other_interpreters() -> dict[tuple[int, int], str]:
+    """One runnable CPython >= 3.12 on PATH per minor version, other than
+    the running interpreter's version."""
+    found: dict[tuple[int, int], str] = {}
+    probe = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:2])"
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        for name in ("python3", "python3.12", "python3.13", "python3.14"):
+            exe = Path(directory, name)
+            if not exe.is_file() or not os.access(exe, os.X_OK):
+                continue
+            try:
+                out = subprocess.run(
+                    [str(exe), "-c", probe], capture_output=True, text=True, timeout=60
+                )
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            words = out.stdout.split()
+            if out.returncode or len(words) != 3 or words[0] != "CPython":
+                continue
+            version = (int(words[1]), int(words[2]))
+            if version >= (3, 12) and version != sys.version_info[:2]:
+                found.setdefault(version, str(exe))
+    return found
+
+
+def test_checkpoints_are_pinned_on_other_interpreters():
+    """The pins hold under every other CPython >= 3.12 on PATH, where
+    ``sum()`` would compensate. ``tests/checkpoint_digests.py`` trains the
+    suite and the bundled corpus; it needs no pytest."""
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.12 runs on PATH")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = str(root / "tests" / "checkpoint_digests.py")
+    expected = {
+        "suite": {name: list(pin) for name, pin in _PINNED_CHECKPOINTS.items()},
+        "cli": {name: list(pin) for name, pin in _PINNED_CLI_CHECKPOINTS.items()},
+    }
+    for version, exe in sorted(interpreters.items()):
+        out = subprocess.run(
+            [exe, script], capture_output=True, text=True, env=env, timeout=600, check=True
+        )
+        assert json.loads(out.stdout) == expected, f"CPython {version}: {exe}"
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from lamlab import harness
 from lamlab.agent import (
     AgentConfig,
     Memory,
@@ -232,3 +233,7 @@ def test_scripted_replay_matches_pipeline_execution():
     assert record.outcome == "finished"
     assert record.trajectory.final_canvas == pipeline_traj.final_canvas
     assert record.trajectory.final_status == "success"
+
+
+def test_suite_runs_over_no_tasks_runs_none():
+    assert harness.suite_runs(ModelParams.zeros(), []) == []

@@ -47,7 +47,6 @@ from lamlab.errors import ValidationFailure
 from lamlab.jsonl import read_jsonl
 from lamlab.oracle import MockOracle
 from lamlab.policy import (
-    BASE_FEATURES,
     AgentState,
     CandidateAction,
     FEATURE_NAMES,
@@ -66,7 +65,8 @@ from lamlab.policy import (
 from lamlab.policy import candidates as candidates_module
 from lamlab.policy import features as features_module
 from lamlab.policy import model as model_module
-from lamlab.policy.features import _CTYPE_BLOCK, _FUNC_BLOCK, FUNC_TRIGGERS
+from lamlab.policy.state import FUNC_TRIGGERS
+from lamlab.policy.features import candidate_scores
 from lamlab.policy.model import END_TOKEN, plan_overlaps, score_rows
 from lamlab.textutil import set_overlap, token_set
 from lamlab.training import (
@@ -108,6 +108,10 @@ def token_overlap(a, b):
 
 
 def reference_featurize(state, candidate):
+    """The pair's dense vector: every feature computed from its definition
+    and keyed by its name, then laid out in FEATURE_NAMES order, so it checks
+    what each feature means, not where it sits. A one-hot of a function or a
+    control type outside the layout is not a feature."""
     current_step = state.previous_plan[0] if state.previous_plan else ""
     selection = any(
         action.function == "select_text" and result.get("ok")
@@ -132,25 +136,32 @@ def reference_featurize(state, candidate):
     position_prior = 0.0
     if candidate.control is not None and candidate.control_label.isdigit():
         position_prior = 1.0 / (1.0 + float(candidate.control_label))
-    values = [
-        token_overlap(candidate.control_text, state.task) if candidate.control else 0.0,
-        token_overlap(candidate.control_text, current_step) if candidate.control else 0.0,
-        affinity(candidate.function, state.task),
-        affinity(candidate.function, current_step),
-        repeat,
-        min((state.step_id - 1) / 20.0, 1.0),
-        1.0 if needs_sel and selection else 0.0,
-        1.0 if needs_sel and not selection else 0.0,
-        1.0
+    signals = {
+        "overlap_task": token_overlap(candidate.control_text, state.task)
+        if candidate.control
+        else 0.0,
+        "overlap_plan": token_overlap(candidate.control_text, current_step)
+        if candidate.control
+        else 0.0,
+        "func_task_affinity": affinity(candidate.function, state.task),
+        "func_plan_affinity": affinity(candidate.function, current_step),
+        "repeat_last": repeat,
+        "progress": min((state.step_id - 1) / 20.0, 1.0),
+        "selection_ready": 1.0 if needs_sel and selection else 0.0,
+        "selection_missing": 1.0 if needs_sel and not selection else 0.0,
+        "select_needed": 1.0
         if candidate.function == "select_text" and not selection and task_has_format
         else 0.0,
-        position_prior,
-        1.0 if candidate.args else 0.0,
-    ]
-    values.extend(1.0 if name == f"func::{candidate.function}" else 0.0 for name in _FUNC_BLOCK)
-    ctype = candidate.control_type or "<none>"
-    values.extend(1.0 if name == f"ctype::{ctype}" else 0.0 for name in _CTYPE_BLOCK)
-    return values
+        "position_prior": position_prior,
+        "args_present": 1.0 if candidate.args else 0.0,
+    }
+    assert signals.keys() <= set(FEATURE_NAMES)
+    features = {
+        **signals,
+        f"func::{candidate.function}": 1.0,
+        f"ctype::{candidate.control_type or '<none>'}": 1.0,
+    }
+    return [features.get(name, 0.0) for name in FEATURE_NAMES]
 
 
 def reference_status_features(state):
@@ -854,36 +865,79 @@ def test_one_pass_scores_equal_featurized_rows_on_drawn_states(state, seed, data
 
 
 def test_one_pass_adds_terms_in_feature_order():
-    """Weights of very different magnitudes on a state where pairs set many
-    features at once, so that adding a pair's terms in any other order
-    changes its score."""
+    """Weights of very different magnitudes on states where pairs set many
+    features at once, so that adding two neighbouring terms of a pair the
+    other way round changes some pair's score (but for a pair's first two
+    terms, whose sum is the same either way). The last action of the second
+    and third states is repeated by a candidate that needs a selection, which
+    only the third state has."""
     task = 'Set the "Styles" option, then type the text "Styles" in bold.'
     controls = tuple(list_controls(load_template("plain_text")))
     first = AgentState(task=task, step_id=1, controls=controls)
-    styles = next(
-        c for c in enumerate_candidates(first)
-        if c.function == "select_option" and c.control_text == "Styles"
+    styles, bold, select = (
+        next(c for c in enumerate_candidates(first) if (c.function, c.control_text) == key)
+        for key in (("select_option", "Styles"), ("toggle_bold", ""), ("select_text", ""))
     )
-    state = AgentState(
-        task=task,
-        step_id=4,
-        controls=controls,
-        previous_actions=((styles.to_action_call(), {"ok": True}),),
-        previous_plan=("Choose the Styles option.",),
-    )
-    magnitudes = (0.7, 0.3, 1e16, -3.3, 1.1, 5e15, -2.5, 7.5, 0.9, 7.7, 3e15)
-    weights = dict(zip((f"act::{n}" for n in BASE_FEATURES), magnitudes))
-    weights.update({f"act::{n}": 1.3 for n in _FUNC_BLOCK})
-    weights.update({f"act::{n}": -0.6 for n in _CTYPE_BLOCK})
-    params = ModelParams.zeros().replaced(weights)
-    w = params.act_weights
-    rows = [featurize(state, c) for c in enumerate_candidates(state)]
-    expected = score_rows(w, rows)
-    assert [s.hex() for s in action_distribution(state, params).scores] == [
-        s.hex() for s in expected
+    states = [
+        AgentState(
+            task=task,
+            step_id=4,
+            controls=controls,
+            previous_actions=history,
+            previous_plan=("Choose the Styles option.",),
+        )
+        for history in (
+            ((styles.to_action_call(), {"ok": True}),),
+            ((styles.to_action_call(), {"ok": True}), (bold.to_action_call(), {"ok": False})),
+            ((select.to_action_call(), {"ok": True}), (bold.to_action_call(), {"ok": True})),
+        )
     ]
-    reversed_order = [sum(w[j] * x for j, x in reversed(list(zip(*row)))) for row in rows]
-    assert reversed_order != expected
+    magnitudes = [
+        {
+            "progress": 0.9,
+            "func_task_affinity": -3.3,
+            "func_plan_affinity": 0.9,
+            "select_needed": 3.0,
+            "args_present": 0.3,
+            "func::*": 1.3,
+            "overlap_task": 0.1,
+            "overlap_plan": 7.5,
+            "position_prior": 0.3,
+            "ctype::*": 0.3,
+            "repeat_last": 1e16,
+            "selection_ready": -1e16,
+            "selection_missing": 1.1,
+        },
+        {
+            "progress": 0.001,
+            "func_task_affinity": 1.0,
+            "func_plan_affinity": -1e16,
+            "select_needed": 5e15,
+            "args_present": 7.5,
+            "func::*": 1.0,
+            "overlap_task": -1e16,
+            "overlap_plan": 1.0,
+            "position_prior": 0.1,
+            "ctype::*": -0.6,
+            "repeat_last": 1.3,
+            "selection_ready": -3.3,
+            "selection_missing": 1.1,
+        },
+    ]
+    for state in states:
+        rows = [featurize(state, c) for c in enumerate_candidates(state)]
+        for by_name in magnitudes:
+            weights = {
+                f"act::{n}": by_name[n.split("::")[0] + "::*" if "::" in n else n]
+                for n in FEATURE_NAMES
+            }
+            w = ModelParams.zeros().replaced(weights).act_weights
+            expected = score_rows(w, rows)
+            assert [s.hex() for s in candidate_scores(state, w)] == [s.hex() for s in expected]
+            reversed_order = [
+                sum(w[j] * x for j, x in reversed(list(zip(*row)))) for row in rows
+            ]
+            assert reversed_order != expected
 
 
 def test_argmax_run_on_a_trained_checkpoint_builds_no_row_and_no_softmax(tmp_path, monkeypatch):

@@ -28,8 +28,10 @@ from lamlab.policy import (
     select_action,
 )
 from lamlab.policy import candidates as candidates_module
+from lamlab.policy import features
 from lamlab.policy.features import BASE_FEATURES
-from lamlab.policy.model import sigmoid
+from lamlab.policy.model import left_sum, score_rows, sigmoid, softmax
+from lamlab.policy.state import CONTROL_TYPES
 from lamlab.training import prepare_plans, sft_plan_loss, train_params
 from lamlab.training.losses import sgd
 
@@ -329,6 +331,62 @@ def test_plan_capped_at_twenty_steps():
     vocab = build_plan_vocab([[f"Step number {i}." for i in range(30)]])
     params = ModelParams.zeros(plan_vocab=vocab).replaced({"plan::bias::<END>": -100.0})
     assert len(generate_plan("task", params)) <= 20
+
+
+def test_float_sums_add_left_to_right():
+    """At each step of a left-to-right sum, 1e16 + 1.0 rounds back to 1e16;
+    ``sum()`` compensates from CPython 3.12 on and gives 1e16 + 2. Likewise
+    1.0 + e^-37 rounds to 1.0, so the softmax's first probability is 1.0."""
+    assert left_sum([1e16, 1.0, 1.0]) == 1e16
+    assert left_sum([]) == 0.0
+    assert score_rows([1e16, 1.0, 1.0], [((0, 1, 2), (1.0, 1.0, 1.0))]) == [1e16]
+    assert softmax([0.0, -37.0, -37.0])[0][0] == 1.0
+
+
+# The action features a checkpoint written before the block layout names, in
+# the order that layout had.
+_PREVIOUS_FEATURE_NAMES = (
+    "overlap_task",
+    "overlap_plan",
+    "func_task_affinity",
+    "func_plan_affinity",
+    "repeat_last",
+    "progress",
+    "selection_ready",
+    "selection_missing",
+    "select_needed",
+    "position_prior",
+    "args_present",
+    *(f"func::{name}" for name in REGISTRY),
+    *(f"ctype::{name}" for name in CONTROL_TYPES),
+)
+
+
+def test_feature_layout_is_four_blocks_of_the_previous_names():
+    assert features.PROGRESS_BLOCK == ("progress",)
+    assert features.PAIR_BLOCK == ("repeat_last", "selection_ready", "selection_missing")
+    assert FEATURE_NAMES == (
+        features.PROGRESS_BLOCK
+        + features.FUNCTION_BLOCK
+        + features.CONTROL_BLOCK
+        + features.PAIR_BLOCK
+    )
+    assert sorted(FEATURE_NAMES) == sorted(_PREVIOUS_FEATURE_NAMES)
+
+
+def test_checkpoint_of_the_previous_layout_loads_by_name(tmp_path):
+    import json
+
+    weights = {f"act::{name}": float(i + 1) for i, name in enumerate(_PREVIOUS_FEATURE_NAMES)}
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "kind": "policy",
+        "plan_vocab": [],
+        "weights": weights,
+    }))
+    params = ModelParams.load(path)
+    assert params.act_weights == tuple(weights[f"act::{name}"] for name in FEATURE_NAMES)
 
 
 # --- checkpoints ------------------------------------------------------------------

@@ -34,7 +34,6 @@ from lamlab.training import (
     self_boost,
     sft_plan_loss,
     status_loss,
-    surrogate_value,
     train_reward_model,
 )
 from lamlab.training import ppo
@@ -384,7 +383,8 @@ def test_ppo_ratio_identity():
     params = random_params(rng)
     steps = ppo_steps()
     advantages = [0.31, -0.17]
-    value = surrogate_value(params, params, steps, advantages)
+    _, diagnostics = ppo_update(params, params, steps, advantages)
+    value = diagnostics.surrogate_before
     assert abs(value - sum(advantages) / len(advantages)) < 1e-12
 
 

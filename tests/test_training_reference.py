@@ -31,7 +31,6 @@ from lamlab.training import (
     RmConfig,
     clipped_term,
     ppo_update,
-    surrogate_value,
     train_reward_model,
 )
 from lamlab.training.reward import RM_FEATURE_NAMES, RewardedStep
@@ -319,7 +318,8 @@ def test_surrogate_value_equals_reference():
     for seed in range(4):
         params, old_params, steps, advantages = ppo_case(seed, 2)
         for config in PPO_CONFIGS:
-            assert surrogate_value(params, old_params, steps, advantages, config) == (
+            _, diagnostics = ppo_update(params, old_params, steps, advantages, config)
+            assert diagnostics.surrogate_before == (
                 reference_surrogate_value(params, old_params, steps, advantages, config)
             )
 
