@@ -139,12 +139,12 @@ def _control_slots(
             continue
         label = control["label"]
         words = _text_tokens(control["control_text"])
-        ctype = _TYPE_SLOTS.get(control["control_type"] or "<none>", _UNKNOWN_TYPE)
+        type_slot = _TYPE_SLOTS.get(control["control_type"] or "<none>", _UNKNOWN_TYPE)
         blocks.append((
             (_OVERLAP_TASK, 0.0 if words.isdisjoint(task) else len(words & task) / len(words)),
             (_OVERLAP_PLAN, 0.0 if words.isdisjoint(step) else len(words & step) / len(words)),
             (_POSITION_PRIOR, 1.0 / (1.0 + float(label)) if label.isdigit() else 0.0),
-            ctype,
+            type_slot,
         ))
     return blocks
 

@@ -15,8 +15,9 @@ state's candidates in one pass (``features.candidate_scores``), without a
 row or a candidate object per pair; both read one definition of the
 features, its block-ordered slots, and add a score's terms in the same
 order, so the floats are equal. Every float sum here and in ``training``
-is ``left_sum``, which adds left to right on every interpreter. A single-row
-head (status, reward model) adds each row's gradient with ``scatter_row``.
+adds left to right on every interpreter: ``left_sum``, or a plain loop in
+the kernels. A single-row head (status, reward model) adds each row's
+gradient with ``scatter_row``.
 The softmax heads' training kernels (imitation, PPO, plan SFT) see whole
 candidate sets: ``to_columns`` turns their rows into feature columns once,
 and ``scatter_columns`` adds the gradient one feature at a time, each
@@ -33,8 +34,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
-from operator import add, mul
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Container, Iterable, Sequence
 
@@ -78,7 +78,10 @@ def left_sum(values: Iterable[float]) -> float:
     """0.0 + v0 + v1 + ..., added left to right. Unlike ``sum()``, which
     compensates float sums from CPython 3.12 on, it gives the same float on
     every interpreter, so trained weights do not depend on the version."""
-    return reduce(add, values, 0.0)
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def softmax(scores: list[float]) -> tuple[list[float], list[float]]:
@@ -104,8 +107,15 @@ def sigmoid(logit: float) -> float:
 def score_rows(w: Sequence[float], rows: Iterable[SparseRow]) -> list[float]:
     """The score of every sparse row under the dense weights ``w``. A feature
     a row skips would add w * 0.0 = +-0.0, which never changes a float sum
-    started at +0.0, so the scores equal the dense dot products exactly."""
-    return [left_sum(map(mul, map(w.__getitem__, idx), xs)) for idx, xs in rows]
+    started at +0.0, so the scores equal the dense dot products exactly. Each
+    score adds its terms left to right, as ``left_sum`` does."""
+    scores = []
+    for idx, xs in rows:
+        score = 0.0
+        for j, x in zip(idx, xs):
+            score += w[j] * x
+        scores.append(score)
+    return scores
 
 
 def scatter_row(grads: dict[int, float], coef: float, row: SparseRow) -> None:
