@@ -23,6 +23,7 @@ from .env_sim import (
 )
 from .errors import check_ints
 from .policy import AgentState, ModelParams, generate_plan, select_action
+from .policy.model import left_sum
 
 __all__ = [
     "Memory",
@@ -224,5 +225,5 @@ def run_task(
         trajectory=trajectory,
         outcome=outcome,
         step_times=tuple(step_times),
-        total_time=sum(step_times),
+        total_time=left_sum(step_times),
     )

@@ -163,6 +163,7 @@ def _write_manifest(config: RunConfig, command: str, inputs, outputs) -> None:
 
 def _cmd_dataflow(args, config: RunConfig) -> int:
     workspace = Path(config.workspace)
+    oracle = config.make_oracle()
     files = stage_files(workspace)
     raw = files["raw"]
     if args.input:
@@ -175,7 +176,6 @@ def _cmd_dataflow(args, config: RunConfig) -> int:
     elif not raw.is_file():
         raw.parent.mkdir(parents=True, exist_ok=True)
         raw.write_bytes(Path(fixture_path("raw_records.jsonl")).read_bytes())
-    oracle = config.make_oracle()
     if args.stage == "all":
         reports = run_all(workspace, oracle, config.pipeline)
     else:

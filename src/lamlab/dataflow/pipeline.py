@@ -17,7 +17,6 @@ validation are skipped with a diagnostic, never aborting the stage.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -200,6 +199,8 @@ def _map_skipping(fn: Callable, items: Sequence, workers: int) -> tuple[list, li
     if workers <= 1 or len(items) <= 1:
         outcomes = [safe(item) for item in items]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # local: only a waiting provider pools
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(safe, items))
     results = [r for r, err in outcomes if err is None]

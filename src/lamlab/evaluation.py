@@ -21,6 +21,7 @@ from .errors import EmptyCorpus, MissingGroundTruth, OracleFailure
 from .goals import goal_satisfied
 from .jsonl import write_text
 from .oracle import OracleRequest, Provider
+from .policy.model import left_sum
 from . import textutil
 
 __all__ = [
@@ -290,7 +291,7 @@ def eval_online(
     if not runs:
         raise EmptyCorpus("eval_online needs at least one run")
     successes = sum(1 for run in runs if judge(run))
-    total_time = sum(run.total_time for run in runs)
+    total_time = left_sum(run.total_time for run in runs)
     total_steps = sum(len(run.trajectory.steps) for run in runs)
     return OnlineEvalResult(
         tsr=successes / len(runs),

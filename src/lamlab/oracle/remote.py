@@ -2,7 +2,10 @@
 
 One HTTP request per completion with bounded retry and exponential backoff;
 responses go through the same strict parser as the mock provider. Never a
-test dependency: tests inject a fake session.
+test dependency: tests inject a fake session. ``requests`` is imported only
+when a ``RemoteOracle`` is used, so a process that never calls a remote
+backend does not load the HTTP stack; without the package, building one
+without a session is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -12,9 +15,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import requests
-
-from ..errors import Timeout
+from ..errors import ConfigError, Timeout
 from .base import OracleRequest, OracleResponse, parse_response, render_prompt, split_messages
 
 __all__ = ["RemoteOracleConfig", "RemoteOracle", "MemoizingOracle"]
@@ -39,11 +40,19 @@ class RemoteOracle:
     waits_on_io = True
 
     def __init__(self, config: RemoteOracleConfig, session=None, sleep=time.sleep):
+        if session is None:
+            try:
+                import requests  # local: only a remote oracle loads the HTTP stack
+            except ImportError as exc:
+                raise ConfigError("oracle provider 'remote' needs the 'requests' package") from exc
+            session = requests.Session()
         self._config = config
-        self._session = session if session is not None else requests.Session()
+        self._session = session
         self._sleep = sleep
 
     def complete(self, request: OracleRequest) -> OracleResponse:
+        import requests  # local: only a remote oracle loads the HTTP stack
+
         rendered = render_prompt(request.template_id, request.substitutions)
         payload = {"model": self._config.model, "messages": split_messages(rendered), **_DECODING}
         headers = {}
@@ -82,11 +91,12 @@ class RemoteOracle:
 
 def _extract_content(resp) -> str:
     try:
-        body = resp.json()
-        return body["choices"][0]["message"]["content"]
+        content = resp.json()["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError):
-        # Surface the malformed body via the strict parser rather than raising here.
-        return resp.text
+        content = None
+    # Surface a malformed body, or content that is not text, via the strict
+    # parser rather than raising here.
+    return content if isinstance(content, str) else resp.text
 
 
 @dataclass

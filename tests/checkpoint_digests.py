@@ -7,8 +7,8 @@ through the CLI (``dataflow run --stage all --clock zero``, then ``train
 --phase 1..4``), whose phase 4 runs PPO. It prints one JSON object:
 ``{"suite": ..., "cli": ...}``, each mapping a checkpoint to the sha256
 prefixes of its ``weights.json`` and ``manifest.json``. It needs only the
-standard library and ``lamlab``, so it runs under a CPython without pytest
-or ``requests``; the commands' own output goes to stderr:
+standard library and ``lamlab``, so it runs under a CPython without pytest;
+the commands' own output goes to stderr:
 
     PYTHONPATH=src python3.13 tests/checkpoint_digests.py
 
@@ -20,20 +20,11 @@ import contextlib
 import json
 import sys
 import tempfile
-import types
 from pathlib import Path
 
-try:
-    import requests  # noqa: F401
-except ImportError:
-    # Only the remote oracle calls it, and the suite trains with the mock.
-    requests = types.ModuleType("requests")
-    requests.RequestException = type("RequestException", (Exception,), {})
-    sys.modules["requests"] = requests
-
-from lamlab.cli import main as cli_main  # noqa: E402
-from lamlab.harness import build_suite_workspace, run_suite_phases  # noqa: E402
-from lamlab.jsonl import sha256_file  # noqa: E402
+from lamlab.cli import main as cli_main
+from lamlab.harness import build_suite_workspace, run_suite_phases
+from lamlab.jsonl import sha256_file
 
 CHECKPOINTS = ("lam1", "lam2", "lam3", "lam4", "rm")
 

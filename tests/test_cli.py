@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -496,6 +497,20 @@ def test_bad_config_value_exit_2(tmp_path, capsys, values, command):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_remote_oracle_without_requests_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {"oracle": {"provider": "remote", "endpoint": "http://localhost:9", "model": "m"}}
+    ))
+    ws = tmp_path / "ws"
+    code = main(["--config", str(config), "--workspace", str(ws), "dataflow", "run", "--stage", "all"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: oracle provider 'remote' needs the 'requests' package\n"
+    assert not ws.exists()
 
 
 def test_config_without_training_section_is_the_desk_configs(tmp_path):

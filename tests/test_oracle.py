@@ -1,6 +1,10 @@
 """Oracle providers: template rendering, strict parsing, retry behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +256,38 @@ def test_remote_malformed_body_classified_not_raised():
     response = remote(session).complete(OracleRequest("judge", judge_substitutions()))
     assert response.parsed is None
     assert response.parse_error
+
+
+@pytest.mark.parametrize("content", [None, 5, ["a"]], ids=["null", "number", "list"])
+def test_remote_non_text_content_classified_not_raised(content):
+    reply = FakeResponse(200, content)
+    reply.text = json.dumps(reply.json())
+    response = remote(FakeSession([reply])).complete(OracleRequest("judge", judge_substitutions()))
+    assert response.raw_text == reply.text
+    assert response.parsed is None
+    assert response.parse_error
+
+
+def test_only_a_remote_oracle_loads_the_http_stack():
+    code = """
+import sys
+import lamlab.agent, lamlab.cli, lamlab.dataflow, lamlab.evaluation, lamlab.harness
+import lamlab.training
+print(sorted(m for m in ("requests", "urllib3", "concurrent.futures") if m in sys.modules))
+from lamlab.oracle import RemoteOracle, RemoteOracleConfig
+RemoteOracle(RemoteOracleConfig(endpoint="http://localhost:9/v1/chat", model="m"))
+print("requests" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.split("\n") == ["[]", "True", ""]
 
 
 def test_memoization_reuses_exact_requests():
