@@ -2,15 +2,19 @@
 
 Each stage writes its output to its own file in ``corpus/`` inside the
 workspace and reads its input from the previous stage's file, or, within one
-``run_all``, from the records that stage produced earlier in the same run, so
-a run decodes only ``raw_records.jsonl``. The two stages that prompt the
-oracle once per record, instantiate and judge, keep up to ``workers`` oracle
-requests in flight when the provider waits on the network (its
-``waits_on_io``), so a remote provider's latency overlaps. A provider that
-computes its answer in this process, like the bundled mock, gains nothing
-from threads that share the interpreter lock, so those stages call it inline,
-in record order, as every other stage runs. Outputs
-are merged deterministically (sorted by id); records that fail a per-record
+chain of stages, from the records that stage produced earlier in the same
+chain. Two callers chain stages: ``run_all``, which decodes only
+``raw_records.jsonl``, and ``harness.build_suite_workspace``, which decodes
+none of the files it writes. ``dataflow run --stage X`` runs one stage, so it
+reads its input from the file.
+
+The two stages that prompt the oracle once per record, instantiate and judge,
+keep up to ``workers`` oracle requests in flight when the provider waits on
+the network (its ``waits_on_io``), so a remote provider's latency overlaps. A
+provider that computes its answer in this process, like the bundled mock,
+gains nothing from threads that share the interpreter lock, so those stages
+call it inline, in record order, as every other stage runs. Outputs are
+merged deterministically (sorted by id); records that fail a per-record
 validation are skipped with a diagnostic, never aborting the stage.
 """
 
@@ -104,7 +108,9 @@ def run_stage(
     ``produced`` maps a stage to the records it wrote earlier in the same
     run, as its file's reader would return them. The stage takes its input
     from there when present, else from the file; every stage but the last
-    adds its own output.
+    adds its own output. ``run_all`` passes one map through every stage;
+    ``harness.build_suite_workspace`` seeds it with the instantiated tasks it
+    wrote and passes it through execute, judge and postprocess.
     """
     files = stage_files(workspace)
     produced = {} if produced is None else produced

@@ -71,7 +71,9 @@ def desk_phase_configs() -> PhaseConfigs:
 def build_suite_workspace(workspace: str | Path, oracle=None) -> Path:
     """Materialize corpus files for the suite: task-plan records for all
     tasks, executed trajectories for the scripted demonstrations, and
-    empty-action failure trajectories for the rest."""
+    empty-action failure trajectories for the rest. Like ``run_all``, the
+    build hands each stage's records to the next stage in memory, so it
+    decodes none of the files it writes."""
     workspace = Path(workspace)
     oracle = oracle or MockOracle()
     suite = load_suite_tasks()
@@ -95,8 +97,9 @@ def build_suite_workspace(workspace: str | Path, oracle=None) -> Path:
     ]
     write_jsonl(files["instantiate"], (t.to_dict() for t in instantiated))
 
+    produced = {"instantiate": instantiated}
     for stage in ("execute", "judge", "postprocess"):
-        run_stage(stage, workspace, oracle)
+        run_stage(stage, workspace, oracle, produced=produced)
     return workspace
 
 

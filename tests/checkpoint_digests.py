@@ -1,12 +1,14 @@
-"""Train the bundled suite and the bundled corpus; print the checkpoint
-digests.
+"""Build and train the bundled suite, train the bundled corpus; print the
+corpus and checkpoint digests.
 
 In a temporary directory it trains two workspaces with seed 0: the suite's
-(phases 1-4 with the ``PhaseConfigs()`` defaults) and the bundled corpus's
-through the CLI (``dataflow run --stage all --clock zero``, then ``train
---phase 1..4``), whose phase 4 runs PPO. It prints one JSON object:
-``{"suite": ..., "cli": ...}``, each mapping a checkpoint to the sha256
-prefixes of its ``weights.json`` and ``manifest.json``. It needs only the
+(``build_suite_workspace``, then phases 1-4 with the ``PhaseConfigs()``
+defaults) and the bundled corpus's through the CLI (``dataflow run --stage
+all --clock zero``, then ``train --phase 1..4``), whose phase 4 runs PPO. It
+prints one JSON object: ``{"suite": ..., "cli": ..., "suite_corpus": ...}``.
+The first two map a checkpoint to the sha256 prefixes of its
+``weights.json`` and ``manifest.json``; ``suite_corpus`` maps each corpus
+file the suite build writes to its sha256 prefix. It needs only the
 standard library and ``lamlab``, so it runs under a CPython without pytest;
 the commands' own output goes to stderr:
 
@@ -47,12 +49,15 @@ def cli(ws: Path, *args: str) -> None:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         suite = build_suite_workspace(Path(tmp) / "suite")
+        suite_corpus = {
+            path.name: sha256_file(path)[:8] for path in sorted((suite / "corpus").iterdir())
+        }
         run_suite_phases(suite, seed=0)
         corpus = Path(tmp) / "cli"
         cli(corpus, "--clock", "zero", "dataflow", "run", "--stage", "all")
         for phase in "1234":
             cli(corpus, "train", "--phase", phase)
-        result = {"suite": digests(suite), "cli": digests(corpus)}
+        result = {"suite": digests(suite), "cli": digests(corpus), "suite_corpus": suite_corpus}
     print(json.dumps(result, sort_keys=True))
 
 

@@ -389,6 +389,25 @@ def test_suite_checkpoints_are_pinned(suite_phases):
     assert _checkpoint_digests(suite_phases[0], _PINNED_CHECKPOINTS) == _PINNED_CHECKPOINTS
 
 
+# sha256 prefixes of the corpus files ``build_suite_workspace`` writes; the
+# training phases rewrite none of them. The build hands its records from stage
+# to stage in memory, so these show that the handoff writes what a build
+# reading each file back would.
+_PINNED_SUITE_CORPUS = {
+    "evolved.jsonl": "3cfb2528",
+    "instantiated.jsonl": "4179778b",
+    "training.jsonl": "5903a014",
+    "trajectories.jsonl": "8b99c67e",
+    "verdicts.jsonl": "1e4145ba",
+}
+
+
+def test_suite_corpus_is_pinned(suite_phases):
+    corpus = suite_phases[0] / "corpus"
+    digests = {name: sha256_file(corpus / name)[:8] for name in _PINNED_SUITE_CORPUS}
+    assert digests == _PINNED_SUITE_CORPUS
+
+
 # sha256 prefixes of every corpus file that ``dataflow run --stage all
 # --clock zero`` writes over the bundled 20-record corpus (CPython 3.11).
 _PINNED_CORPUS = {
@@ -630,8 +649,8 @@ def _other_interpreters() -> dict[tuple[int, int], str]:
 
 def test_checkpoints_are_pinned_on_other_interpreters():
     """The pins hold under every other CPython >= 3.12 on PATH, where
-    ``sum()`` would compensate. ``tests/checkpoint_digests.py`` trains the
-    suite and the bundled corpus; it needs no pytest."""
+    ``sum()`` would compensate. ``tests/checkpoint_digests.py`` builds and
+    trains the suite and trains the bundled corpus; it needs no pytest."""
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no other CPython >= 3.12 runs on PATH")
@@ -641,6 +660,7 @@ def test_checkpoints_are_pinned_on_other_interpreters():
     expected = {
         "suite": {name: list(pin) for name, pin in _PINNED_CHECKPOINTS.items()},
         "cli": {name: list(pin) for name, pin in _PINNED_CLI_CHECKPOINTS.items()},
+        "suite_corpus": _PINNED_SUITE_CORPUS,
     }
     for version, exe in sorted(interpreters.items()):
         out = subprocess.run(

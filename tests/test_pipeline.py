@@ -19,6 +19,7 @@ from lamlab.dataflow.records import (
     verdict_row,
 )
 from lamlab.fixtures import fixture_path
+from lamlab.harness import build_suite_workspace
 from lamlab.jsonl import read_jsonl, sha256_file, write_jsonl, write_text
 from lamlab.oracle import MemoizingOracle, MockOracle, RemoteOracle
 
@@ -193,6 +194,18 @@ def test_handed_off_records_are_what_their_files_read_back(tmp_path):
     for stage, parse in _PARSERS.items():
         assert produced[stage], stage
         assert produced[stage] == read_jsonl(files[stage], parse), stage
+
+
+def test_suite_build_decodes_none_of_the_files_it_writes(tmp_path, monkeypatch):
+    def refuse(path, parse=None):
+        raise AssertionError(f"decoded {Path(path).name}")
+
+    # The suite itself loads through ``lamlab.fixtures``' own binding.
+    monkeypatch.setattr(pipeline, "read_jsonl", refuse)
+    ws = build_suite_workspace(tmp_path / "ws", MockOracle())
+    files = stage_files(ws)
+    for stage in ("evolve", "instantiate", "execute", "judge", "postprocess"):
+        assert files[stage].is_file(), stage
 
 
 def test_dataflow_all_command_is_run_all(tmp_path, capsys):
