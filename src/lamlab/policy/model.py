@@ -20,12 +20,18 @@ the kernels. A single-row head (status, reward model) adds each row's
 gradient with ``scatter_row``.
 The softmax heads' training kernels (imitation, PPO, plan SFT) see whole
 candidate sets: ``to_columns`` turns their rows into feature columns once,
-and ``scatter_columns`` adds the gradient one feature at a time, each
-feature's terms in candidate order, so the floats equal the per-candidate
-``scatter_row`` loop's. Parameters are immutable values during inference;
-training constructs new ones. Checkpoints are JSON weight tables keyed by
-feature name; loading one with a missing table, an unknown name or a weight
-that is not a finite number is an error that names its path.
+a ``Column`` being (feature, candidate positions, values), with None for
+the values of a unit column, whose values are all exactly 1.0. The gradient
+goes in one feature at a time, each feature's terms in candidate order:
+``scatter_columns`` adds them to running floats in a gradient dict,
+``column_sums`` to fresh sums aligned with the columns. A unit column adds
+each coefficient as it is, the same float as the coefficient times 1.0, so
+the floats equal the per-candidate ``scatter_row`` loop's. The one
+``softmax`` is built on ``softmax_parts``, which the training kernels read
+directly. Parameters are immutable values during inference; training
+constructs new ones. Checkpoints are JSON weight tables keyed by feature
+name; loading one with a missing table, an unknown name or a weight that is
+not a finite number is an error that names its path.
 """
 
 from __future__ import annotations
@@ -51,12 +57,14 @@ __all__ = [
     "ModelParams",
     "ActionDistribution",
     "left_sum",
+    "softmax_parts",
     "softmax",
     "sigmoid",
     "score_rows",
     "scatter_row",
     "Column",
     "to_columns",
+    "column_sums",
     "scatter_columns",
     "action_distribution",
     "select_action",
@@ -84,15 +92,22 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
+def softmax_parts(scores: list[float]) -> tuple[list[float], list[float], float]:
+    """The pieces of a numerically stable softmax: every score minus the
+    highest, their exponentials, and the exponentials' ``left_sum``.
+    Probability i is ``exps[i] / total`` and log-probability i is
+    ``shifted[i] - log(total)``."""
+    m = max(scores)
+    shifted = [s - m for s in scores]
+    exps = list(map(math.exp, shifted))
+    return shifted, exps, left_sum(exps)
+
+
 def softmax(scores: list[float]) -> tuple[list[float], list[float]]:
     """Returns (probabilities, log-probabilities), numerically stable."""
-    m = max(scores)
-    exps = [math.exp(s - m) for s in scores]
-    total = left_sum(exps)
+    shifted, exps, total = softmax_parts(scores)
     log_total = math.log(total)
-    probs = [e / total for e in exps]
-    log_probs = [(s - m) - log_total for s in scores]
-    return probs, log_probs
+    return [e / total for e in exps], [d - log_total for d in shifted]
 
 
 def sigmoid(logit: float) -> float:
@@ -126,14 +141,16 @@ def scatter_row(grads: dict[int, float], coef: float, row: SparseRow) -> None:
 
 
 # One feature of a candidate set: (feature index, candidate positions in
-# increasing order, the feature's value at each).
-Column = tuple[int, tuple[int, ...], tuple[float, ...]]
+# increasing order, the feature's value at each), where a column whose values
+# are all exactly 1.0 holds None for its values: a unit column.
+Column = tuple[int, tuple[int, ...], tuple[float, ...] | None]
 
 
 def to_columns(rows: Sequence[SparseRow]) -> tuple[Column, ...]:
     """The features of candidate rows as columns, in the order the candidates
     first use them (candidate by candidate, each row's features in its own
-    order): the order in which a per-candidate loop first touches them."""
+    order): the order in which a per-candidate loop first touches them. A
+    column whose every value is exactly 1.0 is a unit column."""
     columns: dict[int, tuple[list[int], list[float]]] = {}
     for k, (idx, xs) in enumerate(rows):
         for j, x in zip(idx, xs):
@@ -142,23 +159,46 @@ def to_columns(rows: Sequence[SparseRow]) -> tuple[Column, ...]:
                 column = columns[j] = ([], [])
             column[0].append(k)
             column[1].append(x)
-    return tuple((j, tuple(ks), tuple(xs)) for j, (ks, xs) in columns.items())
+    return tuple(
+        (j, tuple(ks), None if xs.count(1.0) == len(xs) else tuple(xs))
+        for j, (ks, xs) in columns.items()
+    )
+
+
+def column_sums(coefs: Sequence[float], columns: Iterable[Column]) -> list[float]:
+    """For every column, 0.0 plus ``coefs[k] * x`` for every entry (k, x),
+    added one at a time in candidate order: the column's share of the
+    gradient of ``sum_k coefs[k] * score_k``. A unit column adds ``coefs[k]``
+    itself, the same float as ``coefs[k] * 1.0``. This must stay a plain
+    loop: ``sum()`` compensates float sums from CPython 3.12 on, and
+    ``math.fsum`` rounds once, so either would change the trained weights."""
+    sums = []
+    for _, positions, values in columns:
+        s = 0.0
+        if values is None:
+            for k in positions:
+                s += coefs[k]
+        else:
+            for k, x in zip(positions, values):
+                s += coefs[k] * x
+        sums.append(s)
+    return sums
 
 
 def scatter_columns(
     grads: dict[int, float], coefs: Sequence[float], columns: Iterable[Column]
 ) -> None:
-    """Adds ``coefs[k] * x`` to ``grads[j]`` for every entry (k, x) of every
-    column j: the gradient of ``sum_k coefs[k] * score_k``. Each feature's
-    terms are added one at a time, in candidate order, to a running float, so
-    the result equals ``scatter_row(grads, coefs[k], row_k)`` for k = 0, 1, ...
-    This must stay a plain loop: ``sum()`` compensates float sums from
-    CPython 3.12 on, and ``math.fsum`` rounds once, so either would change the
-    trained weights."""
+    """Adds every column's terms to its feature's running float in ``grads``,
+    the loop of ``column_sums`` started at ``grads.get(j, 0.0)``, so the
+    result equals ``scatter_row(grads, coefs[k], row_k)`` for k = 0, 1, ..."""
     for j, positions, values in columns:
         g = grads.get(j, 0.0)
-        for k, x in zip(positions, values):
-            g += coefs[k] * x
+        if values is None:
+            for k in positions:
+                g += coefs[k]
+        else:
+            for k, x in zip(positions, values):
+                g += coefs[k] * x
         grads[j] = g
 
 

@@ -26,9 +26,13 @@ Candidate rows repeat heavily (features are indicators and a few quantized
 values): the suite corpus has 2,222 candidate rows but 119 distinct ones.
 ``imitation_loss`` and ``sft_plan_loss`` therefore score each distinct row
 of a batch once, and share one step helper, ``_softmax_steps``: softmax over
-the looked-up scores, cross-entropy against the expert, and the gradient
-added column by column with ``model.scatter_columns``, per imitation step
-and per plan record over all its positions. Every feature's additions keep
+the looked-up scores (``model.softmax_parts``), cross-entropy against the
+expert, and every candidate's gradient coefficient, per imitation step and
+per plan record over all its positions. ``imitation_loss`` adds the
+coefficients column by column to the batch's running floats with
+``model.scatter_columns``. ``sft_plan_loss`` sums each record's columns
+from 0.0 into a list aligned with them (``model.column_sums``) and adds each
+sum, divided once, to the batch gradient. Every feature's additions keep
 the (step, candidate) order of a per-candidate loop, so gradients and
 trained weights are the same floats.
 """
@@ -51,6 +55,7 @@ from ..policy.model import (
     STATUS_NAMES,
     Column,
     ModelParams,
+    column_sums,
     left_sum,
     plan_names,
     plan_overlaps,
@@ -59,7 +64,7 @@ from ..policy.model import (
     scatter_row,
     score_rows,
     sigmoid,
-    softmax,
+    softmax_parts,
     to_columns,
 )
 from .configs import SftConfig
@@ -201,32 +206,32 @@ def _distinct_scores(w: Sequence[float], steps: Sequence[ActionRows]) -> dict[in
 
 
 def _softmax_steps(
-    grads: dict[int, float],
     scores: dict[int, float],
     steps: Sequence[ActionRows],
     columns: Sequence[Column],
     weight: float,
-) -> float:
+) -> tuple[float, list[float], Sequence[Column]]:
     """Cross-entropy of each step's softmax (its candidates' scores looked up
-    by row id) against its expert, times ``weight``, summed over the steps;
-    adds the gradient to ``grads`` by the steps' joint ``columns``, which
-    hold every candidate of every step in order."""
+    by row id) against its expert, times ``weight``, summed over the steps.
+    Also returns every candidate's gradient coefficient, step by step in
+    candidate order, and the columns to add them by: the steps' joint
+    ``columns``, rebuilt without the candidates whose coefficient is zero if
+    there are any."""
     loss = 0.0
     coefs: list[float] = []
     for step in steps:
-        probs, log_probs = softmax(list(map(scores.__getitem__, step.ids)))
+        shifted, exps, total = softmax_parts(list(map(scores.__getitem__, step.ids)))
         expert = step.expert
-        loss += -log_probs[expert] * weight
-        step_coefs = [p * weight for p in probs]
-        step_coefs[expert] = (probs[expert] - 1.0) * weight
-        coefs += step_coefs
+        loss += -(shifted[expert] - math.log(total)) * weight
+        base = len(coefs)
+        coefs += [e / total * weight for e in exps]
+        coefs[base + expert] = (exps[expert] / total - 1.0) * weight
     if 0.0 in coefs:
         # A candidate with a zero coefficient adds nothing and must not put
         # its features' keys into the gradient.
         rows = [row for step in steps for row in step.rows]
         columns = to_columns([row if c else ((), ()) for row, c in zip(rows, coefs)])
-    scatter_columns(grads, coefs, columns)
-    return loss
+    return loss, coefs, columns
 
 
 def sft_plan_loss(
@@ -248,20 +253,15 @@ def sft_plan_loss(
     w = tuple(map(params.get, names))
     scores = _distinct_scores(w, [step for record in batch for step in record.steps])
 
-    contributions: list[tuple[float, float, dict[int, float]]] = []
-    for record in batch:
-        record_grads: dict[int, float] = {}
-        record_loss = _softmax_steps(record_grads, scores, record.steps, record.columns, 1.0)
-        contributions.append((record_loss, float(len(record.steps)), record_grads))
-
-    total_targets = left_sum(n for _, n, _ in contributions)
+    total_targets = left_sum(float(len(record.steps)) for record in batch)
     total_loss = 0.0
     grads: dict[int, float] = {}
-    for record_loss, n_targets, record_grads in contributions:
-        divisor = total_targets if step_mean else n_targets * len(contributions)
+    for record in batch:
+        record_loss, coefs, columns = _softmax_steps(scores, record.steps, record.columns, 1.0)
+        divisor = total_targets if step_mean else float(len(record.steps)) * len(batch)
         total_loss += record_loss / divisor
-        for j, g in record_grads.items():
-            grads[j] = grads.get(j, 0.0) + g / divisor
+        for (j, _, _), s in zip(columns, column_sums(coefs, columns)):
+            grads[j] = grads.get(j, 0.0) + s / divisor
     return total_loss, {names[j]: g for j, g in grads.items()}
 
 
@@ -286,7 +286,9 @@ def imitation_loss(
             continue
         weight = 1.0 / total_steps if step_mean else 1.0 / (n_traj * len(trajectory))
         for step in trajectory:
-            loss += _softmax_steps(grads, scores, (step,), step.columns, weight)
+            step_loss, coefs, columns = _softmax_steps(scores, (step,), step.columns, weight)
+            loss += step_loss
+            scatter_columns(grads, coefs, columns)
     return loss, {ACT_NAMES[j]: g for j, g in grads.items()}
 
 

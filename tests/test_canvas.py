@@ -17,7 +17,6 @@ from lamlab.env_sim import (
     Selection,
     Shape,
     Table,
-    apply_diff,
     diff_canvas,
     find_text,
     list_templates,
@@ -28,6 +27,8 @@ from lamlab.env_sim import (
 )
 from lamlab.env_sim.diffs import flatten_canvas
 from lamlab.errors import ValidationFailure
+
+from canvas_inverse import apply_diff
 
 TEXTS = ["", "hello world", "Test For Fun", 'quote " and & amp < > done', "line\nbreak"]
 

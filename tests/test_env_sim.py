@@ -442,7 +442,7 @@ def test_error_totality(template_id, actions):
 
 
 def test_diff_soundness_over_action_transitions():
-    from lamlab.env_sim import apply_diff
+    from canvas_inverse import apply_diff
 
     s = load_template("plain_text")
     actions = [

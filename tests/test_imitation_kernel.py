@@ -6,11 +6,14 @@ were: a prepared step kept every candidate's sparse row, every call scored
 every row of every step, and each candidate's gradient (and each expected
 feature vector in PPO) went in with one ``scatter_row`` call. On the suite's
 steps with random weights, the row-table kernels must give equal losses,
-gradients, trained weights and PPO diagnostics, compared with ``==``.
+gradients, trained weights and PPO diagnostics, compared with ``==``. The
+parent kernels use ``parent_softmax``, the previous plain-loop softmax, which
+the package's ``softmax`` must match float for float.
 """
 
 import dataclasses
 import math
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -24,7 +27,14 @@ from lamlab.policy import (
     match_expert,
     softmax,
 )
-from lamlab.policy.model import ACT_NAMES, scatter_columns, scatter_row, score_rows, to_columns
+from lamlab.policy.model import (
+    ACT_NAMES,
+    column_sums,
+    scatter_columns,
+    scatter_row,
+    score_rows,
+    to_columns,
+)
 from lamlab.training import (
     SftConfig,
     imitation_loss,
@@ -64,8 +74,26 @@ def parent_action_rows(step):
     return ParentActionRows(expert_idx, tuple(featurize(state, c) for c in candidates))
 
 
+def parent_left_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def parent_softmax(scores):
+    """Returns (probabilities, log-probabilities), numerically stable."""
+    m = max(scores)
+    exps = [math.exp(s - m) for s in scores]
+    total = parent_left_sum(exps)
+    log_total = math.log(total)
+    probs = [e / total for e in exps]
+    log_probs = [(s - m) - log_total for s in scores]
+    return probs, log_probs
+
+
 def parent_row_softmax(w, rows):
-    return softmax(score_rows(w, rows))
+    return parent_softmax(score_rows(w, rows))
 
 
 def parent_imitation_loss(params, trajectories, step_mean=False):
@@ -169,6 +197,35 @@ def _equal(got, expected):
     return got == expected and list(got[1]) == list(expected[1])
 
 
+def _bits(values):
+    """The floats as exact hex strings, so that -0.0 differs from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def _softmax_cases():
+    rng = random.Random(7)
+    random_scores = [
+        [rng.uniform(-scale, scale) for _ in range(rng.randint(2, 40))]
+        for scale in (0.1, 1.0, 5.0, 40.0)
+        for _ in range(50)
+    ]
+    ties = [[1.0, 1.0, 1.0], [0.0, 2.5, 2.5, -1.0], [-3.0] * 9]
+    # e^-1000 underflows to 0.0: those candidates get probability 0.0.
+    apart = [[0.0, -1000.0, -1000.0], [-1000.0, 0.0, 1000.0], [5.0, -995.0]]
+    single = [[0.0], [3.7], [-1e300]]
+    return random_scores + ties + apart + single
+
+
+def test_softmax_equals_parent_softmax():
+    cases = _softmax_cases()
+    assert any(0.0 in parent_softmax(scores)[0] for scores in cases)
+    for scores in cases:
+        probs, log_probs = softmax(scores)
+        expected_probs, expected_log_probs = parent_softmax(scores)
+        assert _bits(probs) == _bits(expected_probs)
+        assert _bits(log_probs) == _bits(expected_log_probs)
+
+
 def test_imitation_loss_equals_parent_kernel(suite_steps):
     trajectories, _ = suite_steps
     prepared = prepare_imitation(trajectories)
@@ -177,7 +234,7 @@ def test_imitation_loss_equals_parent_kernel(suite_steps):
     # zero-coefficient candidates the per-candidate loop skips occur too.
     cases = [nonzero_params(0), nonzero_params(1), nonzero_params(2).scaled(1000.0)]
     zero_probs = sum(
-        softmax(score_rows(cases[-1].act_weights, step.rows))[0].count(0.0)
+        parent_row_softmax(cases[-1].act_weights, step.rows)[0].count(0.0)
         for t in parent for step in t
     )
     assert zero_probs > 0
@@ -296,6 +353,63 @@ def test_columns_follow_first_use():
     rows = [((2, 7), (0.5, 1.0)), ((0, 7), (0.25, 1.0)), ((), ()), ((2,), (1.0,))]
     assert to_columns(rows) == (
         (2, (0, 3), (0.5, 1.0)),
-        (7, (0, 1), (1.0, 1.0)),
+        (7, (0, 1), None),
         (0, (1,), (0.25,)),
     )
+
+
+def test_only_columns_of_exact_ones_are_unit():
+    rows = [
+        ((0, 1, 2, 3, 4), (1.0, 1.0, -1.0, 1.0000000000000002, 1.0)),
+        ((0, 1, 4), (1.0, 0.5, 1.0)),
+    ]
+    assert to_columns(rows) == (
+        (0, (0, 1), None),
+        (1, (0, 1), (1.0, 0.5)),
+        (2, (0,), (-1.0,)),
+        (3, (0,), (1.0000000000000002,)),
+        (4, (0, 1), None),
+    )
+
+
+def test_mixed_columns_equal_the_row_loop():
+    """Unit and valued columns give the floats of one ``scatter_row`` call per
+    candidate, from running floats that already hold values, with a -0.0
+    coefficient among them; ``column_sums`` gives the same floats from 0.0."""
+    rows = [
+        ((3, 5, 9), (1.0, 0.25, 1.0)),
+        ((5, 3), (1.0000000000000002, 1.0)),
+        ((9, 6), (1.0, -1.0)),
+        ((3, 6, 5), (1.0, 1.0, 3.0)),
+    ]
+    columns = to_columns(rows)
+    assert [values for _, _, values in columns] == [
+        None,
+        (0.25, 1.0000000000000002, 3.0),
+        None,
+        (-1.0, 1.0),
+    ]
+    cases = [
+        [1.0, 0.5, -0.0, 1.0],
+        [-0.0, -0.0, 0.75, -2.5],
+        [0.1, 0.2, 0.3, 0.4],
+        [1e16, 1.0, 0.3, 1.0],
+    ]
+    for coefs in cases:
+        for start in ({3: 1e16, 9: -0.0}, {}):
+            grads, expected = dict(start), dict(start)
+            scatter_columns(grads, coefs, columns)
+            for coef, row in zip(coefs, rows):
+                scatter_row(expected, coef, row)
+            assert list(grads) == list(expected)
+            assert _bits(grads.values()) == _bits(expected.values())
+        fresh = {}
+        for coef, row in zip(coefs, rows):
+            scatter_row(fresh, coef, row)
+        assert _bits(column_sums(coefs, columns)) == _bits(fresh.values())
+    # Added one at a time, 0.5 and 1.0 are lost against 1e16 (math.fsum keeps
+    # them), and -0.0 coefficients keep a -0.0 running float at -0.0.
+    grads = {3: 1e16, 9: -0.0}
+    scatter_columns(grads, [-0.0, 0.5, -0.0, 1.0], columns)
+    assert grads[3] == 1e16 != math.fsum([1e16, 0.5, 1.0])
+    assert _bits([grads[9]]) == _bits([-0.0])
