@@ -229,8 +229,21 @@ def _cmd_agent(args, config: RunConfig) -> int:
 
 
 def _task_steps(parse_step):
-    """Parser of an eval row ``{"task_id", "steps"}`` into (task id, steps)."""
-    return lambda row: (row["task_id"], [parse_step(s) for s in row["steps"]])
+    """Parser of eval rows ``{"task_id", "steps"}``; no task id is on two rows."""
+    seen: set[str] = set()
+
+    def parse(row: dict) -> tuple:
+        task_id, steps = row["task_id"], row["steps"]
+        if not isinstance(task_id, str):
+            raise TypeError("task_id must be a string")
+        if not isinstance(steps, list):
+            raise TypeError("steps must be a list")
+        if task_id in seen:
+            raise ValueError(f"duplicate task_id {task_id!r}")
+        seen.add(task_id)
+        return task_id, [parse_step(s) for s in steps]
+
+    return parse
 
 
 def _plan_row(row: dict) -> tuple:

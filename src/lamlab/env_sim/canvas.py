@@ -196,15 +196,11 @@ def find_text(state: CanvasState, needle: str) -> Selection | None:
 
 # --- the block table --------------------------------------------------------
 
-def _to_bool(value: str | bool) -> bool:
-    """A markup ``"true"``/``"false"`` or a diff entry's bool."""
-    if isinstance(value, bool):
-        return value
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ValueError(f"bad boolean attribute {value!r}")
+def _to_bool(value: str) -> bool:
+    """A markup ``"true"``/``"false"``."""
+    if value not in ("true", "false"):
+        raise ValueError(f"bad boolean attribute {value!r}")
+    return value == "true"
 
 
 # Field annotations are strings here (``from __future__ import annotations``);
@@ -257,9 +253,9 @@ def attributes(obj: Run | Selection | Block) -> dict[str, object]:
 
 
 def build(cls: type, attrs: Mapping[str, object]):
-    """A ``cls`` (run, selection or block) from its scalar attributes, as
-    markup strings or as typed diff values; a missing attribute takes the
-    field's default and other keys are ignored. A table gets blank cells."""
+    """A ``cls`` (run, selection or block) from its markup attributes; a
+    missing attribute takes the field's default and other keys are ignored.
+    A table gets blank cells."""
     return cls(
         **{name: convert(attrs[name]) for name, convert in _KINDS[cls].converters if name in attrs}
     )

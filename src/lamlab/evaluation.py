@@ -1,9 +1,9 @@
 """Offline plan metrics, offline decision metrics, online run metrics, and
 deterministic report rendering.
 
-Plan matching defaults to greedy one-to-one matching on normalized text; an
-oracle-backed matcher builds the plan-comparison prompt and trusts its
-structured verdict instead. Action metrics compare predicted steps
+Plans are scored by one rule: greedy one-to-one step matching on normalized
+text (``textutil.match_plan_steps``) and a recall threshold for task success
+(``textutil.plan_solved``). Action metrics compare predicted steps
 positionally against ground truth. All fractions are micro-averaged.
 """
 
@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .agent import RunRecord
-from .errors import EmptyCorpus, MissingGroundTruth, OracleFailure
+from .errors import EmptyCorpus, MissingGroundTruth
 from .goals import goal_satisfied
 from .jsonl import write_text
-from .oracle import OracleRequest, Provider
 from .policy.model import left_sum
 from . import textutil
 
@@ -30,9 +28,6 @@ __all__ = [
     "PlanEvalResult",
     "ActionEvalResult",
     "OnlineEvalResult",
-    "match_plan_steps",
-    "oracle_matcher",
-    "oracle_plan_judge",
     "eval_plans",
     "eval_actions",
     "eval_online",
@@ -43,6 +38,15 @@ __all__ = [
     "render_table",
     "write_reports",
 ]
+
+
+def _text(obj: Mapping, key: str, default: str | None = None) -> str:
+    """``obj[key]``, which must be a string; a key with a default may be absent."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string")
+    return value
+
 
 @dataclass(frozen=True)
 class GroundTruthStep:
@@ -55,10 +59,13 @@ class GroundTruthStep:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "GroundTruthStep":
+        objects = obj.get("acceptable_objects", [])
+        if not isinstance(objects, list) or not all(isinstance(o, str) for o in objects):
+            raise TypeError("acceptable_objects must be a list of strings")
         return cls(
-            acceptable_objects=tuple(obj.get("acceptable_objects", ())),
-            operation=obj["operation"],
-            status=obj["status"],
+            acceptable_objects=tuple(objects),
+            operation=_text(obj, "operation"),
+            status=_text(obj, "status"),
         )
 
     def to_dict(self) -> dict:
@@ -78,9 +85,9 @@ class PredictedStep:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "PredictedStep":
         return cls(
-            control_text=obj.get("control_text", ""),
-            function=obj.get("function", ""),
-            status=obj.get("status", ""),
+            control_text=_text(obj, "control_text", ""),
+            function=_text(obj, "function", ""),
+            status=_text(obj, "status", ""),
         )
 
     def to_dict(self) -> dict:
@@ -96,7 +103,6 @@ class PlanEvalResult:
     tsr: float
     step_precision: float
     step_recall: float
-    matched_pairs: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -117,95 +123,11 @@ class OnlineEvalResult:
     mean_step_latency: float
 
 
-Matcher = Callable[[Sequence[str], Sequence[str]], list[tuple[str, str]]]
-
-
-def match_plan_steps(
-    pred: Sequence[str], truth: Sequence[str], matcher: Matcher | None = None
-) -> list[tuple[str, str]]:
-    """The matcher's step pairs, by default ``textutil.match_plan_steps``."""
-    return (matcher or textutil.match_plan_steps)(pred, truth)
-
-
-def _plan_eval(
-    oracle: Provider, what: str, question: str, pred: Sequence[str], truth: Sequence[str]
-) -> dict:
-    """The parsed plan-comparison verdict on ``pred`` (answer 1) against
-    ``truth`` (answer 2); ``what`` names the caller in the OracleFailure."""
-    request = OracleRequest(
-        template_id="plan_eval",
-        substitutions={
-            "question": question,
-            "answer1": "\n".join(f"{i}. {s}" for i, s in enumerate(pred, 1)),
-            "answer2": "\n".join(f"{i}. {s}" for i, s in enumerate(truth, 1)),
-        },
-    )
-    try:
-        response = oracle.complete(request)
-    except Exception as exc:
-        raise OracleFailure(f"{what} oracle failed: {exc}") from exc
-    if response.parsed is None:
-        raise OracleFailure(f"{what} response unparseable: {response.parse_error}")
-    return response.parsed
-
-
-def oracle_matcher(oracle: Provider, question: str = "") -> Matcher:
-    """Matcher that delegates similarity to the plan-comparison oracle."""
-
-    def match(pred: Sequence[str], truth: Sequence[str]) -> list[tuple[str, str]]:
-        parsed = _plan_eval(
-            oracle, "plan matcher", question or "Complete the task with these steps.", pred, truth
-        )
-        # Each item names one pair as "pred step / truth step". An item that
-        # names a step of each plan (at any " / ", as a step may hold one)
-        # takes a still-free pair of them, and is a repeat when none is free.
-        # Any other item is the oracle's paraphrase of a pair and counts too,
-        # up to one pair per step of the shorter plan.
-        norm = textutil.normalize_line
-        norm_pred, norm_truth = [norm(s) for s in pred], [norm(s) for s in truth]
-        free = [(i, j) for i in range(len(pred)) for j in range(len(truth))]
-        named, paraphrased = [], []
-        for item in map(str, parsed["Subtask3"].get("Similar action items", [])):
-            halves = {
-                (norm(item[:k]), norm(item[k + 3 :]))
-                for k in range(len(item))
-                if item.startswith(" / ", k)
-            }
-            if halves.isdisjoint(itertools.product(norm_pred, norm_truth)):
-                left, _, right = item.partition(" / ")
-                paraphrased.append((left, right))
-                continue
-            hit = next(((i, j) for i, j in free if (norm_pred[i], norm_truth[j]) in halves), None)
-            if hit is not None:
-                i, j = hit
-                free = [(a, b) for a, b in free if a != i and b != j]
-                named.append((pred[i], truth[j]))
-        return named + paraphrased[: min(len(pred), len(truth)) - len(named)]
-
-    return match
-
-
-def oracle_plan_judge(oracle: Provider) -> Callable[[str, Sequence[str], Sequence[str]], bool]:
-    """Task-solved judge backed by the plan-comparison oracle: the task counts
-    as solved when the first answer is judged able to solve the question."""
-
-    def judge(task: str, pred: Sequence[str], truth: Sequence[str]) -> bool:
-        parsed = _plan_eval(oracle, "plan judge", task, pred, truth)
-        return str(parsed.get("Subtask1", "")).lower() == "yes"
-
-    return judge
-
-
-def eval_plans(
-    pairs: Sequence[tuple[str, Sequence[str], Sequence[str]]],
-    matcher: Matcher | None = None,
-    judge: Callable[[str, Sequence[str], Sequence[str]], bool] | None = None,
-) -> PlanEvalResult:
+def eval_plans(pairs: Sequence[tuple[str, Sequence[str], Sequence[str]]]) -> PlanEvalResult:
     """pairs: (task, predicted plan, ground-truth plan) triples.
 
     Precision/recall are micro-averaged over steps (empty prediction counts
-    as precision 0). Task success defaults to ``textutil.plan_solved`` on the
-    per-task recall; a judge callable replaces that proxy when given.
+    as precision 0); task success is ``textutil.plan_solved`` on its recall.
     """
     if not pairs:
         raise EmptyCorpus("eval_plans needs at least one pair")
@@ -213,22 +135,16 @@ def eval_plans(
     total_pred = 0
     total_truth = 0
     solved = 0
-    all_pairs: list[str] = []
-    for task, pred, truth in pairs:
-        matched = match_plan_steps(pred, truth, matcher)
-        all_pairs.extend(f"{p} / {t}" for p, t in matched)
-        total_matched += len(matched)
+    for _task, pred, truth in pairs:
+        matched = len(textutil.match_plan_steps(pred, truth))
+        total_matched += matched
         total_pred += len(pred)
         total_truth += len(truth)
-        if judge is not None:
-            solved += 1 if judge(task, pred, truth) else 0
-        else:
-            solved += textutil.plan_solved(len(matched), len(truth))
+        solved += textutil.plan_solved(matched, len(truth))
     return PlanEvalResult(
         tsr=solved / len(pairs),
         step_precision=total_matched / total_pred if total_pred else 0.0,
         step_recall=total_matched / total_truth if total_truth else 0.0,
-        matched_pairs=tuple(all_pairs),
     )
 
 

@@ -72,7 +72,6 @@ RESPONSE_SCHEMAS: dict[str, tuple[str, ...]] = {
     "instantiate": ("observation", "thought", "new_task", "actions_plan"),
     "judge": ("task_quality", "task_complete", "complete_judgement", "quality_judgement"),
     "evolve": ("evolved_task", "evolved_plan"),
-    "plan_eval": ("Subtask1", "Subtask2", "Subtask3", "Subtask4"),
 }
 
 
@@ -144,8 +143,4 @@ def parse_response(template_id: str, raw_text: str) -> tuple[dict | None, str | 
     missing = [key for key in required if key not in obj]
     if missing:
         return None, f"response missing required keys {missing}"
-    if template_id == "plan_eval":
-        sub3 = obj.get("Subtask3")
-        if not isinstance(sub3, dict) or "Count of similar action items" not in sub3:
-            return None, "Subtask3 must carry the similar-item count"
     return obj, None

@@ -15,7 +15,6 @@ from .. import goals
 from ..env_sim import parse_canvas
 from ..env_sim.canvas import Paragraph
 from ..textutil import first_color, first_int, first_quoted, table_dims
-from ..textutil import match_plan_steps, plan_solved
 from .base import OracleRequest, OracleResponse, parse_response, render_prompt
 
 __all__ = ["MockOracle", "EVOLUTION_CLAUSES"]
@@ -36,14 +35,11 @@ class MockOracle:
     waits_on_io = False
 
     def complete(self, request: OracleRequest) -> OracleResponse:
-        # Render first: substitution mismatches must fail identically to the
-        # remote provider.
+        # Render first: an unknown template and substitution mismatches must
+        # fail identically to the remote provider.
         render_prompt(request.template_id, request.substitutions)
-        handler = _HANDLERS.get(request.template_id)
-        if handler is None:
-            raw = "{}"
-        else:
-            raw = json.dumps(handler(dict(request.substitutions)), ensure_ascii=False)
+        handler = _HANDLERS[request.template_id]
+        raw = json.dumps(handler(dict(request.substitutions)), ensure_ascii=False)
         parsed, parse_error = parse_response(request.template_id, raw)
         return OracleResponse(raw_text=raw, parsed=parsed, parse_error=parse_error)
 
@@ -217,44 +213,8 @@ def _handle_judge(subs: dict) -> dict:
     }
 
 
-def _numbered_steps(answer: str) -> list[str]:
-    steps = []
-    for line in answer.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line[0].isdigit():
-            line = line.split(".", 1)[-1].strip()
-        elif line.startswith(("-", "*")):
-            line = line[1:].strip()
-        if line:
-            steps.append(line)
-    return steps
-
-
-def _handle_plan_eval(subs: dict) -> dict:
-    steps1 = _numbered_steps(subs["answer1"])
-    steps2 = _numbered_steps(subs["answer2"])
-    pairs = [f"{s1} / {s2}" for s1, s2 in match_plan_steps(steps1, steps2)]
-    return {
-        "Subtask1": "Yes" if plan_solved(len(pairs), len(steps2)) else "No",
-        "Subtask2": "Yes" if steps2 else "No",
-        "Subtask3": {
-            "Action items in Answer1": steps1,
-            "Action items in Answer2": steps2,
-            "Similar action items": pairs,
-            "Count of similar action items": len(pairs),
-        },
-        "Subtask4": {
-            "More helpful assistant": "2",
-            "Reason": "The second answer is the reference plan for the question.",
-        },
-    }
-
-
 _HANDLERS = {
     "evolve": _handle_evolve,
     "instantiate": _handle_instantiate,
     "judge": _handle_judge,
-    "plan_eval": _handle_plan_eval,
 }

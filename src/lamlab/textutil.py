@@ -83,7 +83,7 @@ def match_plan_steps(pred: Sequence[str], truth: Sequence[str]) -> list[tuple[st
 
 
 def plan_solved(matched: int, truth_steps: int) -> bool:
-    """The default task-solved rule: recall over the truth steps reaches
+    """The task-solved rule of plan evaluation: recall over the truth steps reaches
     ``SOLVED_RECALL_THRESHOLD``; an empty truth plan is never solved."""
     return truth_steps > 0 and matched / truth_steps >= SOLVED_RECALL_THRESHOLD
 

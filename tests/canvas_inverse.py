@@ -36,6 +36,8 @@ def _unflatten(flat: dict[str, Scalar]) -> CanvasState:
     block_data: dict[int, dict] = {}
     selection: dict[str, Scalar] = {}
     for path, value in flat.items():
+        if isinstance(value, bool):  # ``build`` reads booleans as markup
+            value = "true" if value else "false"
         if path.startswith("selection."):
             selection[path[len("selection."):]] = value
         elif path.startswith("blocks["):

@@ -624,7 +624,7 @@ def test_bad_eval_input_exits_1(tmp_path, capsys, kind, file, key):
         path = tmp_path / f"{name}.jsonl"
         row = _eval_row(name)
         if name != file:
-            write_jsonl(path, [row, row])
+            write_jsonl(path, [row])
         elif key is not None:
             write_jsonl(path, [row, {k: v for k, v in row.items() if k != key}])
         argv += [f"--{name}", str(path)]
@@ -672,6 +672,44 @@ def test_eval_plan_row_without_string_lists_exits_1(tmp_path, capsys, row, key):
     assert err.count("\n") == 1
     assert err.startswith("ValidationFailure: ")
     assert f"{pairs}:2: {key} must be a list of strings" in err
+
+
+_BAD_STEP = {
+    "pred": (
+        {"control_text": ["Bold"], "function": "select_text", "status": "FINISH"},
+        "control_text must be a string",
+    ),
+    "truth": (
+        {"acceptable_objects": "Bold", "operation": "select_text", "status": "FINISH"},
+        "acceptable_objects must be a list of strings",
+    ),
+}
+
+
+@pytest.mark.parametrize("file", ["pred", "truth"])
+@pytest.mark.parametrize("case", ["task_id_list", "bad_step_field", "steps_object", "duplicate_task_id"])
+def test_eval_actions_row_of_wrong_shape_exits_1(tmp_path, capsys, file, case):
+    """A row that the actions tables would misread, or that repeats a task
+    id, is a ValidationFailure at its line."""
+    row = _eval_row(file)
+    step, step_message = _BAD_STEP[file]
+    bad, message = {
+        "task_id_list": ({**row, "task_id": ["b"]}, "task_id must be a string"),
+        "bad_step_field": ({**row, "task_id": "b", "steps": [step]}, step_message),
+        "steps_object": ({**row, "task_id": "b", "steps": {}}, "steps must be a list"),
+        "duplicate_task_id": (row, "duplicate task_id 'a'"),
+    }[case]
+    argv = ["--workspace", str(tmp_path / "ws"), "eval", "actions"]
+    for name in ("pred", "truth"):
+        path = tmp_path / f"{name}.jsonl"
+        write_jsonl(path, [_eval_row(name), bad] if name == file else [_eval_row(name)])
+        argv += [f"--{name}", str(path)]
+    code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ValidationFailure: ")
+    assert f"{tmp_path / file}.jsonl:2: {message}" in err
 
 
 @pytest.mark.parametrize(

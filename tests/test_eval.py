@@ -3,9 +3,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from lamlab.errors import MissingGroundTruth, OracleFailure
+from lamlab.errors import MissingGroundTruth
 from lamlab.evaluation import (
     GroundTruthStep,
     PredictedStep,
@@ -13,16 +12,12 @@ from lamlab.evaluation import (
     eval_actions,
     eval_online,
     eval_plans,
-    match_plan_steps,
-    oracle_matcher,
-    oracle_plan_judge,
     render_table,
     report_actions,
     report_online,
     report_plans,
 )
-from lamlab.oracle import MockOracle, OracleResponse
-from lamlab.textutil import normalize_line
+from lamlab.textutil import match_plan_steps, normalize_line
 
 
 # --- match_plan_steps ------------------------------------------------------------
@@ -118,130 +113,6 @@ def test_eval_plans_matches_brute_force_on_randomized_pairs():
     assert abs(result.tsr - tsr) < 1e-12
     assert abs(result.step_precision - precision) < 1e-12
     assert abs(result.step_recall - recall) < 1e-12
-
-
-def test_oracle_matcher_pairs_through_prompt():
-    matcher = oracle_matcher(MockOracle(), question="How to do the thing?")
-    pairs = matcher(["Open the file.", "Close it."], ["Open the file.", "Save it."])
-    assert pairs == [("Open the file.", "Open the file.")]
-
-
-def test_oracle_matcher_pairs_whole_steps():
-    matcher = oracle_matcher(MockOracle())
-    assert matcher(["Pick A / B"], ["Pick A / B"]) == [("Pick A / B", "Pick A / B")]
-    # The prompt numbers one step per line, so the oracle sees two steps here.
-    result = eval_plans([("t", ["Open\nit"], ["Open\nit"])], matcher=matcher)
-    assert 0.0 <= result.step_precision <= 1.0
-    assert 0.0 <= result.step_recall <= 1.0
-
-
-class FixedPairsOracle:
-    def __init__(self, items):
-        self.items = items
-
-    def complete(self, request):
-        parsed = {"Subtask3": {"Similar action items": self.items}}
-        return OracleResponse(raw_text="", parsed=parsed, parse_error=None)
-
-
-def test_oracle_matcher_uses_each_named_step_once():
-    # The second "a / a" and "b / a" both name the truth step "a", already paired.
-    matcher = oracle_matcher(FixedPairsOracle(["a / a", "a / a", "b / a"]))
-    assert matcher(["a", "b"], ["a", "c"]) == [("a", "a")]
-
-
-def test_oracle_matcher_counts_paraphrased_items_up_to_the_shorter_plan():
-    items = ["press Bold / click the Bold button", "b / a", "save / save the file", 7]
-    matcher = oracle_matcher(FixedPairsOracle(items))
-    pred, truth = ["Click Bold", "b"], ["Click the Bold button", "a", "Save the file"]
-    assert matcher(pred, truth) == [
-        ("b", "a"),
-        ("press Bold", "click the Bold button"),
-    ]
-    result = eval_plans([("t", pred, truth)], matcher=matcher)
-    assert result.step_precision == 1.0
-    assert result.step_recall == pytest.approx(2 / 3)
-
-
-def test_oracle_matcher_pairs_steps_the_mock_oracle_strips():
-    matcher = oracle_matcher(MockOracle())
-    assert matcher(["Save it. ", "- Open"], ["Save it.", "- Open"]) == [
-        ("Save it. ", "Save it."),
-        ("- Open", "- Open"),
-    ]
-    result = eval_plans([("t", ["Save it. "], ["Save it. "])], matcher=matcher)
-    assert (result.step_precision, result.step_recall) == (1.0, 1.0)
-
-
-def test_oracle_plan_judge_drives_tsr():
-    judge = oracle_plan_judge(MockOracle())
-    plan = ["Open the file.", "Save it."]
-    result = eval_plans(
-        [("t_good", plan, plan), ("t_bad", ["Different."], plan)], judge=judge
-    )
-    assert result.tsr == pytest.approx(0.5)
-
-
-# Single-line steps without " / ", the separator of the oracle's pair lines:
-# spellings of a few steps that match after normalization, and free text.
-_STEP = st.one_of(
-    st.sampled_from(
-        ["Open the file.", "open the  FILE", "Save it.", "save, it", "Bold the title!", "bold the title"]
-    ),
-    st.text(
-        st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="/"),
-        min_size=1,
-        max_size=12,
-    ).filter(lambda step: step.strip() and step.splitlines() == [step]),
-)
-# Predictions reuse truth steps often enough to reach every recall.
-_PLAN_PAIR = st.lists(_STEP, max_size=5).flatmap(
-    lambda truth: st.tuples(
-        st.just("t"),
-        st.lists(st.one_of(_STEP, *([st.sampled_from(truth)] if truth else [])), max_size=5),
-        st.just(truth),
-    )
-)
-_PLAN_PAIRS = st.lists(_PLAN_PAIR, min_size=1, max_size=4)
-
-
-@settings(max_examples=150, deadline=None)
-@given(pairs=_PLAN_PAIRS)
-def test_mock_oracle_plan_eval_agrees_with_default_rules(pairs):
-    oracle = MockOracle()
-    matcher = oracle_matcher(oracle)
-    for _, pred, truth in pairs:
-        assert matcher(pred, truth) == match_plan_steps(pred, truth)
-    assert eval_plans(pairs, judge=oracle_plan_judge(oracle)).tsr == eval_plans(pairs).tsr
-
-
-class RaisingOracle:
-    def complete(self, request):
-        raise RuntimeError("connection reset")
-
-
-class UnparseableOracle:
-    def complete(self, request):
-        return OracleResponse(raw_text="not json", parsed=None, parse_error="no JSON object")
-
-
-@pytest.mark.parametrize(
-    "oracle, reason",
-    [(RaisingOracle(), "oracle failed: connection reset"),
-     (UnparseableOracle(), "response unparseable: no JSON object")],
-    ids=["raising", "unparseable"],
-)
-@pytest.mark.parametrize(
-    "call, what",
-    [
-        (lambda oracle: oracle_matcher(oracle)(["a"], ["a"]), "plan matcher"),
-        (lambda oracle: oracle_plan_judge(oracle)("t", ["a"], ["a"]), "plan judge"),
-    ],
-    ids=["matcher", "judge"],
-)
-def test_plan_eval_oracle_failures_are_oracle_failures(oracle, reason, call, what):
-    with pytest.raises(OracleFailure, match=f"^{what} {reason}$"):
-        call(oracle)
 
 
 # --- eval_actions ------------------------------------------------------------------

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from lamlab.errors import TemplateError, Timeout
 from lamlab.oracle import (
+    RESPONSE_SCHEMAS,
     MemoizingOracle,
     MockOracle,
     OracleRequest,
@@ -46,20 +48,33 @@ def judge_substitutions(task="Highlight the title in the document.", diff=None, 
 # --- templates -----------------------------------------------------------
 
 
+EVOLVE_SUBS = {"task": "t", "plan": "[]", "max_extra_words": "20", "variant": "0"}
+
+
 def test_placeholders_extracted():
-    assert template_placeholders("plan_eval") == {"question", "answer1", "answer2"}
+    assert template_placeholders("evolve") == {"task", "plan", "max_extra_words", "variant"}
 
 
 def test_render_missing_substitution_is_error():
+    subs = {k: v for k, v in EVOLVE_SUBS.items() if k != "variant"}
     with pytest.raises(TemplateError):
-        render_prompt("plan_eval", {"question": "q", "answer1": "a"})
+        render_prompt("evolve", subs)
 
 
 def test_render_unknown_substitution_is_error():
     with pytest.raises(TemplateError):
-        render_prompt(
-            "plan_eval", {"question": "q", "answer1": "a", "answer2": "b", "extra": "x"}
-        )
+        render_prompt("evolve", {**EVOLVE_SUBS, "extra": "x"})
+
+
+def test_prompts_schemas_and_mock_handlers_name_the_same_templates():
+    from lamlab.oracle.mock import _HANDLERS
+
+    prompts_dir = resources.files("lamlab") / "oracle" / "prompts"
+    prompts = {p.name.removesuffix(".txt") for p in prompts_dir.iterdir() if p.name.endswith(".txt")}
+    expected = {"instantiate", "evolve", "judge"}
+    assert prompts == expected
+    assert set(RESPONSE_SCHEMAS) == expected
+    assert set(_HANDLERS) == expected
 
 
 def test_render_unknown_template_is_error():
@@ -68,15 +83,13 @@ def test_render_unknown_template_is_error():
 
 
 def test_literal_braces_render_intact():
-    rendered = render_prompt(
-        "plan_eval", {"question": "q", "answer1": "a", "answer2": "b"}
-    )
-    assert '"Subtask1": "Yes" or "No"' in rendered
-    assert "{question}" not in rendered
+    rendered = render_prompt("evolve", EVOLVE_SUBS)
+    assert '{\n      "evolved_task": "the rewritten task text",' in rendered
+    assert "{task}" not in rendered
 
 
 def test_split_messages_sections():
-    rendered = render_prompt("evolve", {"task": "t", "plan": "[]", "max_extra_words": "20", "variant": "0"})
+    rendered = render_prompt("evolve", EVOLVE_SUBS)
     messages = split_messages(rendered)
     assert [m["role"] for m in messages] == ["system", "user"]
     assert "<Original Task:> t" in messages[1]["content"]
@@ -236,10 +249,9 @@ def test_remote_timeout_after_budget():
 
 def test_remote_payload_is_pinned():
     session = FakeSession([FakeResponse(200, "{}")])
-    subs = {"question": "q", "answer1": "a", "answer2": "b"}
-    remote(session).complete(OracleRequest("plan_eval", subs))
+    remote(session).complete(OracleRequest("evolve", EVOLVE_SUBS))
     (payload,) = session.payloads
-    messages = split_messages(render_prompt("plan_eval", subs))
+    messages = split_messages(render_prompt("evolve", EVOLVE_SUBS))
     assert json.dumps(payload) == json.dumps(
         {
             "model": "m",
