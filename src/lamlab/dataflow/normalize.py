@@ -7,7 +7,7 @@ duplicate tasks all silently leave the corpus here.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..textutil import ascii_letter_ratio, normalize_line
 from .records import SOURCES, TaskPlanRecord
@@ -30,10 +30,7 @@ MAX_PLAN_STEPS = 20
 MIN_ASCII_LETTER_RATIO = 0.9
 
 
-def normalize_sources(
-    raw_records: Iterable[Mapping],
-    off_platform: Sequence[str] = DEFAULT_OFF_PLATFORM,
-) -> list[TaskPlanRecord]:
+def normalize_sources(raw_records: Iterable[Mapping]) -> list[TaskPlanRecord]:
     kept: list[TaskPlanRecord] = []
     seen_tasks: set[str] = set()
     for i, raw in enumerate(raw_records):
@@ -51,7 +48,7 @@ def normalize_sources(
         if ascii_letter_ratio(task) < MIN_ASCII_LETTER_RATIO:
             continue
         low = task.lower()
-        if any(keyword in low for keyword in off_platform):
+        if any(keyword in low for keyword in DEFAULT_OFF_PLATFORM):
             continue
         key = normalize_line(task)
         if key in seen_tasks:

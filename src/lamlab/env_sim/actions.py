@@ -82,14 +82,14 @@ class ActionCall:
         }
 
     @classmethod
-    def from_call_dict(cls, obj: Mapping, status: str = STATUS_CONTINUE) -> "ActionCall":
+    def from_call_dict(cls, obj: Mapping) -> "ActionCall":
         return cls(
             step=str(obj.get("step", "")),
             control_label=str(obj.get("controlLabel", "")),
             control_text=str(obj.get("controlText", "")),
             function=str(obj.get("function", "")),
             args=dict(obj.get("args", {}) or {}),
-            status=str(obj.get("status", status)),
+            status=str(obj.get("status", STATUS_CONTINUE)),
         )
 
 

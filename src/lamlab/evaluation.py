@@ -158,18 +158,20 @@ def eval_actions(
     preds: Mapping[str, Sequence[PredictedStep]],
     truths: Mapping[str, Sequence[GroundTruthStep]],
 ) -> ActionEvalResult:
-    """Positional comparison per task id. Accuracies are micro-averaged over
-    ground-truth steps; a task succeeds iff every step succeeds and the
-    predicted step count matches the truth."""
+    """Positional comparison per ground-truth task id. Accuracies are
+    micro-averaged over ground-truth steps; a task succeeds iff every step
+    succeeds and the predicted step count matches the truth. A task with no
+    prediction counts as a prediction with no steps."""
     if not preds:
         raise EmptyCorpus("eval_actions needs at least one predicted task")
-    object_hits = operation_hits = status_hits = step_hits = 0
-    total_steps = 0
-    per_task: dict[str, bool] = {}
     for task_id in sorted(preds):
         if task_id not in truths:
             raise MissingGroundTruth(f"no ground truth for task {task_id!r}")
-        pred_steps = list(preds[task_id])
+    object_hits = operation_hits = status_hits = step_hits = 0
+    total_steps = 0
+    per_task: dict[str, bool] = {}
+    for task_id in sorted(truths):
+        pred_steps = list(preds.get(task_id, ()))
         truth_steps = list(truths[task_id])
         task_ok = len(pred_steps) == len(truth_steps)
         for i, truth in enumerate(truth_steps):
@@ -255,34 +257,36 @@ def report_plans(results: Mapping[str, PlanEvalResult]) -> tuple[str, str]:
     return render_table("Planning performance", headers, rows), _csv_text(headers, rows)
 
 
-def report_actions(results: Mapping[str, ActionEvalResult]) -> tuple[str, str]:
-    metric_rows = [
-        ("Object Acc (%)", lambda r: r.object_acc),
-        ("Operation Acc (%)", lambda r: r.operation_acc),
-        ("Status Acc (%)", lambda r: r.status_acc),
-        ("Step Success Rate (SSR) (%)", lambda r: r.ssr),
-        ("Task Success Rate (TSR) (%)", lambda r: r.tsr),
-    ]
+def _metric_table(
+    title: str, results: Mapping, metrics: list[tuple[str, Callable]]
+) -> tuple[str, str]:
+    """A "Metric x model" table: one row per (label, result -> text) metric,
+    one column per model in name order."""
     names = sorted(results)
     headers = ["Metric"] + names
-    rows = [
-        [label] + [_pct(getter(results[name])) for name in names]
-        for label, getter in metric_rows
+    rows = [[label] + [text(results[name]) for name in names] for label, text in metrics]
+    return render_table(title, headers, rows), _csv_text(headers, rows)
+
+
+def report_actions(results: Mapping[str, ActionEvalResult]) -> tuple[str, str]:
+    metrics = [
+        ("Object Acc (%)", lambda r: _pct(r.object_acc)),
+        ("Operation Acc (%)", lambda r: _pct(r.operation_acc)),
+        ("Status Acc (%)", lambda r: _pct(r.status_acc)),
+        ("Step Success Rate (SSR) (%)", lambda r: _pct(r.ssr)),
+        ("Task Success Rate (TSR) (%)", lambda r: _pct(r.tsr)),
     ]
-    return render_table("Decision-making performance", headers, rows), _csv_text(headers, rows)
+    return _metric_table("Decision-making performance", results, metrics)
 
 
 def report_online(results: Mapping[str, OnlineEvalResult]) -> tuple[str, str]:
-    metric_rows = [
+    metrics = [
         ("Task Success Rate (%)", lambda r: _pct(r.tsr)),
         ("Task Completion Time (s)", lambda r: f"{r.mean_completion_time:.2f}"),
         ("Task Completion Steps", lambda r: f"{r.mean_steps:.2f}"),
         ("Average Step Latency (s)", lambda r: f"{r.mean_step_latency:.2f}"),
     ]
-    names = sorted(results)
-    headers = ["Metric"] + names
-    rows = [[label] + [getter(results[name]) for name in names] for label, getter in metric_rows]
-    return render_table("Online performance", headers, rows), _csv_text(headers, rows)
+    return _metric_table("Online performance", results, metrics)
 
 
 def write_reports(out_dir, sections: list[tuple[str, str]]) -> tuple[str, str]:

@@ -103,25 +103,20 @@ def build_suite_workspace(workspace: str | Path, oracle=None) -> Path:
     return workspace
 
 
-def run_suite_phases(
-    workspace: str | Path,
-    configs: PhaseConfigs = PhaseConfigs(),
-    seed: int = 0,
-    oracle=None,
-) -> dict[int, ModelParams]:
-    """Run phases 1..4 in order; returns the checkpoint parameters per phase."""
+def run_suite_phases(workspace: str | Path, seed: int = 0) -> dict[int, ModelParams]:
+    """Run phases 1..4 in order with the ``PhaseConfigs`` defaults and the
+    mock oracle; returns the checkpoint parameters per phase."""
     workspace = Path(workspace)
-    oracle = oracle or MockOracle()
+    oracle = MockOracle()
     checkpoints: dict[int, ModelParams] = {}
     for phase in (1, 2, 3, 4):
-        out = run_phase(phase, workspace, oracle, configs, seed=seed)
+        out = run_phase(phase, workspace, oracle, seed=seed)
         checkpoints[phase] = ModelParams.load(out / "weights.json")
     return checkpoints
 
 
-def suite_runs(
-    params: ModelParams, suite: list[SuiteTask] | None = None, clock=lambda: 0.0
-) -> list[RunRecord]:
+def suite_runs(params: ModelParams, suite: list[SuiteTask] | None = None) -> list[RunRecord]:
+    """One argmax run per suite task, on a clock that always reads 0.0."""
     if suite is None:
         suite = load_suite_tasks()
     runs = []
@@ -134,7 +129,7 @@ def suite_runs(
                 task.task,
                 config=AgentConfig(max_steps=20, mode="argmax"),
                 task_id=task.task_id,
-                clock=clock,
+                clock=lambda: 0.0,
             )
         )
     return runs

@@ -2,7 +2,6 @@
 
 from .candidates import CandidateAction, enumerate_candidates, extract_args, match_expert
 from .features import (
-    BASE_FEATURES,
     FEATURE_NAMES,
     FORMAT_KEYWORDS,
     STATUS_FEATURES,
@@ -26,7 +25,6 @@ __all__ = [
     "enumerate_candidates",
     "extract_args",
     "match_expert",
-    "BASE_FEATURES",
     "FEATURE_NAMES",
     "FORMAT_KEYWORDS",
     "STATUS_FEATURES",

@@ -41,7 +41,6 @@ from .candidates import CandidateAction, _applicable, _task_templates
 from .state import CONTROL_TYPES, FORMAT_KEYWORDS, AgentState, _text_tokens
 
 __all__ = [
-    "BASE_FEATURES",
     "FEATURE_NAMES",
     "STATUS_FEATURES",
     "FORMAT_KEYWORDS",
@@ -73,9 +72,6 @@ CONTROL_BLOCK += tuple(f"ctype::{name}" for name in CONTROL_TYPES)
 PAIR_BLOCK = ("repeat_last", "selection_ready", "selection_missing")
 
 FEATURE_NAMES: tuple[str, ...] = PROGRESS_BLOCK + FUNCTION_BLOCK + CONTROL_BLOCK + PAIR_BLOCK
-
-# The hand-designed signals: every feature but the one-hots.
-BASE_FEATURES = tuple(name for name in FEATURE_NAMES if "::" not in name)
 
 # The non-zero features of one pair: (feature indices, values), indices
 # strictly increasing.

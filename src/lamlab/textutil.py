@@ -134,8 +134,8 @@ def table_dims(text: str) -> tuple[int, int] | None:
     return None
 
 
-def stable_hash(*parts: object, bits: int = 63) -> int:
-    """Deterministic cross-run hash of the given parts (unlike ``hash()``)."""
+def stable_hash(*parts: object) -> int:
+    """Deterministic cross-run 63-bit hash of the given parts (unlike ``hash()``)."""
     payload = "".join(str(p) for p in parts).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") % (1 << bits)
+    return int.from_bytes(digest[:8], "big") % (1 << 63)

@@ -13,23 +13,18 @@ __all__ = ["SftConfig", "RmConfig", "PpoConfig", "BoostConfig", "PhaseConfigs"]
 class SftConfig:
     """Minibatch SGD with a linear warmup, then cosine decay. The defaults are
     the phase 2-3 imitation recipe sized for the linear heads; ``PhaseConfigs``
-    sets phase 1's own."""
+    sets phase 1's own. Each phase's loss fixes its own weighting: phase 1
+    counts every plan target equally, phases 2-3 every trajectory."""
 
     learning_rate: float = 0.5
     warmup_steps: int = 2
     batch_size: int = 8
     epochs: int = 60
-    # Weighting of the double sum over trajectories and steps (imitation) or
-    # over task-plan records and plan targets (phase 1 SFT): the mean of
-    # per-item means (default) or one global mean over all steps or targets.
-    step_mean: bool = False
 
     def __post_init__(self) -> None:
         check_numbers(self, "learning_rate")
         check_ints(self, 1, "batch_size", "epochs")
         check_ints(self, 0, "warmup_steps")
-        if not isinstance(self.step_mean, bool):
-            raise ValueError(f"step_mean must be true or false, got {self.step_mean!r}")
 
 
 @dataclass(frozen=True)
@@ -77,9 +72,7 @@ class BoostConfig:
 @dataclass(frozen=True)
 class PhaseConfigs:
     sft: SftConfig = field(
-        default_factory=lambda: SftConfig(
-            learning_rate=0.8, batch_size=16, epochs=40, step_mean=True
-        )
+        default_factory=lambda: SftConfig(learning_rate=0.8, batch_size=16, epochs=40)
     )
     imitation: SftConfig = field(default_factory=SftConfig)
     rm: RmConfig = field(default_factory=RmConfig)

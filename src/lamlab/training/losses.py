@@ -22,6 +22,12 @@ order, so training and inference score a pair to the same float. A
 training phase prepares its corpus once and hands the prepared items to
 every epoch.
 
+Each softmax loss has one weighting. ``sft_plan_loss`` (phase 1) takes one
+mean over all the batch's plan targets, so a long plan weighs more than a
+short one. ``imitation_loss`` (phases 2-3) takes each trajectory's mean step
+loss and then the mean over trajectories, so every demonstration weighs the
+same.
+
 Candidate rows repeat heavily (features are indicators and a few quantized
 values): the suite corpus has 2,222 candidate rows but 119 distinct ones.
 ``imitation_loss`` and ``sft_plan_loss`` therefore score each distinct row
@@ -235,14 +241,12 @@ def _softmax_steps(
 
 
 def sft_plan_loss(
-    params: ModelParams, batch: Sequence[PlanRows], step_mean: bool = True
+    params: ModelParams, batch: Sequence[PlanRows]
 ) -> tuple[float, dict[str, float]]:
-    """Mean cross-entropy over plan-step targets (including the end token).
-
-    With step_mean (default) every target counts equally; otherwise records
-    are weighted equally regardless of plan length. Each record's loss and
-    gradient are summed first and divided once. The records come from one
-    ``prepare_plans`` call.
+    """Cross-entropy over the batch's plan-step targets (including the end
+    token), one mean over all of them, so every target counts equally
+    whatever its plan's length. Each record's loss and gradient are summed
+    first and divided once. The records come from one ``prepare_plans`` call.
     """
     if not batch:
         raise EmptyCorpus("sft_plan_loss needs a non-empty batch")
@@ -258,24 +262,21 @@ def sft_plan_loss(
     grads: dict[int, float] = {}
     for record in batch:
         record_loss, coefs, columns = _softmax_steps(scores, record.steps, record.columns, 1.0)
-        divisor = total_targets if step_mean else float(len(record.steps)) * len(batch)
-        total_loss += record_loss / divisor
+        total_loss += record_loss / total_targets
         for (j, _, _), s in zip(columns, column_sums(coefs, columns)):
-            grads[j] = grads.get(j, 0.0) + s / divisor
+            grads[j] = grads.get(j, 0.0) + s / total_targets
     return total_loss, {names[j]: g for j, g in grads.items()}
 
 
 def imitation_loss(
-    params: ModelParams,
-    trajectories: Sequence[Sequence[ActionRows]],
-    step_mean: bool = False,
+    params: ModelParams, trajectories: Sequence[Sequence[ActionRows]]
 ) -> tuple[float, dict[str, float]]:
     """Cross-entropy between the action distribution and the expert action,
-    averaged per trajectory then across trajectories (or globally over steps
-    with step_mean). The steps come from one ``prepare_imitation`` call."""
+    averaged per trajectory then across trajectories, so every trajectory
+    counts equally whatever its length. The steps come from one
+    ``prepare_imitation`` call."""
     if not trajectories or not any(len(t) for t in trajectories):
         raise EmptyCorpus("imitation_loss needs at least one step")
-    total_steps = sum(len(t) for t in trajectories)
     n_traj = len(trajectories)
     scores = _distinct_scores(params.act_weights, [step for t in trajectories for step in t])
 
@@ -284,7 +285,7 @@ def imitation_loss(
     for trajectory in trajectories:
         if not trajectory:
             continue
-        weight = 1.0 / total_steps if step_mean else 1.0 / (n_traj * len(trajectory))
+        weight = 1.0 / (n_traj * len(trajectory))
         for step in trajectory:
             step_loss, coefs, columns = _softmax_steps(scores, (step,), step.columns, weight)
             loss += step_loss

@@ -177,11 +177,7 @@ def _phase1(workspace: Path, configs: PhaseConfigs, seed: int) -> Path:
     vocab = build_plan_vocab([list(r.plan) for r in records])
     params = ModelParams.zeros(plan_vocab=vocab)
     params = _descend(
-        params,
-        prepare_plans(records, params.plan_vocab),
-        lambda p, batch: sft_plan_loss(p, batch, step_mean=configs.sft.step_mean),
-        configs.sft,
-        seed,
+        params, prepare_plans(records, params.plan_vocab), sft_plan_loss, configs.sft, seed
     )
     return _save(
         workspace,
@@ -217,22 +213,11 @@ def _imitation_phase(
     trajectories = records_to_imitation(records)
     if not trajectories:
         raise EmptyCorpus(f"{name}: no trajectories to imitate")
-    step_mean = configs.imitation.step_mean
     params = _descend(
-        params,
-        prepare_imitation(trajectories),
-        lambda p, batch: imitation_loss(p, batch, step_mean=step_mean),
-        configs.imitation,
-        seed,
+        params, prepare_imitation(trajectories), imitation_loss, configs.imitation, seed
     )
     statuses = [(state, action.status) for steps in trajectories for state, action in steps]
-    params = _descend(
-        params,
-        prepare_status(statuses),
-        lambda p, batch: status_loss(p, batch),
-        configs.imitation,
-        seed + 1,
-    )
+    params = _descend(params, prepare_status(statuses), status_loss, configs.imitation, seed + 1)
     return _save(
         workspace,
         name,

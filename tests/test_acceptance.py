@@ -367,9 +367,9 @@ def test_criterion_4_phase_progression(suite_phases):
 # every CPython; ``test_checkpoints_are_pinned_on_other_interpreters`` checks
 # that on each CPython >= 3.12 it finds.
 _PINNED_CHECKPOINTS = {
-    "lam1": ("7f190fac", "d061c170"),
-    "lam2": ("cf4fa8ff", "1b973260"),
-    "lam3": ("f589fc24", "23b136c1"),
+    "lam1": ("7f190fac", "adb7870f"),
+    "lam2": ("cf4fa8ff", "c271b487"),
+    "lam3": ("f589fc24", "531ffa8a"),
     "lam4": ("f589fc24", "9e318567"),
     "rm": ("b7fa32b0", "6a3df481"),
 }
@@ -603,9 +603,9 @@ def test_criterion_7_determinism(cli_lifecycle, tmp_path):
 # bundled-corpus CLI lifecycle of ``_full_run``. Unlike the suite's, this
 # corpus leaves phase 4 failure steps to run PPO on.
 _PINNED_CLI_CHECKPOINTS = {
-    "lam1": ("476acd71", "b23db27f"),
-    "lam2": ("f51ac156", "e87e5b78"),
-    "lam3": ("f6727241", "962399ad"),
+    "lam1": ("476acd71", "54b64727"),
+    "lam2": ("f51ac156", "047d9dcd"),
+    "lam3": ("f6727241", "fa3e0975"),
     "lam4": ("0aae4254", "0499e267"),
     "rm": ("d78fd170", "2a6afb30"),
 }

@@ -195,6 +195,24 @@ def test_eval_actions_command(pipeline_ws, tmp_path):
     assert "100.0" in csv_text
 
 
+def test_eval_actions_scores_a_truth_task_without_prediction_as_failed(tmp_path):
+    pred = tmp_path / "pred.jsonl"
+    truth = tmp_path / "truth.jsonl"
+    write_jsonl(pred, [_eval_row("pred")])
+    write_jsonl(
+        truth,
+        [
+            _eval_row("truth"),
+            {"task_id": "b", "steps": [{"operation": "insert_table", "status": "FINISH"}]},
+        ],
+    )
+    ws = tmp_path / "ws"
+    code = main(["--workspace", str(ws), "eval", "actions", "--pred", str(pred), "--truth", str(truth)])
+    assert code == 0
+    rows = (ws / "reports" / "report_actions.csv").read_text().splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["50.0"] * 5
+
+
 def test_report_command_collects_sections(pipeline_ws, capsys):
     code = main(["--workspace", str(pipeline_ws), "report"])
     assert code == 0
@@ -429,6 +447,7 @@ def test_schema_drifted_corpus_row_is_a_validation_failure(
         {"ppo": {"minibatch_size": 0}},
         {"ppo": {"ppo_epochs": 1.0}},
         {"ppo": {"learning_rate": "fast"}},
+        # Not a field (each loss has one weighting), so unknown whatever the value.
         {"sft": {"step_mean": "no"}},
         {"imitation": {"step_mean": "no"}},
         {"imitation": {"step_mean": 1}},

@@ -452,16 +452,15 @@ def test_featurize_matches_reference_on_suite_states(suite_steps):
     assert pairs > 1000
 
 
-@pytest.mark.parametrize("step_mean", [False, True])
-def test_imitation_loss_equals_reference(suite_steps, step_mean):
+def test_imitation_loss_equals_reference(suite_steps):
     trajectories, _ = suite_steps
     prepared = prepare_imitation(trajectories)
     for seed in range(3):
         params = nonzero_params(seed)
         for raw, rows in zip(batches(trajectories, 8) + [trajectories],
                              batches(prepared, 8) + [prepared]):
-            expected = reference_imitation_loss(params, raw, step_mean)
-            got = imitation_loss(params, rows, step_mean)
+            expected = reference_imitation_loss(params, raw, step_mean=False)
+            got = imitation_loss(params, rows)
             assert got[0] == expected[0]
             assert list(got[1].items()) == list(expected[1].items())
 
@@ -498,8 +497,7 @@ def reference_plan_softmaxes(params, records):
             used.add(target)
 
 
-@pytest.mark.parametrize("step_mean", [True, False])
-def test_sft_plan_loss_equals_reference(plan_records, step_mean):
+def test_sft_plan_loss_equals_reference(plan_records):
     vocab = build_plan_vocab([list(r.plan) for r in plan_records])
     longest = max(len(r.plan) for r in plan_records) + 1
     prepared = prepare_plans(plan_records, vocab)
@@ -518,8 +516,8 @@ def test_sft_plan_loss_equals_reference(plan_records, step_mean):
     for params in cases + [saturated, underflowing]:
         for raw, rows in zip(batches(plan_records, 16) + [plan_records],
                              batches(prepared, 16) + [prepared]):
-            expected = reference_sft_plan_loss(params, raw, step_mean)
-            got = sft_plan_loss(params, rows, step_mean)
+            expected = reference_sft_plan_loss(params, raw, step_mean=True)
+            got = sft_plan_loss(params, rows)
             assert got[0] == expected[0]
             assert list(got[1].items()) == list(expected[1].items())
 

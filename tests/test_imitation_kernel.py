@@ -239,11 +239,10 @@ def test_imitation_loss_equals_parent_kernel(suite_steps):
     )
     assert zero_probs > 0
     for params in cases:
-        for step_mean in (False, True):
-            for size in (1, 4, 8, len(trajectories)):
-                for rows, old in zip(batches(prepared, size), batches(parent, size)):
-                    expected = parent_imitation_loss(params, old, step_mean)
-                    assert _equal(imitation_loss(params, rows, step_mean), expected)
+        for size in (1, 4, 8, len(trajectories)):
+            for rows, old in zip(batches(prepared, size), batches(parent, size)):
+                expected = parent_imitation_loss(params, old, step_mean=False)
+                assert _equal(imitation_loss(params, rows), expected)
 
 
 def test_trained_imitation_weights_equal_parent_kernel(suite_steps):
@@ -253,16 +252,11 @@ def test_trained_imitation_weights_equal_parent_kernel(suite_steps):
     parent = [[parent_action_rows(step) for step in t] for t in trajectories]
     config = SftConfig(learning_rate=0.5, epochs=3, batch_size=4, warmup_steps=2)
     step = sgd(lambda t, total: learning_rate_at(t, total, config))
-    for step_mean in (False, True):
-        for seed in range(2):
-            start = nonzero_params(seed)
-            got = train_params(
-                start, prepared, lambda p, b: imitation_loss(p, b, step_mean), step, 4, 3, seed
-            )
-            expected = train_params(
-                start, parent, lambda p, b: parent_imitation_loss(p, b, step_mean), step, 4, 3, seed
-            )
-            assert got.weights == expected.weights
+    for seed in range(2):
+        start = nonzero_params(seed)
+        got = train_params(start, prepared, imitation_loss, step, 4, 3, seed)
+        expected = train_params(start, parent, parent_imitation_loss, step, 4, 3, seed)
+        assert got.weights == expected.weights
 
 
 def test_ppo_update_equals_parent_kernel(suite_steps, monkeypatch):

@@ -179,18 +179,6 @@ def test_imitation_gradient_matches_finite_differences():
         finite_difference_check(lambda p: imitation_loss(p, trajectories)[0], params, grads)
 
 
-def test_imitation_mean_of_means_vs_step_mean():
-    state, expert = expert_step()
-    one = [(state, expert)]
-    two = [(state, expert), (state, expert)]
-    params = ModelParams.zeros()
-    batch = prepare_imitation([one, two])
-    loss_mm, _ = imitation_loss(params, batch)
-    loss_sm, _ = imitation_loss(params, batch, step_mean=True)
-    # Same per-step CE here, so the two weightings agree; both are finite.
-    assert abs(loss_mm - loss_sm) < 1e-12
-
-
 def test_status_loss_gradient():
     state, _ = expert_step()
     steps = prepare_status([(state, "CONTINUE"), (make_state("task two", step_id=3), "FINISH")])
@@ -668,12 +656,8 @@ def test_run_phase_empty_corpus(tmp_path):
 
 def test_phase_configs_defaults_are_the_desk_recipe():
     configs = PhaseConfigs()
-    assert configs.sft == SftConfig(
-        learning_rate=0.8, warmup_steps=2, batch_size=16, epochs=40, step_mean=True
-    )
-    assert configs.imitation == SftConfig(
-        learning_rate=0.5, warmup_steps=2, batch_size=8, epochs=60, step_mean=False
-    )
+    assert configs.sft == SftConfig(learning_rate=0.8, warmup_steps=2, batch_size=16, epochs=40)
+    assert configs.imitation == SftConfig(learning_rate=0.5, warmup_steps=2, batch_size=8, epochs=60)
     assert configs.rm == RmConfig(learning_rate=0.05, epochs=10, batch_size=16)
 
 
@@ -695,21 +679,3 @@ def test_phase_manifests_record_corpus_sizes(tmp_path):
     records = read_jsonl(ws / "corpus" / "training.jsonl")
     assert manifest2["data_size"] == len({r["trajectory_id"] for r in records})
 
-
-def test_phase1_follows_sft_step_mean(tmp_path):
-    import dataclasses
-    import json
-
-    from lamlab.harness import build_suite_workspace
-    from lamlab.training import run_phase
-
-    ws = build_suite_workspace(tmp_path / "ws")
-    defaults = PhaseConfigs()
-    weights = {}
-    for step_mean in (True, False):
-        sft = dataclasses.replace(defaults.sft, epochs=2, step_mean=step_mean)
-        out = run_phase(1, ws, MockOracle(), dataclasses.replace(defaults, sft=sft), seed=0)
-        weights[step_mean] = (out / "weights.json").read_bytes()
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["step_mean"] is step_mean
-    assert weights[True] != weights[False]
