@@ -119,7 +119,6 @@ def observe(session: EnvSession, task: str, memory: Memory, step_id: int) -> Age
         task=task,
         step_id=step_id,
         controls=tuple(list_controls(snapshot)),
-        canvas_digest=snapshot.digest(),
         previous_actions=memory.historical_actions,
         previous_plan=memory.previous_plan,
     )

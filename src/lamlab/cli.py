@@ -23,7 +23,7 @@ from .dataflow import STAGES, PipelineConfig, run_all, run_stage, stage_files
 from .dataflow.records import EvolutionConfig
 from .errors import ConfigError, LamLabError
 from .fixtures import fixture_path
-from .jsonl import read_jsonl, sha256_file, write_jsonl, write_text
+from .jsonl import read_jsonl, sha256_file, text_field, texts_field, write_jsonl, write_text
 from .oracle import MemoizingOracle, MockOracle, RemoteOracle, RemoteOracleConfig
 from .policy import ModelParams
 from .training import PhaseConfigs, checkpoint_dir, run_phase
@@ -233,9 +233,7 @@ def _task_steps(parse_step):
     seen: set[str] = set()
 
     def parse(row: dict) -> tuple:
-        task_id, steps = row["task_id"], row["steps"]
-        if not isinstance(task_id, str):
-            raise TypeError("task_id must be a string")
+        task_id, steps = text_field(row, "task_id"), row["steps"]
         if not isinstance(steps, list):
             raise TypeError("steps must be a list")
         if task_id in seen:
@@ -249,11 +247,8 @@ def _task_steps(parse_step):
 def _plan_row(row: dict) -> tuple:
     """(task, pred, truth) of an ``eval plan`` row; both plans are lists of
     strings."""
-    for key in ("pred", "truth"):
-        plan = row[key]
-        if not isinstance(plan, list) or not all(isinstance(s, str) for s in plan):
-            raise TypeError(f"{key} must be a list of strings")
-    return row.get("task", row.get("task_id", "")), row["pred"], row["truth"]
+    pred, truth = texts_field(row, "pred"), texts_field(row, "truth")
+    return row.get("task", row.get("task_id", "")), pred, truth
 
 
 def _cmd_eval(args, config: RunConfig) -> int:

@@ -25,7 +25,7 @@ from ..env_sim import (
     diff_canvas,
 )
 from ..errors import check_ints, check_numbers
-from ..jsonl import canonical_dumps, canonical_json
+from ..jsonl import canonical_dumps, canonical_json, text_field, texts_field
 
 __all__ = [
     "SOURCES",
@@ -80,11 +80,11 @@ class TaskPlanRecord:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "TaskPlanRecord":
         return cls(
-            task_id=obj["task_id"],
-            task=obj["task"],
-            plan=tuple(obj["plan"]),
-            source=obj["source"],
-            origin_task_id=obj.get("origin_task_id"),
+            task_id=text_field(obj, "task_id"),
+            task=text_field(obj, "task"),
+            plan=tuple(texts_field(obj, "plan")),
+            source=text_field(obj, "source"),
+            origin_task_id=text_field(obj, "origin_task_id") if "origin_task_id" in obj else None,
         )
 
 
@@ -120,10 +120,10 @@ class InstantiatedTask:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "InstantiatedTask":
         return cls(
-            origin_task_id=obj["origin_task_id"],
-            instantiated_task=obj["instantiated_task"],
-            template_id=obj["template_id"],
-            thought=obj.get("thought", ""),
+            origin_task_id=text_field(obj, "origin_task_id"),
+            instantiated_task=text_field(obj, "instantiated_task"),
+            template_id=text_field(obj, "template_id"),
+            thought=text_field(obj, "thought", ""),
             actions=tuple(ActionCall.from_call_dict(a) for a in obj["actions"]),
         )
 
@@ -308,9 +308,7 @@ class EvaluationVerdict:
 def verdict_row(obj: Mapping) -> tuple[str, EvaluationVerdict]:
     """(trajectory id, verdict) of one ``verdicts.jsonl`` row."""
     verdict = EvaluationVerdict.from_dict(obj)
-    if not isinstance(obj["trajectory_id"], str):
-        raise TypeError("trajectory_id must be a string")
-    return obj["trajectory_id"], verdict
+    return text_field(obj, "trajectory_id"), verdict
 
 
 @dataclass(frozen=True)

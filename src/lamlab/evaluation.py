@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 from .agent import RunRecord
 from .errors import EmptyCorpus, MissingGroundTruth
 from .goals import goal_satisfied
-from .jsonl import write_text
+from .jsonl import text_field, texts_field, write_text
 from .policy.model import left_sum
 from . import textutil
 
@@ -40,14 +40,6 @@ __all__ = [
 ]
 
 
-def _text(obj: Mapping, key: str, default: str | None = None) -> str:
-    """``obj[key]``, which must be a string; a key with a default may be absent."""
-    value = obj[key] if default is None else obj.get(key, default)
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string")
-    return value
-
-
 @dataclass(frozen=True)
 class GroundTruthStep:
     """One reference step. acceptable_objects is empty only for target-free
@@ -59,13 +51,10 @@ class GroundTruthStep:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "GroundTruthStep":
-        objects = obj.get("acceptable_objects", [])
-        if not isinstance(objects, list) or not all(isinstance(o, str) for o in objects):
-            raise TypeError("acceptable_objects must be a list of strings")
         return cls(
-            acceptable_objects=tuple(objects),
-            operation=_text(obj, "operation"),
-            status=_text(obj, "status"),
+            acceptable_objects=tuple(texts_field(obj, "acceptable_objects", [])),
+            operation=text_field(obj, "operation"),
+            status=text_field(obj, "status"),
         )
 
     def to_dict(self) -> dict:
@@ -85,9 +74,9 @@ class PredictedStep:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "PredictedStep":
         return cls(
-            control_text=_text(obj, "control_text", ""),
-            function=_text(obj, "function", ""),
-            status=_text(obj, "status", ""),
+            control_text=text_field(obj, "control_text", ""),
+            function=text_field(obj, "function", ""),
+            status=text_field(obj, "status", ""),
         )
 
     def to_dict(self) -> dict:
@@ -203,12 +192,11 @@ def canvas_predicate_judge(run: RunRecord) -> bool:
     return goal_satisfied(run.task, diff) is True
 
 
-def eval_online(
-    runs: Sequence[RunRecord], judge: Callable[[RunRecord], bool] = canvas_predicate_judge
-) -> OnlineEvalResult:
+def eval_online(runs: Sequence[RunRecord]) -> OnlineEvalResult:
+    """TSR by ``canvas_predicate_judge`` and the runs' mean time and steps."""
     if not runs:
         raise EmptyCorpus("eval_online needs at least one run")
-    successes = sum(1 for run in runs if judge(run))
+    successes = sum(1 for run in runs if canvas_predicate_judge(run))
     total_time = left_sum(run.total_time for run in runs)
     total_steps = sum(len(run.trajectory.steps) for run in runs)
     return OnlineEvalResult(

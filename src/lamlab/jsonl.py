@@ -25,6 +25,8 @@ is not UTF-8, is not JSON, is not an object, or that ``parse`` rejects with
 ``KeyError``, ``TypeError``, ``ValueError`` or ``AttributeError`` raises
 :class:`ValidationFailure` located at ``path:line``. The file is read in
 binary mode and decoded line by line, so a decoding error names its own line.
+Parsers check a row's fields with :func:`text_field` and
+:func:`texts_field`, whose ``TypeError`` names the field.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, TextIO, TypeVar
+from typing import Any, Callable, Iterable, Mapping, TextIO, TypeVar
 
 from .errors import EmptyCorpus, ValidationFailure
 
@@ -97,6 +99,22 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], Any] | None = None) -> 
                     raise ValidationFailure(f"{path}:{line_no}: {exc}") from exc
             records.append(record)
     return records
+
+
+def text_field(obj: Mapping, key: str, default: str | None = None) -> str:
+    """``obj[key]``, which must be a string; a key with a default may be absent."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string")
+    return value
+
+
+def texts_field(obj: Mapping, key: str, default: list | None = None) -> list[str]:
+    """``text_field`` for a list of strings."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{key} must be a list of strings")
+    return value
 
 
 _TEMP_IDS = itertools.count()

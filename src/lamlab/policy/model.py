@@ -24,7 +24,8 @@ a ``Column`` being (feature, candidate positions, values), with None for
 the values of a unit column, whose values are all exactly 1.0. The gradient
 goes in one feature at a time, each feature's terms in candidate order:
 ``scatter_columns`` adds them to running floats in a gradient dict,
-``column_sums`` to fresh sums aligned with the columns. A unit column adds
+``column_sums`` to fresh sums aligned with the columns (PPO's E[x] under a
+step's probabilities is one such sum per column). A unit column adds
 each coefficient as it is, the same float as the coefficient times 1.0, so
 the floats equal the per-candidate ``scatter_row`` loop's. The one
 ``softmax`` is built on ``softmax_parts``, which the training kernels read

@@ -74,7 +74,6 @@ class AgentState:
     task: str
     step_id: int
     controls: tuple[dict, ...]
-    canvas_digest: str = ""
     previous_actions: tuple[tuple[ActionCall, dict], ...] = ()
     previous_plan: tuple[str, ...] = ()
 

@@ -30,17 +30,19 @@ same.
 
 Candidate rows repeat heavily (features are indicators and a few quantized
 values): the suite corpus has 2,222 candidate rows but 119 distinct ones.
-``imitation_loss`` and ``sft_plan_loss`` therefore score each distinct row
-of a batch once, and share one step helper, ``_softmax_steps``: softmax over
-the looked-up scores (``model.softmax_parts``), cross-entropy against the
-expert, and every candidate's gradient coefficient, per imitation step and
-per plan record over all its positions. ``imitation_loss`` adds the
-coefficients column by column to the batch's running floats with
-``model.scatter_columns``. ``sft_plan_loss`` sums each record's columns
-from 0.0 into a list aligned with them (``model.column_sums``) and adds each
-sum, divided once, to the batch gradient. Every feature's additions keep
-the (step, candidate) order of a per-candidate loop, so gradients and
-trained weights are the same floats.
+Every softmax kernel therefore scores each distinct row of a batch once with
+``distinct_scores``: ``imitation_loss``, ``sft_plan_loss`` and every pass
+of ``ppo.ppo_update``. The first two share one step helper,
+``_softmax_steps``: softmax over the looked-up scores
+(``model.softmax_parts``), cross-entropy against the expert, and every
+candidate's gradient coefficient, per imitation step and per plan record
+over all its positions. ``imitation_loss`` adds the coefficients column by
+column to the batch's running floats with ``model.scatter_columns``.
+``sft_plan_loss`` sums each record's columns from 0.0 into a list aligned
+with them (``model.column_sums``) and adds each sum, divided once, to the
+batch gradient. Every feature's additions keep the (step, candidate) order
+of a per-candidate loop, so gradients and trained weights are the same
+floats.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ __all__ = [
     "prepare_imitation",
     "prepare_status",
     "prepare_plans",
+    "distinct_scores",
     "train_params",
     "sgd",
     "learning_rate_at",
@@ -201,7 +204,7 @@ def prepare_plans(records: Sequence, vocab: tuple[str, ...]) -> list[PlanRows]:
 
 # --- kernels ------------------------------------------------------------------------
 
-def _distinct_scores(w: Sequence[float], steps: Sequence[ActionRows]) -> dict[int, float]:
+def distinct_scores(w: Sequence[float], steps: Sequence[ActionRows]) -> dict[int, float]:
     """The score of every distinct row of the steps, by row id; the steps must
     share one table."""
     table = steps[0].table
@@ -255,7 +258,7 @@ def sft_plan_loss(
         raise ValidationFailure("plan record was prepared for another vocabulary")
     names = plan_names(vocab, max(len(record.steps) for record in batch))
     w = tuple(map(params.get, names))
-    scores = _distinct_scores(w, [step for record in batch for step in record.steps])
+    scores = distinct_scores(w, [step for record in batch for step in record.steps])
 
     total_targets = left_sum(float(len(record.steps)) for record in batch)
     total_loss = 0.0
@@ -278,7 +281,7 @@ def imitation_loss(
     if not trajectories or not any(len(t) for t in trajectories):
         raise EmptyCorpus("imitation_loss needs at least one step")
     n_traj = len(trajectories)
-    scores = _distinct_scores(params.act_weights, [step for t in trajectories for step in t])
+    scores = distinct_scores(params.act_weights, [step for t in trajectories for step in t])
 
     loss = 0.0
     grads: dict[int, float] = {}

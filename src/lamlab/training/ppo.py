@@ -3,11 +3,12 @@
 Works entirely from previously collected steps: no environment rollouts. The
 objective is the clipped probability-ratio surrogate minus an adaptive KL
 penalty whose coefficient doubles/halves as the measured KL strays from its
-target band. Steps are prepared as the imitation kernel's action rows and
-scored with ``model.score_rows``; expected features go in by column with
-``model.scatter_columns``. ``ppo_loss`` is the objective as a ``(params,
-batch) -> (loss, grads)`` kernel, trained by ``losses.train_params`` with
-constant-rate SGD.
+target band. Steps are prepared as the imitation kernel's action rows. Each
+pass over them (old probabilities, a minibatch's loss, an epoch's KL, the
+surrogate) scores each distinct row once with ``losses.distinct_scores``,
+and E[x] is ``model.column_sums`` over the step's ``ActionRows.columns``.
+``ppo_loss`` is the objective as a ``(params, batch) -> (loss, grads)``
+kernel, trained by ``losses.train_params`` with constant-rate SGD.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from typing import Sequence
 
 from ..errors import DegenerateRatio, EmptyCorpus
 from ..policy import AgentState
-from ..policy.features import SparseRow
-from ..policy.model import ACT_NAMES, Column, ModelParams, left_sum
-from ..policy.model import scatter_columns, score_rows, softmax
+from ..policy.model import ACT_NAMES, ModelParams, column_sums, left_sum, softmax
 from ..env_sim import ActionCall
 from .configs import PpoConfig
-from .losses import ActionRows, prepare_imitation, sgd, train_params
+from .losses import ActionRows, distinct_scores, prepare_imitation, sgd, train_params
 
 __all__ = [
     "scale_reward",
@@ -69,7 +68,7 @@ class PpoRow:
     advantage: float
     old_probs: tuple[float, ...]
     old_log_prob: float  # of the taken action
-    old_expected: dict[int, float]  # E_old[x] by feature index
+    old_expected: tuple[float, ...]  # E_old[x], aligned with action.columns
 
 
 @dataclass
@@ -81,16 +80,10 @@ class PpoDiagnostics:
     updates: int
 
 
-def _row_softmax(w: Sequence[float], rows: Sequence[SparseRow]) -> tuple[list[float], list[float]]:
-    """(probabilities, log-probabilities) of candidate rows under action weights ``w``."""
-    return softmax(score_rows(w, rows))
-
-
-def _expected(probs: Sequence[float], columns: Sequence[Column]) -> dict[int, float]:
-    """E[x] under ``probs``, by feature index, over every feature the candidates use."""
-    expected: dict[int, float] = {}
-    scatter_columns(expected, probs, columns)
-    return expected
+def _softmaxes(w: Sequence[float], actions: Sequence[ActionRows]):
+    """Every step's ``softmax`` under action weights ``w``, each distinct row scored once."""
+    scores = distinct_scores(w, actions)
+    return [softmax(list(map(scores.__getitem__, action.ids))) for action in actions]
 
 
 def prepare_ppo(
@@ -98,11 +91,13 @@ def prepare_ppo(
     advantages: Sequence[float],
     old_params: ModelParams,
 ) -> list[PpoRow]:
-    w_old = old_params.act_weights
-    prepared = []
+    if not steps:
+        raise EmptyCorpus("no steps to optimize")
     (actions,) = prepare_imitation([steps])
-    for action, advantage in zip(actions, advantages):
-        old_probs, old_log_probs = _row_softmax(w_old, action.rows)
+    prepared = []
+    for action, advantage, (old_probs, old_log_probs) in zip(
+        actions, advantages, _softmaxes(old_params.act_weights, actions)
+    ):
         p_old = old_probs[action.expert]
         if p_old < _MIN_OLD_PROB:
             raise DegenerateRatio(f"old policy assigns ~zero probability ({p_old:.2e}) to a step action")
@@ -112,22 +107,24 @@ def prepare_ppo(
                 advantage=advantage,
                 old_probs=tuple(old_probs),
                 old_log_prob=old_log_probs[action.expert],
-                old_expected=_expected(old_probs, action.columns),
+                old_expected=tuple(column_sums(old_probs, action.columns)),
             )
         )
     return prepared
 
 
-def _step_terms(w: Sequence[float], row: PpoRow, epsilon: float):
-    """New probabilities, ratio, clipped surrogate term and KL(old || new)."""
-    probs, log_probs = _row_softmax(w, row.action.rows)
-    ratio = math.exp(log_probs[row.action.expert] - row.old_log_prob)
-    term = clipped_term(ratio, row.advantage, epsilon)
-    kl = left_sum(
-        p_old * (math.log(max(p_old, 1e-300)) - lp)
-        for p_old, lp in zip(row.old_probs, log_probs)
-    )
-    return probs, ratio, term, kl
+def _pass_terms(w: Sequence[float], rows: Sequence[PpoRow], epsilon: float) -> list[tuple]:
+    """Per step: new probabilities, ratio, clipped surrogate term and
+    KL(old || new), from one pass that scores each distinct row once."""
+    terms = []
+    for row, (probs, log_probs) in zip(rows, _softmaxes(w, [row.action for row in rows])):
+        ratio = math.exp(log_probs[row.action.expert] - row.old_log_prob)
+        kl = left_sum(
+            p_old * (math.log(max(p_old, 1e-300)) - lp)
+            for p_old, lp in zip(row.old_probs, log_probs)
+        )
+        terms.append((probs, ratio, clipped_term(ratio, row.advantage, epsilon), kl))
+    return terms
 
 
 def ppo_loss(
@@ -137,28 +134,27 @@ def ppo_loss(
     with its gradient over the action weights."""
     if not batch:
         raise EmptyCorpus("ppo_loss needs at least one step")
-    w = params.act_weights
     n = len(batch)
     loss = 0.0
     grads: dict[int, float] = {}
-    for row in batch:
-        probs, ratio, term, kl = _step_terms(w, row, clip_epsilon)
+    for row, (probs, ratio, term, kl) in zip(
+        batch, _pass_terms(params.act_weights, batch, clip_epsilon)
+    ):
         loss += (-term + kl_coef * kl) / n
-        expected = _expected(probs, row.action.columns)
+        columns = row.action.columns
         chosen = dict(zip(*row.action.rows[row.action.expert]))
         clip_active = ratio * row.advantage > term
         # d ratio / d theta = ratio * (x_chosen - E_new[x]) and
         # d KL(old||new) / d theta = E_new[x] - E_old[x]; both are 0 elsewhere.
-        for j, e in expected.items():
+        for (j, _, _), e, e_old in zip(columns, column_sums(probs, columns), row.old_expected):
             dlogp = chosen.get(j, 0.0) - e
             surr_grad = 0.0 if clip_active else ratio * row.advantage * dlogp
-            kl_grad = e - row.old_expected[j]
-            grads[j] = grads.get(j, 0.0) + (-surr_grad + kl_coef * kl_grad) / n
+            grads[j] = grads.get(j, 0.0) + (-surr_grad + kl_coef * (e - e_old)) / n
     return loss, {ACT_NAMES[j]: g for j, g in grads.items()}
 
 
 def _mean_surrogate(params: ModelParams, rows: Sequence[PpoRow], epsilon: float) -> float:
-    return left_sum(_step_terms(params.act_weights, row, epsilon)[2] for row in rows) / len(rows)
+    return left_sum(t[2] for t in _pass_terms(params.act_weights, rows, epsilon)) / len(rows)
 
 
 def ppo_update(
@@ -174,8 +170,6 @@ def ppo_update(
     if len(steps) != len(advantages):
         raise ValueError("steps and advantages must align")
     prepared = prepare_ppo(steps, advantages, old_params)
-    if not prepared:
-        raise EmptyCorpus("no steps to optimize")
     epsilon = config.clip_epsilon
     kl_coef = config.kl_coef_init
     kl_measured = 0.0
@@ -183,7 +177,7 @@ def ppo_update(
 
     def adapt_kl_coef(params: ModelParams) -> None:
         nonlocal kl_coef, kl_measured
-        kl = left_sum(_step_terms(params.act_weights, row, epsilon)[3] for row in prepared)
+        kl = left_sum(t[3] for t in _pass_terms(params.act_weights, prepared, epsilon))
         kl_measured = kl / len(prepared)
         if kl_measured > config.kl_target * 1.5:
             kl_coef *= 2.0

@@ -339,6 +339,44 @@ def test_repeated_training_step_is_a_validation_failure(pipeline_ws, tmp_path, c
     assert f"trajectory {tid!r} has two records for step {step_no}: {first!r} and 'repeat'" in err
 
 
+@pytest.mark.parametrize(
+    "file, drift, argv, reason",
+    [
+        ("evolved.jsonl", lambda rec: rec.update(plan="abc"), ["train", "--phase", "1"],
+         "plan must be a list of strings"),
+        ("evolved.jsonl", lambda rec: rec.update(plan=[1, 2]), ["train", "--phase", "1"],
+         "plan must be a list of strings"),
+        ("taskplan.jsonl", lambda rec: rec.update(task=5),
+         ["dataflow", "run", "--stage", "instantiate"], "task must be a string"),
+        ("trajectories.jsonl", lambda rec: rec["origin"].update(instantiated_task=5),
+         ["train", "--phase", "3"], "instantiated_task must be a string"),
+    ],
+    ids=["plan_string", "plan_ints", "task_int", "instantiated_task_int"],
+)
+def test_mistyped_task_row_is_a_validation_failure(
+    pipeline_ws, tmp_path, capsys, file, drift, argv, reason
+):
+    """A task-plan or instantiated-task row with a field of the wrong type
+    ends the command at its line, not in a traceback or a plan of letters."""
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    if file == "taskplan.jsonl":
+        # Without evolved.jsonl, the instantiate stage reads taskplan.jsonl.
+        (ws / "corpus" / "evolved.jsonl").unlink()
+    path = ws / "corpus" / file
+    records = read_jsonl(path)
+    for record in records:
+        drift(record)
+    write_jsonl(path, records)
+    code = main(["--workspace", str(ws), *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert err.startswith("ValidationFailure: ")
+    assert f"{file}:1: {reason}" in err
+
+
 def _train_phase2_with(pipeline_ws, tmp_path, capsys, edit):
     """Exit code and stderr of ``train --phase 2`` on a copy of the workspace
     whose training records went through ``edit``."""

@@ -290,7 +290,7 @@ def _run(total_time, steps, task="Add a box page border to the document.", succe
 
 def test_eval_online_arithmetic():
     runs = [_run(10.0, 5), _run(20.0, 5)]
-    result = eval_online(runs, judge=lambda run: True)
+    result = eval_online(runs)
     assert result.tsr == 1.0
     assert result.mean_completion_time == pytest.approx(15.0)
     assert result.mean_steps == pytest.approx(5.0)
@@ -355,6 +355,6 @@ def test_reports_byte_deterministic():
 
 def test_report_online_format():
     runs = [_run(4.0, 2)]
-    text, csv_text = report_online({"lam": eval_online(runs, judge=lambda r: True)})
+    text, csv_text = report_online({"lam": eval_online(runs)})
     assert "Task Completion Time (s)" in text
     assert "Average Step Latency (s)" in text

@@ -271,7 +271,11 @@ def test_ppo_update_equals_parent_kernel(suite_steps, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(ppo, "prepare_ppo", parent_prepare_ppo)
                 patch.setattr(ppo, "ppo_loss", parent_ppo_loss)
-                patch.setattr(ppo, "_step_terms", parent_step_terms)
+                patch.setattr(
+                    ppo,
+                    "_pass_terms",
+                    lambda w, rows, epsilon: [parent_step_terms(w, r, epsilon) for r in rows],
+                )
                 expected = ppo_update(params, old_params, steps, advantages, config, seed=seed)
             assert got[0].weights == expected[0].weights
             assert got[1] == expected[1]
@@ -307,6 +311,51 @@ def test_each_distinct_row_is_scored_once_per_call(suite_steps, monkeypatch):
         assert len(rows) == len(distinct) == len(set(rows))
         assert set(rows) == distinct
     assert len(distinct) == 119
+
+
+def test_ppo_scores_each_distinct_row_once_per_pass(suite_steps, monkeypatch):
+    """One scoring call per pass: the old policy's probabilities, each
+    minibatch's loss, each epoch's KL and the surrogate before and after;
+    every call gets each distinct row of its steps once."""
+    trajectories, _ = suite_steps
+    steps = [step for t in trajectories for step in t][:60]
+    advantages = [((i * 7) % 11 - 5) / 10.0 for i in range(len(steps))]
+    calls = []
+
+    def counting(w, rows):
+        rows = list(rows)
+        calls.append(rows)
+        return score_rows(w, rows)
+
+    monkeypatch.setattr(losses, "score_rows", counting)
+    params = nonzero_params(0)
+    rows = ppo.prepare_ppo(steps, advantages, nonzero_params(10))
+    table = rows[0].action.table
+    every = {table[i] for row in rows for i in row.action.ids}
+    assert len(calls) == 1 and len(calls[0]) == len(every) == len(set(calls[0]))
+    assert set(calls[0]) == every
+
+    for batch in batches(rows, 7) + [rows]:
+        distinct = {table[i] for row in batch for i in row.action.ids}
+        calls.clear()
+        ppo.ppo_loss(params, batch, 0.3, 0.2)
+        (scored,) = calls
+        assert len(scored) == len(distinct) == len(set(scored))
+        assert set(scored) == distinct
+
+    config = dataclasses.replace(PPO_CONFIGS[0], minibatch_size=8)
+    calls.clear()
+    ppo_update(params, nonzero_params(10), steps, advantages, config, seed=0)
+    batches_per_epoch = math.ceil(len(steps) / config.minibatch_size)
+    # prepare, surrogate before, the minibatches and KL of each epoch, surrogate after
+    assert len(calls) == 3 + config.ppo_epochs * (batches_per_epoch + 1)
+    assert all(len(scored) == len(set(scored)) for scored in calls)
+    assert all(set(scored) <= every for scored in calls)
+    passes = [calls[0], calls[1], calls[-1]] + [
+        calls[1 + epoch * (batches_per_epoch + 1) + batches_per_epoch + 1]
+        for epoch in range(config.ppo_epochs)
+    ]
+    assert all(set(scored) == every for scored in passes)
 
 
 def test_prepared_step_keeps_its_rows_and_columns(suite_steps):

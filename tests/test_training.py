@@ -437,7 +437,7 @@ def test_ppo_loss_gradient_matches_finite_differences():
         )
         advantages = [rng.uniform(-0.6, 0.6) for _ in steps]
         rows = prepare_ppo(steps, advantages, old)
-        terms = [ppo._step_terms(params.act_weights, row, epsilon) for row in rows]
+        terms = ppo._pass_terms(params.act_weights, rows, epsilon)
         if any(min(abs(r - 1 + epsilon), abs(r - 1 - epsilon)) < 1e-3 for _, r, _, _ in terms):
             continue
         branches.update(r * row.advantage > t for row, (_, r, t, _) in zip(rows, terms))
