@@ -73,10 +73,11 @@ def parse_actions_plan(actions_plan: object) -> list[ActionCall]:
         missing = CALL_KEYS - set(item)
         if missing:
             raise ParseFailure(f"action call missing keys {sorted(missing)}")
-        if not isinstance(item["args"], Mapping):
-            raise ParseFailure("action call args must be an object")
-        # Only the call keys: a status is not part of an instantiated action.
-        action = ActionCall.from_call_dict({key: item[key] for key in CALL_KEYS})
+        try:
+            # Only the call keys: a status is not part of an instantiated action.
+            action = ActionCall.from_call_dict({key: item[key] for key in CALL_KEYS})
+        except TypeError as exc:
+            raise ParseFailure(f"action call {exc}") from exc
         spec = REGISTRY.get(action.function)
         if spec is None:
             raise ParseFailure(f"action call names unregistered function {action.function!r}")

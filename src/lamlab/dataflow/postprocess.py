@@ -8,8 +8,16 @@ empty plan.
 
 from __future__ import annotations
 
-from ..env_sim import CALL_KEYS, CONTROL_TYPES, REGISTRY, STATUS_CONTINUE, STATUS_FINISH, ListedControls
-from .records import EvaluationVerdict, TrainingRecord, Trajectory
+from ..env_sim import (
+    CALL_KEYS,
+    CONTROL_TYPES,
+    REGISTRY,
+    STATUS_CONTINUE,
+    STATUS_FINISH,
+    ListedControls,
+    resolve_listed,
+)
+from .records import EvaluationVerdict, TrainingRecord, Trajectory, TrajectoryStep
 
 __all__ = [
     "postprocess",
@@ -62,7 +70,7 @@ def postprocess(traj: Trajectory, verdict: EvaluationVerdict) -> list[TrainingRe
     for k, (step, record_input) in enumerate(zip(traj.steps, record_inputs(traj)), 1):
         is_last = k == total
         action = step.action
-        control_label, control_text = _executed_target(traj, k)
+        control_label, control_text = _executed_target(step)
         records.append(
             TrainingRecord(
                 record_id=f"{traj.trajectory_id}.s{k}",
@@ -84,19 +92,14 @@ def postprocess(traj: Trajectory, verdict: EvaluationVerdict) -> list[TrainingRe
     return records
 
 
-def _executed_target(traj: Trajectory, k: int) -> tuple[str, str]:
-    """Label/text of the control the step actually acted on.
-
-    Resolution happened at execution time, so recover the label from the
-    step's own control list when the action named the control by text only.
-    """
-    action = traj.steps[k - 1].action
-    label, text = action.control_label, action.control_text
-    if text and not label:
-        for item in traj.steps[k - 1].controls:
-            if item["control_text"] == text:
-                return item["label"], text
-    return label, text
+def _executed_target(step: TrajectoryStep) -> tuple[str, str]:
+    """Label/text of the control the step acted on: the listed control that
+    execution's resolution rule picks, else the action's own label and text."""
+    action = step.action
+    control = resolve_listed(step.controls, action.control_label, action.control_text)
+    if control is None:
+        return action.control_label, action.control_text
+    return control["label"], control["control_text"]
 
 
 # --- structured-record validation -------------------------------------------

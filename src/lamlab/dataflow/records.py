@@ -25,7 +25,7 @@ from ..env_sim import (
     diff_canvas,
 )
 from ..errors import check_ints, check_numbers
-from ..jsonl import canonical_dumps, canonical_json, text_field, texts_field
+from ..jsonl import canonical_dumps, canonical_json, object_field, text_field, texts_field
 
 __all__ = [
     "SOURCES",
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 SOURCES = ("doc", "wikihow", "query", "evolved")
+
+# The string fields of each listed control (``env_sim.flatten_controls``).
+_CONTROL_KEYS = ("label", "control_text", "control_type")
 
 
 def _line(fields: Mapping[str, object], **encoded: str) -> str:
@@ -159,13 +162,22 @@ class TrajectoryStep:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "TrajectoryStep":
+        controls = obj["controls"]
+        if not isinstance(controls, list) or not all(
+            isinstance(c, dict) and all(isinstance(c.get(key), str) for key in _CONTROL_KEYS)
+            for c in controls
+        ):
+            raise TypeError(
+                "controls must be a list of objects with string label, control_text and "
+                "control_type"
+            )
         return cls(
             step_no=obj["step_no"],
             action=ActionCall.from_call_dict(obj["action"]),
             result=ExecutionResult.from_dict(obj["result"]),
-            controls=tuple(obj["controls"]),
-            pre_digest=obj["pre_digest"],
-            post_digest=obj["post_digest"],
+            controls=tuple(controls),
+            pre_digest=text_field(obj, "pre_digest"),
+            post_digest=text_field(obj, "post_digest"),
         )
 
 
@@ -220,17 +232,17 @@ class Trajectory:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "Trajectory":
         return cls(
-            trajectory_id=obj["trajectory_id"],
+            trajectory_id=text_field(obj, "trajectory_id"),
             origin=InstantiatedTask.from_dict(obj["origin"]),
             steps=tuple(TrajectoryStep.from_dict(s) for s in obj["steps"]),
-            final_status=obj["final_status"],
+            final_status=text_field(obj, "final_status"),
             canvas_diff=tuple(CanvasDiffEntry.from_dict(e) for e in obj["canvas_diff"]),
-            initial_canvas=obj["initial_canvas"],
-            final_canvas=obj["final_canvas"],
-            init_control_state=obj["init_control_state"],
-            final_control_state=obj["final_control_state"],
-            init_rendered=obj["init_rendered"],
-            final_rendered=obj["final_rendered"],
+            initial_canvas=text_field(obj, "initial_canvas"),
+            final_canvas=text_field(obj, "final_canvas"),
+            init_control_state=object_field(obj, "init_control_state"),
+            final_control_state=object_field(obj, "final_control_state"),
+            init_rendered=text_field(obj, "init_rendered"),
+            final_rendered=text_field(obj, "final_rendered"),
         )
 
 
@@ -333,14 +345,3 @@ class TrainingRecord:
     def to_line(self) -> str:
         """``canonical_dumps(self.to_dict())``."""
         return _line(self.to_dict(), input=_line(self.input))
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "TrainingRecord":
-        return cls(
-            record_id=obj["record_id"],
-            origin_task_id=obj["origin_task_id"],
-            trajectory_id=obj["trajectory_id"],
-            step_no=obj["step_no"],
-            input=dict(obj["input"]),
-            output=dict(obj["output"]),
-        )

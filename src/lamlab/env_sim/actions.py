@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, TYPE_CHECKING
 
 from ..errors import BadArgs, DisabledControl, LamLabError, UnknownFunction
+from ..jsonl import object_field, text_field
 from ..textutil import COLOR_HEX
 from .canvas import (
     CanvasState,
@@ -83,13 +84,15 @@ class ActionCall:
 
     @classmethod
     def from_call_dict(cls, obj: Mapping) -> "ActionCall":
+        """The call of ``to_call_dict``, plus an optional ``status``; a field
+        of the wrong type is a ``TypeError`` naming it."""
         return cls(
-            step=str(obj.get("step", "")),
-            control_label=str(obj.get("controlLabel", "")),
-            control_text=str(obj.get("controlText", "")),
-            function=str(obj.get("function", "")),
-            args=dict(obj.get("args", {}) or {}),
-            status=str(obj.get("status", STATUS_CONTINUE)),
+            step=text_field(obj, "step", ""),
+            control_label=text_field(obj, "controlLabel", ""),
+            control_text=text_field(obj, "controlText", ""),
+            function=text_field(obj, "function", ""),
+            args=dict(object_field(obj, "args", {})),
+            status=text_field(obj, "status", STATUS_CONTINUE),
         )
 
 

@@ -9,7 +9,8 @@ control (and its whole subtree) carries no label and is not listed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..errors import AmbiguousControl, UnknownControl
 
@@ -21,8 +22,8 @@ __all__ = [
     "iter_enabled",
     "flatten_controls",
     "control_tree_dict",
-    "control_tree_from_dict",
     "resolve_in_tree",
+    "resolve_listed",
     "map_tree",
 ]
 
@@ -118,17 +119,6 @@ def control_tree_dict(root: ControlNode) -> dict:
     }
 
 
-def control_tree_from_dict(obj: Mapping) -> ControlNode:
-    return ControlNode(
-        control_text=obj["control_text"],
-        control_type=obj["control_type"],
-        enabled=bool(obj.get("enabled", True)),
-        selected=obj.get("selected"),
-        label=obj.get("control_label", ""),
-        children=tuple(control_tree_from_dict(c) for c in obj.get("children", ())),
-    )
-
-
 def _norm(text: str) -> str:
     return " ".join(text.casefold().split())
 
@@ -146,11 +136,29 @@ def resolve_in_tree(
     ambiguity error. Disabled controls are resolvable (execution reports
     DisabledControl separately).
     """
+    return _resolve(list(_iter_all(root)), label, text, _node_label, _node_text)
+
+
+def resolve_listed(controls: Sequence[Mapping], label: str, text: str) -> Mapping | None:
+    """The entry of a control list (``flatten_controls``) that
+    :func:`resolve_in_tree`'s tiers pick for ``label`` and ``text``, or None
+    when no entry or more than one does."""
+    try:
+        return _resolve(controls, label, text, _item_label, _item_text)
+    except (UnknownControl, AmbiguousControl):
+        return None
+
+
+_node_label, _node_text = attrgetter("label"), attrgetter("control_text")
+_item_label, _item_text = itemgetter("label"), itemgetter("control_text")
+
+
+def _resolve(items: Sequence, label, text, label_of: Callable, text_of: Callable):
+    """The one item of ``items`` that the first deciding tier matches."""
     if not label and not text:
         raise UnknownControl("no label or text given to resolve")
-    nodes = list(_iter_all(root))
     if label:
-        hits = [n for n in nodes if n.label == label]
+        hits = [n for n in items if label_of(n) == label]
         if len(hits) == 1:
             return hits[0]
         if len(hits) > 1:
@@ -159,13 +167,13 @@ def resolve_in_tree(
     if text:
         for query in _alias_queries(text):
             folded = query.casefold()
-            hits = [n for n in nodes if n.control_text.casefold() == folded]
+            hits = [n for n in items if text_of(n).casefold() == folded]
             if len(hits) == 1:
                 return hits[0]
             if len(hits) > 1:
                 raise AmbiguousControl(f"text {query!r} matches {len(hits)} controls")
             normed = _norm(query)
-            hits = [n for n in nodes if _norm(n.control_text) == normed]
+            hits = [n for n in items if _norm(text_of(n)) == normed]
             if len(hits) == 1:
                 return hits[0]
             if len(hits) > 1:

@@ -57,13 +57,6 @@ class GroundTruthStep:
             status=text_field(obj, "status"),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "acceptable_objects": list(self.acceptable_objects),
-            "operation": self.operation,
-            "status": self.status,
-        }
-
 
 @dataclass(frozen=True)
 class PredictedStep:

@@ -16,7 +16,6 @@ from .agent import AgentConfig, ModelPolicy, RunRecord, run_task
 from .dataflow import run_stage, stage_files
 from .dataflow.records import InstantiatedTask, TaskPlanRecord
 from .env_sim import ActionCall
-from .evaluation import eval_online
 from .fixtures import load_suite
 from .jsonl import write_jsonl
 from .oracle import MockOracle
@@ -30,7 +29,6 @@ __all__ = [
     "build_suite_workspace",
     "run_suite_phases",
     "suite_runs",
-    "suite_tsr",
 ]
 
 
@@ -133,7 +131,3 @@ def suite_runs(params: ModelParams, suite: list[SuiteTask] | None = None) -> lis
             )
         )
     return runs
-
-
-def suite_tsr(params: ModelParams, suite: list[SuiteTask] | None = None) -> float:
-    return eval_online(suite_runs(params, suite)).tsr

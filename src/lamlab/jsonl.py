@@ -25,8 +25,8 @@ is not UTF-8, is not JSON, is not an object, or that ``parse`` rejects with
 ``KeyError``, ``TypeError``, ``ValueError`` or ``AttributeError`` raises
 :class:`ValidationFailure` located at ``path:line``. The file is read in
 binary mode and decoded line by line, so a decoding error names its own line.
-Parsers check a row's fields with :func:`text_field` and
-:func:`texts_field`, whose ``TypeError`` names the field.
+Parsers check a row's fields with :func:`text_field`, :func:`texts_field`
+and :func:`object_field`, whose ``TypeError`` names the field.
 """
 
 from __future__ import annotations
@@ -114,6 +114,14 @@ def texts_field(obj: Mapping, key: str, default: list | None = None) -> list[str
     value = obj[key] if default is None else obj.get(key, default)
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"{key} must be a list of strings")
+    return value
+
+
+def object_field(obj: Mapping, key: str, default: dict | None = None) -> dict:
+    """``text_field`` for a JSON object."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be an object")
     return value
 
 

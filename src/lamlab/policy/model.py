@@ -243,12 +243,6 @@ class ModelParams:
         merged.update(updates)
         return ModelParams(weights=merged, plan_vocab=self.plan_vocab)
 
-    def scaled(self, factor: float) -> "ModelParams":
-        return ModelParams(
-            weights={k: v * factor for k, v in self.weights.items()},
-            plan_vocab=self.plan_vocab,
-        )
-
     def save(self, path: str | Path) -> None:
         payload = {
             "format_version": 1,

@@ -1,8 +1,8 @@
 """Agent-visible state: what the model sees before choosing an action.
 
-The serialized form of a state is byte-for-byte the ``input`` object of an
-offline training record, so online inference and offline training consume
-the same schema by construction.
+A state's serialized form is the ``input`` object of an offline training
+record (``dataflow.postprocess.record_inputs``), which ``from_record_input``
+reads back, so online inference and offline training consume one schema.
 """
 
 from __future__ import annotations
@@ -128,17 +128,6 @@ class AgentState:
 
     def last_action(self) -> ActionCall | None:
         return self.previous_actions[-1][0] if self.previous_actions else None
-
-    def to_record_input(self) -> dict:
-        return {
-            "available_controls": [dict(c) for c in self.controls],
-            "user_request": self.task,
-            "step_history": [
-                {"action": action.to_call_dict(), "result": dict(result)}
-                for action, result in self.previous_actions
-            ],
-            "previous_plan": list(self.previous_plan),
-        }
 
     @classmethod
     def from_record_input(cls, obj: dict) -> "AgentState":

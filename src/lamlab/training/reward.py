@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..errors import EmptyCorpus, ValidationFailure
-from ..env_sim import ActionCall
+from ..env_sim import ActionCall, resolve_listed
 from ..jsonl import write_text
 from ..policy import AgentState, CandidateAction, featurize
 from ..policy.features import FEATURE_NAMES, SparseRow
@@ -51,19 +51,12 @@ class RewardedStep:
 
 def _candidate_of_action(state: AgentState, action: ActionCall) -> CandidateAction:
     """Featurization shim: wrap an arbitrary action as a candidate, resolving
-    its control against the state's list when possible (failure-trajectory
-    actions may reference controls that do not exist)."""
-    control = None
-    for item in state.controls:
-        if action.control_label and item["label"] == action.control_label:
-            control = dict(item)
-            break
-        if action.control_text and item["control_text"] == action.control_text:
-            control = dict(item)
-            break
+    its control against the state's list by execution's rule when possible
+    (failure-trajectory actions may reference controls that do not exist)."""
+    control = resolve_listed(state.controls, action.control_label, action.control_text)
     return CandidateAction(
         function=action.function,
-        control=control,
+        control=None if control is None else dict(control),
         args=tuple(sorted(dict(action.args).items())),
     )
 

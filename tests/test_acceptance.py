@@ -27,6 +27,7 @@ from lamlab.evaluation import (
     GroundTruthStep,
     PredictedStep,
     eval_actions,
+    eval_online,
     eval_plans,
 )
 from lamlab.jsonl import read_jsonl, sha256_file, write_jsonl
@@ -50,8 +51,10 @@ from lamlab.harness import (
     build_suite_workspace,
     load_suite_tasks,
     run_suite_phases,
-    suite_tsr,
+    suite_runs,
 )
+
+from checkpoint_digests import runs_digest
 
 
 def report(criterion: int, message: str) -> None:
@@ -341,6 +344,16 @@ def suite_phases(tmp_path_factory):
     return ws, checkpoints, time.perf_counter() - started
 
 
+# ``runs_digest`` of each suite checkpoint's ``suite_runs``: every online run
+# record, trajectory included, of the argmax agent on the 50 tasks.
+_PINNED_SUITE_RUNS = {
+    "lam1": "045cb892",
+    "lam2": "95860dca",
+    "lam3": "95860dca",
+    "lam4": "95860dca",
+}
+
+
 def test_criterion_4_phase_progression(suite_phases):
     started = time.perf_counter()
     _, checkpoints, train_s = suite_phases
@@ -348,7 +361,9 @@ def test_criterion_4_phase_progression(suite_phases):
     assert len(suite) == 50
     assert sum(1 for t in suite if t.expert is not None) == 35
 
-    tsr = {phase: suite_tsr(params, suite) for phase, params in checkpoints.items()}
+    runs = {phase: suite_runs(params, suite) for phase, params in checkpoints.items()}
+    assert {f"lam{p}": runs_digest(r) for p, r in runs.items()} == _PINNED_SUITE_RUNS
+    tsr = {phase: eval_online(r).tsr for phase, r in runs.items()}
     assert tsr[2] >= tsr[1] + 0.20, f"LAM2 {tsr[2]:.3f} vs LAM1 {tsr[1]:.3f}"
     assert tsr[3] >= tsr[2], f"LAM3 {tsr[3]:.3f} vs LAM2 {tsr[2]:.3f}"
     assert tsr[4] >= tsr[3] - 0.01, f"LAM4 {tsr[4]:.3f} vs LAM3 {tsr[3]:.3f}"
@@ -661,6 +676,7 @@ def test_checkpoints_are_pinned_on_other_interpreters():
         "suite": {name: list(pin) for name, pin in _PINNED_CHECKPOINTS.items()},
         "cli": {name: list(pin) for name, pin in _PINNED_CLI_CHECKPOINTS.items()},
         "suite_corpus": _PINNED_SUITE_CORPUS,
+        "suite_runs": _PINNED_SUITE_RUNS,
     }
     for version, exe in sorted(interpreters.items()):
         out = subprocess.run(

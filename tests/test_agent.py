@@ -14,10 +14,10 @@ from lamlab.agent import (
     run_task,
     step,
 )
-from lamlab.dataflow import execute_trajectory, validate_record_input
+from lamlab.dataflow import execute_trajectory, record_inputs, validate_record_input
 from lamlab.dataflow.records import InstantiatedTask
 from lamlab.env_sim import ActionCall, EnvSession, STATUS_FINISH, list_controls, load_template
-from lamlab.policy import ModelParams, build_plan_vocab, generate_plan
+from lamlab.policy import AgentState, ModelParams, build_plan_vocab, generate_plan
 
 
 class FinishPolicy:
@@ -72,18 +72,31 @@ def test_observe_controls_match_env_listing():
 
 
 def test_observe_state_matches_record_input_schema():
-    s = session()
-    memory = Memory()
-    _, _, memory = step(
-        ScriptedPolicy(actions=(ActionCall(function="select_text", args={"text": "Test"}),
-                                ActionCall(function="toggle_bold", args={}))),
-        s,
-        "task for the document",
-        memory,
-        1,
+    """Each state a run observes is the state its trajectory's training
+    record input reads back to, and that input passes the record validator."""
+    observed = []
+
+    class RecordingPolicy(ScriptedPolicy):
+        def decide(self, state):
+            observed.append(state)
+            return super().decide(state)
+
+    actions = (
+        ActionCall(step="select the text", function="select_text", args={"text": "Test"}),
+        ActionCall(step="click the ghost", control_text="Ghost", function="click_input",
+                   args={"button": "left", "double": False}),
+        ActionCall(step="make it bold", function="toggle_bold", args={}),
+        ActionCall(step="scroll down", control_text="Vertical Scroll Bar", function="scroll",
+                   args={"direction": "down", "amount": 1}),
     )
-    state = observe(s, "task for the document", memory, 2)
-    assert validate_record_input(state.to_record_input()) == []
+    run = run_task(RecordingPolicy(actions=actions), "plain_text", "task for the document",
+                   clock=lambda: 0.0)
+    inputs = record_inputs(run.trajectory)
+    assert not run.trajectory.steps[1].result.ok
+    assert len(observed) == len(inputs) == len(actions)
+    for state, record_input in zip(observed, inputs):
+        assert validate_record_input(record_input) == []
+        assert state == AgentState.from_record_input(record_input)
 
 
 # --- step -----------------------------------------------------------------------

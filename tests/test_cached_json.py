@@ -78,7 +78,7 @@ def test_lines_equal_canonical_dumps_of_to_dict(handed_off):
     ws, trajectories, training = handed_off
     files = stage_files(ws)
     read_trajectories = read_jsonl(files["execute"], Trajectory.from_dict)
-    read_training = read_jsonl(files["postprocess"], TrainingRecord.from_dict)
+    read_training = read_jsonl(files["postprocess"], lambda row: TrainingRecord(**row))
     assert training and read_training
     # In memory the records hold the cached carriers; read back, plain values.
     assert all(isinstance(s.controls, ControlList) for t in trajectories for s in t.steps)

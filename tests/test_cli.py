@@ -350,14 +350,24 @@ def test_repeated_training_step_is_a_validation_failure(pipeline_ws, tmp_path, c
          ["dataflow", "run", "--stage", "instantiate"], "task must be a string"),
         ("trajectories.jsonl", lambda rec: rec["origin"].update(instantiated_task=5),
          ["train", "--phase", "3"], "instantiated_task must be a string"),
+        ("instantiated.jsonl", lambda rec: [a.update(function=5) for a in rec["actions"]],
+         ["dataflow", "run", "--stage", "execute"], "function must be a string"),
+        ("trajectories.jsonl", lambda rec: rec.update(trajectory_id=5),
+         ["train", "--phase", "3"], "trajectory_id must be a string"),
+        ("trajectories.jsonl", lambda rec: rec.update(final_rendered=5),
+         ["dataflow", "run", "--stage", "judge"], "final_rendered must be a string"),
+        ("trajectories.jsonl", lambda rec: [s.update(controls=[5]) for s in rec["steps"]],
+         ["dataflow", "run", "--stage", "postprocess"], "controls must be a list of objects"),
     ],
-    ids=["plan_string", "plan_ints", "task_int", "instantiated_task_int"],
+    ids=["plan_string", "plan_ints", "task_int", "instantiated_task_int", "function_int",
+         "trajectory_id_int", "final_rendered_int", "controls_ints"],
 )
 def test_mistyped_task_row_is_a_validation_failure(
     pipeline_ws, tmp_path, capsys, file, drift, argv, reason
 ):
-    """A task-plan or instantiated-task row with a field of the wrong type
-    ends the command at its line, not in a traceback or a plan of letters."""
+    """A task-plan, instantiated-task or trajectory row with a field of the
+    wrong type ends the command at its line, not in a traceback, a plan of
+    letters or a run of a function named "5"."""
     ws = tmp_path / "ws"
     shutil.copytree(pipeline_ws, ws)
     if file == "taskplan.jsonl":
@@ -375,6 +385,32 @@ def test_mistyped_task_row_is_a_validation_failure(
     assert "Traceback" not in err
     assert err.startswith("ValidationFailure: ")
     assert f"{file}:1: {reason}" in err
+
+
+def test_postprocess_records_the_control_execution_resolved(pipeline_ws, tmp_path):
+    """An action that names its control in lower case runs, as execution
+    matches text case-insensitively; its training records name the control
+    it resolved to, so phase 2 finds the action among the candidates."""
+    ws = tmp_path / "ws"
+    shutil.copytree(pipeline_ws, ws)
+    path = ws / "corpus" / "instantiated.jsonl"
+    rows = read_jsonl(path)
+    for row in rows:
+        for action in row["actions"]:
+            if action["controlText"] == "Text Highlight Color":
+                action["controlText"] = "text highlight color"
+    write_jsonl(path, rows)
+    for stage in ("execute", "judge", "postprocess"):
+        assert main(["--workspace", str(ws), "--clock", "zero",
+                     "dataflow", "run", "--stage", stage]) == 0
+    outputs = [r["output"] for r in read_jsonl(ws / "corpus" / "training.jsonl")]
+    targets = {
+        (out["control_label"], out["control_name"])
+        for out in outputs
+        if out["control_name"].casefold() == "text highlight color"
+    }
+    assert targets == {("8", "Text Highlight Color")}
+    assert main(["--workspace", str(ws), "train", "--phase", "2"]) == 0
 
 
 def _train_phase2_with(pipeline_ws, tmp_path, capsys, edit):

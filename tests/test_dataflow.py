@@ -259,6 +259,10 @@ def test_parsed_action_status_is_not_read_from_the_call():
         json.dumps({"step": "x", "controlLabel": "", "controlText": "", "function": "click_input", "args": {}}),
         "",
         json.dumps({"step": "x", "controlLabel": "", "controlText": "", "function": "select_text", "args": 3}),
+        json.dumps({"step": 5, "controlLabel": "", "controlText": "", "function": "select_text",
+                    "args": {"text": "Test"}}),
+        json.dumps({"step": "x", "controlLabel": "", "controlText": 7, "function": "click_input",
+                    "args": {}}),
     ],
 )
 def test_parse_actions_plan_malformed(bad):

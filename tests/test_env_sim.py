@@ -134,22 +134,6 @@ def test_nested_order_matches_independent_flattener():
     assert texts.index("Tabs") < texts.index("Inner")
 
 
-def test_label_stability_under_reserialization():
-    import json
-
-    from lamlab.env_sim import control_tree_dict, control_tree_from_dict, parse_canvas
-
-    s = load_template("plain_text")
-    payload = json.loads(s.serialize())
-    again = EnvSnapshot(
-        controls=control_tree_from_dict(payload["controls"]),
-        canvas=parse_canvas(payload["canvas"]),
-        step_index=payload["step_index"],
-    )
-    assert list_controls(s) == list_controls(again)
-    assert control_tree_dict(again.controls) == control_tree_dict(s.controls)
-
-
 # --- resolve_in_tree ---------------------------------------------------------
 
 

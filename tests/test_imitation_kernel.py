@@ -232,7 +232,9 @@ def test_imitation_loss_equals_parent_kernel(suite_steps):
     parent = [[parent_action_rows(step) for step in t] for t in trajectories]
     # Weights scaled by 1000 drive some probabilities to exactly 0.0, so the
     # zero-coefficient candidates the per-candidate loop skips occur too.
-    cases = [nonzero_params(0), nonzero_params(1), nonzero_params(2).scaled(1000.0)]
+    big = nonzero_params(2)
+    scaled = ModelParams({k: v * 1000.0 for k, v in big.weights.items()}, big.plan_vocab)
+    cases = [nonzero_params(0), nonzero_params(1), scaled]
     zero_probs = sum(
         parent_row_softmax(cases[-1].act_weights, step.rows)[0].count(0.0)
         for t in parent for step in t
