@@ -432,3 +432,46 @@ def test_checkpoint_nonfinite_rejected(tmp_path):
     path.write_text(json.dumps(payload).replace("Infinity", "1e999"))
     with pytest.raises((CheckpointError, ValueError)):
         ModelParams.load(path)
+
+
+# --- state schema parity ------------------------------------------------------------
+
+
+def recorded_step_two():
+    """The state a scripted run observes at step 2 and that step's record
+    input, as post-processing serializes it from the run's trajectory."""
+    from lamlab.agent import ScriptedPolicy, run_task
+    from lamlab.dataflow import record_inputs
+
+    observed = []
+
+    class RecordingPolicy(ScriptedPolicy):
+        def decide(self, state):
+            observed.append(state)
+            return super().decide(state)
+
+    actions = (
+        ActionCall(step="select the text", function="select_text", args={"text": "Test"}),
+        ActionCall(step="next", function="toggle_bold", args={}),
+    )
+    run = run_task(RecordingPolicy(actions=actions), "plain_text", "make the text bold",
+                   clock=lambda: 0.0)
+    return observed[1], record_inputs(run.trajectory)[1]
+
+
+def test_state_serializes_to_record_input_schema():
+    from lamlab.dataflow import validate_record_input
+
+    state, record_input = recorded_step_two()
+    assert state.step_id == 2 and len(state.previous_actions) == 1
+    assert state.previous_plan == ("next",)
+    assert validate_record_input(record_input) == []
+
+
+def test_state_round_trips_through_record_input():
+    state, record_input = recorded_step_two()
+    rebuilt = AgentState.from_record_input(record_input)
+    assert rebuilt.task == state.task
+    assert rebuilt.step_id == state.step_id
+    assert rebuilt.controls == state.controls
+    assert rebuilt.previous_plan == state.previous_plan
